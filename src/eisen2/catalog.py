@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb, isqrt
+from math import isqrt
 
 from . import arith
-from .qseries import QSeries, first_difference
+from .qseries import QSeries, first_difference, int_mul
 from .scalars import bernoulli
 
 __all__ = [
@@ -59,21 +59,17 @@ def level2_constant(k: int) -> Fraction:
 def _eta24(order: int) -> list[int]:
     """Integer coefficients of prod_{n>=1} (1-q^n)^24 up to the order.
 
-    Each sparse factor (1-q^n)^24 is folded in place, descending in the
-    exponent so lower coefficients are still unmodified when read.
+    Jacobi's identity gives the cube as a sparse series,
+    prod (1-q^n)^3 = sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2),
+    and three squarings raise it to the 24th power.
     """
     prod = [0] * (order + 1)
-    prod[0] = 1
-    for n in range(1, order + 1):
-        jmax = min(24, order // n)
-        terms = [((-1) ** j * comb(24, j), j * n) for j in range(1, jmax + 1)]
-        for i in range(order, n - 1, -1):
-            acc = prod[i]
-            for c, shift in terms:
-                if shift > i:
-                    break
-                acc += c * prod[i - shift]
-            prod[i] = acc
+    k = 0
+    while k * (k + 1) // 2 <= order:
+        prod[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+        k += 1
+    for _ in range(3):
+        prod = int_mul(prod, prod, order)
     return prod
 
 

@@ -929,7 +929,8 @@ def _table2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     }
     # the two convolution rows are confirmed by the independent lattice
     # route: r_24 from theta powers determines both convolutions given tau
-    r24 = ws.r_table(24)[: upto + 1]
+    # built at the table's own order, since nmax may be below it
+    r24 = (ws.catalog_at(upto).theta3() ** 24).coeffs
     for n in range(upto + 1):
         sign = -1 if n % 2 else 1
         if sign * 64 * (conv55[n] - tau[n]) != r24[n]:

@@ -1,8 +1,9 @@
 """Command-line front end: verify identities, export series and tables.
 
-Exit status is 0 exactly when every requested check passes.  Default output
-carries no timings, so two runs with identical flags print identical bytes;
-JSON reports include per-check elapsed milliseconds.
+Exit status is 0 exactly when every requested check passes, and 2, with one
+line on stderr, for bad input.  Default output carries no timings, so two
+runs with identical flags print identical bytes; JSON reports include
+per-check elapsed milliseconds.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 
 from . import arith, checks
 from .catalog import SeriesCatalog, series_D
-from .graded import decompose_modular, e_star_poly
+from .graded import ResidualMismatch, decompose_modular, e_star_poly
 from .qseries import rational_str
 
 __all__ = ["main", "UnknownName"]
@@ -84,12 +85,19 @@ def _format_records(name: str, weight: int, records, fmt: str) -> str:
     return buf.getvalue()
 
 
+def _bad_input(message: str) -> int:
+    print(message, file=sys.stderr)
+    return 2
+
+
 def _cmd_verify(args) -> int:
+    for flag in ("order", "nmax", "mmax"):
+        if getattr(args, flag) < 0:
+            return _bad_input(f"--{flag} must be nonnegative")
     try:
         ids = checks.resolve_ids(args.target)
     except checks.UnknownTheoremId:
-        print(f"unknown check id {args.target!r}; see `list`", file=sys.stderr)
-        return 2
+        return _bad_input(f"unknown check id {args.target!r}; see `list`")
     reports = checks.run_all(
         order=args.order,
         nmax=args.nmax,
@@ -125,6 +133,10 @@ def _default_order(name: str) -> int:
 def _cmd_export(args) -> int:
     m = re.fullmatch(r"E(\d+)star_poly", args.name)
     order = args.order if args.order is not None else _default_order(args.name)
+    if order < 0:
+        return _bad_input("--order must be nonnegative")
+    if order == 0 and args.name == "tau":
+        return _bad_input("--order must be positive for tau")
     try:
         if m:
             weight = int(m.group(1))
@@ -136,8 +148,7 @@ def _cmd_export(args) -> int:
             values = _export_values(args.name, order)
             text = _format_table(args.name, order, values, args.format)
     except UnknownName:
-        print(f"unknown export name {args.name!r}; see `list`", file=sys.stderr)
-        return 2
+        return _bad_input(f"unknown export name {args.name!r}; see `list`")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -148,13 +159,21 @@ def _cmd_export(args) -> int:
 
 def _cmd_decompose(args) -> int:
     order = args.order if args.order is not None else max(64, args.weight // 2 + 8)
+    if order < 0:
+        return _bad_input("--order must be nonnegative")
     cat = SeriesCatalog(order)
     try:
         series = cat.by_name(args.name)
     except KeyError:
-        print(f"unknown series name {args.name!r}", file=sys.stderr)
-        return 2
-    dec = decompose_modular(series, args.weight, cat)
+        return _bad_input(f"unknown series name {args.name!r}")
+    try:
+        dec = decompose_modular(series, args.weight, cat)
+    except ValueError as exc:  # weight not even, or order below the window
+        return _bad_input(str(exc))
+    except ResidualMismatch as exc:
+        print(f"{args.name} is not modular of weight {args.weight}: {exc}",
+              file=sys.stderr)
+        return 1
     text = _format_records(args.name, args.weight, dec.to_records(), args.format)
     sys.stdout.write(text)
     return 0

@@ -1,6 +1,19 @@
 """Truncated formal power series in q over exact rationals.
 
-A ``QSeries`` keeps coefficients c_0..c_N for a fixed truncation order N.
+A ``QSeries`` keeps coefficients c_0..c_N for a fixed truncation order N as
+a tuple of integer numerators over one positive common denominator, reduced
+so that the denominator and all numerators have no common factor.  Every
+operation works on those integers.  ``coeffs``, ``coefficient`` and indexing
+give the coefficients as ``Fraction`` values through a view that is built on
+first use and then cached.
+
+Series multiplication has one kernel, Kronecker substitution (Schoenhage
+1982; Harvey, J. Symbolic Comput. 2009): the numerators of each operand are
+packed as fixed-width slots of one big integer, the two integers are
+multiplied once, and the low slots of the product are read back as signed
+coefficients.  Powers use it by repeated squaring and inversion by a Newton
+iteration that doubles the precision at each step.
+
 Every binary operation truncates to the smaller order of its operands, so a
 result never claims more precision than was computed.  Equality compares
 coefficients on the common range only.
@@ -9,11 +22,13 @@ coefficients on the common range only.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
     "QSeries",
     "ZeroConstantTerm",
+    "int_mul",
     "qs_det",
     "first_difference",
     "rational_str",
@@ -34,44 +49,121 @@ def rational_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _as_fraction_tuple(coeffs: Iterable[Scalar]) -> tuple[Fraction, ...]:
-    return tuple(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
+def _pack(a: Sequence[int], size: int) -> int:
+    """sum a_i 2^(8 size i), from slots of ``size`` bytes.
+
+    The positive and the negative parts are packed separately, so every slot
+    holds a magnitude; the caller guarantees |a_i| < 2^(8 size).
+    """
+    zero = bytes(size)
+    packed = int.from_bytes(
+        b"".join(x.to_bytes(size, "little") if x > 0 else zero for x in a), "little"
+    )
+    if min(a) < 0:
+        packed -= int.from_bytes(
+            b"".join((-x).to_bytes(size, "little") if x < 0 else zero for x in a),
+            "little",
+        )
+    return packed
+
+
+def int_mul(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
+    """Coefficients 0..order of the product of two integer polynomials.
+
+    Kronecker substitution: evaluate both at q = 2^w by packing, multiply
+    the two big integers once, and read the low order+1 slots of the product
+    back with a signed carry.  The slot width w covers the largest possible
+    coefficient of the product plus a sign bit, so no slot overflows.
+    """
+    square = a is b
+    a = a[: order + 1]
+    b = a if square else b[: order + 1]
+    slots = order + 1
+    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + slots.bit_length() + 1)
+    size = (bits + 7) // 8
+    packed = _pack(a, size)
+    product = packed * (packed if square else _pack(b, size))
+    # the product mod 2^(w slots), whatever its sign, holds the wanted slots
+    raw = (product & ((1 << 8 * size * slots) - 1)).to_bytes(size * slots, "little")
+    half = 1 << (8 * size - 1)
+    full = half << 1
+    out = []
+    carry = 0
+    for i in range(0, size * slots, size):
+        c = int.from_bytes(raw[i : i + size], "little") + carry
+        carry = c >= half
+        out.append(c - full if carry else c)
+    return out
+
+
+def _reduce(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
+    """Divide numerators and denominator by their common factor."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return tuple(x // g for x in nums), den // g
+    return tuple(nums), den
 
 
 class QSeries:
     """Power series sum c_n q^n truncated at a fixed order."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_nums", "_den", "_view")
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        self.coeffs = _as_fraction_tuple(coeffs)
-        if not self.coeffs:
+        values = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        if not values:
             raise ValueError("a series needs at least the constant coefficient")
+        # the lcm of reduced denominators leaves no common factor to divide out
+        den = lcm(*(c.denominator for c in values))
+        self._nums = tuple(c.numerator * (den // c.denominator) for c in values)
+        self._den = den
+        self._view: Optional[tuple[Fraction, ...]] = None
+
+    @classmethod
+    def _make(cls, nums: Sequence[int], den: int = 1) -> "QSeries":
+        """The series nums_n / den, reduced."""
+        if not nums:
+            raise ValueError("a series needs at least the constant coefficient")
+        series = object.__new__(cls)
+        series._nums, series._den = _reduce(nums, den)
+        series._view = None
+        return series
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, order: int) -> "QSeries":
-        return cls([Fraction(0)] * (order + 1))
+        return cls._make((0,) * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> "QSeries":
-        return cls([Fraction(1)] + [Fraction(0)] * order)
+        return cls._make((1,) + (0,) * order)
 
     @classmethod
     def from_terms(cls, terms: dict[int, Scalar], order: int) -> "QSeries":
         """Series with the given sparse exponent -> coefficient terms."""
-        coeffs = [Fraction(0)] * (order + 1)
+        coeffs: list[Scalar] = [0] * (order + 1)
         for n, c in terms.items():
             if 0 <= n <= order:
-                coeffs[n] = Fraction(c)
+                coeffs[n] = c
         return cls(coeffs)
 
     # -- basic protocol ----------------------------------------------------
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._nums) - 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as reduced ``Fraction`` values (cached)."""
+        view = self._view
+        if view is None:
+            den = self._den
+            view = self._view = tuple(Fraction(x, den) for x in self._nums)
+        return view
 
     def coefficient(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
@@ -84,14 +176,18 @@ class QSeries:
     def truncate(self, order: int) -> "QSeries":
         if order >= self.order:
             return self
-        return QSeries(self.coeffs[: order + 1])
+        return QSeries._make(self._nums[: order + 1], self._den)
 
     def __eq__(self, other: object) -> bool:
         # comparable only on the common range of the two truncations
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return self.coeffs[: n + 1] == other.coeffs[: n + 1]
+        n = min(self.order, other.order) + 1
+        a, b = self._nums[:n], other._nums[:n]
+        da, db = self._den, other._den
+        if da == db:
+            return a == b
+        return all(x * db == y * da for x, y in zip(a, b))
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -106,28 +202,42 @@ class QSeries:
 
     # -- ring operations ---------------------------------------------------
 
+    def _common(self, other: "QSeries"):
+        """Both numerator tuples on the common range over one denominator."""
+        n = min(self.order, other.order) + 1
+        a, b = self._nums[:n], other._nums[:n]
+        da, db = self._den, other._den
+        if da == db:
+            return a, b, da
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        return [x * fa for x in a], [y * fb for y in b], den
+
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return QSeries([self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
+        a, b, den = self._common(other)
+        return QSeries._make([x + y for x, y in zip(a, b)], den)
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return QSeries([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
+        a, b, den = self._common(other)
+        return QSeries._make([x - y for x, y in zip(a, b)], den)
 
     def __neg__(self) -> "QSeries":
-        return QSeries([-c for c in self.coeffs])
+        return QSeries._make([-x for x in self._nums], self._den)
 
     def scale(self, c: Scalar) -> "QSeries":
         c = Fraction(c)
-        return QSeries([c * x for x in self.coeffs])
+        p = c.numerator
+        return QSeries._make([p * x for x in self._nums], c.denominator * self._den)
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
-            return self._mul_series(other)
+            n = min(self.order, other.order)
+            return QSeries._make(int_mul(self._nums, other._nums, n),
+                                 self._den * other._den)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -136,31 +246,6 @@ class QSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
-
-    def _mul_series(self, other: "QSeries") -> "QSeries":
-        n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        # integer fast path: series built from divisor sums and eta products
-        # have denominator 1 throughout, and plain int convolution is much
-        # cheaper than Fraction convolution at order ~1000
-        if all(c.denominator == 1 for c in a[: n + 1]) and all(
-            c.denominator == 1 for c in b[: n + 1]
-        ):
-            ai = [c.numerator for c in a[: n + 1]]
-            bi = [c.numerator for c in b[: n + 1]]
-            out = [0] * (n + 1)
-            for i, ci in enumerate(ai):
-                if ci:
-                    for j in range(n - i + 1):
-                        out[i + j] += ci * bi[j]
-            return QSeries([Fraction(c) for c in out])
-        out_f = [Fraction(0)] * (n + 1)
-        for i in range(n + 1):
-            ci = a[i]
-            if ci:
-                for j in range(n - i + 1):
-                    out_f[i + j] += ci * b[j]
-        return QSeries(out_f)
 
     def __pow__(self, e: int) -> "QSeries":
         if e < 0:
@@ -179,26 +264,34 @@ class QSeries:
 
     def theta(self) -> "QSeries":
         """The operator q d/dq: c_n -> n c_n."""
-        return QSeries([n * c for n, c in enumerate(self.coeffs)])
+        return QSeries._make([n * x for n, x in enumerate(self._nums)], self._den)
 
     def invert(self) -> "QSeries":
         """Multiplicative inverse up to the truncation order.
 
-        Triangular recursion b_0 = 1/a_0, b_n = -(1/a_0) sum a_j b_{n-j}.
+        Newton iteration g <- g (2 - a g) on the integer numerators a, which
+        doubles the number of correct coefficients at each step, starting
+        from g = 1/a_0.  The iterate is kept as numerators over one
+        denominator.
         """
-        a = self.coeffs
+        a = self._nums
         if a[0] == 0:
             raise ZeroConstantTerm("cannot invert a series with zero constant term")
-        inv0 = 1 / a[0]
-        b = [inv0]
-        for n in range(1, self.order + 1):
-            s = sum(a[j] * b[n - j] for j in range(1, n + 1) if a[j])
-            b.append(-inv0 * s)
-        return QSeries(b)
+        g, g_den = ((1,), a[0]) if a[0] > 0 else ((-1,), -a[0])
+        done = 1
+        while done < len(a):
+            done = min(2 * done, len(a))
+            # (2 - a g) over the denominator of g
+            err = [-x for x in int_mul(a, g, done - 1)]
+            err[0] += 2 * g_den
+            g, g_den = _reduce(int_mul(g, err, done - 1), g_den * g_den)
+        # 1/(a/den) = den * (1/a)
+        return QSeries._make([self._den * x for x in g], g_den)
 
     def neg_q(self) -> "QSeries":
         """Substitute q -> -q: c_n -> (-1)^n c_n."""
-        return QSeries([-c if n % 2 else c for n, c in enumerate(self.coeffs)])
+        return QSeries._make([-x if n % 2 else x for n, x in enumerate(self._nums)],
+                             self._den)
 
 
 def qs_det(matrix: Sequence[Sequence[QSeries]]) -> QSeries:
@@ -228,8 +321,9 @@ def first_difference(
 
     Returns (n, a_n, b_n), or None when they agree everywhere compared.
     """
-    n = min(a.order, b.order)
-    for i in range(n + 1):
-        if a.coeffs[i] != b.coeffs[i]:
-            return i, a.coeffs[i], b.coeffs[i]
+    n = min(a.order, b.order) + 1
+    da, db = a._den, b._den
+    for i, (x, y) in enumerate(zip(a._nums[:n], b._nums[:n])):
+        if x * db != y * da:
+            return i, Fraction(x, da), Fraction(y, db)
     return None

@@ -6,6 +6,7 @@ from eisen2 import arith
 from eisen2.catalog import (
     CrossCheckMismatch,
     SeriesCatalog,
+    _eta24,
     discriminant,
     eisenstein_level1,
     eisenstein_level2,
@@ -147,3 +148,15 @@ def test_corrupted_sharp_trips_C(monkeypatch):
     with pytest.raises(CrossCheckMismatch) as info:
         cat.C()
     assert info.value.exponent == 4
+
+
+def test_eta24_matches_naive_product():
+    order = 60
+    prod = [1] + [0] * order
+    for n in range(1, order + 1):
+        for _ in range(24):
+            # multiply by (1 - q^n), descending so lower terms are unmodified
+            for i in range(order, n - 1, -1):
+                prod[i] -= prod[i - n]
+    assert _eta24(order) == prod
+    assert _eta24(0) == [1]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from eisen2 import cli
 
 
@@ -154,3 +156,35 @@ def test_list_subcommand(capsys):
     assert "KS-DE(2)" in out
     assert "TABLE2" in out
     assert "E<2k>star" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "all", "--order", "-1"),
+        ("verify", "T8", "--nmax", "-5"),
+        ("export", "E2star", "--order", "-2"),
+        ("export", "tau", "--order", "0"),
+        ("decompose", "E8star", "--weight", "7"),
+        ("decompose", "E8star", "--weight", "8", "--order", "1"),
+    ],
+)
+def test_bad_input_exits_2_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.strip()
+
+
+def test_decompose_non_modular_reports_one_line(capsys):
+    code, out, err = run_cli(capsys, "decompose", "E2star", "--weight", "2")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "not modular" in err
+
+
+def test_verify_table_below_its_range(capsys):
+    # TABLE2 covers n = 0..4 even when the range checks stop below that
+    code, out, _ = run_cli(capsys, "verify", "TABLE2", "--nmax", "3")
+    assert code == 0
+    assert "pass  TABLE2" in out

@@ -8,6 +8,7 @@ from eisen2.qseries import (
     QSeries,
     ZeroConstantTerm,
     first_difference,
+    int_mul,
     qs_det,
     rational_str,
 )
@@ -160,3 +161,112 @@ def test_fraction_coefficients_path():
     a = QSeries([Fraction(1, 2), Fraction(1, 3)])
     b = QSeries([Fraction(2), Fraction(-1, 5)])
     assert a * b == QSeries([Fraction(1), Fraction(2, 3) - Fraction(1, 10)])
+
+
+# -- differential tests of the Kronecker kernel against schoolbook oracles --
+
+DENOMINATORS = (1, 17, 691, 3617, 17 * 691, 2**5 * 3617)
+
+
+def schoolbook_mul(a, b):
+    """Oracle: the O(n^2) Fraction convolution on the common order."""
+    n = min(a.order, b.order)
+    out = [Fraction(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n - i + 1):
+            out[i + j] += a[i] * b[j]
+    return out
+
+
+def triangular_invert(a):
+    """Oracle: b_0 = 1/a_0, b_n = -(1/a_0) sum_{j>=1} a_j b_{n-j}."""
+    inv0 = 1 / a[0]
+    b = [inv0]
+    for n in range(1, a.order + 1):
+        b.append(-inv0 * sum(a[j] * b[n - j] for j in range(1, n + 1)))
+    return b
+
+
+def wide_series(rng, order, zero_constant=False):
+    """Signed numerators up to about 10^30 over mixed denominators."""
+    big = 10**30
+    coeffs = [Fraction(rng.randint(-big, big), rng.choice(DENOMINATORS))
+              for _ in range(order + 1)]
+    if zero_constant:
+        coeffs[0] = Fraction(0)
+    for n in rng.sample(range(order + 1), (order + 1) // 3):
+        coeffs[n] = Fraction(0)  # some sparsity, as in theta powers
+    return QSeries(coeffs)
+
+
+def test_kernel_matches_schoolbook_randomized():
+    rng = random.Random(31)
+    for _ in range(60):
+        a = wide_series(rng, rng.randint(0, 40), zero_constant=rng.random() < 0.3)
+        b = wide_series(rng, rng.randint(0, 40), zero_constant=rng.random() < 0.3)
+        assert (a * b).coeffs == tuple(schoolbook_mul(a, b))
+        assert (a * a).coeffs == tuple(schoolbook_mul(a, a))
+
+
+def test_kernel_edge_cases():
+    rng = random.Random(8)
+    a = wide_series(rng, 12)
+    zero = QSeries.zero(12)
+    assert a * zero == zero and zero * a == zero
+    assert (zero * zero).coeffs == (0,) * 13
+    # order 0 and unequal orders truncate to the shorter operand
+    c0 = QSeries([Fraction(-7, 691)])
+    assert (c0 * a).coeffs == (Fraction(-7, 691) * a[0],)
+    short = wide_series(rng, 3)
+    assert (a * short).order == 3
+    assert (a * short).coeffs == tuple(schoolbook_mul(a, short))
+    assert (short * a).coeffs == tuple(schoolbook_mul(a, short))
+    # a zero constant term shifts the product
+    shifted = QSeries([0, 1] + [0] * 11)
+    assert (shifted * a).coeffs == (0,) + a.coeffs[:12]
+
+
+def test_int_mul_signed_carries():
+    # extreme values exercise the sign bit and the carry of every slot
+    big = 10**30
+    a = [big, -big, big, -1, 0, -big]
+    b = [-big, -big, 1, big, -1, big]
+    expected = [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(6)]
+    assert int_mul(a, b, 5) == expected
+    assert int_mul(a, a, 5) == [sum(a[i] * a[k - i] for i in range(k + 1))
+                                for k in range(6)]
+    assert int_mul([0], [0], 0) == [0]
+    assert int_mul([3, 1], [5], 1) == [15, 5]
+
+
+def test_invert_matches_triangular_recursion():
+    rng = random.Random(77)
+    for order in (0, 1, 2, 5, 16, 33):
+        for _ in range(4):
+            a = wide_series(rng, order)
+            if a[0] == 0:
+                a = a + QSeries.one(order).scale(Fraction(5, 17))
+            assert a.invert().coeffs == tuple(triangular_invert(a))
+    cat = SeriesCatalog(40)
+    for k in (2, 4, 6):
+        e = cat.level2(k)
+        assert e.invert().coeffs == tuple(triangular_invert(e))
+    with pytest.raises(ZeroConstantTerm):
+        wide_series(rng, 6, zero_constant=True).invert()
+
+
+def test_fraction_view_and_difference_are_reduced():
+    a = QSeries([Fraction(1, 2), Fraction(3, 691), Fraction(2, 4)])
+    b = QSeries([Fraction(1, 2), Fraction(6, 17), 7])
+    for series in (a, b, a + b, a * b, a - a, a.scale(Fraction(691, 3))):
+        for c in series.coeffs:
+            assert isinstance(c, Fraction)
+            assert c == Fraction(c.numerator, c.denominator)
+    assert a.coeffs == (Fraction(1, 2), Fraction(3, 691), Fraction(1, 2))
+    assert (a - a).coeffs == (0, 0, 0)
+    n, lhs, rhs = first_difference(a, b)
+    assert (n, lhs, rhs) == (1, Fraction(3, 691), Fraction(6, 17))
+    assert (lhs.denominator, rhs.denominator) == (691, 17)
+    # equal values over different denominators compare equal
+    assert QSeries([Fraction(1, 2), 1]) == QSeries([Fraction(1, 2), 1, Fraction(1, 3)])
+    assert first_difference(QSeries([2, Fraction(4, 6)]), QSeries([2, Fraction(2, 3)])) is None
