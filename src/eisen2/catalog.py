@@ -1,15 +1,17 @@
-"""Constructors for the named q-series: E_{2k}, E*_{2k}, delta, theta3, C, D.
+"""Constructors for the named q-series: E_{2k}, E*_{2k}, delta, theta3, C, D,
+and the divisor-sum series sum sigma_s(n) q^n and sum sigma*_s(n) q^n.
 
 Level 1 series use the classical divisor sums, level 2 series the signed
 ones.  Constant terms are hard-coded to 1 (or 0 for the cusp forms); the
 normalizing constants multiply the divisor-sum tables directly.  The
+divisor-sum series keep the n = 0 convention values of ``arith`` as their
+constant terms, so the convolution identities hold from n = 0.  The
 discriminant and the quotient series carry built-in cross-checks between
 independent construction routes.
 """
 
 from __future__ import annotations
 
-import threading
 from fractions import Fraction
 from math import isqrt
 
@@ -74,27 +76,29 @@ def _eta24(order: int) -> list[int]:
 
 
 class SeriesCatalog:
-    """Memoized named series at a fixed truncation order.
-
-    Construction is single-threaded; a finished catalog is immutable in
-    practice and safe to share across concurrent checks.
-    """
+    """Memoized named series at a fixed truncation order."""
 
     def __init__(self, order: int):
         if order < 0:
             raise ValueError("order must be nonnegative")
         self.order = order
         self._cache: dict[str, QSeries] = {}
-        self._lock = threading.RLock()
 
     def _memo(self, key: str, build) -> QSeries:
-        # serialize lazy construction so concurrent checks share one build
-        with self._lock:
-            series = self._cache.get(key)
-            if series is None:
-                series = build()
-                self._cache[key] = series
-            return series
+        series = self._cache.get(key)
+        if series is None:
+            series = self._cache[key] = build()
+        return series
+
+    def sigma(self, s: int) -> QSeries:
+        """sum sigma_s(n) q^n for n = 0..order, with the n = 0 convention."""
+        return self._memo(f"sigma{s}", lambda: QSeries(
+            [arith.sigma(s, n) for n in range(self.order + 1)]))
+
+    def sigma_star(self, s: int) -> QSeries:
+        """sum sigma*_s(n) q^n for n = 0..order, with the n = 0 convention."""
+        return self._memo(f"sigma{s}star", lambda: QSeries(
+            [arith.sigma_star(s, n) for n in range(self.order + 1)]))
 
     def level1(self, k: int) -> QSeries:
         """E_{2k} = 1 - (4k/B_{2k}) sum sigma_{2k-1}(n) q^n; E_0 = 1."""
@@ -217,37 +221,28 @@ class SeriesCatalog:
         raise KeyError(f"unknown series name {name!r}")
 
 
-# module-level convenience wrappers with (name, order) memoization: a shared
-# catalog grows to the largest order requested and truncates for smaller ones
-_shared: SeriesCatalog | None = None
-
-
-def _catalog(order: int) -> SeriesCatalog:
-    global _shared
-    if _shared is None or _shared.order < order:
-        _shared = SeriesCatalog(order)
-    return _shared
+# module-level convenience wrappers: each call builds a fresh catalog
 
 
 def eisenstein_level1(k: int, order: int) -> QSeries:
-    return _catalog(order).level1(k).truncate(order)
+    return SeriesCatalog(order).level1(k)
 
 
 def eisenstein_level2(k: int, order: int) -> QSeries:
-    return _catalog(order).level2(k).truncate(order)
+    return SeriesCatalog(order).level2(k)
 
 
 def discriminant(order: int) -> QSeries:
-    return _catalog(order).delta().truncate(order)
+    return SeriesCatalog(order).delta()
 
 
 def theta3(order: int) -> QSeries:
-    return _catalog(order).theta3().truncate(order)
+    return SeriesCatalog(order).theta3()
 
 
 def series_C(order: int) -> QSeries:
-    return _catalog(order).C().truncate(order)
+    return SeriesCatalog(order).C()
 
 
 def series_D(order: int) -> QSeries:
-    return _catalog(order).D().truncate(order)
+    return SeriesCatalog(order).D()

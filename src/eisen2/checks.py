@@ -1,17 +1,18 @@
 """Theorem registry: every identity as an exact, localizing check.
 
 Series identities are certified coefficient-by-coefficient up to the
-truncation order; convolution identities over n are certified on an explicit
-index range (the --nmax flag).  A failing check always reports the first
-offending exponent or index together with both exact values.
+truncation order.  Convolution identities over n are certified on an
+explicit index range (the --nmax flag): each is a series equation between
+products of the divisor-sum series sum sigma_s(n) q^n and sum sigma*_s(n) q^n
+truncated at q^nmax, so the coefficient of q^n is the identity at index n.
+A failing check always reports the first offending exponent or index
+together with both exact values.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -92,28 +93,19 @@ class CheckReport:
 
 
 class Workspace:
-    """Shared immutable inputs for the runners: catalogs and cached tables.
-
-    All series are built lazily; a lock keeps lazy construction safe when
-    checks run on a thread pool.
-    """
+    """Shared inputs for the runners: one lazily built catalog per order."""
 
     def __init__(self, order: int = 64, nmax: int = 200, mmax: int = 20):
         self.order = order
         self.nmax = nmax
         self.mmax = mmax
-        self._lock = threading.RLock()
         self._catalogs: dict[int, SeriesCatalog] = {}
-        self._sigma_tables: dict[tuple[str, int, int], list[Fraction]] = {}
-        self._r_tables: dict[int, tuple[Fraction, ...]] = {}
 
     def catalog_at(self, order: int) -> SeriesCatalog:
-        with self._lock:
-            cat = self._catalogs.get(order)
-            if cat is None:
-                cat = SeriesCatalog(order)
-                self._catalogs[order] = cat
-            return cat
+        cat = self._catalogs.get(order)
+        if cat is None:
+            cat = self._catalogs[order] = SeriesCatalog(order)
+        return cat
 
     @property
     def catalog(self) -> SeriesCatalog:
@@ -123,37 +115,21 @@ class Workspace:
     def rcat(self) -> SeriesCatalog:
         return self.catalog_at(self.nmax)
 
-    def sigma_range(self, s: int, upto: int) -> list[Fraction]:
-        """sigma_s(0..upto) with the n = 0 convention value included."""
-        key = ("sigma", s, upto)
-        with self._lock:
-            tab = self._sigma_tables.get(key)
-            if tab is None:
-                tab = [arith.sigma(s, n) for n in range(upto + 1)]
-                self._sigma_tables[key] = tab
-            return tab
+    def sigma_range(self, s: int, upto: int) -> QSeries:
+        """sum sigma_s(n) q^n on 0..upto, the n = 0 convention included."""
+        return self.catalog_at(upto).sigma(s)
 
-    def sigma_star_range(self, s: int, upto: int) -> list[Fraction]:
-        key = ("sigma_star", s, upto)
-        with self._lock:
-            tab = self._sigma_tables.get(key)
-            if tab is None:
-                tab = [arith.sigma_star(s, n) for n in range(upto + 1)]
-                self._sigma_tables[key] = tab
-            return tab
+    def sigma_star_range(self, s: int, upto: int) -> QSeries:
+        """sum sigma*_s(n) q^n on 0..upto, the n = 0 convention included."""
+        return self.catalog_at(upto).sigma_star(s)
 
-    def r_table(self, s: int) -> tuple[Fraction, ...]:
-        """r_s(0..nmax) from the s-th power of the theta series."""
-        with self._lock:
-            tab = self._r_tables.get(s)
-            if tab is None:
-                tab = (self.rcat.theta3() ** s).coeffs
-                self._r_tables[s] = tab
-            return tab
+    def r_table(self, s: int) -> QSeries:
+        """sum r_s(n) q^n on 0..nmax: the s-th power of the theta series."""
+        return self.rcat.theta3() ** s
 
-    def tau_range(self, upto: int) -> tuple[Fraction, ...]:
-        """tau(0..upto) via the cross-checked discriminant constructor."""
-        return self.catalog_at(upto).delta().coeffs
+    def tau_range(self, upto: int) -> QSeries:
+        """sum tau(n) q^n on 0..upto, the cross-checked discriminant."""
+        return self.catalog_at(upto).delta()
 
 
 Runner = Callable[[Workspace, list[str]], Optional[Discrepancy]]
@@ -182,10 +158,6 @@ def _register(id: str, description: str, scope: str = "order"):
     return wrap
 
 
-def _df(a: QSeries, b: QSeries) -> Optional[Discrepancy]:
-    return first_difference(a, b)
-
-
 def _range_eq(pairs) -> Optional[Discrepancy]:
     """First index where an (n, lhs, rhs) stream disagrees."""
     for n, lhs, rhs in pairs:
@@ -211,7 +183,7 @@ def _ram_de(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
         (q.theta(), (p * q - r).scale(Fraction(1, 3))),
         (r.theta(), (p * r - q * q).scale(Fraction(1, 2))),
     ):
-        d = _df(lhs, rhs)
+        d = first_difference(lhs, rhs)
         if d:
             return d
     return None
@@ -226,7 +198,7 @@ def _rs_de_runner(m: int) -> Runner:
         for k in range(1, m):
             coeff = rs_coefficient(m, k)
             rhs = rhs + (cat.level1(k) * cat.level1(m - k) - top).scale(coeff)
-        d = _df(lhs, rhs)
+        d = first_difference(lhs, rhs)
         if d:
             return d
         if m == 5:
@@ -234,7 +206,7 @@ def _rs_de_runner(m: int) -> Runner:
             reduced = (cat.level1(1) * cat.level1(4) - cat.level1(5)).scale(
                 Fraction(2, 3)
             )
-            return _df(lhs, reduced)
+            return first_difference(lhs, reduced)
         return None
 
     return run
@@ -288,11 +260,11 @@ def _ks_de_runner(m: int) -> Runner:
         for k in range(1, m):
             coeff = ks_coefficient(m, k)
             rhs = rhs + (cat.level2(k) * cat.level2(m - k) - top).scale(coeff)
-        d = _df(lhs, rhs)
+        d = first_difference(lhs, rhs)
         if d:
             return d
         if m in _KS_SPECIALS:
-            return _df(lhs, _ks_special_rhs(m, cat))
+            return first_difference(lhs, _ks_special_rhs(m, cat))
         return None
 
     return run
@@ -312,7 +284,7 @@ def _e6star_abc(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     cat = ws.catalog
     a, b, c = cat.level2(1), cat.level2(2), cat.C()
     rhs = ((a * b * c).scale(3) - b * b - (b * c * c).scale(2)).scale(Fraction(1, 2))
-    return _df(cat.level2(3).theta(), rhs)
+    return first_difference(cat.level2(3).theta(), rhs)
 
 
 @_register(
@@ -327,7 +299,7 @@ def _hahn_sys(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
         (c.theta(), (a * c - b).scale(Fraction(1, 2))),
         (b.theta(), a * b - c * b),
     ):
-        d = _df(lhs, rhs)
+        d = first_difference(lhs, rhs)
         if d:
             return d
     return None
@@ -345,13 +317,8 @@ def _hahn_sys(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 def _sigma3_classical(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     s1 = ws.sigma_range(1, ws.nmax)
     s3 = ws.sigma_range(3, ws.nmax)
-
-    def stream():
-        for n in range(ws.nmax + 1):
-            conv = sum(s1[j] * s1[n - j] for j in range(n + 1))
-            yield n, s3[n], Fraction(6, 5) * (n * s1[n] + 2 * conv)
-
-    return _range_eq(stream())
+    rhs = (s1.theta() + (s1 * s1).scale(2)).scale(Fraction(6, 5))
+    return first_difference(s3, rhs)
 
 
 @_register(
@@ -364,13 +331,8 @@ def _t7(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     s1 = ws.sigma_range(1, ws.nmax)
     s11 = ws.sigma_range(11, ws.nmax)
     s13 = ws.sigma_range(13, ws.nmax)
-
-    def stream():
-        for n in range(ws.nmax + 1):
-            conv = sum(s1[j] * s11[n - j] for j in range(n + 1))
-            yield n, s13[n], Fraction(2730, 691) * (24 * conv + n * s11[n])
-
-    return _range_eq(stream())
+    rhs = ((s1 * s11).scale(24) + s11.theta()).scale(Fraction(2730, 691))
+    return first_difference(s13, rhs)
 
 
 @_register(
@@ -381,13 +343,7 @@ def _t7(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 def _t5(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     s1 = ws.sigma_star_range(1, ws.nmax)
     s3 = ws.sigma_star_range(3, ws.nmax)
-
-    def stream():
-        for n in range(ws.nmax + 1):
-            conv = sum(s1[j] * s1[n - j] for j in range(n + 1))
-            yield n, s3[n], 2 * n * s1[n] - 4 * conv
-
-    return _range_eq(stream())
+    return first_difference(s3, s1.theta().scale(2) - (s1 * s1).scale(4))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +355,7 @@ def _l4(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     cat = ws.catalog
     e4, e6 = cat.level1(2), cat.level1(3)
     rhs = (e6 * e4.theta()).scale(3) - (e4 * e6.theta()).scale(2)
-    return _df(cat.delta().scale(1728), rhs)
+    return first_difference(cat.delta().scale(1728), rhs)
 
 
 @_register(
@@ -411,15 +367,8 @@ def _t8(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     s3 = ws.sigma_range(3, ws.nmax)
     s5 = ws.sigma_range(5, ws.nmax)
     tau = ws.tau_range(ws.nmax)
-
-    def stream():
-        for n in range(ws.nmax + 1):
-            total = sum(
-                (2 * (n - j) - 3 * j) * s3[j] * s5[n - j] for j in range(n + 1)
-            )
-            yield n, tau[n], 70 * total
-
-    return _range_eq(stream())
+    rhs = ((s3 * s5.theta()).scale(2) - (s3.theta() * s5).scale(3)).scale(70)
+    return first_difference(tau, rhs)
 
 
 @_register(
@@ -429,9 +378,9 @@ def _t8(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     scope="range",
 )
 def _c1(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
-    s3 = ws.sigma_range(3, ws.nmax)
-    s5 = ws.sigma_range(5, ws.nmax)
-    tau = ws.tau_range(ws.nmax)
+    s3 = ws.sigma_range(3, ws.nmax).coeffs
+    s5 = ws.sigma_range(5, ws.nmax).coeffs
+    tau = ws.tau_range(ws.nmax).coeffs
     for n in range(ws.nmax + 1):
         diff = tau[n] - Fraction(n, 12) * (5 * s3[n] + 7 * s5[n])
         if diff.denominator != 1 or diff.numerator % 70 != 0:
@@ -448,15 +397,8 @@ def _t314(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     s3 = ws.sigma_star_range(3, ws.nmax)
     s5 = ws.sigma_star_range(5, ws.nmax)
     tau = ws.tau_range(ws.nmax)
-
-    def stream():
-        for n in range(ws.nmax + 1):
-            total = sum(
-                (3 * j - 2 * (n - j)) * s3[j] * s5[n - j] for j in range(n + 1)
-            )
-            yield n, tau[n], 2 * total
-
-    return _range_eq(stream())
+    rhs = ((s3.theta() * s5).scale(3) - (s3 * s5.theta()).scale(2)).scale(2)
+    return first_difference(tau, rhs)
 
 
 @_register(
@@ -466,9 +408,9 @@ def _t314(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     scope="range",
 )
 def _c2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
-    s3 = ws.sigma_star_range(3, ws.nmax)
-    s5 = ws.sigma_star_range(5, ws.nmax)
-    tau = ws.tau_range(ws.nmax)
+    s3 = ws.sigma_star_range(3, ws.nmax).coeffs
+    s5 = ws.sigma_star_range(5, ws.nmax).coeffs
+    tau = ws.tau_range(ws.nmax).coeffs
     for n in range(1, ws.nmax + 1):
         diff = tau[n] - Fraction(n, 4) * (3 * s3[n] + s5[n])
         if diff.denominator != 1 or diff.numerator % 2 != 0:
@@ -500,7 +442,7 @@ def _minors_l1(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
         ([[e[1], e[3]], [e[2], e[4]]], e[4].theta().scale(Fraction(3, 2))),
     )
     for matrix, rhs in cases:
-        d = _df(qs_det(matrix), rhs)
+        d = first_difference(qs_det(matrix), rhs)
         if d:
             return d
     return None
@@ -521,7 +463,7 @@ def _garvan(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
         ]
     )
     sq = cat.delta().scale(1728)
-    return _df(det, (sq * sq).scale(Fraction(-250, 691)))
+    return first_difference(det, (sq * sq).scale(Fraction(-250, 691)))
 
 
 @_register(
@@ -536,7 +478,7 @@ def _dis(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     b, e6star = cat.level2(2), cat.level2(3)
     level1_route = (e4**3 - e6**2).scale(Fraction(1, 1728))
     level2_route = (b**3 - e6star**2).scale(Fraction(-1, 64))
-    return _df(level1_route, level2_route)
+    return first_difference(level1_route, level2_route)
 
 
 @_register("L5", "|E0* E4*; E4* E8*| = (512/17) B D as series")
@@ -544,7 +486,7 @@ def _l5(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     cat = ws.catalog
     det = qs_det([[cat.level2(0), cat.level2(2)], [cat.level2(2), cat.level2(4)]])
     rhs = (cat.level2(2) * cat.D()).scale(Fraction(512, 17))
-    return _df(det, rhs)
+    return first_difference(det, rhs)
 
 
 _DET_L2_CONSTANT = Fraction(-(2**13) * 3**5 * 5**2, 17**3 * 31**2 * 691)
@@ -590,7 +532,7 @@ def _det_l2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
         ),
     ]
     for det, rhs in cases:
-        d = _df(det, rhs)
+        d = first_difference(det, rhs)
         if d:
             return d
     return None
@@ -637,7 +579,7 @@ def _p4(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     for name, (series, weight) in gens.items():
         lhs = series.theta() - (a * series).scale(Fraction(weight, 4))
         rhs = gp_evaluate(serre_delta(GradedPoly.generator(LEVEL2, name)), cat)
-        d = _df(lhs, rhs)
+        d = first_difference(lhs, rhs)
         if d:
             notes.append(f"series-level rule for {name} broken")
             return d
@@ -689,7 +631,7 @@ def _delta_family(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 
     image = delta4(members[0])
     for other in members[1:]:
-        d = _df(image, delta4(other))
+        d = first_difference(image, delta4(other))
         if d:
             return d
     return None
@@ -707,7 +649,7 @@ def _delta_family(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 )
 def _theta_rel(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     cat = ws.rcat
-    return _df((cat.theta3() ** 8).neg_q(), cat.level2(2))
+    return first_difference((cat.theta3() ** 8).neg_q(), cat.level2(2))
 
 
 @_register(
@@ -718,7 +660,7 @@ def _theta_rel(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 )
 def _jacobi(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     for s in (2, 4, 6, 8):
-        table = ws.r_table(s)
+        table = ws.r_table(s).coeffs
         if table[0] != 1:
             return (0, table[0], Fraction(1))
         for n in range(1, ws.nmax + 1):
@@ -747,13 +689,6 @@ def _jacobi(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     return None
 
 
-def _delta8_range(ws: Workspace) -> list[Fraction]:
-    # delta_8(0..nmax-1) read off the weight-4 kernel form, whose q^(n+1)
-    # coefficient counts 8-triangular-number representations of n
-    d = ws.rcat.D()
-    return list(d.coeffs[1:])
-
-
 @_register(
     "T9",
     "sixteen-square count: r_16(n) = (-1)^n (32/17)(256 sum_j sigma*_3(j) "
@@ -764,15 +699,11 @@ def _t9(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     r16 = ws.r_table(16)
     s3 = ws.sigma_star_range(3, ws.nmax)
     s7 = ws.sigma_star_range(7, ws.nmax)
-    d8 = _delta8_range(ws)
-
-    def stream():
-        for n in range(ws.nmax + 1):
-            conv = sum(s3[j] * d8[n - j - 1] for j in range(n))
-            sign = -1 if n % 2 else 1
-            yield n, r16[n], sign * Fraction(32, 17) * (256 * conv - s7[n])
-
-    return _range_eq(stream())
+    # D = sum delta_8(n-1) q^n: its q^(n+1) coefficient counts the
+    # 8-triangular-number representations of n
+    d8 = ws.rcat.D()
+    rhs = ((s3 * d8).scale(256) - s7).scale(Fraction(32, 17)).neg_q()
+    return first_difference(r16, rhs)
 
 
 @_register(
@@ -782,9 +713,9 @@ def _t9(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     scope="range",
 )
 def _r24_fact(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
-    r24 = ws.r_table(24)
-    s11 = ws.sigma_range(11, ws.nmax)
-    tau = ws.tau_range(ws.nmax)
+    r24 = ws.r_table(24).coeffs
+    s11 = ws.sigma_range(11, ws.nmax).coeffs
+    tau = ws.tau_range(ws.nmax).coeffs
 
     def stream():
         for n in range(ws.nmax + 1):
@@ -800,6 +731,12 @@ def _r24_fact(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     return _range_eq(stream())
 
 
+def _conv55_conv37(ws: Workspace, upto: int) -> tuple[QSeries, QSeries]:
+    """The convolution series sigma*_5 sigma*_5 and sigma*_3 sigma*_7 on 0..upto."""
+    s5 = ws.sigma_star_range(5, upto)
+    return s5 * s5, ws.sigma_star_range(3, upto) * ws.sigma_star_range(7, upto)
+
+
 @_register(
     "T10",
     "r_24(n) = (-1)^n 64 (sum sigma*_5 sigma*_5 - tau(n)) "
@@ -808,20 +745,14 @@ def _r24_fact(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 )
 def _t10(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     r24 = ws.r_table(24)
-    s3 = ws.sigma_star_range(3, ws.nmax)
-    s5 = ws.sigma_star_range(5, ws.nmax)
-    s7 = ws.sigma_star_range(7, ws.nmax)
+    conv55, conv37 = _conv55_conv37(ws, ws.nmax)
     tau = ws.tau_range(ws.nmax)
-
-    def stream():
-        for n in range(ws.nmax + 1):
-            sign = -1 if n % 2 else 1
-            conv55 = sum(s5[j] * s5[n - j] for j in range(n + 1))
-            conv37 = sum(s3[j] * s7[n - j] for j in range(n + 1))
-            yield n, r24[n], sign * 64 * (conv55 - tau[n])
-            yield n, r24[n], sign * Fraction(512, 17) * (conv37 - tau[n])
-
-    return _range_eq(stream())
+    via55 = first_difference(r24, (conv55 - tau).scale(64).neg_q())
+    via37 = first_difference(r24, (conv37 - tau).scale(Fraction(512, 17)).neg_q())
+    # the lower first index wins; on a tie, the sigma*_5^2 form
+    if via37 is not None and (via55 is None or via37[0] < via55[0]):
+        return via37
+    return via55
 
 
 @_register(
@@ -832,18 +763,15 @@ def _t10(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     scope="range",
 )
 def _c10(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
-    r24 = ws.r_table(24)
-    r4 = ws.r_table(4)
-    s3 = ws.sigma_star_range(3, ws.nmax)
-    s5 = ws.sigma_star_range(5, ws.nmax)
-    s7 = ws.sigma_star_range(7, ws.nmax)
-    tau = ws.tau_range(ws.nmax)
+    r24 = ws.r_table(24).coeffs
+    r4 = ws.r_table(4).coeffs
+    conv55, conv37 = (c.coeffs for c in _conv55_conv37(ws, ws.nmax))
+    tau = ws.tau_range(ws.nmax).coeffs
     for n in range(ws.nmax + 1):
         if not (r24[n] >= r4[n] > 0):
             return (n, r24[n], r4[n])
-        conv55 = sum(s5[j] * s5[n - j] for j in range(n + 1))
-        conv37 = sum(s3[j] * s7[n - j] for j in range(n + 1))
-        flags = (n % 2 == 1, tau[n] > conv55, tau[n] > conv37, conv55 > conv37)
+        flags = (n % 2 == 1, tau[n] > conv55[n], tau[n] > conv37[n],
+                 conv55[n] > conv37[n])
         if len(set(flags)) != 1:
             notes.append(f"equivalence flags {flags} diverge")
             return (n, Fraction(int(flags[0])), Fraction(int(flags[1])))
@@ -913,16 +841,12 @@ _TABLE2_PRINTED: dict[str, list[Fraction]] = {
 )
 def _table2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     upto = 4
-    s3 = ws.sigma_star_range(3, upto)
-    s5 = ws.sigma_star_range(5, upto)
-    s7 = ws.sigma_star_range(7, upto)
-    tau = list(ws.tau_range(max(upto, 1))[: upto + 1])
-    conv37 = [sum(s3[j] * s7[n - j] for j in range(n + 1)) for n in range(upto + 1)]
-    conv55 = [sum(s5[j] * s5[n - j] for j in range(n + 1)) for n in range(upto + 1)]
+    conv55, conv37 = (c.coeffs for c in _conv55_conv37(ws, upto))
+    tau = ws.tau_range(upto).coeffs
     computed = {
-        "sigma3*": s3,
-        "sigma5*": s5,
-        "sigma7*": s7,
+        "sigma3*": ws.sigma_star_range(3, upto).coeffs,
+        "sigma5*": ws.sigma_star_range(5, upto).coeffs,
+        "sigma7*": ws.sigma_star_range(7, upto).coeffs,
         "conv37": conv37,
         "conv55": conv55,
         "tau": tau,
@@ -1026,20 +950,11 @@ def run_all(
     order: int = 64,
     nmax: int = 200,
     mmax: int = 20,
-    parallel: bool = False,
     ids: Optional[list[str]] = None,
 ) -> list[CheckReport]:
-    """Run the wanted checks; reports come back sorted by id regardless of
-    execution order."""
+    """Run the wanted checks on one workspace; reports come back sorted by
+    id regardless of execution order."""
     wanted = ids if ids is not None else registry_ids()
     ws = Workspace(order=order, nmax=nmax, mmax=mmax)
-    if parallel:
-        with ThreadPoolExecutor() as pool:
-            reports = list(
-                pool.map(
-                    lambda i: run_check(i, order, nmax, mmax, workspace=ws), wanted
-                )
-            )
-    else:
-        reports = [run_check(i, order, nmax, mmax, workspace=ws) for i in wanted]
+    reports = [run_check(i, workspace=ws) for i in wanted]
     return sorted(reports, key=lambda r: _natural_key(r.id))

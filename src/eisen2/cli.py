@@ -102,7 +102,6 @@ def _cmd_verify(args) -> int:
         order=args.order,
         nmax=args.nmax,
         mmax=args.mmax,
-        parallel=args.parallel,
         ids=ids,
     )
     if args.json == "-":
@@ -207,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="index range for convolution identities (default 200)")
     p_verify.add_argument("--mmax", type=int, default=20,
                           help="largest half-weight for the positivity check (default 20)")
-    p_verify.add_argument("--parallel", action="store_true",
-                          help="run checks on a thread pool")
     p_verify.add_argument("--timings", action="store_true",
                           help="append elapsed milliseconds to each line")
     p_verify.add_argument("--json", metavar="PATH",

@@ -1,6 +1,11 @@
+import random
+from collections import defaultdict
+from fractions import Fraction
+
 import pytest
 
 from eisen2 import arith, checks
+from eisen2.qseries import QSeries
 
 
 def test_registry_shape():
@@ -47,13 +52,6 @@ def test_all_pass_at_reduced_order():
     assert all(r.status == "pass" for r in reports)
 
 
-def test_parallel_matches_sequential():
-    seq = checks.run_all(order=12, nmax=16, mmax=3)
-    par = checks.run_all(order=12, nmax=16, mmax=3, parallel=True)
-    strip = lambda rs: [(r.id, r.order, r.status, r.first_discrepancy, r.notes) for r in rs]
-    assert strip(seq) == strip(par)
-
-
 def test_reports_deterministic():
     a = checks.run_all(order=12, nmax=16, mmax=3)
     b = checks.run_all(order=12, nmax=16, mmax=3)
@@ -90,14 +88,24 @@ def _corrupt_sigma_star(monkeypatch, s=3, n=5):
     monkeypatch.setattr(arith, "sigma_star", corrupted)
 
 
-@pytest.mark.parametrize("check_id", ["T5", "T314", "KS-DE(3)"])
-def test_injected_corruption_localizes(monkeypatch, check_id):
-    # an off-by-one in sigma*_3(5) must fail exactly these checks, with the
+@pytest.mark.parametrize(
+    "check_id, n, expected",
+    [
+        pytest.param(check_id, 5, None, id=check_id)
+        for check_id in ("T5", "T314", "KS-DE(3)", "T9", "T10")
+    ]
+    # the n = 0 convention value is an input of the convolution identities
+    + [pytest.param("T5", 0, (0, Fraction(15, 16), Fraction(-1, 16)), id="T5-at-0")],
+)
+def test_injected_corruption_localizes(monkeypatch, check_id, n, expected):
+    # an off-by-one in sigma*_3(n) must fail exactly these checks, with the
     # first discrepancy at the earliest affected index
-    _corrupt_sigma_star(monkeypatch)
+    _corrupt_sigma_star(monkeypatch, n=n)
     report = checks.run_check(check_id, order=12, nmax=12)
     assert report.status == "fail"
-    assert report.first_discrepancy[0] == 5
+    assert report.first_discrepancy[0] == n
+    if expected is not None:
+        assert report.first_discrepancy == expected
 
 
 def test_injected_corruption_leaves_untouched_checks_green(monkeypatch):
@@ -113,3 +121,161 @@ def test_failing_line_format(monkeypatch):
     line = report.line()
     assert line.startswith("FAIL  T5")
     assert "n=5" in line
+
+
+@pytest.mark.parametrize("s", [1, 3, 5, 7, 11, 13])
+def test_sigma_series_keep_the_n0_conventions(s):
+    ws = checks.Workspace(nmax=40)
+    assert ws.sigma_range(s, 40).coeffs == tuple(arith.sigma(s, n) for n in range(41))
+    assert ws.sigma_star_range(s, 40).coeffs == tuple(
+        arith.sigma_star(s, n) for n in range(41)
+    )
+
+
+# ---------------------------------------------------------------------------
+# double-sum oracles: the index loops the convolution checks once ran, kept to
+# test the series equations that replaced them
+
+
+class RandomInputs:
+    """A stand-in workspace whose divisor sums, tau, theta powers and D are
+    arbitrary rationals, so that each series equation is compared with its
+    loop as a function of its inputs, not only at the true values."""
+
+    def __init__(self, nmax: int = 40, seed: int = 0):
+        rng = random.Random(seed)
+        self.order, self.nmax, self.mmax = 0, nmax, 0
+        self.values = defaultdict(lambda: [
+            Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(nmax + 1)
+        ])
+        self.values["D"][0] = Fraction(0)  # D = sum delta_8(n-1) q^n
+        self.rcat = self
+
+    def _series(self, key, upto: int) -> QSeries:
+        return QSeries(self.values[key][: upto + 1])
+
+    def sigma_range(self, s, upto):
+        return self._series(("sigma", s), upto)
+
+    def sigma_star_range(self, s, upto):
+        return self._series(("sigma*", s), upto)
+
+    def tau_range(self, upto):
+        return self._series("tau", upto)
+
+    def r_table(self, s):
+        return self._series(("r", s), self.nmax)
+
+    def D(self):
+        return self._series("D", self.nmax)
+
+
+def _sigma3_classical_oracle(v, N):
+    s1 = v["sigma", 1]
+    return ("sigma", 3), [
+        Fraction(6, 5) * (n * s1[n] + 2 * sum(s1[j] * s1[n - j] for j in range(n + 1)))
+        for n in range(N + 1)
+    ]
+
+
+def _t7_oracle(v, N):
+    s1, s11 = v["sigma", 1], v["sigma", 11]
+    return ("sigma", 13), [
+        Fraction(2730, 691)
+        * (24 * sum(s1[j] * s11[n - j] for j in range(n + 1)) + n * s11[n])
+        for n in range(N + 1)
+    ]
+
+
+def _t5_oracle(v, N):
+    s1 = v["sigma*", 1]
+    return ("sigma*", 3), [
+        2 * n * s1[n] - 4 * sum(s1[j] * s1[n - j] for j in range(n + 1))
+        for n in range(N + 1)
+    ]
+
+
+def _t8_oracle(v, N):
+    s3, s5 = v["sigma", 3], v["sigma", 5]
+    return "tau", [
+        70 * sum((2 * (n - j) - 3 * j) * s3[j] * s5[n - j] for j in range(n + 1))
+        for n in range(N + 1)
+    ]
+
+
+def _t314_oracle(v, N):
+    s3, s5 = v["sigma*", 3], v["sigma*", 5]
+    return "tau", [
+        2 * sum((3 * j - 2 * (n - j)) * s3[j] * s5[n - j] for j in range(n + 1))
+        for n in range(N + 1)
+    ]
+
+
+def _t9_oracle(v, N):
+    s3, s7, d8 = v["sigma*", 3], v["sigma*", 7], v["D"][1:]
+    return ("r", 16), [
+        (-1) ** n
+        * Fraction(32, 17)
+        * (256 * sum(s3[j] * d8[n - j - 1] for j in range(n)) - s7[n])
+        for n in range(N + 1)
+    ]
+
+
+def _conv_oracle(v, N):
+    s3, s5, s7 = v["sigma*", 3], v["sigma*", 5], v["sigma*", 7]
+    conv55 = [sum(s5[j] * s5[n - j] for j in range(n + 1)) for n in range(N + 1)]
+    conv37 = [sum(s3[j] * s7[n - j] for j in range(n + 1)) for n in range(N + 1)]
+    return conv55, conv37
+
+
+def _t10_oracle(v, N):
+    # tau is chosen so that both 24-square forms agree; then r_24 equals
+    # both right-hand sides exactly when both convolutions match the loops
+    conv55, conv37 = _conv_oracle(v, N)
+    a, b = Fraction(64), Fraction(512, 17)
+    v["tau"] = [(b * c37 - a * c55) / (b - a) for c55, c37 in zip(conv55, conv37)]
+    return ("r", 24), [
+        (-1) ** n * a * (conv55[n] - v["tau"][n]) for n in range(N + 1)
+    ]
+
+
+ORACLES = {
+    "SIGMA3-CLASSICAL": _sigma3_classical_oracle,
+    "T7": _t7_oracle,
+    "T5": _t5_oracle,
+    "T8": _t8_oracle,
+    "T314": _t314_oracle,
+    "T9": _t9_oracle,
+    "T10": _t10_oracle,
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(ORACLES))
+def test_series_rhs_matches_double_sum_oracle(check_id):
+    ws = RandomInputs()
+    lhs_key, rhs = ORACLES[check_id](ws.values, ws.nmax)
+    ws.values[lhs_key] = list(rhs)
+    # the check passes only if its series side equals the loop on 0..nmax
+    assert checks.run_check(check_id, workspace=ws).status == "pass"
+    ws.values[lhs_key][17] += 1
+    report = checks.run_check(check_id, workspace=ws)
+    assert report.first_discrepancy == (17, rhs[17] + 1, rhs[17])
+
+
+@pytest.mark.parametrize("upto", [4, 40])
+def test_convolution_products_match_double_sum_oracle(upto):
+    # the conv55/conv37 rows of C10 and TABLE2
+    ws = RandomInputs()
+    conv55, conv37 = checks._conv55_conv37(ws, upto)
+    assert (list(conv55.coeffs), list(conv37.coeffs)) == _conv_oracle(ws.values, upto)
+
+
+def test_t10_reports_the_lower_index_and_the_sigma5_form_on_a_tie():
+    ws = RandomInputs()
+    _, r24 = _t10_oracle(ws.values, ws.nmax)
+    ws.values["r", 24] = r24
+    ws.values["tau"][17] += 1  # both forms now fail at 17, by 64 and 512/17
+    report = checks.run_check("T10", workspace=ws)
+    assert report.first_discrepancy == (17, r24[17], r24[17] + 64)
+    ws.values["sigma*", 3][10] += 1  # only the sigma*_3 sigma*_7 form, from 10
+    assert checks.run_check("T10", workspace=ws).first_discrepancy[0] == 10

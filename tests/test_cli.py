@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -135,13 +136,6 @@ def test_verify_json_file(tmp_path, capsys):
     assert payload[0]["id"] == "L4"
 
 
-def test_verify_parallel_flag(capsys):
-    code, out, _ = run_cli(
-        capsys, "verify", "MINORS-L1", "--order", "12", "--parallel"
-    )
-    assert code == 0
-
-
 def test_decompose_subcommand(capsys):
     code, out, _ = run_cli(
         capsys, "decompose", "E8star", "--weight", "8", "--format", "csv"
@@ -188,3 +182,14 @@ def test_verify_table_below_its_range(capsys):
     code, out, _ = run_cli(capsys, "verify", "TABLE2", "--nmax", "3")
     assert code == 0
     assert "pass  TABLE2" in out
+
+
+def test_verify_all_small_matches_golden_output(capsys):
+    # stdout of `eisen2 verify all --order 16 --nmax 40 --mmax 6`, notes and
+    # order lines included
+    golden = Path(__file__).parent / "data" / "verify_all_small.txt"
+    code, out, _ = run_cli(
+        capsys, "verify", "all", "--order", "16", "--nmax", "40", "--mmax", "6"
+    )
+    assert code == 0
+    assert out.encode() == golden.read_bytes()
