@@ -158,14 +158,6 @@ def _register(id: str, description: str, scope: str = "order"):
     return wrap
 
 
-def _range_eq(pairs) -> Optional[Discrepancy]:
-    """First index where an (n, lhs, rhs) stream disagrees."""
-    for n, lhs, rhs in pairs:
-        if lhs != rhs:
-            return (n, Fraction(lhs), Fraction(rhs))
-    return None
-
-
 # ---------------------------------------------------------------------------
 # level-1 differential equations
 
@@ -189,39 +181,15 @@ def _ram_de(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     return None
 
 
-def _rs_de_runner(m: int) -> Runner:
-    def run(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
-        cat = ws.catalog
-        lhs = cat.level1(m - 1).theta()
-        top = cat.level1(m)
-        rhs = QSeries.zero(cat.order)
-        for k in range(1, m):
-            coeff = rs_coefficient(m, k)
-            rhs = rhs + (cat.level1(k) * cat.level1(m - k) - top).scale(coeff)
-        d = first_difference(lhs, rhs)
-        if d:
-            return d
-        if m == 5:
-            # the weight-8 equation collapses because E4*E6 equals E10
-            reduced = (cat.level1(1) * cat.level1(4) - cat.level1(5)).scale(
-                Fraction(2, 3)
-            )
-            return first_difference(lhs, reduced)
-        return None
-
-    return run
-
-
-for _m in range(2, 13):
-    _register(
-        f"RS-DE({_m})",
-        f"weight-{2 * _m - 2} level-1 differential equation: q E_{2 * _m - 2}' "
-        "as a zeta-weighted convolution of lower series",
-    )(_rs_de_runner(_m))
-
-
 # ---------------------------------------------------------------------------
-# level-2 differential equations
+# the differential families at both levels
+
+
+def _rs_special_rhs(m: int, cat: SeriesCatalog) -> Optional[QSeries]:
+    if m != 5:
+        return None
+    # the weight-8 equation collapses because E4*E6 equals E10
+    return (cat.level1(1) * cat.level1(4) - cat.level1(5)).scale(Fraction(2, 3))
 
 
 _KS_SPECIALS: dict[int, str] = {
@@ -232,7 +200,9 @@ _KS_SPECIALS: dict[int, str] = {
 }
 
 
-def _ks_special_rhs(m: int, cat: SeriesCatalog) -> QSeries:
+def _ks_special_rhs(m: int, cat: SeriesCatalog) -> Optional[QSeries]:
+    if m not in _KS_SPECIALS:
+        return None
     a = cat.level2(1)
     if m == 2:
         return (a * a - cat.level2(2)).scale(Fraction(1, 4))
@@ -251,32 +221,48 @@ def _ks_special_rhs(m: int, cat: SeriesCatalog) -> QSeries:
     ).scale(Fraction(1, 17))
 
 
-def _ks_de_runner(m: int) -> Runner:
+def _de_runner(m: int, level: int) -> Runner:
+    """RS-DE(m) at level 1 or KS-DE(m) at level 2: q E_{2m-2}' as the
+    weighted convolution of lower series, then the displayed special form."""
+
     def run(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
         cat = ws.catalog
-        lhs = cat.level2(m - 1).theta()
-        top = cat.level2(m)
+        # the coefficient function is looked up when the check runs, so a
+        # patched module attribute takes effect
+        if level == 1:
+            series, coefficient, special = cat.level1, rs_coefficient, _rs_special_rhs
+        else:
+            series, coefficient, special = cat.level2, ks_coefficient, _ks_special_rhs
+        lhs = series(m - 1).theta()
+        top = series(m)
         rhs = QSeries.zero(cat.order)
         for k in range(1, m):
-            coeff = ks_coefficient(m, k)
-            rhs = rhs + (cat.level2(k) * cat.level2(m - k) - top).scale(coeff)
+            rhs = rhs + (series(k) * series(m - k) - top).scale(coefficient(m, k))
         d = first_difference(lhs, rhs)
         if d:
             return d
-        if m in _KS_SPECIALS:
-            return first_difference(lhs, _ks_special_rhs(m, cat))
-        return None
+        special_rhs = special(m, cat)
+        return None if special_rhs is None else first_difference(lhs, special_rhs)
 
     return run
 
 
 for _m in range(2, 13):
     _register(
+        f"RS-DE({_m})",
+        f"weight-{2 * _m - 2} level-1 differential equation: q E_{2 * _m - 2}' "
+        "as a zeta-weighted convolution of lower series",
+    )(_de_runner(_m, 1))
+    _register(
         f"KS-DE({_m})",
         f"weight-{2 * _m - 2} level-2 differential equation: q E*_{2 * _m - 2}' "
         "as a lambda-weighted convolution of lower series"
         + (f"; includes displayed form {_KS_SPECIALS[_m]}" if _m in _KS_SPECIALS else ""),
-    )(_ks_de_runner(_m))
+    )(_de_runner(_m, 2))
+
+
+# ---------------------------------------------------------------------------
+# level-2 differential equations
 
 
 @_register("E6STAR-ABC", "qE6*' = (3ABC - B^2 - 2BC^2)/2 with C = E6*/E4*")
@@ -713,22 +699,13 @@ def _t9(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     scope="range",
 )
 def _r24_fact(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
-    r24 = ws.r_table(24).coeffs
-    s11 = ws.sigma_range(11, ws.nmax).coeffs
-    tau = ws.tau_range(ws.nmax).coeffs
-
-    def stream():
-        for n in range(ws.nmax + 1):
-            total = 16 * s11[n]
-            if n % 2 == 0:
-                total += -32 * s11[n // 2] - 65536 * tau[n // 2]
-            if n % 4 == 0:
-                total += 65536 * s11[n // 4]
-            sign = 1 if (n - 1) % 2 == 0 else -1
-            total += 33152 * sign * tau[n]
-            yield n, r24[n], Fraction(total, 691)
-
-    return _range_eq(stream())
+    s11 = ws.sigma_range(11, ws.nmax)
+    tau = ws.tau_range(ws.nmax)
+    rhs = (
+        s11.scale(16) - s11.dilate(2).scale(32) + s11.dilate(4).scale(65536)
+        - tau.dilate(2).scale(65536) - tau.neg_q().scale(33152)
+    ).scale(Fraction(1, 691))
+    return first_difference(ws.r_table(24), rhs)
 
 
 def _conv55_conv37(ws: Workspace, upto: int) -> tuple[QSeries, QSeries]:

@@ -293,6 +293,14 @@ class QSeries:
         return QSeries._make([-x if n % 2 else x for n, x in enumerate(self._nums)],
                              self._den)
 
+    def dilate(self, k: int) -> "QSeries":
+        """Substitute q -> q^k: c_n moves to exponent k n, truncated at the order."""
+        if k < 1:
+            raise ValueError("dilation factor must be a positive integer")
+        nums = [0] * len(self._nums)
+        nums[::k] = self._nums[: self.order // k + 1]
+        return QSeries._make(nums, self._den)
+
 
 def qs_det(matrix: Sequence[Sequence[QSeries]]) -> QSeries:
     """Determinant of a square matrix of series, by cofactor expansion.

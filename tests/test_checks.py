@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from eisen2 import arith, checks
+from eisen2 import arith, checks, graded
+from eisen2.catalog import level2_constant
 from eisen2.qseries import QSeries
 
 
@@ -113,6 +114,27 @@ def test_injected_corruption_leaves_untouched_checks_green(monkeypatch):
     # purely level-1 checks never consult the signed divisor sums
     assert checks.run_check("RAM-DE", order=12).status == "pass"
     assert checks.run_check("SIGMA3-CLASSICAL", nmax=12).status == "pass"
+
+
+@pytest.mark.parametrize(
+    "name, check_id", [("rs_coefficient", "RS-DE(4)"), ("ks_coefficient", "KS-DE(4)")]
+)
+def test_de_runners_read_the_coefficients_when_they_run(monkeypatch, name, check_id):
+    # the layer tracer rebinds these module attributes after import
+    real = getattr(checks, name)
+    monkeypatch.setattr(checks, name, lambda m, k: real(m, k) + 1)
+    assert checks.run_check(check_id, order=12).status == "fail"
+
+
+def test_t49_reports_a_bad_level2_series_at_its_exponent(monkeypatch):
+    # a fresh polynomial cache, or the cached levels skip the cross-check
+    monkeypatch.setattr(graded, "_ESTAR_POLYS", {2: graded.e_star_poly(2)})
+    _corrupt_sigma_star(monkeypatch, s=7, n=9)
+    report = checks.run_check("T49", order=12, nmax=30, mmax=6)
+    assert report.status == "fail"
+    n, lhs, rhs = report.first_discrepancy
+    assert n == 9 and rhs - lhs == level2_constant(4)
+    assert any("E8star polynomial" in note for note in report.notes)
 
 
 def test_failing_line_format(monkeypatch):
@@ -239,6 +261,22 @@ def _t10_oracle(v, N):
     ]
 
 
+def _r24_fact_oracle(v, N):
+    s11, tau = v["sigma", 11], v["tau"]
+
+    def rhs(n):
+        total = 16 * s11[n]
+        if n % 2 == 0:
+            total += -32 * s11[n // 2] - 65536 * tau[n // 2]
+        if n % 4 == 0:
+            total += 65536 * s11[n // 4]
+        sign = 1 if (n - 1) % 2 == 0 else -1
+        total += 33152 * sign * tau[n]
+        return total / 691
+
+    return ("r", 24), [rhs(n) for n in range(N + 1)]
+
+
 ORACLES = {
     "SIGMA3-CLASSICAL": _sigma3_classical_oracle,
     "T7": _t7_oracle,
@@ -247,6 +285,7 @@ ORACLES = {
     "T314": _t314_oracle,
     "T9": _t9_oracle,
     "T10": _t10_oracle,
+    "R24-FACT": _r24_fact_oracle,
 }
 
 

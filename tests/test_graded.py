@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from eisen2.catalog import SeriesCatalog
+from eisen2 import graded
+from eisen2.catalog import CrossCheckMismatch, SeriesCatalog
 from eisen2.graded import (
     LEVEL1,
     LEVEL2,
@@ -237,6 +238,24 @@ def test_e_star_poly_examples():
     )
     with pytest.raises(ValueError):
         e_star_poly(1)
+
+
+def test_e_star_poly_reports_a_bad_level_at_q0(monkeypatch):
+    # a fresh polynomial cache, or the cached levels skip the cross-check
+    monkeypatch.setattr(graded, "_ESTAR_POLYS", {2: e_star_poly(2)})
+    real = graded.ks_alpha
+    monkeypatch.setattr(graded, "ks_alpha", lambda m: 2 * real(m) if m == 5 else real(m))
+    with pytest.raises(CrossCheckMismatch) as info:
+        e_star_poly(6)
+    assert info.value.name == "E10star polynomial"
+    assert (info.value.exponent, info.value.values) == (0, (Fraction(1, 2), Fraction(1)))
+
+
+@pytest.mark.parametrize("m", range(3, 21))
+def test_e_star_poly_matches_the_basis_decomposition(m):
+    # the exact Bareiss decomposition is the oracle for the series check
+    cat = SeriesCatalog(2 * modular_dimension(2 * m) + 6)
+    assert decompose_modular(cat.level2(m), 2 * m, cat).as_poly() == e_star_poly(m)
 
 
 def test_positivity():

@@ -67,6 +67,26 @@ def test_neg_q():
     assert (cat.theta3() ** 8).neg_q() == cat.level2(2)
 
 
+def test_dilate():
+    a = QSeries([Fraction(1, 2), 3, -5, 7, 11])
+    assert a.dilate(1) == a
+    assert a.dilate(2).coeffs == QSeries([Fraction(1, 2), 0, 3, 0, -5]).coeffs
+    assert a.dilate(3).coeffs == QSeries([Fraction(1, 2), 0, 0, 3, 0]).coeffs
+    # past the order only the constant term survives; order 0 is kept
+    assert a.dilate(9).coeffs == QSeries([Fraction(1, 2), 0, 0, 0, 0]).coeffs
+    assert QSeries([Fraction(-2, 3)]).dilate(4).coeffs == (Fraction(-2, 3),)
+    with pytest.raises(ValueError):
+        a.dilate(0)
+    rng = random.Random(6)
+    for _ in range(50):
+        b = random_series(rng)
+        k = rng.randint(1, 6)
+        expected = [0] * (b.order + 1)
+        for n in range(0, b.order // k + 1):
+            expected[k * n] = b[n]
+        assert b.dilate(k).coeffs == tuple(expected)
+
+
 def test_pow():
     a = QSeries([1, 1, 0])
     assert a**0 == QSeries.one(2)
