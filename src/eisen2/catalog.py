@@ -200,6 +200,25 @@ class SeriesCatalog:
 
         return self._memo("D", build)
 
+    def power(self, name: str, e: int) -> QSeries:
+        """The series ``by_name(name)`` to the power e >= 0.
+
+        Powers are built upward one multiplication at a time from the highest
+        one already memoized, and each is memoized on the way.
+        """
+        if e < 0:
+            raise ValueError("negative powers are not defined; invert first")
+        if e == 0:
+            return QSeries.one(self.order)
+        base = self.by_name(name)
+        k = e
+        while k > 1 and f"{name}^{k}" not in self._cache:
+            k -= 1
+        series = self._cache[f"{name}^{k}"] if k > 1 else base
+        for k in range(k + 1, e + 1):
+            series = self._cache[f"{name}^{k}"] = series * base
+        return series
+
     def by_name(self, name: str) -> QSeries:
         """Resolve a series by its export name, e.g. "E4", "E10star", "D"."""
         if name == "delta":

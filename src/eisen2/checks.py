@@ -579,13 +579,17 @@ def _p4(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     scope="mmax",
 )
 def _t49(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+    if ws.mmax < 2:
+        return None
+    # one call builds the whole tower, so every level is compared on the
+    # same catalog, at the order the top level needs
+    try:
+        e_star_poly(ws.mmax)
+    except CrossCheckMismatch as exc:
+        notes.append(str(exc))
+        return (exc.exponent, exc.values[0], exc.values[1])
     for m in range(2, ws.mmax + 1):
-        try:
-            ok = check_positivity(m)
-        except CrossCheckMismatch as exc:
-            notes.append(str(exc))
-            return (exc.exponent, exc.values[0], exc.values[1])
-        if not ok:
+        if not check_positivity(m):
             poly = e_star_poly(m)
             bad = min(
                 (e for e in poly.terms if poly.terms[e] <= 0 or e[1] < 1 or e[0]),

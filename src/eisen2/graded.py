@@ -2,17 +2,23 @@
 
 Two rings: level 1 in E2, E4, E6 (weights 2, 4, 6) and level 2 in A, B, C
 (weights 2, 4, 2) where A, B are the weight-2 and weight-4 level-2 series
-and C is their weight-2 quotient partner E6*/E4*.  Modular forms of even
-weight 2k on the level-2 group decompose over the monomial basis
-B^j C^(k-2j), and that decomposition is computed by exact fraction-free
-elimination.
+and C is their weight-2 quotient partner E6*/E4*.  A ``GradedPoly`` keeps
+integer numerators per monomial over one positive common denominator,
+reduced, as ``QSeries`` does for coefficients; products, sums, scaling and
+both Serre derivatives work on those integers, and ``terms`` gives a cached
+``Fraction`` view.  Evaluation substitutes the q-expansions through the
+catalog's memoized generator powers.  Modular forms of even weight 2k on
+the level-2 group decompose over the monomial basis B^j C^(k-2j), and that
+decomposition is computed by exact fraction-free elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from math import gcd, lcm
+from types import MappingProxyType
+from typing import Mapping, Optional, Union
 
 from .catalog import CrossCheckMismatch, SeriesCatalog
 from .qseries import QSeries, first_difference, rational_str
@@ -40,8 +46,11 @@ LEVEL2 = "level2"
 
 _GENERATORS = {LEVEL1: ("E2", "E4", "E6"), LEVEL2: ("A", "B", "C")}
 _WEIGHTS = {LEVEL1: (2, 4, 6), LEVEL2: (2, 4, 2)}
+# the catalog names of the generator q-expansions
+_SERIES_NAMES = {LEVEL1: ("E2", "E4", "E6"), LEVEL2: ("E2star", "E4star", "C")}
 
 Exponents = tuple[int, int, int]
+Scalar = Union[int, Fraction]
 
 
 class RingMismatch(ValueError):
@@ -69,20 +78,47 @@ class ResidualMismatch(ArithmeticError):
 
 
 class GradedPoly:
-    """Exact polynomial in three weighted generators."""
+    """Exact polynomial in three weighted generators.
 
-    __slots__ = ("ring", "terms")
+    Kept as integer numerators per exponent triple over one positive common
+    denominator, reduced, with no zero entries, so equal polynomials have
+    equal representations.  ``terms`` gives the coefficients as ``Fraction``
+    values through a read-only view that is built on first use and cached.
+    """
 
-    def __init__(self, ring: str, terms: Optional[dict[Exponents, Fraction]] = None):
+    __slots__ = ("ring", "_nums", "_den", "_view")
+
+    def __init__(self, ring: str, terms: Optional[Mapping[Exponents, Scalar]] = None):
         if ring not in _GENERATORS:
             raise ValueError(f"unknown ring {ring!r}")
+        values = {
+            (int(exps[0]), int(exps[1]), int(exps[2])): Fraction(coeff)
+            for exps, coeff in (terms or {}).items()
+        }
+        # the lcm of reduced denominators leaves no common factor to divide out
+        den = lcm(*(v.denominator for v in values.values()))
         self.ring = ring
-        clean: dict[Exponents, Fraction] = {}
-        for exps, coeff in (terms or {}).items():
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[(int(exps[0]), int(exps[1]), int(exps[2]))] = coeff
-        self.terms = clean
+        self._nums = {
+            e: v.numerator * (den // v.denominator) for e, v in values.items() if v
+        }
+        self._den = den if self._nums else 1
+        self._view: Optional[Mapping[Exponents, Fraction]] = None
+
+    @classmethod
+    def _make(cls, ring: str, nums: dict[Exponents, int], den: int = 1) -> "GradedPoly":
+        """The polynomial sum nums[e] x^e / den, zero terms dropped, reduced."""
+        poly = object.__new__(cls)
+        poly.ring = ring
+        nums = {e: x for e, x in nums.items() if x}
+        if not nums:
+            den = 1
+        elif den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                nums = {e: x // g for e, x in nums.items()}
+                den //= g
+        poly._nums, poly._den, poly._view = nums, den, None
+        return poly
 
     @classmethod
     def zero(cls, ring: str) -> "GradedPoly":
@@ -100,20 +136,31 @@ class GradedPoly:
 
     # -- structure ----------------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        """The nonzero coefficients as reduced ``Fraction`` values (cached)."""
+        view = self._view
+        if view is None:
+            den = self._den
+            view = self._view = MappingProxyType(
+                {e: Fraction(x, den) for e, x in self._nums.items()}
+            )
+        return view
+
     def monomial_weight(self, exps: Exponents) -> int:
         w = _WEIGHTS[self.ring]
         return exps[0] * w[0] + exps[1] * w[1] + exps[2] * w[2]
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._nums
 
     def is_homogeneous(self) -> bool:
-        weights = {self.monomial_weight(e) for e in self.terms}
+        weights = {self.monomial_weight(e) for e in self._nums}
         return len(weights) <= 1
 
     def weight(self) -> Optional[int]:
         """Common weight of all monomials; None for the zero polynomial."""
-        weights = {self.monomial_weight(e) for e in self.terms}
+        weights = {self.monomial_weight(e) for e in self._nums}
         if not weights:
             return None
         if len(weights) > 1:
@@ -128,14 +175,16 @@ class GradedPoly:
         return [(a, b, c, rational_str(v)) for (a, b, c), v in self.sorted_terms()]
 
     def __eq__(self, other: object) -> bool:
+        # the reduced form is unique, so equal values have equal fields
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (self.ring == other.ring and self._den == other._den
+                and self._nums == other._nums)
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._nums:
             return f"GradedPoly({self.ring}, 0)"
         names = _GENERATORS[self.ring]
         parts = []
@@ -155,30 +204,36 @@ class GradedPoly:
 
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
         self._check_ring(other)
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return GradedPoly(self.ring, terms)
+        da, db = self._den, other._den
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        nums = {e: x * fa for e, x in self._nums.items()}
+        for e, y in other._nums.items():
+            nums[e] = nums.get(e, 0) + y * fb
+        return GradedPoly._make(self.ring, nums, den)
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         return self + (-other)
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return GradedPoly._make(self.ring, {e: -x for e, x in self._nums.items()},
+                                self._den)
 
     def scale(self, c) -> "GradedPoly":
         c = Fraction(c)
-        return GradedPoly(self.ring, {e: c * v for e, v in self.terms.items()})
+        p = c.numerator
+        return GradedPoly._make(self.ring, {e: p * x for e, x in self._nums.items()},
+                                c.denominator * self._den)
 
     def __mul__(self, other):
         if isinstance(other, GradedPoly):
             self._check_ring(other)
-            terms: dict[Exponents, Fraction] = {}
-            for (a1, b1, c1), v1 in self.terms.items():
-                for (a2, b2, c2), v2 in other.terms.items():
+            nums: dict[Exponents, int] = {}
+            for (a1, b1, c1), x in self._nums.items():
+                for (a2, b2, c2), y in other._nums.items():
                     key = (a1 + a2, b1 + b2, c1 + c2)
-                    terms[key] = terms.get(key, Fraction(0)) + v1 * v2
-            return GradedPoly(self.ring, terms)
+                    nums[key] = nums.get(key, 0) + x * y
+            return GradedPoly._make(self.ring, nums, self._den * other._den)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -189,21 +244,14 @@ class GradedPoly:
         return NotImplemented
 
 
-def _rule_table(ring: str) -> dict[int, GradedPoly]:
-    # generator images under the weight-raising derivative:
-    #   level 2:  A -> -(A^2+B)/4,   B -> -BC,      C -> -B/2
-    #   level 1:  E2 -> -(E2^2+E4)/12, E4 -> -E6/3, E6 -> -E4^2/2
-    if ring == LEVEL2:
-        return {
-            0: GradedPoly(ring, {(2, 0, 0): Fraction(-1, 4), (0, 1, 0): Fraction(-1, 4)}),
-            1: GradedPoly(ring, {(0, 1, 1): Fraction(-1)}),
-            2: GradedPoly(ring, {(0, 1, 0): Fraction(-1, 2)}),
-        }
-    return {
-        0: GradedPoly(ring, {(2, 0, 0): Fraction(-1, 12), (0, 1, 0): Fraction(-1, 12)}),
-        1: GradedPoly(ring, {(0, 0, 1): Fraction(-1, 3)}),
-        2: GradedPoly(ring, {(0, 2, 0): Fraction(-1, 2)}),
-    }
+# generator images under the weight-raising derivative, as integer numerators
+# over one denominator per ring:
+#   level 2:  A -> -(A^2+B)/4,   B -> -BC,      C -> -B/2
+#   level 1:  E2 -> -(E2^2+E4)/12, E4 -> -E6/3, E6 -> -E4^2/2
+_RULES: dict[str, tuple[int, tuple[dict[Exponents, int], ...]]] = {
+    LEVEL2: (4, ({(2, 0, 0): -1, (0, 1, 0): -1}, {(0, 1, 1): -4}, {(0, 1, 0): -2})),
+    LEVEL1: (12, ({(2, 0, 0): -1, (0, 1, 0): -1}, {(0, 0, 1): -4}, {(0, 2, 0): -6})),
+}
 
 
 def _derive(f: GradedPoly, weight: Optional[int]) -> GradedPoly:
@@ -212,17 +260,19 @@ def _derive(f: GradedPoly, weight: Optional[int]) -> GradedPoly:
     own = f.weight()
     if weight is not None and own is not None and own != weight:
         raise NotHomogeneous(f"stated weight {weight} but polynomial has weight {own}")
-    rules = _rule_table(f.ring)
-    result = GradedPoly.zero(f.ring)
-    for exps, coeff in f.terms.items():
-        for i in range(3):
+    rule_den, rules = _RULES[f.ring]
+    # d(x^e) = sum_i e_i x^(e - unit_i) d(x_i), collected into one dict
+    nums: dict[Exponents, int] = {}
+    for exps, x in f._nums.items():
+        for i, rule in enumerate(rules):
             e = exps[i]
             if e:
-                lowered = list(exps)
-                lowered[i] = e - 1
-                mono = GradedPoly.monomial(f.ring, tuple(lowered), coeff * e)
-                result = result + mono * rules[i]
-    return result
+                a, b, c = exps
+                a, b, c = a - (i == 0), b - (i == 1), c - (i == 2)
+                for (ra, rb, rc), y in rule.items():
+                    key = (a + ra, b + rb, c + rc)
+                    nums[key] = nums.get(key, 0) + e * x * y
+    return GradedPoly._make(f.ring, nums, f._den * rule_den)
 
 
 def serre_delta(f: GradedPoly, weight: Optional[int] = None) -> GradedPoly:
@@ -240,19 +290,20 @@ def serre_partial(f: GradedPoly, weight: Optional[int] = None) -> GradedPoly:
 
 
 def gp_evaluate(f: GradedPoly, catalog: SeriesCatalog) -> QSeries:
-    """Substitute the generator q-expansions and expand exactly."""
-    if f.ring == LEVEL2:
-        gens = (catalog.level2(1), catalog.level2(2), catalog.C())
-    else:
-        gens = (catalog.level1(1), catalog.level1(2), catalog.level1(3))
+    """Substitute the generator q-expansions and expand exactly.
+
+    Each monomial multiplies the catalog's memoized generator powers, so a
+    power is computed once per catalog however many monomials use it.
+    """
+    names = _SERIES_NAMES[f.ring]
     total = QSeries.zero(catalog.order)
-    for exps, coeff in f.sorted_terms():
-        term = QSeries.one(catalog.order)
-        for g, e in zip(gens, exps):
-            if e:
-                term = term * g**e
-        total = total + term.scale(coeff)
-    return total
+    for exps, x in f._nums.items():
+        factors = [catalog.power(name, e) for name, e in zip(names, exps) if e]
+        term = factors[0] if factors else QSeries.one(catalog.order)
+        for factor in factors[1:]:
+            term = term * factor
+        total = total + term.scale(x)
+    return total.scale(Fraction(1, f._den))
 
 
 @dataclass(frozen=True)
@@ -362,7 +413,9 @@ def e_star_poly(m: int) -> GradedPoly:
     positive rational normalizer.  Each new level is checked to lie in the
     basis B^j C^(m-2j) and then, as one series equation, against the
     divisor-sum q-expansion; the basis is independent, so that agreement
-    fixes every coordinate.
+    fixes every coordinate.  Every level one call builds is compared on one
+    catalog, at the order 2 dim + 6 of the weight-2m forms, which also
+    shares the generator powers among the levels.
     """
     if m < 2:
         raise ValueError("defined for m >= 2")
@@ -372,9 +425,11 @@ def e_star_poly(m: int) -> GradedPoly:
     cat = SeriesCatalog(2 * modular_dimension(2 * m) + 6)
     for mm in range(top + 1, m + 1):
         acc = GradedPoly.zero(LEVEL2)
-        for k in range(2, mm - 1):
+        # c_{mm,k} = c_{mm,mm-k}, so the k and mm-k terms are one product
+        for k in range(2, mm // 2 + 1):
+            pair = 1 if 2 * k == mm else 2
             acc = acc + (_ESTAR_POLYS[k] * _ESTAR_POLYS[mm - k]).scale(
-                ks_coefficient(mm, k)
+                pair * ks_coefficient(mm, k)
             )
         acc = acc - serre_delta(_ESTAR_POLYS[mm - 1], 2 * (mm - 1))
         alpha = ks_alpha(mm)

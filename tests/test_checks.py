@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from eisen2 import arith, checks, graded
-from eisen2.catalog import level2_constant
+from eisen2.catalog import SeriesCatalog, level2_constant
 from eisen2.qseries import QSeries
 
 
@@ -135,6 +135,36 @@ def test_t49_reports_a_bad_level2_series_at_its_exponent(monkeypatch):
     n, lhs, rhs = report.first_discrepancy
     assert n == 9 and rhs - lhs == level2_constant(4)
     assert any("E8star polynomial" in note for note in report.notes)
+
+
+def test_t49_compares_every_level_at_the_top_order(monkeypatch):
+    # E8* is level 4; at mmax 6 the tower is compared to q^14 at every level,
+    # not only to the q^12 that level 4 would need on its own
+    monkeypatch.setattr(graded, "_ESTAR_POLYS", {2: graded.e_star_poly(2)})
+    _corrupt_sigma_star(monkeypatch, s=7, n=13)
+    report = checks.run_check("T49", order=12, nmax=30, mmax=6)
+    assert report.status == "fail"
+    n, lhs, rhs = report.first_discrepancy
+    assert n == 13 and rhs - lhs == level2_constant(4)
+    assert any("E8star polynomial" in note for note in report.notes)
+
+
+def test_special_forms_equal_the_derivative():
+    # each displayed form is a second right-hand side for q E'_{2m-2}
+    cat = SeriesCatalog(24)
+    rs = checks._rs_special_rhs(5, cat)
+    assert rs is not None and rs == cat.level1(4).theta()
+    for m in range(2, 6):
+        ks = checks._ks_special_rhs(m, cat)
+        assert ks is not None and ks == cat.level2(m - 1).theta()
+
+
+@pytest.mark.parametrize(
+    "name, check_id", [("_rs_special_rhs", "RS-DE(5)"), ("_ks_special_rhs", "KS-DE(3)")]
+)
+def test_de_runners_compare_the_special_form(monkeypatch, name, check_id):
+    monkeypatch.setattr(checks, name, lambda m, cat: QSeries.zero(cat.order))
+    assert checks.run_check(check_id, order=12).status == "fail"
 
 
 def test_failing_line_format(monkeypatch):

@@ -193,3 +193,17 @@ def test_verify_all_small_matches_golden_output(capsys):
     )
     assert code == 0
     assert out.encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("export", "E80star_poly"), "export_E80star_poly.json"),
+        (("export", "E40star_poly", "--format", "csv"), "export_E40star_poly.csv"),
+    ],
+)
+def test_export_poly_matches_golden_output(capsys, argv, golden):
+    # exact polynomial records, generated before GradedPoly moved to integers
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (Path(__file__).parent / "data" / golden).read_bytes()

@@ -23,6 +23,9 @@ from eisen2.graded import (
     serre_delta,
     serre_partial,
 )
+from eisen2.qseries import QSeries
+from eisen2.scalars import ks_alpha, ks_coefficient
+
 LAW_RUNS = 110
 
 
@@ -306,3 +309,209 @@ def test_cusp_form_bases():
 def test_basis_decomposition_records():
     dec = BasisDecomposition(8, (Fraction(9, 17), Fraction(8, 17), Fraction(0)))
     assert dec.to_records() == [(0, 1, 2, "8/17"), (0, 2, 0, "9/17")]
+
+
+# ---------------------------------------------------------------------------
+# Fraction-dict oracles: the loops GradedPoly and gp_evaluate once ran, kept
+# to test the integer representation and the memoized powers
+
+
+def _clean(terms):
+    return {e: Fraction(v) for e, v in terms.items() if v}
+
+
+def _oracle_add(p, q):
+    out = dict(p)
+    for e, v in q.items():
+        out[e] = out.get(e, Fraction(0)) + v
+    return _clean(out)
+
+
+def _oracle_neg(p):
+    return {e: -v for e, v in p.items()}
+
+
+def _oracle_scale(p, c):
+    return _clean({e: Fraction(c) * v for e, v in p.items()})
+
+
+def _oracle_mul(p, q):
+    out = {}
+    for (a1, b1, c1), v1 in p.items():
+        for (a2, b2, c2), v2 in q.items():
+            key = (a1 + a2, b1 + b2, c1 + c2)
+            out[key] = out.get(key, Fraction(0)) + v1 * v2
+    return _clean(out)
+
+
+_ORACLE_RULES = {
+    LEVEL2: (
+        {(2, 0, 0): Fraction(-1, 4), (0, 1, 0): Fraction(-1, 4)},
+        {(0, 1, 1): Fraction(-1)},
+        {(0, 1, 0): Fraction(-1, 2)},
+    ),
+    LEVEL1: (
+        {(2, 0, 0): Fraction(-1, 12), (0, 1, 0): Fraction(-1, 12)},
+        {(0, 0, 1): Fraction(-1, 3)},
+        {(0, 2, 0): Fraction(-1, 2)},
+    ),
+}
+
+
+def _oracle_derive(ring, p):
+    out = {}
+    for exps, coeff in p.items():
+        for i in range(3):
+            e = exps[i]
+            if e:
+                lowered = list(exps)
+                lowered[i] = e - 1
+                mono = {tuple(lowered): coeff * e}
+                out = _oracle_add(out, _oracle_mul(mono, _ORACLE_RULES[ring][i]))
+    return out
+
+
+def _oracle_evaluate(ring, p, cat):
+    if ring == LEVEL2:
+        gens = (cat.level2(1), cat.level2(2), cat.C())
+    else:
+        gens = (cat.level1(1), cat.level1(2), cat.level1(3))
+    total = QSeries.zero(cat.order)
+    for exps, coeff in sorted(p.items()):
+        term = QSeries.one(cat.order)
+        for g, e in zip(gens, exps):
+            if e:
+                term = term * g**e
+        total = total + term.scale(coeff)
+    return total
+
+
+def _oracle_e_star(mmax):
+    polys = {2: {(0, 1, 0): Fraction(1)}}
+    for mm in range(3, mmax + 1):
+        acc = {}
+        for k in range(2, mm - 1):
+            acc = _oracle_add(
+                acc, _oracle_scale(_oracle_mul(polys[k], polys[mm - k]),
+                                   ks_coefficient(mm, k))
+            )
+        acc = _oracle_add(acc, _oracle_neg(_oracle_derive(LEVEL2, polys[mm - 1])))
+        polys[mm] = _oracle_scale(acc, 1 / ks_alpha(mm))
+    return polys
+
+
+_DENOMINATORS = (1, 2, 12, 691, 3617, 691 * 3617)
+
+
+def random_terms(rng, weight=None, ring=LEVEL2, max_exp=4):
+    """Random exact coefficients, homogeneous when a weight is given."""
+    from eisen2.graded import _WEIGHTS
+
+    w = _WEIGHTS[ring]
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        if weight is None:
+            exps = tuple(rng.randint(0, max_exp) for _ in range(3))
+        else:
+            a = rng.randint(0, weight // w[0])
+            b = rng.randint(0, (weight - a * w[0]) // w[1])
+            rest = weight - a * w[0] - b * w[1]
+            if rest % w[2]:
+                continue
+            exps = (a, b, rest // w[2])
+        terms[exps] = Fraction(
+            rng.choice((-1, 1)) * rng.randint(0, 10**12), rng.choice(_DENOMINATORS)
+        )
+    return terms
+
+
+def test_poly_arithmetic_matches_fraction_dict_oracle():
+    rng = random.Random(41)
+    for _ in range(300):
+        ring = rng.choice((LEVEL1, LEVEL2))
+        p, q = random_terms(rng, ring=ring), random_terms(rng, ring=ring)
+        if rng.random() < 0.1:
+            q = {}
+        fp, fq = GradedPoly(ring, p), GradedPoly(ring, q)
+        c = Fraction(rng.randint(-3617, 3617), rng.choice(_DENOMINATORS))
+        cases = [
+            (fp * fq, _oracle_mul(p, q)),
+            (fp + fq, _oracle_add(p, q)),
+            (fp - fq, _oracle_add(p, _oracle_neg(q))),
+            (-fp, _oracle_neg(_clean(p))),
+            (fp.scale(c), _oracle_scale(p, c)),
+            (fp * c, _oracle_scale(p, c)),
+        ]
+        for got, want in cases:
+            assert dict(got.terms) == want
+            assert got == GradedPoly(ring, want)
+            assert got.is_zero() == (not want)
+        assert (fp == fq) == (_clean(p) == _clean(q))
+        assert fp + fq - fq == fp
+        assert fp.scale(691).scale(Fraction(1, 691)) == fp
+
+
+def test_poly_is_kept_reduced():
+    p = GradedPoly(LEVEL2, {(0, 1, 0): Fraction(2, 691), (0, 0, 2): Fraction(-4, 691)})
+    assert (p._den, p._nums) == (691, {(0, 1, 0): 2, (0, 0, 2): -4})
+    assert p.scale(Fraction(691, 2))._den == 1
+    assert (p - p)._den == 1 and (p - p).is_zero()
+    assert GradedPoly(LEVEL2, {(0, 1, 0): 0}) == GradedPoly.zero(LEVEL2)
+    with pytest.raises(TypeError):
+        p.terms[(0, 1, 0)] = Fraction(1)
+
+
+def test_serre_derivatives_match_fraction_dict_oracle():
+    rng = random.Random(42)
+    for _ in range(200):
+        ring = rng.choice((LEVEL1, LEVEL2))
+        weight = rng.choice(range(2, 25, 2))
+        p = random_terms(rng, weight, ring)
+        derive = serre_delta if ring == LEVEL2 else serre_partial
+        got = derive(GradedPoly(ring, p), weight if p else None)
+        assert dict(got.terms) == _oracle_derive(ring, p)
+    for ring, derive in ((LEVEL1, serre_partial), (LEVEL2, serre_delta)):
+        assert derive(GradedPoly.zero(ring)).is_zero()
+        one = GradedPoly.monomial(ring, (0, 0, 0))
+        assert derive(one).is_zero()
+
+
+def test_gp_evaluate_matches_per_monomial_powers():
+    rng = random.Random(43)
+    for ring in (LEVEL1, LEVEL2):
+        cat = SeriesCatalog(20)
+        # the constant polynomial and the zero polynomial
+        seven = GradedPoly.monomial(ring, (0, 0, 0), Fraction(7, 691))
+        assert gp_evaluate(seven, cat) == QSeries.one(20).scale(Fraction(7, 691))
+        assert gp_evaluate(GradedPoly.zero(ring), cat) == QSeries.zero(20)
+        # low exponents first, then powers past the highest one cached
+        for max_exp in (2, 2, 5, 3, 9):
+            for _ in range(10):
+                p = random_terms(rng, ring=ring, max_exp=max_exp)
+                assert gp_evaluate(GradedPoly(ring, p), cat) == _oracle_evaluate(ring, p, cat)
+
+
+def test_catalog_power_matches_repeated_squaring():
+    cat = SeriesCatalog(16)
+    c = cat.C()
+    assert cat.power("C", 0) == QSeries.one(16)
+    assert cat.power("C", 1) is c
+    assert cat.power("C", 3) == c**3
+    assert cat.power("C", 11) == c**11  # past the cached top
+    assert cat.power("C", 7) is cat.power("C", 7)
+    assert cat.power("E6", 4) == cat.level1(3) ** 4
+    with pytest.raises(ValueError):
+        cat.power("C", -1)
+
+
+def test_ks_coefficient_is_symmetric():
+    # e_star_poly takes the k and m-k convolution terms as one product
+    for m in range(3, 41):
+        for k in range(1, m):
+            assert ks_coefficient(m, k) == ks_coefficient(m, m - k)
+
+
+def test_e_star_poly_matches_the_unpaired_fraction_recursion():
+    oracle = _oracle_e_star(24)
+    for m in range(2, 25):
+        assert dict(e_star_poly(m).terms) == oracle[m]
