@@ -76,15 +76,15 @@ def _eta24(order: int) -> list[int]:
 
 
 class SeriesCatalog:
-    """Memoized named series at a fixed truncation order."""
+    """Memoized named series, their powers and E*_2m polynomials at one order."""
 
     def __init__(self, order: int):
         if order < 0:
             raise ValueError("order must be nonnegative")
         self.order = order
-        self._cache: dict[str, QSeries] = {}
+        self._cache: dict = {}
 
-    def _memo(self, key: str, build) -> QSeries:
+    def _memo(self, key: str, build):
         series = self._cache.get(key)
         if series is None:
             series = self._cache[key] = build()

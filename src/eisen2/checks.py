@@ -24,6 +24,7 @@ from .graded import (
     GradedPoly,
     LEVEL2,
     check_positivity,
+    e_star_order,
     e_star_poly,
     gp_evaluate,
     serre_delta,
@@ -581,16 +582,16 @@ def _p4(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 def _t49(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     if ws.mmax < 2:
         return None
-    # one call builds the whole tower, so every level is compared on the
-    # same catalog, at the order the top level needs
+    # the whole tower is built, compared and judged on the top level's catalog
+    cat = ws.catalog_at(e_star_order(ws.mmax))
     try:
-        e_star_poly(ws.mmax)
+        e_star_poly(ws.mmax, cat)
     except CrossCheckMismatch as exc:
         notes.append(str(exc))
         return (exc.exponent, exc.values[0], exc.values[1])
     for m in range(2, ws.mmax + 1):
-        if not check_positivity(m):
-            poly = e_star_poly(m)
+        if not check_positivity(m, cat):
+            poly = e_star_poly(m, cat)
             bad = min(
                 (e for e in poly.terms if poly.terms[e] <= 0 or e[1] < 1 or e[0]),
                 default=min(poly.terms),

@@ -141,13 +141,16 @@ def _cmd_export(args) -> int:
             weight = int(m.group(1))
             if weight < 4 or weight % 2:
                 raise UnknownName(args.name)
-            poly = e_star_poly(weight // 2)
+            cat = None if args.order is None else SeriesCatalog(order)
+            poly = e_star_poly(weight // 2, cat)
             text = _format_records(args.name, weight, poly.to_records(), args.format)
         else:
             values = _export_values(args.name, order)
             text = _format_table(args.name, order, values, args.format)
     except UnknownName:
         return _bad_input(f"unknown export name {args.name!r}; see `list`")
+    except ValueError as exc:  # a catalog below the polynomial's compared order
+        return _bad_input(str(exc))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -215,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_export = sub.add_parser("export", help="print a series or table")
     p_export.add_argument("name")
     p_export.add_argument("--order", type=int, default=None,
-                          help="truncation order (default 64; 1000 for the "
-                          "tau and r<s> tables)")
+                          help="truncation order (default 64; 1000 for tau, r<s>; "
+                          "for E<2m>star_poly the compared order, at least 2*(m//2)+8)")
     p_export.add_argument("--format", choices=("json", "csv"), default="json")
     p_export.add_argument("--output", metavar="FILE")
     p_export.set_defaults(fn=_cmd_export)

@@ -9,7 +9,8 @@ both Serre derivatives work on those integers, and ``terms`` gives a cached
 ``Fraction`` view.  Evaluation substitutes the q-expansions through the
 catalog's memoized generator powers.  Modular forms of even weight 2k on
 the level-2 group decompose over the monomial basis B^j C^(k-2j), and that
-decomposition is computed by exact fraction-free elimination.
+decomposition is computed by exact fraction-free elimination.  The module
+keeps no state: each E*_2m level is memoized in the catalog it was compared on.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "serre_partial",
     "gp_evaluate",
     "decompose_modular",
+    "e_star_order",
     "e_star_poly",
     "check_positivity",
 ]
@@ -396,12 +398,44 @@ def decompose_modular(
     return BasisDecomposition(weight, tuple(coords))
 
 
-_ESTAR_POLYS: dict[int, GradedPoly] = {
-    2: GradedPoly.monomial(LEVEL2, (0, 1, 0)),  # the weight-4 series is B itself
-}
+def e_star_order(m: int) -> int:
+    """The order 2 dim + 6 at which the weight-2m level is compared."""
+    return 2 * modular_dimension(2 * m) + 6
 
 
-def e_star_poly(m: int) -> GradedPoly:
+def _solve_level(mm: int, tower: list, catalog: SeriesCatalog) -> GradedPoly:
+    """E*_{2mm} from the levels tower[2..mm-1], compared on the catalog."""
+    if mm == 2:
+        return GradedPoly.generator(LEVEL2, "B")  # the weight-4 series is B itself
+    acc = GradedPoly.zero(LEVEL2)
+    # c_{mm,k} = c_{mm,mm-k}, so the k and mm-k terms are one product
+    for k in range(2, mm // 2 + 1):
+        pair = 1 if 2 * k == mm else 2
+        acc = acc + (tower[k] * tower[mm - k]).scale(pair * ks_coefficient(mm, k))
+    acc = acc - serre_delta(tower[mm - 1], 2 * (mm - 1))
+    alpha = ks_alpha(mm)
+    if alpha <= 0:
+        raise ArithmeticError(f"normalizer alpha for weight {2 * mm} not positive")
+    poly = acc.scale(1 / alpha)
+    name = f"E{2 * mm}star polynomial"
+    # series agreement cannot rule out a monomial outside the basis
+    # (an A-term, say), so the monomials are checked first
+    stray = set(poly.terms) - {(0, j, mm - 2 * j) for j in range(mm // 2 + 1)}
+    if stray:
+        raise CrossCheckMismatch(
+            name, 0, "differential recursion", "monomial basis",
+            poly.terms[min(stray)], Fraction(0),
+        )
+    diff = first_difference(gp_evaluate(poly, catalog), catalog.level2(mm))
+    if diff is not None:
+        raise CrossCheckMismatch(
+            name, diff[0], "differential recursion", "q-expansion",
+            diff[1], diff[2],
+        )
+    return poly
+
+
+def e_star_poly(m: int, catalog: Optional[SeriesCatalog] = None) -> GradedPoly:
     """The weight-2m level-2 series as a polynomial in B and C.
 
     Built by solving the level-2 differential recursion for the top term:
@@ -412,56 +446,33 @@ def e_star_poly(m: int) -> GradedPoly:
     with c_{m,k} the rational convolution coefficients and alpha_{2m} the
     positive rational normalizer.  Each new level is checked to lie in the
     basis B^j C^(m-2j) and then, as one series equation, against the
-    divisor-sum q-expansion; the basis is independent, so that agreement
-    fixes every coordinate.  Every level one call builds is compared on one
-    catalog, at the order 2 dim + 6 of the weight-2m forms, which also
-    shares the generator powers among the levels.
+    divisor-sum q-expansion on the catalog's whole range; the basis is
+    independent, so that agreement fixes every coordinate.  Each level, from
+    E*_4 = B upward, is memoized as ``E{2m}star_poly`` in the catalog it was
+    compared on; with none given, a fresh one of order ``e_star_order(m)``.
     """
     if m < 2:
         raise ValueError("defined for m >= 2")
-    if m in _ESTAR_POLYS:
-        return _ESTAR_POLYS[m]
-    top = max(_ESTAR_POLYS)
-    cat = SeriesCatalog(2 * modular_dimension(2 * m) + 6)
-    for mm in range(top + 1, m + 1):
-        acc = GradedPoly.zero(LEVEL2)
-        # c_{mm,k} = c_{mm,mm-k}, so the k and mm-k terms are one product
-        for k in range(2, mm // 2 + 1):
-            pair = 1 if 2 * k == mm else 2
-            acc = acc + (_ESTAR_POLYS[k] * _ESTAR_POLYS[mm - k]).scale(
-                pair * ks_coefficient(mm, k)
-            )
-        acc = acc - serre_delta(_ESTAR_POLYS[mm - 1], 2 * (mm - 1))
-        alpha = ks_alpha(mm)
-        if alpha <= 0:
-            raise ArithmeticError(f"normalizer alpha for weight {2 * mm} not positive")
-        poly = acc.scale(1 / alpha)
-        name = f"E{2 * mm}star polynomial"
-        # series agreement cannot rule out a monomial outside the basis
-        # (an A-term, say), so the monomials are checked first
-        stray = set(poly.terms) - {(0, j, mm - 2 * j) for j in range(mm // 2 + 1)}
-        if stray:
-            raise CrossCheckMismatch(
-                name, 0, "differential recursion", "monomial basis",
-                poly.terms[min(stray)], Fraction(0),
-            )
-        diff = first_difference(gp_evaluate(poly, cat), cat.level2(mm))
-        if diff is not None:
-            raise CrossCheckMismatch(
-                name, diff[0], "differential recursion", "q-expansion",
-                diff[1], diff[2],
-            )
-        _ESTAR_POLYS[mm] = poly
-    return _ESTAR_POLYS[m]
+    need = e_star_order(m)
+    if catalog is None:
+        catalog = SeriesCatalog(need)
+    elif catalog.order < need:
+        raise ValueError(f"E{2 * m}star_poly needs order >= {need}, got {catalog.order}")
+    tower: list = [None, None]
+    for mm in range(2, m + 1):
+        key = f"E{2 * mm}star_poly"
+        tower.append(catalog._memo(key, lambda: _solve_level(mm, tower, catalog)))
+    return tower[m]
 
 
-def check_positivity(m: int) -> bool:
+def check_positivity(m: int, catalog: Optional[SeriesCatalog] = None) -> bool:
     """True when the weight-2m polynomial lies in B * Q_+[B, C].
 
     Every monomial must have a strictly positive coefficient, B-exponent at
-    least 1, no A-exponent, and weight exactly 2m.
+    least 1, no A-exponent, and weight exactly 2m.  The polynomial is
+    ``e_star_poly(m, catalog)``, so it is compared on that catalog.
     """
-    poly = e_star_poly(m)
+    poly = e_star_poly(m, catalog)
     for (a, b, c), coeff in poly.terms.items():
         if a != 0 or b < 1 or coeff <= 0:
             return False

@@ -127,8 +127,6 @@ def test_de_runners_read_the_coefficients_when_they_run(monkeypatch, name, check
 
 
 def test_t49_reports_a_bad_level2_series_at_its_exponent(monkeypatch):
-    # a fresh polynomial cache, or the cached levels skip the cross-check
-    monkeypatch.setattr(graded, "_ESTAR_POLYS", {2: graded.e_star_poly(2)})
     _corrupt_sigma_star(monkeypatch, s=7, n=9)
     report = checks.run_check("T49", order=12, nmax=30, mmax=6)
     assert report.status == "fail"
@@ -140,7 +138,20 @@ def test_t49_reports_a_bad_level2_series_at_its_exponent(monkeypatch):
 def test_t49_compares_every_level_at_the_top_order(monkeypatch):
     # E8* is level 4; at mmax 6 the tower is compared to q^14 at every level,
     # not only to the q^12 that level 4 would need on its own
-    monkeypatch.setattr(graded, "_ESTAR_POLYS", {2: graded.e_star_poly(2)})
+    _corrupt_sigma_star(monkeypatch, s=7, n=13)
+    report = checks.run_check("T49", order=12, nmax=30, mmax=6)
+    assert report.status == "fail"
+    n, lhs, rhs = report.first_discrepancy
+    assert n == 13 and rhs - lhs == level2_constant(4)
+    assert any("E8star polynomial" in note for note in report.notes)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_t49_range_does_not_depend_on_earlier_calls(monkeypatch, warm):
+    # a level built before, on its own order-12 catalog, is not the level T49
+    # judges: T49 compares E8* to q^14 on its own catalog either way
+    if warm:
+        graded.e_star_poly(4)
     _corrupt_sigma_star(monkeypatch, s=7, n=13)
     report = checks.run_check("T49", order=12, nmax=30, mmax=6)
     assert report.status == "fail"

@@ -161,6 +161,7 @@ def test_list_subcommand(capsys):
         ("export", "tau", "--order", "0"),
         ("decompose", "E8star", "--weight", "7"),
         ("decompose", "E8star", "--weight", "8", "--order", "1"),
+        ("export", "E8star_poly", "--order", "11"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv):
@@ -200,6 +201,8 @@ def test_verify_all_small_matches_golden_output(capsys):
     [
         (("export", "E80star_poly"), "export_E80star_poly.json"),
         (("export", "E40star_poly", "--format", "csv"), "export_E40star_poly.csv"),
+        (("export", "E40star_poly", "--format", "csv", "--order", "64"),
+         "export_E40star_poly.csv"),
     ],
 )
 def test_export_poly_matches_golden_output(capsys, argv, golden):

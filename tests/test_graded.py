@@ -1,9 +1,10 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
-from eisen2 import graded
+from eisen2 import arith, checks, graded
 from eisen2.catalog import CrossCheckMismatch, SeriesCatalog
 from eisen2.graded import (
     LEVEL1,
@@ -17,6 +18,7 @@ from eisen2.graded import (
     _solve_fraction_free,
     check_positivity,
     decompose_modular,
+    e_star_order,
     e_star_poly,
     gp_evaluate,
     modular_dimension,
@@ -244,8 +246,6 @@ def test_e_star_poly_examples():
 
 
 def test_e_star_poly_reports_a_bad_level_at_q0(monkeypatch):
-    # a fresh polynomial cache, or the cached levels skip the cross-check
-    monkeypatch.setattr(graded, "_ESTAR_POLYS", {2: e_star_poly(2)})
     real = graded.ks_alpha
     monkeypatch.setattr(graded, "ks_alpha", lambda m: 2 * real(m) if m == 5 else real(m))
     with pytest.raises(CrossCheckMismatch) as info:
@@ -254,10 +254,66 @@ def test_e_star_poly_reports_a_bad_level_at_q0(monkeypatch):
     assert (info.value.exponent, info.value.values) == (0, (Fraction(1, 2), Fraction(1)))
 
 
+@pytest.mark.parametrize("m", [2, 4, 7])
+def test_e_star_poly_refuses_a_catalog_below_its_order(m):
+    with pytest.raises(ValueError):
+        e_star_poly(m, SeriesCatalog(e_star_order(m) - 1))
+    assert e_star_poly(m, SeriesCatalog(e_star_order(m))) == e_star_poly(m)
+
+
+def test_e_star_poly_memoizes_each_level_in_its_catalog(monkeypatch):
+    cat = SeriesCatalog(e_star_order(8))
+    poly = e_star_poly(8, cat)
+    real = graded.first_difference
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(graded, "first_difference", counted)
+    assert e_star_poly(8, cat) is poly
+    assert check_positivity(5, cat)
+    assert not calls
+    # a new catalog holds no levels, so they are compared again
+    assert e_star_poly(8) == poly
+    assert len(calls) == 6
+
+
+def test_e_star_poly_compares_on_the_whole_catalog_range(monkeypatch):
+    # E8* needs q^0..q^12 on its own, but a catalog of order 40 compares to
+    # q^40, so a fault at n = 30 is caught there and nowhere else
+    real = arith.sigma_star
+    monkeypatch.setattr(
+        arith, "sigma_star", lambda s, n: real(s, n) + ((s, n) == (7, 30))
+    )
+    assert e_star_order(4) < 30
+    with pytest.raises(CrossCheckMismatch) as info:
+        e_star_poly(4, SeriesCatalog(40))
+    assert (info.value.name, info.value.exponent) == ("E8star polynomial", 30)
+    assert e_star_poly(4) == e_star_poly(4, SeriesCatalog(29))
+
+
+def test_graded_keeps_no_state_between_calls():
+    # every module name keeps its object, and every table its contents
+    before = dict(vars(graded))
+    containers = copy.deepcopy({
+        k: v for k, v in before.items()
+        if k != "__builtins__" and isinstance(v, (dict, list, set, tuple))
+    })
+    e_star_poly(8)
+    check_positivity(5)
+    assert checks.run_check("T49", mmax=6).status == "pass"
+    after = dict(vars(graded))
+    assert after.keys() == before.keys()
+    assert all(after[k] is before[k] for k in before)
+    assert {k: after[k] for k in containers} == containers
+
+
 @pytest.mark.parametrize("m", range(3, 21))
 def test_e_star_poly_matches_the_basis_decomposition(m):
     # the exact Bareiss decomposition is the oracle for the series check
-    cat = SeriesCatalog(2 * modular_dimension(2 * m) + 6)
+    cat = SeriesCatalog(e_star_order(m))
     assert decompose_modular(cat.level2(m), 2 * m, cat).as_poly() == e_star_poly(m)
 
 
