@@ -1,10 +1,10 @@
 """Divisor-sum functions, the tau function, and lattice-count oracles.
 
 The divisor sums carry the n = 0 boundary conventions that make the
-convolution identities hold at every index; the catalog's divisor-sum series
-keep them, while the Eisenstein-series constructors never use them (their
-constant terms are hard-coded).  The enumeration oracles are deliberately
-independent of all series code.
+convolution identities hold at every index.  The catalog's divisor-sum series
+keep them, and its Eisenstein series are those series scaled by the
+reciprocals of the conventions, so their constant terms come out as 1.  The
+enumeration oracles are deliberately independent of all series code.
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 """Constructors for the named q-series: E_{2k}, E*_{2k}, delta, theta3, C, D,
 and the divisor-sum series sum sigma_s(n) q^n and sum sigma*_s(n) q^n.
 
-Level 1 series use the classical divisor sums, level 2 series the signed
-ones.  Constant terms are hard-coded to 1 (or 0 for the cusp forms); the
-normalizing constants multiply the divisor-sum tables directly.  The
-divisor-sum series keep the n = 0 convention values of ``arith`` as their
-constant terms, so the convolution identities hold from n = 0.  The
-discriminant and the quotient series carry built-in cross-checks between
-independent construction routes.
+Each series is built once, from its defining expansion.  The divisor-sum
+series keep the n = 0 convention values of ``arith`` as their constant
+terms, so the convolution identities hold from n = 0, and each Eisenstein
+series is one of them times its normalizing constant: E = c S at level 1
+and E* = c S* at level 2, whose constant term c S(0) is 1.  C is built from
+the odd divisor sums.  The discriminant, C and D carry built-in
+cross-checks between independent construction routes, and none of them
+divides.
 """
 
 from __future__ import annotations
@@ -101,36 +102,22 @@ class SeriesCatalog:
             [arith.sigma_star(s, n) for n in range(self.order + 1)]))
 
     def level1(self, k: int) -> QSeries:
-        """E_{2k} = 1 - (4k/B_{2k}) sum sigma_{2k-1}(n) q^n; E_0 = 1."""
+        """E_{2k} = level1_constant(k) sum sigma_{2k-1}(n) q^n; E_0 = 1."""
         if k < 0:
             raise ValueError("k must be nonnegative")
         if k == 0:
             return QSeries.one(self.order)
-
-        def build() -> QSeries:
-            c = level1_constant(k)
-            s = 2 * k - 1
-            coeffs = [Fraction(1)]
-            coeffs += [c * arith.sigma(s, n) for n in range(1, self.order + 1)]
-            return QSeries(coeffs)
-
-        return self._memo(f"E{2 * k}", build)
+        return self._memo(f"E{2 * k}",
+                          lambda: self.sigma(2 * k - 1).scale(level1_constant(k)))
 
     def level2(self, k: int) -> QSeries:
-        """E*_{2k} from the signed divisor sums; E*_0 = 1."""
+        """E*_{2k} = level2_constant(k) sum sigma*_{2k-1}(n) q^n; E*_0 = 1."""
         if k < 0:
             raise ValueError("k must be nonnegative")
         if k == 0:
             return QSeries.one(self.order)
-
-        def build() -> QSeries:
-            c = level2_constant(k)
-            s = 2 * k - 1
-            coeffs = [Fraction(1)]
-            coeffs += [c * arith.sigma_star(s, n) for n in range(1, self.order + 1)]
-            return QSeries(coeffs)
-
-        return self._memo(f"E{2 * k}star", build)
+        return self._memo(f"E{2 * k}star",
+                          lambda: self.sigma_star(2 * k - 1).scale(level2_constant(k)))
 
     def delta(self) -> QSeries:
         """The discriminant cusp form, built three ways and cross-checked.
@@ -167,18 +154,16 @@ class SeriesCatalog:
         return self._memo("theta3", build)
 
     def C(self) -> QSeries:
-        """The weight-2 quotient E*_6/E*_4, cross-checked against odd divisor sums."""
+        """The weight-2 form C = E*_6/E*_4 = 1 + 24 sum sigma#(n) q^n, built
+        from the odd divisor sums and cross-checked by C E*_4 = E*_6."""
 
         def build() -> QSeries:
-            series = self.level2(3) * self.level2(2).invert()
-            expected = QSeries(
-                [Fraction(1)]
-                + [24 * arith.sigma_sharp(n) for n in range(1, self.order + 1)]
-            )
-            diff = first_difference(series, expected)
+            series = QSeries([1] + [24 * arith.sigma_sharp(n)
+                                    for n in range(1, self.order + 1)])
+            diff = first_difference(series * self.level2(2), self.level2(3))
             if diff is not None:
-                raise CrossCheckMismatch("C", diff[0], "E6*/E4*",
-                                         "1+24*sum sharp(n) q^n", diff[1], diff[2])
+                raise CrossCheckMismatch("C", diff[0], "(1+24*sum sharp(n) q^n)*E4*",
+                                         "E6*", diff[1], diff[2])
             return series
 
         return self._memo("C", build)

@@ -609,20 +609,24 @@ def _delta_family(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     cat = ws.catalog
     a = cat.level2(1)
     c = cat.C()
-    members = [
-        c * c,
-        cat.level2(2),
-        cat.level2(4) * cat.level2(2).invert(),
-        cat.level2(5) * cat.level2(3).invert(),
-        cat.level1(2),
-    ]
 
     def delta4(s: QSeries) -> QSeries:
         return s.theta() - a * s
 
-    image = delta4(members[0])
-    for other in members[1:]:
-        d = first_difference(image, delta4(other))
+    image = delta4(c * c)
+
+    def cleared(num: QSeries, den: QSeries) -> tuple[QSeries, QSeries]:
+        # image = delta4(N/G) as image G^2 = theta N G - N theta G - A N G
+        return image * den * den, num.theta() * den - num * den.theta() - a * num * den
+
+    b = cat.level2(2)
+    for lhs, rhs in (
+        (image, delta4(b)),
+        cleared(cat.level2(4), b),
+        cleared(cat.level2(5), cat.level2(3)),
+        (image, delta4(cat.level1(2))),
+    ):
+        d = first_difference(lhs, rhs)
         if d:
             return d
     return None
@@ -867,8 +871,11 @@ def registry_ids() -> list[str]:
     return sorted(REGISTRY, key=_natural_key)
 
 
+_DIGITS = re.compile(r"(\d+)")
+
+
 def _natural_key(s: str):
-    return [int(t) if t.isdigit() else t for t in re.split(r"(\d+)", s)]
+    return [int(t) if t.isdigit() else t for t in _DIGITS.split(s)]
 
 
 def resolve_ids(target: str) -> list[str]:

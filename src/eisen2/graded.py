@@ -449,7 +449,8 @@ def e_star_poly(m: int, catalog: Optional[SeriesCatalog] = None) -> GradedPoly:
     divisor-sum q-expansion on the catalog's whole range; the basis is
     independent, so that agreement fixes every coordinate.  Each level, from
     E*_4 = B upward, is memoized as ``E{2m}star_poly`` in the catalog it was
-    compared on; with none given, a fresh one of order ``e_star_order(m)``.
+    compared on; with none given, a fresh one of order ``e_star_order(m)``,
+    rebuilt on every call.  A caller judging many levels passes one catalog.
     """
     if m < 2:
         raise ValueError("defined for m >= 2")
@@ -470,7 +471,8 @@ def check_positivity(m: int, catalog: Optional[SeriesCatalog] = None) -> bool:
 
     Every monomial must have a strictly positive coefficient, B-exponent at
     least 1, no A-exponent, and weight exactly 2m.  The polynomial is
-    ``e_star_poly(m, catalog)``, so it is compared on that catalog.
+    ``e_star_poly(m, catalog)``, so it is compared on that catalog.  Without
+    one the tower is rebuilt; a caller judging many levels passes one catalog.
     """
     poly = e_star_poly(m, catalog)
     for (a, b, c), coeff in poly.terms.items():

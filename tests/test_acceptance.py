@@ -17,6 +17,7 @@ from eisen2.graded import (
     LEVEL2,
     GradedPoly,
     check_positivity,
+    e_star_order,
     e_star_poly,
     gp_evaluate,
     serre_delta,
@@ -113,7 +114,8 @@ def test_criterion_07_polynomial_recursion_and_positivity():
         ),
     }
     decompositions = all(e_star_poly(m) == poly for m, poly in printed.items())
-    positivity = all(check_positivity(m) for m in range(2, 21))
+    cat = SeriesCatalog(e_star_order(20))
+    positivity = all(check_positivity(m, cat) for m in range(2, 21))
     _report(7, "printed weight-8/10/12 decompositions and positivity to m=20",
             decompositions and positivity)
 

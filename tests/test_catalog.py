@@ -51,7 +51,9 @@ def test_level2_series():
     assert a.coeffs[:4] == (1, 8, -8, 32)
     assert cat.level2(4).coeffs[1] == Fraction(-32, 17)
     assert cat.level2(0) == QSeries.one(8)
-    for k in range(1, 13):
+    # c S(0) = 1: the n = 0 convention values give the constant terms
+    for k in range(1, 21):
+        assert cat.level1(k).coeffs[0] == 1
         assert cat.level2(k).coeffs[0] == 1
 
 
@@ -135,6 +137,12 @@ def test_catalog_rejects_negative():
     cat = SeriesCatalog(4)
     with pytest.raises(ValueError):
         cat.level1(-1)
+
+
+def test_C_equals_the_quotient():
+    # the quotient by Newton inversion is the oracle for the sigma# route
+    cat = SeriesCatalog(64)
+    assert cat.C() == cat.level2(3) * cat.level2(2).invert()
 
 
 def test_corrupted_sharp_trips_C(monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from eisen2 import arith, checks, graded
+from eisen2 import arith, checks, cli, graded
 from eisen2.catalog import SeriesCatalog, level2_constant
 from eisen2.qseries import QSeries
 
@@ -90,18 +90,23 @@ def _corrupt_sigma_star(monkeypatch, s=3, n=5):
 
 
 @pytest.mark.parametrize(
-    "check_id, n, expected",
+    "check_id, s, n, expected",
     [
-        pytest.param(check_id, 5, None, id=check_id)
+        pytest.param(check_id, 3, 5, None, id=check_id)
         for check_id in ("T5", "T314", "KS-DE(3)", "T9", "T10")
     ]
     # the n = 0 convention value is an input of the convolution identities
-    + [pytest.param("T5", 0, (0, Fraction(15, 16), Fraction(-1, 16)), id="T5-at-0")],
+    + [pytest.param("T5", 3, 0, (0, Fraction(15, 16), Fraction(-1, 16)), id="T5-at-0")]
+    # each quotient member of the family is compared in its cleared form
+    + [pytest.param("DELTA-FAMILY", 7, 5, None, id="DELTA-FAMILY-E8star"),
+       pytest.param("DELTA-FAMILY", 9, 5, None, id="DELTA-FAMILY-E10star")]
+    # and it gives the Eisenstein series their constant terms as well
+    + [pytest.param("KS-DE(3)", 3, 0, None, id="KS-DE(3)-at-0")],
 )
-def test_injected_corruption_localizes(monkeypatch, check_id, n, expected):
-    # an off-by-one in sigma*_3(n) must fail exactly these checks, with the
+def test_injected_corruption_localizes(monkeypatch, check_id, s, n, expected):
+    # an off-by-one in sigma*_s(n) must fail exactly these checks, with the
     # first discrepancy at the earliest affected index
-    _corrupt_sigma_star(monkeypatch, n=n)
+    _corrupt_sigma_star(monkeypatch, s=s, n=n)
     report = checks.run_check(check_id, order=12, nmax=12)
     assert report.status == "fail"
     assert report.first_discrepancy[0] == n
@@ -176,6 +181,17 @@ def test_special_forms_equal_the_derivative():
 def test_de_runners_compare_the_special_form(monkeypatch, name, check_id):
     monkeypatch.setattr(checks, name, lambda m, cat: QSeries.zero(cat.order))
     assert checks.run_check(check_id, order=12).status == "fail"
+
+
+def test_no_check_or_constructor_divides(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("QSeries.invert called")
+
+    monkeypatch.setattr(QSeries, "invert", refuse)
+    reports = checks.run_all(order=16, nmax=30, mmax=6)
+    assert [r.id for r in reports if r.status != "pass"] == []
+    for name in ("C", "D", "delta8"):
+        assert cli.main(["export", name]) == 0
 
 
 def test_failing_line_format(monkeypatch):
