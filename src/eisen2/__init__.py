@@ -15,16 +15,7 @@ from .arith import (
     sigma_star,
     tau_table,
 )
-from .catalog import (
-    CrossCheckMismatch,
-    SeriesCatalog,
-    discriminant,
-    eisenstein_level1,
-    eisenstein_level2,
-    series_C,
-    series_D,
-    theta3,
-)
+from .catalog import CrossCheckMismatch, SeriesCatalog
 from .graded import (
     BasisDecomposition,
     GradedPoly,
@@ -54,24 +45,18 @@ __all__ = [
     "check_scalar_recursion",
     "decompose_modular",
     "delta8_oracle",
-    "discriminant",
     "e_star_poly",
-    "eisenstein_level1",
-    "eisenstein_level2",
     "first_difference",
     "gp_evaluate",
     "lambda_even",
     "qs_det",
     "r_count",
     "r_oracle",
-    "series_C",
-    "series_D",
     "serre_delta",
     "serre_partial",
     "sigma",
     "sigma_sharp",
     "sigma_star",
     "tau_table",
-    "theta3",
     "zeta_even",
 ]

@@ -3,8 +3,10 @@
 The divisor sums carry the n = 0 boundary conventions that make the
 convolution identities hold at every index.  The catalog's divisor-sum series
 keep them, and its Eisenstein series are those series scaled by the
-reciprocals of the conventions, so their constant terms come out as 1.  The
-enumeration oracles are deliberately independent of all series code.
+reciprocals of the conventions, so their constant terms come out as 1.
+``tau_table`` and ``r_count`` read their values off a ``SeriesCatalog``; no
+check uses them.  The enumeration oracles are deliberately independent of
+all series code.
 """
 
 from __future__ import annotations
@@ -99,26 +101,25 @@ def sigma_sharp(n: int) -> int:
 def tau_table(N: int) -> ArithTable:
     """Coefficients of the weight-12 discriminant cusp form, tau(0..N).
 
-    The eta-product expansion of q prod (1-q^n)^24 is the table of record;
-    it is cross-checked against the two Eisenstein routes by the series
-    catalog, which raises CrossCheckMismatch on any disagreement.
+    The table is ``SeriesCatalog(N).delta()``: the eta-product expansion of
+    q prod (1-q^n)^24, cross-checked against the two Eisenstein routes, which
+    raises CrossCheckMismatch on any disagreement.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    from .catalog import discriminant
+    from . import catalog
 
-    delta = discriminant(N)
-    return ArithTable("tau", delta.coeffs)
+    return ArithTable("tau", catalog.SeriesCatalog(N).delta().coeffs)
 
 
 def r_count(s: int, N: int) -> ArithTable:
-    """Representation counts r_s(0..N): coefficients of the s-th theta power."""
+    """Representation counts r_s(0..N): the coefficients of theta3^s, the
+    catalog's memoized power ``SeriesCatalog(N).power("theta3", s)``."""
     if s < 1:
         raise ValueError("s must be positive")
-    from .catalog import theta3
+    from . import catalog
 
-    series = theta3(N) ** s
-    return ArithTable(f"r{s}", series.coeffs)
+    return ArithTable(f"r{s}", catalog.SeriesCatalog(N).power("theta3", s).coeffs)
 
 
 @lru_cache(maxsize=None)

@@ -1,18 +1,22 @@
-"""Constructors for the named q-series: E_{2k}, E*_{2k}, delta, theta3, C, D,
-and the divisor-sum series sum sigma_s(n) q^n and sum sigma*_s(n) q^n.
+"""The one route to the named q-series: E_{2k}, E*_{2k}, delta, theta3, C, D,
+the divisor-sum series sum sigma_s(n) q^n and sum sigma*_s(n) q^n, and the
+powers of any of them.
 
-Each series is built once, from its defining expansion.  The divisor-sum
-series keep the n = 0 convention values of ``arith`` as their constant
-terms, so the convolution identities hold from n = 0, and each Eisenstein
-series is one of them times its normalizing constant: E = c S at level 1
-and E* = c S* at level 2, whose constant term c S(0) is 1.  C is built from
-the odd divisor sums.  The discriminant, C and D carry built-in
-cross-checks between independent construction routes, and none of them
-divides.
+A ``SeriesCatalog`` names, builds and memoizes every series at one order.
+``by_name`` resolves every export name, and ``power`` builds each power by
+one product from the powers already memoized.  Each series is built once,
+from its defining expansion.  The divisor-sum series keep the n = 0
+convention values of ``arith`` as their constant terms, so the convolution
+identities hold from n = 0, and each Eisenstein series is one of them times
+its normalizing constant: E = c S at level 1 and E* = c S* at level 2, whose
+constant term c S(0) is 1.  C is built from the odd divisor sums.  The
+discriminant, C and D carry built-in cross-checks between independent
+construction routes, and none of them divides.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -25,12 +29,6 @@ __all__ = [
     "SeriesCatalog",
     "level1_constant",
     "level2_constant",
-    "eisenstein_level1",
-    "eisenstein_level2",
-    "discriminant",
-    "theta3",
-    "series_C",
-    "series_D",
 ]
 
 
@@ -74,6 +72,10 @@ def _eta24(order: int) -> list[int]:
     for _ in range(3):
         prod = int_mul(prod, prod, order)
     return prod
+
+
+# the numbered export names: E<2k>[star], sigma<odd s>[star] and r<s>
+_NAME = re.compile(r"(E|sigma|r)(\d+)(star)?")
 
 
 class SeriesCatalog:
@@ -128,10 +130,9 @@ class SeriesCatalog:
 
         def build() -> QSeries:
             eta_route = QSeries([0] + _eta24(self.order)[: self.order])
-            e4, e6 = self.level1(2), self.level1(3)
-            level1_route = (e4**3 - e6**2).scale(Fraction(1, 1728))
-            b, bstar6 = self.level2(2), self.level2(3)
-            level2_route = (b**3 - bstar6**2).scale(Fraction(-1, 64))
+            power = self.power
+            level1_route = (power("E4", 3) - power("E6", 2)).scale(Fraction(1, 1728))
+            level2_route = (power("E4star", 3) - power("E6star", 2)).scale(Fraction(-1, 64))
             for other, label in ((level1_route, "(E4^3-E6^2)/1728"),
                                  (level2_route, "-(E4*^3-E6*^2)/64")):
                 diff = first_difference(eta_route, other)
@@ -186,67 +187,48 @@ class SeriesCatalog:
         return self._memo("D", build)
 
     def power(self, name: str, e: int) -> QSeries:
-        """The series ``by_name(name)`` to the power e >= 0.
+        """The series ``by_name(name)`` to the power e >= 0, memoized.
 
-        Powers are built upward one multiplication at a time from the highest
-        one already memoized, and each is memoized on the way.
+        Each power is one product: the power e - 1 times the base when e is
+        odd or the power e - 1 is memoized, and otherwise the square of the
+        power e/2.  So ascending powers cost one product each, and a lone
+        power e at most 2 log2(e).
         """
         if e < 0:
             raise ValueError("negative powers are not defined; invert first")
         if e == 0:
             return QSeries.one(self.order)
         base = self.by_name(name)
-        k = e
-        while k > 1 and f"{name}^{k}" not in self._cache:
-            k -= 1
-        series = self._cache[f"{name}^{k}"] if k > 1 else base
-        for k in range(k + 1, e + 1):
-            series = self._cache[f"{name}^{k}"] = series * base
-        return series
+        if e == 1:
+            return base
+
+        def build() -> QSeries:
+            if e % 2 or f"{name}^{e - 1}" in self._cache:
+                return self.power(name, e - 1) * base
+            half = self.power(name, e // 2)
+            return half * half
+
+        return self._memo(f"{name}^{e}", build)
 
     def by_name(self, name: str) -> QSeries:
-        """Resolve a series by its export name, e.g. "E4", "E10star", "D"."""
-        if name == "delta":
-            return self.delta()
-        if name == "theta3":
-            return self.theta3()
-        if name == "C":
-            return self.C()
-        if name == "D":
-            return self.D()
-        if name.startswith("E"):
-            body = name[1:]
-            star = body.endswith("star")
-            if star:
-                body = body[: -len("star")]
-            if body.isdigit() and int(body) % 2 == 0:
-                k = int(body) // 2
-                return self.level2(k) if star else self.level1(k)
+        """Resolve a series by its export name.
+
+        The names are delta, theta3, C, D, E<2k> and E<2k>star (the level-1
+        and level-2 Eisenstein series), sigma<odd s> and sigma<odd s>star
+        (the divisor-sum series) and r<s> for s >= 1 (theta3^s, whose
+        coefficients count representations as sums of s squares).  Numbers
+        may carry leading zeros.
+        """
+        if name in ("delta", "theta3", "C", "D"):
+            return getattr(self, name)()
+        m = _NAME.fullmatch(name)
+        if m:
+            kind, number, star = m.groups()
+            n = int(number)
+            if kind == "E" and n % 2 == 0:
+                return self.level2(n // 2) if star else self.level1(n // 2)
+            if kind == "sigma" and n % 2 == 1:
+                return self.sigma_star(n) if star else self.sigma(n)
+            if kind == "r" and not star and n >= 1:
+                return self.power("theta3", n)
         raise KeyError(f"unknown series name {name!r}")
-
-
-# module-level convenience wrappers: each call builds a fresh catalog
-
-
-def eisenstein_level1(k: int, order: int) -> QSeries:
-    return SeriesCatalog(order).level1(k)
-
-
-def eisenstein_level2(k: int, order: int) -> QSeries:
-    return SeriesCatalog(order).level2(k)
-
-
-def discriminant(order: int) -> QSeries:
-    return SeriesCatalog(order).delta()
-
-
-def theta3(order: int) -> QSeries:
-    return SeriesCatalog(order).theta3()
-
-
-def series_C(order: int) -> QSeries:
-    return SeriesCatalog(order).C()
-
-
-def series_D(order: int) -> QSeries:
-    return SeriesCatalog(order).D()

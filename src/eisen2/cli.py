@@ -16,10 +16,9 @@ import re
 import sys
 from typing import Optional
 
-from . import arith, checks
-from .catalog import SeriesCatalog, series_D
+from . import checks
+from .catalog import SeriesCatalog
 from .graded import ResidualMismatch, decompose_modular, e_star_poly
-from .qseries import rational_str
 
 __all__ = ["main", "UnknownName"]
 
@@ -28,34 +27,19 @@ class UnknownName(KeyError):
     """The export name matches no series, table, or polynomial."""
 
 
-_SERIES_FIXED = ("delta", "theta3", "C", "D")
-
-
 def _export_values(name: str, order: int) -> list[str]:
     """Resolve an export name to its exact-rational value strings.
 
-    Series names: E<2k>, E<2k>star, delta, theta3, C, D.
-    Table names: tau, delta8, r<s>, sigma<odd s>, sigma<odd s>star.
+    ``delta8`` is D shifted down by one, ``tau`` is the discriminant, and
+    every other name is resolved by ``SeriesCatalog.by_name``: E<2k>,
+    E<2k>star, delta, theta3, C, D, r<s>, sigma<odd s> and sigma<odd s>star.
     """
-    if name in _SERIES_FIXED or re.fullmatch(r"E\d+(star)?", name):
-        cat = SeriesCatalog(order)
-        try:
-            return cat.by_name(name).to_strings()
-        except KeyError as exc:
-            raise UnknownName(name) from exc
-    if name == "tau":
-        return [rational_str(v) for v in arith.tau_table(order).values]
     if name == "delta8":
-        return [rational_str(v) for v in series_D(order + 1).coeffs[1:]]
-    m = re.fullmatch(r"r(\d+)", name)
-    if m and int(m.group(1)) >= 1:
-        return [rational_str(v) for v in arith.r_count(int(m.group(1)), order).values]
-    m = re.fullmatch(r"sigma(\d+)(star)?", name)
-    if m and int(m.group(1)) % 2 == 1:
-        s = int(m.group(1))
-        fn = arith.sigma_star if m.group(2) else arith.sigma
-        return [rational_str(fn(s, n)) for n in range(order + 1)]
-    raise UnknownName(name)
+        return SeriesCatalog(order + 1).D().to_strings()[1:]
+    try:
+        return SeriesCatalog(order).by_name("delta" if name == "tau" else name).to_strings()
+    except KeyError as exc:
+        raise UnknownName(name) from exc
 
 
 def _format_table(name: str, order: int, values: list[str], fmt: str) -> str:
@@ -227,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec = sub.add_parser(
         "decompose", help="coordinates of a series over the modular monomial basis"
     )
-    p_dec.add_argument("name")
+    p_dec.add_argument("name", help="series name, resolved as for export")
     p_dec.add_argument("--weight", type=int, required=True)
     p_dec.add_argument("--order", type=int, default=None)
     p_dec.add_argument("--format", choices=("json", "csv"), default="json")

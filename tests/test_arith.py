@@ -76,9 +76,9 @@ def test_delta8_oracle():
     assert arith.delta8_oracle(1) == 8
     assert arith.delta8_oracle(2) == 28
     # matches the series route through the weight-4 kernel form
-    from eisen2.catalog import series_D
+    from eisen2.catalog import SeriesCatalog
 
-    d = series_D(51)
+    d = SeriesCatalog(51).D()
     for n in range(50):
         assert d.coeffs[n + 1] == arith.delta8_oracle(n)
 

@@ -7,14 +7,8 @@ from eisen2.catalog import (
     CrossCheckMismatch,
     SeriesCatalog,
     _eta24,
-    discriminant,
-    eisenstein_level1,
-    eisenstein_level2,
     level1_constant,
     level2_constant,
-    series_C,
-    series_D,
-    theta3,
 )
 from eisen2.qseries import QSeries
 
@@ -58,14 +52,14 @@ def test_level2_series():
 
 
 def test_discriminant_spot_values():
-    d = discriminant(8)
+    d = SeriesCatalog(8).delta()
     assert d.coeffs[0] == 0
     assert d.coeffs[1] == 1
     assert d.coeffs[3] == 252
 
 
 def test_theta3_pattern():
-    t = theta3(17)
+    t = SeriesCatalog(17).theta3()
     assert t.coeffs[0] == 1
     assert t.coeffs[4] == 2
     assert t.coeffs[16] == 2
@@ -74,7 +68,7 @@ def test_theta3_pattern():
 
 
 def test_series_C_values():
-    c = series_C(12)
+    c = SeriesCatalog(12).C()
     assert c.coeffs[0] == 1
     assert c.coeffs[1] == 24
     assert c.coeffs[2] == 24
@@ -82,7 +76,7 @@ def test_series_C_values():
 
 
 def test_series_D_values():
-    d = series_D(12)
+    d = SeriesCatalog(12).D()
     assert d.coeffs[0] == 0
     assert d.coeffs[1] == 1
     assert d.coeffs[2] == 8
@@ -116,8 +110,8 @@ def test_level_bridge_relations():
 def test_memoization_and_truncation():
     cat = SeriesCatalog(16)
     assert cat.level2(2) is cat.level2(2)
-    assert eisenstein_level2(2, 10).order == 10
-    assert eisenstein_level1(2, 5) == eisenstein_level1(2, 40).truncate(5)
+    assert SeriesCatalog(10).level2(2).order == 10
+    assert SeriesCatalog(5).level1(2) == SeriesCatalog(40).level1(2).truncate(5)
 
 
 def test_by_name():
@@ -126,9 +120,63 @@ def test_by_name():
     assert cat.by_name("E10star") == cat.level2(5)
     assert cat.by_name("delta") == cat.delta()
     assert cat.by_name("C") == cat.C()
-    for bad in ("E3", "Q", "E4sta", "tau"):
+    # numbers may carry leading zeros, as the CLI has always accepted them
+    assert cat.by_name("E04") is cat.level1(2)
+    assert cat.by_name("sigma011") is cat.sigma(11)
+    assert cat.by_name("sigma03star") is cat.sigma_star(3)
+    assert cat.by_name("r024") is cat.power("theta3", 24)
+    for bad in ("E3", "Q", "E4sta", "tau", "sigma2", "sigma0", "r0", "sigma3starx",
+                "r4star", "sigma", "r", "E\u00b2"):
         with pytest.raises(KeyError):
             cat.by_name(bad)
+
+
+@pytest.mark.parametrize("s", [1, 3, 5, 7, 11, 13])
+def test_by_name_resolves_the_divisor_sums(s):
+    cat = SeriesCatalog(40)
+    assert cat.by_name(f"sigma{s}").coeffs == tuple(arith.sigma(s, n) for n in range(41))
+    assert cat.by_name(f"sigma{s}star").coeffs == tuple(
+        arith.sigma_star(s, n) for n in range(41)
+    )
+
+
+def test_by_name_resolves_the_theta_powers():
+    cat = SeriesCatalog(8)
+    for s in (2, 4, 6, 8, 16, 24):
+        assert cat.by_name(f"r{s}").coeffs == tuple(arith.r_oracle(s, n) for n in range(9))
+    assert cat.by_name("r1") is cat.theta3()
+
+
+def _count_products(monkeypatch) -> list:
+    calls = []
+    real = QSeries.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", counting)
+    return calls
+
+
+def test_a_lone_power_is_built_by_squaring(monkeypatch):
+    cat = SeriesCatalog(30)
+    calls = _count_products(monkeypatch)
+    theta24 = cat.power("theta3", 24)
+    assert len(calls) <= 5
+    # every power on the way is memoized
+    assert cat.power("theta3", 12) * cat.power("theta3", 12) == theta24
+    assert cat.power("theta3", 3) is cat.power("theta3", 3)
+
+
+def test_ascending_powers_cost_one_product_each(monkeypatch):
+    # gp_evaluate asks for consecutive powers of each generator
+    cat = SeriesCatalog(30)
+    cat.C()  # C's own cross-check is one product
+    calls = _count_products(monkeypatch)
+    for e in range(2, 21):
+        cat.power("C", e)
+    assert len(calls) == 19
 
 
 def test_catalog_rejects_negative():

@@ -194,6 +194,17 @@ def test_no_check_or_constructor_divides(monkeypatch, capsys):
         assert cli.main(["export", name]) == 0
 
 
+def test_every_power_goes_through_the_catalog(monkeypatch, capsys):
+    def refuse(self, e):
+        raise AssertionError("QSeries.__pow__ called")
+
+    monkeypatch.setattr(QSeries, "__pow__", refuse)
+    reports = checks.run_all(order=16, nmax=30, mmax=6)
+    assert [r.id for r in reports if r.status != "pass"] == []
+    for name in ("r4", "r24", "tau", "delta", "E12star"):
+        assert cli.main(["export", name]) == 0
+
+
 def test_failing_line_format(monkeypatch):
     _corrupt_sigma_star(monkeypatch)
     report = checks.run_check("T5", nmax=12)

@@ -178,6 +178,20 @@ def test_decompose_non_modular_reports_one_line(capsys):
     assert err.count("\n") == 1 and "not modular" in err
 
 
+def test_decompose_resolves_the_export_names(capsys):
+    # decompose and export share SeriesCatalog.by_name: S*_3 is E*_4 / 16
+    code, out, err = run_cli(
+        capsys, "decompose", "sigma3star", "--weight", "4", "--format", "csv"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["a,b,c,value", "0,1,0,-1/16"]
+    # theta3^8 is a form on the smaller group Gamma0(4), outside the B, C basis
+    code, out, err = run_cli(capsys, "decompose", "r8", "--weight", "4")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "not modular" in err
+
+
 def test_verify_table_below_its_range(capsys):
     # TABLE2 covers n = 0..4 even when the range checks stop below that
     code, out, _ = run_cli(capsys, "verify", "TABLE2", "--nmax", "3")

@@ -26,7 +26,7 @@ from eisen2.graded import (
     serre_partial,
 )
 from eisen2.qseries import QSeries
-from eisen2.scalars import ks_alpha, ks_coefficient
+from eisen2.scalars import ks_alpha, ks_coefficient, rs_coefficient
 
 LAW_RUNS = 110
 
@@ -562,11 +562,40 @@ def test_catalog_power_matches_repeated_squaring():
         cat.power("C", -1)
 
 
+def _repeated_product(base: QSeries, e: int) -> QSeries:
+    result = QSeries.one(base.order)
+    for _ in range(e):
+        result = result * base
+    return result
+
+
+@pytest.mark.parametrize("request_order", ["descending", "shuffled"])
+def test_catalog_power_in_any_request_order(request_order):
+    # which powers are already memoized decides how each one is built
+    exps = list(range(1, 26))
+    if request_order == "descending":
+        exps.reverse()
+    else:
+        random.Random(8).shuffle(exps)
+    for name in ("C", "theta3"):
+        cat = SeriesCatalog(20)
+        base = cat.by_name(name)
+        for e in exps:
+            assert cat.power(name, e) == _repeated_product(base, e), (name, e)
+
+
 def test_ks_coefficient_is_symmetric():
     # e_star_poly takes the k and m-k convolution terms as one product
     for m in range(3, 41):
         for k in range(1, m):
             assert ks_coefficient(m, k) == ks_coefficient(m, m - k)
+
+
+def test_rs_coefficient_is_symmetric():
+    # RS-DE and KS-DE take the k and m-k convolution terms as one product
+    for m in range(2, 41):
+        for k in range(1, m):
+            assert rs_coefficient(m, k) == rs_coefficient(m, m - k)
 
 
 def test_e_star_poly_matches_the_unpaired_fraction_recursion():
