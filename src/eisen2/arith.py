@@ -1,12 +1,16 @@
 """Divisor-sum functions, the tau function, and lattice-count oracles.
 
 The divisor sums carry the n = 0 boundary conventions that make the
-convolution identities hold at every index.  The catalog's divisor-sum series
-keep them, and its Eisenstein series are those series scaled by the
-reciprocals of the conventions, so their constant terms come out as 1.
-``tau_table`` and ``r_count`` read their values off a ``SeriesCatalog``; no
-check uses them.  The enumeration oracles are deliberately independent of
-all series code.
+convolution identities hold at every index.  ``divisor_sum_table`` sieves a
+whole range of them at once in integers, and the catalog builds every
+divisor-sum series from it: the series keep the conventions, and its
+Eisenstein series are those series scaled by the reciprocals of the
+conventions, so their constant terms come out as 1.  The per-n functions
+``divisors``, ``sigma``, ``sigma_star`` and ``sigma_sharp`` work by trial
+division; they are the independent oracles the sieve is tested against, and
+JACOBI reads divisor lists from ``divisors``.  ``tau_table`` and ``r_count``
+read their values off a ``SeriesCatalog``; no check uses them.  The
+enumeration oracles are deliberately independent of all series code.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ __all__ = [
     "sigma",
     "sigma_star",
     "sigma_sharp",
+    "divisor_sum_table",
     "tau_table",
     "r_count",
     "r_oracle",
@@ -96,6 +101,39 @@ def sigma_star(s: int, n: int) -> Fraction:
 def sigma_sharp(n: int) -> int:
     """Sum of the odd divisors of n >= 1."""
     return sum(d for d in divisors(n) if d % 2)
+
+
+# the sign of an even divisor's term in each sieved divisor sum
+_EVEN_SIGN = {"sigma": 1, "sigma_star": -1, "sigma_sharp": 0}
+
+
+def divisor_sum_table(kind: str, s: int, N: int) -> list:
+    """The divisor sums f(0), ..., f(N) of one kind, by a sieve over multiples.
+
+    The kinds are "sigma" (sigma_s), "sigma_star" (sigma*_s, even divisors
+    negative) and "sigma_sharp" (the odd divisors only, so s = 1 gives
+    ``sigma_sharp``), for odd s >= 1.  Each term +-d^s is computed once and
+    added to the slots of all multiples of d, about N ln N integer additions
+    in all.  Slots 1..N are ints.  Slot 0 holds the n = 0 convention
+    (1 - c 2^s) sigma_s(0), with sigma_s(0) = -B_{s+1}/(2s+2) and c = 0, 2, 1
+    for the three kinds, so the dilation identities
+    sigma*_s(n) = sigma_s(n) - 2^(s+1) sigma_s(n/2) and
+    sigma#_s(n) = sigma_s(n) - 2^s sigma_s(n/2) hold at n = 0 too.
+    """
+    if kind not in _EVEN_SIGN:
+        raise ValueError(f"unknown divisor-sum kind {kind!r}")
+    if s < 1 or s % 2 == 0:
+        raise ValueError("s must be an odd positive integer")
+    if N < 0:
+        raise ValueError("N must be nonnegative")
+    even_sign = _EVEN_SIGN[kind]
+    table = [0] * (N + 1)
+    for d in range(1, N + 1):
+        w = d**s if d % 2 else even_sign * d**s
+        if w:
+            table[d::d] = [x + w for x in table[d::d]]
+    table[0] = (1 - (1 - even_sign) * 2**s) * -bernoulli(s + 1) / (2 * s + 2)
+    return table
 
 
 def tau_table(N: int) -> ArithTable:

@@ -5,13 +5,15 @@ powers of any of them.
 A ``SeriesCatalog`` names, builds and memoizes every series at one order.
 ``by_name`` resolves every export name, and ``power`` builds each power by
 one product from the powers already memoized.  Each series is built once,
-from its defining expansion.  The divisor-sum series keep the n = 0
-convention values of ``arith`` as their constant terms, so the convolution
-identities hold from n = 0, and each Eisenstein series is one of them times
-its normalizing constant: E = c S at level 1 and E* = c S* at level 2, whose
-constant term c S(0) is 1.  C is built from the odd divisor sums.  The
-discriminant, C and D carry built-in cross-checks between independent
-construction routes, and none of them divides.
+from its defining expansion.  The divisor-sum series are sieved in integers
+by ``arith.divisor_sum_table`` and keep its n = 0 convention values as their
+constant terms, so the convolution identities hold from n = 0; the per-n
+``arith`` functions are left as the oracles the tests hold them to.  Each
+Eisenstein series is one of the divisor-sum series times its normalizing
+constant: E = c S at level 1 and E* = c S* at level 2, whose constant term
+c S(0) is 1.  C is 24 times the sieved odd divisor sums.  The discriminant,
+C and D carry built-in cross-checks between independent construction routes,
+and none of them divides.
 """
 
 from __future__ import annotations
@@ -93,15 +95,21 @@ class SeriesCatalog:
             series = self._cache[key] = build()
         return series
 
+    def _sieved(self, kind: str, s: int) -> QSeries:
+        """The series of ``arith.divisor_sum_table(kind, s, order)``, whose
+        terms past the constant are integers over its denominator."""
+        table = arith.divisor_sum_table(kind, s, self.order)
+        zero = Fraction(table[0])
+        den = zero.denominator
+        return QSeries._make([zero.numerator] + [den * x for x in table[1:]], den)
+
     def sigma(self, s: int) -> QSeries:
         """sum sigma_s(n) q^n for n = 0..order, with the n = 0 convention."""
-        return self._memo(f"sigma{s}", lambda: QSeries(
-            [arith.sigma(s, n) for n in range(self.order + 1)]))
+        return self._memo(f"sigma{s}", lambda: self._sieved("sigma", s))
 
     def sigma_star(self, s: int) -> QSeries:
         """sum sigma*_s(n) q^n for n = 0..order, with the n = 0 convention."""
-        return self._memo(f"sigma{s}star", lambda: QSeries(
-            [arith.sigma_star(s, n) for n in range(self.order + 1)]))
+        return self._memo(f"sigma{s}star", lambda: self._sieved("sigma_star", s))
 
     def level1(self, k: int) -> QSeries:
         """E_{2k} = level1_constant(k) sum sigma_{2k-1}(n) q^n; E_0 = 1."""
@@ -126,13 +134,17 @@ class SeriesCatalog:
 
         Routes: the eta product q prod (1-q^n)^24, the level-1 expression
         (E_4^3 - E_6^2)/1728, and the level-2 expression -(E*_4^3 - E*_6^2)/64.
+        The integer eta product is kept, so the denominator is 1.  The
+        powers of the two polynomial routes are not memoized: nothing reads
+        them after the cross-check.
         """
 
         def build() -> QSeries:
             eta_route = QSeries([0] + _eta24(self.order)[: self.order])
-            power = self.power
-            level1_route = (power("E4", 3) - power("E6", 2)).scale(Fraction(1, 1728))
-            level2_route = (power("E4star", 3) - power("E6star", 2)).scale(Fraction(-1, 64))
+            e4, e6 = self.level1(2), self.level1(3)
+            level1_route = (e4 * e4 * e4 - e6 * e6).scale(Fraction(1, 1728))
+            e4, e6 = self.level2(2), self.level2(3)
+            level2_route = (e4 * e4 * e4 - e6 * e6).scale(Fraction(-1, 64))
             for other, label in ((level1_route, "(E4^3-E6^2)/1728"),
                                  (level2_route, "-(E4*^3-E6*^2)/64")):
                 diff = first_difference(eta_route, other)
@@ -156,11 +168,11 @@ class SeriesCatalog:
 
     def C(self) -> QSeries:
         """The weight-2 form C = E*_6/E*_4 = 1 + 24 sum sigma#(n) q^n, built
-        from the odd divisor sums and cross-checked by C E*_4 = E*_6."""
+        as 24 times the sieved odd divisor sums, whose n = 0 convention is
+        1/24, and cross-checked by C E*_4 = E*_6."""
 
         def build() -> QSeries:
-            series = QSeries([1] + [24 * arith.sigma_sharp(n)
-                                    for n in range(1, self.order + 1)])
+            series = self._sieved("sigma_sharp", 1).scale(24)
             diff = first_difference(series * self.level2(2), self.level2(3))
             if diff is not None:
                 raise CrossCheckMismatch("C", diff[0], "(1+24*sum sharp(n) q^n)*E4*",

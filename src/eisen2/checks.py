@@ -369,13 +369,15 @@ def _t8(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     scope="range",
 )
 def _c1(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
-    s3 = ws.sigma_range(3, ws.nmax).coeffs
-    s5 = ws.sigma_range(5, ws.nmax).coeffs
-    tau = ws.tau_range(ws.nmax).coeffs
-    for n in range(ws.nmax + 1):
-        diff = tau[n] - Fraction(n, 12) * (5 * s3[n] + 7 * s5[n])
-        if diff.denominator != 1 or diff.numerator % 70 != 0:
-            return (n, diff, Fraction(0))
+    s3, s5 = ws.sigma_range(3, ws.nmax), ws.sigma_range(5, ws.nmax)
+    d3, d5 = s3.denominator, s5.denominator
+    tau = ws.tau_range(ws.nmax).numerators  # integral: denominator 1
+    # the difference is num/den; it lies in 70 Z exactly when 70 den | num
+    den = 12 * d3 * d5
+    for n, (t, a, b) in enumerate(zip(tau, s3.numerators, s5.numerators)):
+        num = den * t - n * (5 * a * d5 + 7 * b * d3)
+        if num % (70 * den):
+            return (n, Fraction(num, den), Fraction(0))
     return None
 
 
@@ -399,17 +401,21 @@ def _t314(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     scope="range",
 )
 def _c2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
-    s3 = ws.sigma_star_range(3, ws.nmax).coeffs
-    s5 = ws.sigma_star_range(5, ws.nmax).coeffs
-    tau = ws.tau_range(ws.nmax).coeffs
+    s3, s5 = ws.sigma_star_range(3, ws.nmax), ws.sigma_star_range(5, ws.nmax)
+    d3, d5 = s3.denominator, s5.denominator
+    tau = ws.tau_range(ws.nmax).numerators  # integral: denominator 1
+    # combo = n (3 sigma*_3(n) + sigma*_5(n)) = c/den, and the difference
+    # is num/(4 den)
+    den = d3 * d5
+    a3, a5 = s3.numerators, s5.numerators
     for n in range(1, ws.nmax + 1):
-        diff = tau[n] - Fraction(n, 4) * (3 * s3[n] + s5[n])
-        if diff.denominator != 1 or diff.numerator % 2 != 0:
-            return (n, diff, Fraction(0))
-        combo = n * (3 * s3[n] + s5[n])
-        odd_tau = tau[n].numerator % 2 != 0
-        if odd_tau != (combo.numerator % 8 == 4):
-            return (n, tau[n], combo)
+        c = n * (3 * a3[n] * d5 + a5[n] * d3)
+        num = 4 * den * tau[n] - c
+        if num % (8 * den):
+            return (n, Fraction(num, 4 * den), Fraction(0))
+        odd_tau = tau[n] % 2 != 0
+        if odd_tau != (c // gcd(c, den) % 8 == 4):
+            return (n, Fraction(tau[n]), Fraction(c, den))
     return None
 
 
@@ -656,12 +662,13 @@ def _theta_rel(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     scope="range",
 )
 def _jacobi(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+    divisor_lists = [None] + [arith.divisors(n) for n in range(1, ws.nmax + 1)]
     for s in (2, 4, 6, 8):
-        table = ws.r_table(s).coeffs
+        table = ws.r_table(s).numerators  # integral: denominator 1
         if table[0] != 1:
-            return (0, table[0], Fraction(1))
+            return (0, Fraction(table[0]), Fraction(1))
         for n in range(1, ws.nmax + 1):
-            divs = arith.divisors(n)
+            divs = divisor_lists[n]
             if s == 2:
                 expected = 4 * (
                     sum(1 for d in divs if d % 4 == 1)
@@ -682,7 +689,7 @@ def _jacobi(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
                 )
             if table[n] != expected:
                 notes.append(f"{s}-square formula")
-                return (n, table[n], Fraction(expected))
+                return (n, Fraction(table[n]), Fraction(expected))
     return None
 
 
@@ -751,15 +758,18 @@ def _t10(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     scope="range",
 )
 def _c10(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
-    r24 = ws.r_table(24).coeffs
-    r4 = ws.r_table(4).coeffs
-    conv55, conv37 = (c.coeffs for c in _conv55_conv37(ws, ws.nmax))
-    tau = ws.tau_range(ws.nmax).coeffs
+    # the theta powers and tau are integral: denominator 1
+    r24 = ws.r_table(24).numerators
+    r4 = ws.r_table(4).numerators
+    conv55, conv37 = _conv55_conv37(ws, ws.nmax)
+    c55, d55 = conv55.numerators, conv55.denominator
+    c37, d37 = conv37.numerators, conv37.denominator
+    tau = ws.tau_range(ws.nmax).numerators
     for n in range(ws.nmax + 1):
         if not (r24[n] >= r4[n] > 0):
-            return (n, r24[n], r4[n])
-        flags = (n % 2 == 1, tau[n] > conv55[n], tau[n] > conv37[n],
-                 conv55[n] > conv37[n])
+            return (n, Fraction(r24[n]), Fraction(r4[n]))
+        flags = (n % 2 == 1, tau[n] * d55 > c55[n], tau[n] * d37 > c37[n],
+                 c55[n] * d37 > c37[n] * d55)
         if len(set(flags)) != 1:
             notes.append(f"equivalence flags {flags} diverge")
             return (n, Fraction(int(flags[0])), Fraction(int(flags[1])))
@@ -779,12 +789,12 @@ def _c10(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 )
 def _tau_props(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     limit = 1000
-    tau = ws.tau_range(limit)
+    tau = ws.tau_range(limit).numerators  # integral: denominator 1
     for m in range(2, limit + 1):
         for n in range(2, limit // m + 1):
             if gcd(m, n) == 1 and tau[m * n] != tau[m] * tau[n]:
                 notes.append("multiplicativity fails")
-                return (m * n, tau[m * n], tau[m] * tau[n])
+                return (m * n, Fraction(tau[m * n]), Fraction(tau[m] * tau[n]))
     for p in arith.primes_up_to(31):
         prev, pk = 1, p
         while pk * p <= limit:
@@ -792,20 +802,24 @@ def _tau_props(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
             expected = tau[p] * tau[pk] - p**11 * tau[prev]
             if tau[nxt] != expected:
                 notes.append("prime-power recursion fails")
-                return (nxt, tau[nxt], Fraction(expected))
+                return (nxt, Fraction(tau[nxt]), Fraction(expected))
             prev, pk = pk, nxt
+    s11 = ws.catalog_at(limit).sigma(11)
+    # sigma_11(n) = s11[n]/den, and den divides 65520 (from sigma_11(0) =
+    # 691/65520), which is prime to 691
+    sigma11, den = s11.numerators, s11.denominator
     for n in range(1, limit + 1):
-        if (tau[n] - arith.sigma(11, n)).numerator % 691 != 0:
+        if (tau[n] * den - sigma11[n]) % 691 != 0:
             notes.append("691 congruence fails")
-            return (n, tau[n], arith.sigma(11, n))
+            return (n, Fraction(tau[n]), Fraction(sigma11[n], den))
     for p in arith.primes_up_to(limit):
         if tau[p] * tau[p] > 4 * p**11:
             notes.append("squared coefficient bound fails at a prime")
-            return (p, tau[p] * tau[p], Fraction(4 * p**11))
+            return (p, Fraction(tau[p] * tau[p]), Fraction(4 * p**11))
     for n in range(1, limit + 1):
         if tau[n] == 0:
             notes.append("nonvanishing fails")
-            return (n, tau[n], Fraction(1))
+            return (n, Fraction(tau[n]), Fraction(1))
     return None
 
 

@@ -3,9 +3,10 @@
 A ``QSeries`` keeps coefficients c_0..c_N for a fixed truncation order N as
 a tuple of integer numerators over one positive common denominator, reduced
 so that the denominator and all numerators have no common factor.  Every
-operation works on those integers.  ``coeffs``, ``coefficient`` and indexing
-give the coefficients as ``Fraction`` values through a view that is built on
-first use and then cached.
+operation works on those integers.  ``numerators`` and ``denominator`` give
+them read-only, for scans that stay in integers.  ``coeffs``, ``coefficient``
+and indexing give the coefficients as ``Fraction`` values through a view
+that is built on first use and then cached.
 
 Series multiplication has one kernel, Kronecker substitution (Schoenhage
 1982; Harvey, J. Symbolic Comput. 2009): the numerators of each operand are
@@ -164,6 +165,17 @@ class QSeries:
             den = self._den
             view = self._view = tuple(Fraction(x, den) for x in self._nums)
         return view
+
+    @property
+    def numerators(self) -> tuple[int, ...]:
+        """The integer numerators: c_n = numerators[n] / denominator."""
+        return self._nums
+
+    @property
+    def denominator(self) -> int:
+        """The one positive denominator, prime to the numerators taken
+        together; it is 1 exactly when every coefficient is an integer."""
+        return self._den
 
     def coefficient(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:

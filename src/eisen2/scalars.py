@@ -2,6 +2,8 @@
 
 Everything is a ``fractions.Fraction`` or a rational multiple of an even
 power of pi (``PiScaled``), so all downstream series arithmetic stays exact.
+The Bernoulli numbers, zeta(2k) and lambda(2k) are pure values, memoized per
+index; the coefficient functions built from them are not.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ __all__ = [
 ]
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]
+# zeta(2k) and lambda(2k) by k: pure values, each computed once
+_ZETA: dict[int, PiScaled] = {}
+_LAMBDA: dict[int, PiScaled] = {}
 
 
 def bernoulli(n: int) -> Fraction:
@@ -90,16 +95,22 @@ def zeta_even(k: int) -> PiScaled:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    sign = -1 if k % 2 else 1
-    coeff = Fraction(-sign * 4**k, 2) * bernoulli(2 * k) / factorial(2 * k)
-    return PiScaled(coeff, 2 * k)
+    value = _ZETA.get(k)
+    if value is None:
+        sign = -1 if k % 2 else 1
+        coeff = Fraction(-sign * 4**k, 2) * bernoulli(2 * k) / factorial(2 * k)
+        value = _ZETA[k] = PiScaled(coeff, 2 * k)
+    return value
 
 
 def lambda_even(k: int) -> PiScaled:
     """The odd-index analog (1 - 2^(-2k)) * zeta(2k)."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    return zeta_even(k) * (1 - Fraction(1, 4**k))
+    value = _LAMBDA.get(k)
+    if value is None:
+        value = _LAMBDA[k] = zeta_even(k) * (1 - Fraction(1, 4**k))
+    return value
 
 
 def check_scalar_recursion(kind: str, m: int) -> bool:

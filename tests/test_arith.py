@@ -47,6 +47,36 @@ def test_sigma_sharp():
     assert arith.sigma_sharp(15) == 24
 
 
+def _sharp_oracle(s: int, n: int):
+    # the odd divisor sum; its n = 0 convention is (1 - 2^s) sigma_s(0)
+    if n == 0:
+        return (1 - 2**s) * arith.sigma(s, 0)
+    if s == 1:
+        return arith.sigma_sharp(n)
+    return sum(d**s for d in arith.divisors(n) if d % 2)
+
+
+_ORACLES = {"sigma": arith.sigma, "sigma_star": arith.sigma_star,
+            "sigma_sharp": _sharp_oracle}
+
+
+@pytest.mark.parametrize("s", range(1, 80, 2))
+def test_divisor_sum_table_matches_the_oracles(s):
+    for kind, oracle in _ORACLES.items():
+        expected = [oracle(s, n) for n in range(1001)]
+        for N in (0, 1, 2, 48, 300, 1000):
+            table = arith.divisor_sum_table(kind, s, N)
+            assert table == expected[: N + 1], (kind, N)
+            assert all(type(x) is int for x in table[1:])
+
+
+def test_divisor_sum_table_rejects_bad_input():
+    for args in (("sigma", 2, 5), ("sigma_star", 0, 5), ("sigma", 3, -1),
+                 ("sigma_odd", 3, 5)):
+        with pytest.raises(ValueError):
+            arith.divisor_sum_table(*args)
+
+
 def test_tau_table():
     table = arith.tau_table(30)
     assert table[0] == 0
@@ -150,15 +180,15 @@ def test_cross_check_guards_divisor_sums(monkeypatch):
     # cross-check between the eta product and the level-2 route
     import eisen2.catalog as catalog
 
-    real = arith.sigma_star
+    real = arith.divisor_sum_table
 
-    def corrupted(s, n):
-        value = real(s, n)
-        if (s, n) == (3, 5):
-            return value + 1
-        return value
+    def corrupted(kind, s, N):
+        table = real(kind, s, N)
+        if (kind, s) == ("sigma_star", 3):
+            table[5] += 1
+        return table
 
-    monkeypatch.setattr(arith, "sigma_star", corrupted)
+    monkeypatch.setattr(arith, "divisor_sum_table", corrupted)
     cat = catalog.SeriesCatalog(12)
     with pytest.raises(CrossCheckMismatch) as info:
         cat.delta()

@@ -179,6 +179,30 @@ def test_ascending_powers_cost_one_product_each(monkeypatch):
     assert len(calls) == 19
 
 
+def test_divisor_sum_series_never_call_the_oracles(monkeypatch):
+    # the catalog sieves; the per-n trial-division functions are oracles only
+    def refuse(*args):
+        raise AssertionError("per-n divisor-sum oracle called")
+
+    for name in ("divisors", "sigma", "sigma_star", "sigma_sharp"):
+        monkeypatch.setattr(arith, name, refuse)
+    cat = SeriesCatalog(1000)
+    assert cat.sigma(11)[7] == 1 + 7**11
+    assert cat.sigma_star(3)[2] == -7
+    assert cat.C()[2] == 24
+    assert cat.delta()[2] == -24
+
+
+def test_delta_keeps_no_intermediate_powers(monkeypatch):
+    cat = SeriesCatalog(60)
+    calls = _count_products(monkeypatch)
+    cat.delta()
+    # E4^3 and E6^2 on each route, one product per power as before
+    assert len(calls) == 6
+    assert not [key for key in cat._cache if "^" in key]
+    assert {"E4", "E6", "E4star", "E6star", "delta"} <= set(cat._cache)
+
+
 def test_catalog_rejects_negative():
     with pytest.raises(ValueError):
         SeriesCatalog(-1)
@@ -194,12 +218,15 @@ def test_C_equals_the_quotient():
 
 
 def test_corrupted_sharp_trips_C(monkeypatch):
-    real = arith.sigma_sharp
+    real = arith.divisor_sum_table
 
-    def corrupted(n):
-        return real(n) + (1 if n == 4 else 0)
+    def corrupted(kind, s, N):
+        table = real(kind, s, N)
+        if kind == "sigma_sharp":
+            table[4] += 1
+        return table
 
-    monkeypatch.setattr(arith, "sigma_sharp", corrupted)
+    monkeypatch.setattr(arith, "divisor_sum_table", corrupted)
     cat = SeriesCatalog(8)
     with pytest.raises(CrossCheckMismatch) as info:
         cat.C()

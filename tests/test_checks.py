@@ -77,16 +77,21 @@ def test_t5_index_one_by_hand():
     assert lhs == rhs == 1
 
 
+def _corrupt_divisor_sums(monkeypatch, kind, s, n):
+    # the fault enters where the catalog reads every divisor sum
+    real = arith.divisor_sum_table
+
+    def corrupted(kk, ss, N):
+        table = real(kk, ss, N)
+        if (kk, ss) == (kind, s) and n <= N:
+            table[n] += 1
+        return table
+
+    monkeypatch.setattr(arith, "divisor_sum_table", corrupted)
+
+
 def _corrupt_sigma_star(monkeypatch, s=3, n=5):
-    real = arith.sigma_star
-
-    def corrupted(ss, nn):
-        value = real(ss, nn)
-        if (ss, nn) == (s, n):
-            return value + 1
-        return value
-
-    monkeypatch.setattr(arith, "sigma_star", corrupted)
+    _corrupt_divisor_sums(monkeypatch, "sigma_star", s, n)
 
 
 @pytest.mark.parametrize(
@@ -203,6 +208,75 @@ def test_every_power_goes_through_the_catalog(monkeypatch, capsys):
     assert [r.id for r in reports if r.status != "pass"] == []
     for name in ("r4", "r24", "tau", "delta", "E12star"):
         assert cli.main(["export", name]) == 0
+
+
+# tau(n) for the indices below
+_TAU = {2: -24, 3: 252, 6: -6048, 7: -16744}
+
+
+def _bump_tau(monkeypatch, n, by):
+    real = checks.Workspace.tau_range
+
+    def bumped(self, upto):
+        tau = real(self, upto)
+        return tau + QSeries.from_terms({n: by}, tau.order)
+
+    monkeypatch.setattr(checks.Workspace, "tau_range", bumped)
+
+
+def _conv_star(a, b, n):
+    return sum(arith.sigma_star(a, j) * arith.sigma_star(b, n - j) for j in range(n + 1))
+
+
+def _c10_flags(n, tau_n):
+    # the comparisons of C10, on Fraction values from the per-n oracles
+    conv55, conv37 = _conv_star(5, 5, n), _conv_star(3, 7, n)
+    return (n % 2 == 1, tau_n > conv55, tau_n > conv37, conv55 > conv37)
+
+
+# each identity's exact values at its first bad index, from the per-n oracles
+_C1_AT_2 = _TAU[2] + 1 - Fraction(2, 12) * (5 * arith.sigma(3, 2) + 7 * arith.sigma(5, 2))
+_C2_AT_3 = _TAU[3] + 1 - Fraction(3, 4) * (
+    3 * arith.sigma_star(3, 3) + arith.sigma_star(5, 3))
+
+
+@pytest.mark.parametrize(
+    "check_id, n, by, expected, note",
+    [
+        pytest.param("C1", 2, 1, (2, _C1_AT_2, 0), None, id="C1"),
+        pytest.param("C2", 3, 1, (3, _C2_AT_3, 0), None, id="C2"),
+        pytest.param("C10", 2, 10**9, (2, 0, 1),
+                     f"equivalence flags {_c10_flags(2, _TAU[2] + 10**9)} diverge",
+                     id="C10"),
+        pytest.param("TAU-PROPS", 6, 1, (6, _TAU[6] + 1, _TAU[2] * _TAU[3]),
+                     "multiplicativity fails", id="TAU-PROPS"),
+    ],
+)
+def test_integer_scans_report_the_fraction_triple(monkeypatch, check_id, n, by,
+                                                  expected, note):
+    # the scans run on integer numerators; a failure is still reported as
+    # the exact values of the identity at its first bad index
+    _bump_tau(monkeypatch, n, by)
+    report = checks.run_check(check_id, order=12, nmax=12)
+    assert report.status == "fail"
+    assert report.first_discrepancy == expected
+    assert all(type(x) is Fraction for x in report.first_discrepancy[1:])
+    assert report.notes == ((note,) if note else ())
+
+
+def test_tau_props_reads_sigma11_from_the_catalog(monkeypatch):
+    _corrupt_divisor_sums(monkeypatch, "sigma", 11, 7)
+    report = checks.run_check("TAU-PROPS")
+    assert report.first_discrepancy == (7, _TAU[7], arith.sigma(11, 7) + 1)
+    assert report.notes == ("691 congruence fails",)
+
+
+def test_jacobi_lists_each_divisor_set_once(monkeypatch):
+    calls = []
+    real = arith.divisors
+    monkeypatch.setattr(arith, "divisors", lambda n: calls.append(n) or real(n))
+    assert checks.run_check("JACOBI", nmax=30).status == "pass"
+    assert sorted(calls) == list(range(1, 31))
 
 
 def test_failing_line_format(monkeypatch):

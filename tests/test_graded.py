@@ -283,10 +283,15 @@ def test_e_star_poly_memoizes_each_level_in_its_catalog(monkeypatch):
 def test_e_star_poly_compares_on_the_whole_catalog_range(monkeypatch):
     # E8* needs q^0..q^12 on its own, but a catalog of order 40 compares to
     # q^40, so a fault at n = 30 is caught there and nowhere else
-    real = arith.sigma_star
-    monkeypatch.setattr(
-        arith, "sigma_star", lambda s, n: real(s, n) + ((s, n) == (7, 30))
-    )
+    real = arith.divisor_sum_table
+
+    def corrupted(kind, s, N):
+        table = real(kind, s, N)
+        if (kind, s) == ("sigma_star", 7) and N >= 30:
+            table[30] += 1
+        return table
+
+    monkeypatch.setattr(arith, "divisor_sum_table", corrupted)
     assert e_star_order(4) < 30
     with pytest.raises(CrossCheckMismatch) as info:
         e_star_poly(4, SeriesCatalog(40))

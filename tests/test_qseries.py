@@ -16,6 +16,18 @@ from eisen2.qseries import (
 LAW_RUNS = 120
 
 
+def test_numerators_and_denominator_view():
+    series = QSeries([Fraction(1, 6), Fraction(-1, 4), 2, 0])
+    assert series.denominator == 12
+    assert series.numerators == (2, -3, 24, 0)
+    assert all(Fraction(x, series.denominator) == c
+               for x, c in zip(series.numerators, series.coeffs))
+    # an integral series has denominator 1, also after reduction
+    assert (series.scale(6) + series.scale(6)).denominator == 1
+    with pytest.raises(AttributeError):
+        series.numerators = (1,)
+
+
 def random_series(rng, order=None):
     order = rng.randint(0, 16) if order is None else order
     return QSeries([rng.randint(-9, 9) for _ in range(order + 1)])

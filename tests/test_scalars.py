@@ -49,6 +49,13 @@ def test_lambda_even_values():
     assert lambda_even(2) == PiScaled(Fraction(1, 96), 4)
 
 
+def test_even_zeta_and_lambda_are_memoized():
+    for k in range(0, 12):
+        assert zeta_even(k) is zeta_even(k)
+        assert lambda_even(k) is lambda_even(k)
+        assert lambda_even(k) == zeta_even(k) * (1 - Fraction(1, 4**k))
+
+
 def test_zeta_lambda_positive_for_positive_index():
     for k in range(1, 21):
         assert zeta_even(k).coeff > 0
