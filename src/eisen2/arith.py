@@ -1,15 +1,17 @@
 """Divisor-sum functions, the tau function, and lattice-count oracles.
 
 The divisor sums carry the n = 0 boundary conventions that make the
-convolution identities hold at every index.  ``divisor_sum_table`` sieves a
-whole range of them at once in integers, and the catalog builds every
-divisor-sum series from it: the series keep the conventions, and its
-Eisenstein series are those series scaled by the reciprocals of the
-conventions, so their constant terms come out as 1.  The per-n functions
+convolution identities hold at every index; ``divisor_sum_zero`` defines
+them.  ``divisor_sum_table`` sieves a whole range of divisor sums at once in
+integers, and the catalog builds every divisor-sum series from it: the
+series keep the conventions, and its Eisenstein series are those series
+scaled by the reciprocals of the conventions, so their constant terms come
+out as 1.  The per-n functions
 ``divisors``, ``sigma``, ``sigma_star`` and ``sigma_sharp`` work by trial
 division; they are the independent oracles the sieve is tested against, and
 JACOBI reads divisor lists from ``divisors``.  ``tau_table`` and ``r_count``
-read their values off a ``SeriesCatalog``; no check uses them.  The
+read their values off a ``SeriesCatalog`` (``tau_table(0)`` is ``(0,)``); no
+check uses them.  The
 enumeration oracles are deliberately independent of all series code.
 """
 
@@ -27,6 +29,7 @@ __all__ = [
     "sigma",
     "sigma_star",
     "sigma_sharp",
+    "divisor_sum_zero",
     "divisor_sum_table",
     "tau_table",
     "r_count",
@@ -107,6 +110,20 @@ def sigma_sharp(n: int) -> int:
 _EVEN_SIGN = {"sigma": 1, "sigma_star": -1, "sigma_sharp": 0}
 
 
+def divisor_sum_zero(kind: str, s: int) -> Fraction:
+    """The n = 0 convention of a ``divisor_sum_table`` kind: (1 - c 2^s)
+    sigma_s(0), with sigma_s(0) = -B_{s+1}/(2s+2) and c = 0, 2, 1 for sigma,
+    sigma_star and sigma_sharp, so the dilation identities
+    sigma*_s(n) = sigma_s(n) - 2^(s+1) sigma_s(n/2) and
+    sigma#_s(n) = sigma_s(n) - 2^s sigma_s(n/2) hold at n = 0 too.  Its
+    reciprocal normalizes the Eisenstein series to constant term 1."""
+    if kind not in _EVEN_SIGN:
+        raise ValueError(f"unknown divisor-sum kind {kind!r}")
+    if s < 1 or s % 2 == 0:
+        raise ValueError("s must be an odd positive integer")
+    return (1 - (1 - _EVEN_SIGN[kind]) * 2**s) * -bernoulli(s + 1) / (2 * s + 2)
+
+
 def divisor_sum_table(kind: str, s: int, N: int) -> list:
     """The divisor sums f(0), ..., f(N) of one kind, by a sieve over multiples.
 
@@ -114,16 +131,9 @@ def divisor_sum_table(kind: str, s: int, N: int) -> list:
     negative) and "sigma_sharp" (the odd divisors only, so s = 1 gives
     ``sigma_sharp``), for odd s >= 1.  Each term +-d^s is computed once and
     added to the slots of all multiples of d, about N ln N integer additions
-    in all.  Slots 1..N are ints.  Slot 0 holds the n = 0 convention
-    (1 - c 2^s) sigma_s(0), with sigma_s(0) = -B_{s+1}/(2s+2) and c = 0, 2, 1
-    for the three kinds, so the dilation identities
-    sigma*_s(n) = sigma_s(n) - 2^(s+1) sigma_s(n/2) and
-    sigma#_s(n) = sigma_s(n) - 2^s sigma_s(n/2) hold at n = 0 too.
+    in all.  Slots 1..N are ints.  Slot 0 holds ``divisor_sum_zero(kind, s)``.
     """
-    if kind not in _EVEN_SIGN:
-        raise ValueError(f"unknown divisor-sum kind {kind!r}")
-    if s < 1 or s % 2 == 0:
-        raise ValueError("s must be an odd positive integer")
+    zero = divisor_sum_zero(kind, s)
     if N < 0:
         raise ValueError("N must be nonnegative")
     even_sign = _EVEN_SIGN[kind]
@@ -132,7 +142,7 @@ def divisor_sum_table(kind: str, s: int, N: int) -> list:
         w = d**s if d % 2 else even_sign * d**s
         if w:
             table[d::d] = [x + w for x in table[d::d]]
-    table[0] = (1 - (1 - even_sign) * 2**s) * -bernoulli(s + 1) / (2 * s + 2)
+    table[0] = zero
     return table
 
 
@@ -143,8 +153,6 @@ def tau_table(N: int) -> ArithTable:
     q prod (1-q^n)^24, cross-checked against the two Eisenstein routes, which
     raises CrossCheckMismatch on any disagreement.
     """
-    if N < 1:
-        raise ValueError("N must be positive")
     from . import catalog
 
     return ArithTable("tau", catalog.SeriesCatalog(N).delta().coeffs)

@@ -6,7 +6,10 @@ explicit index range (the --nmax flag): each is a series equation between
 products of the divisor-sum series sum sigma_s(n) q^n and sum sigma*_s(n) q^n
 truncated at q^nmax, so the coefficient of q^n is the identity at index n.
 A failing check always reports the first offending exponent or index
-together with both exact values.
+together with both exact values.  Every equation between two series is
+compared by ``first_difference``; ``_first_failure`` takes several in order,
+``_earliest_failure`` reports the lowest failing exponent.  The coefficient
+scans test other predicates.
 """
 
 from __future__ import annotations
@@ -159,6 +162,33 @@ def _register(id: str, description: str, scope: str = "order"):
     return wrap
 
 
+def _first_failure(*pairs: tuple[QSeries, QSeries]) -> Optional[Discrepancy]:
+    """The first difference of the first pair of series that differ, taking
+    the pairs in order."""
+    for lhs, rhs in pairs:
+        d = first_difference(lhs, rhs)
+        if d:
+            return d
+    return None
+
+
+def _earliest_failure(*pairs: tuple[QSeries, QSeries]) -> Optional[Discrepancy]:
+    """The first difference at the lowest exponent over all pairs; on a tie,
+    the earlier pair's."""
+    found = [d for d in (first_difference(lhs, rhs) for lhs, rhs in pairs) if d]
+    return min(found, key=lambda d: d[0], default=None)
+
+
+def _first_non_multiple(series: QSeries, m: int) -> Optional[Discrepancy]:
+    """The first coefficient of the series outside m Z, as (n, value, 0)."""
+    nums, den = series.numerators, series.denominator
+    # c_n = nums[n]/den lies in m Z exactly when m den divides nums[n]
+    for n, x in enumerate(nums):
+        if x % (m * den):
+            return (n, Fraction(x, den), Fraction(0))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # level-1 differential equations
 
@@ -171,15 +201,11 @@ def _register(id: str, description: str, scope: str = "order"):
 def _ram_de(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     cat = ws.catalog
     p, q, r = cat.level1(1), cat.level1(2), cat.level1(3)
-    for lhs, rhs in (
+    return _first_failure(
         (p.theta(), (p * p - q).scale(Fraction(1, 12))),
         (q.theta(), (p * q - r).scale(Fraction(1, 3))),
         (r.theta(), (p * r - q * q).scale(Fraction(1, 2))),
-    ):
-        d = first_difference(lhs, rhs)
-        if d:
-            return d
-    return None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +269,9 @@ def _de_runner(m: int, level: int) -> Runner:
         for k in range(1, m // 2 + 1):
             pair = 1 if 2 * k == m else 2
             rhs = rhs + (series(k) * series(m - k) - top).scale(pair * coefficient(m, k))
-        d = first_difference(lhs, rhs)
-        if d:
-            return d
         special_rhs = special(m, cat)
-        return None if special_rhs is None else first_difference(lhs, special_rhs)
+        pairs = [(lhs, rhs)] if special_rhs is None else [(lhs, rhs), (lhs, special_rhs)]
+        return _first_failure(*pairs)
 
     return run
 
@@ -285,15 +309,11 @@ def _e6star_abc(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 def _hahn_sys(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     cat = ws.catalog
     a, b, c = cat.level2(1), cat.level2(2), cat.C()
-    for lhs, rhs in (
+    return _first_failure(
         (a.theta(), (a * a - b).scale(Fraction(1, 4))),
         (c.theta(), (a * c - b).scale(Fraction(1, 2))),
         (b.theta(), a * b - c * b),
-    ):
-        d = first_difference(lhs, rhs)
-        if d:
-            return d
-    return None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -370,15 +390,9 @@ def _t8(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 )
 def _c1(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     s3, s5 = ws.sigma_range(3, ws.nmax), ws.sigma_range(5, ws.nmax)
-    d3, d5 = s3.denominator, s5.denominator
-    tau = ws.tau_range(ws.nmax).numerators  # integral: denominator 1
-    # the difference is num/den; it lies in 70 Z exactly when 70 den | num
-    den = 12 * d3 * d5
-    for n, (t, a, b) in enumerate(zip(tau, s3.numerators, s5.numerators)):
-        num = den * t - n * (5 * a * d5 + 7 * b * d3)
-        if num % (70 * den):
-            return (n, Fraction(num, den), Fraction(0))
-    return None
+    tau = ws.tau_range(ws.nmax)
+    diff = tau - (s3.scale(5) + s5.scale(7)).theta().scale(Fraction(1, 12))
+    return _first_non_multiple(diff, 70)
 
 
 @_register(
@@ -402,21 +416,13 @@ def _t314(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 )
 def _c2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     s3, s5 = ws.sigma_star_range(3, ws.nmax), ws.sigma_star_range(5, ws.nmax)
-    d3, d5 = s3.denominator, s5.denominator
-    tau = ws.tau_range(ws.nmax).numerators  # integral: denominator 1
-    # combo = n (3 sigma*_3(n) + sigma*_5(n)) = c/den, and the difference
-    # is num/(4 den)
-    den = d3 * d5
-    a3, a5 = s3.numerators, s5.numerators
-    for n in range(1, ws.nmax + 1):
-        c = n * (3 * a3[n] * d5 + a5[n] * d3)
-        num = 4 * den * tau[n] - c
-        if num % (8 * den):
-            return (n, Fraction(num, 4 * den), Fraction(0))
-        odd_tau = tau[n] % 2 != 0
-        if odd_tau != (c // gcd(c, den) % 8 == 4):
-            return (n, Fraction(tau[n]), Fraction(c, den))
-    return None
+    tau = ws.tau_range(ws.nmax)
+    # the parity clause needs no scan of its own: with c = n(3 sigma*_3(n) +
+    # sigma*_5(n)), once tau(n) - c/4 lies in 2Z the integer c/4 has the
+    # parity of tau(n), so c = 4 mod 8 exactly when tau(n) is odd (both
+    # sides are 0 at n = 0)
+    diff = tau - (s3.scale(3) + s5).theta().scale(Fraction(1, 4))
+    return _first_non_multiple(diff, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -432,17 +438,12 @@ def _c2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 def _minors_l1(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     cat = ws.catalog
     e = [cat.level1(k) for k in range(5)]
-    cases = (
-        ([[e[0], e[1]], [e[1], e[2]]], e[1].theta().scale(-12)),
-        ([[e[0], e[1]], [e[2], e[3]]], e[2].theta().scale(-3)),
-        ([[e[1], e[2]], [e[2], e[3]]], e[3].theta().scale(2)),
-        ([[e[1], e[3]], [e[2], e[4]]], e[4].theta().scale(Fraction(3, 2))),
+    return _first_failure(
+        (qs_det([[e[0], e[1]], [e[1], e[2]]]), e[1].theta().scale(-12)),
+        (qs_det([[e[0], e[1]], [e[2], e[3]]]), e[2].theta().scale(-3)),
+        (qs_det([[e[1], e[2]], [e[2], e[3]]]), e[3].theta().scale(2)),
+        (qs_det([[e[1], e[3]], [e[2], e[4]]]), e[4].theta().scale(Fraction(3, 2))),
     )
-    for matrix, rhs in cases:
-        d = first_difference(qs_det(matrix), rhs)
-        if d:
-            return d
-    return None
 
 
 @_register(
@@ -498,7 +499,7 @@ def _det_l2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     cat = ws.catalog
     e = {k: cat.level2(k) for k in range(2, 7)}
     b, c, dd, delta = cat.level2(2), cat.C(), cat.D(), cat.delta()
-    cases = [
+    return _first_failure(
         (
             qs_det([[e[2], e[3]], [e[3], e[4]]]),
             delta.scale(Fraction(-(2**6) * 3**2, 17)),
@@ -525,12 +526,7 @@ def _det_l2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
                 _DET_L2_CONSTANT
             ),
         ),
-    ]
-    for det, rhs in cases:
-        d = first_difference(det, rhs)
-        if d:
-            return d
-    return None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -590,13 +586,10 @@ def _p4(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 def _t49(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     if ws.mmax < 2:
         return None
-    # the whole tower is built, compared and judged on the top level's catalog
+    # the whole tower is built, compared and judged on the top level's catalog;
+    # run_check reports the CrossCheckMismatch of a level that fails
     cat = ws.catalog_at(e_star_order(ws.mmax))
-    try:
-        e_star_poly(ws.mmax, cat)
-    except CrossCheckMismatch as exc:
-        notes.append(str(exc))
-        return (exc.exponent, exc.values[0], exc.values[1])
+    e_star_poly(ws.mmax, cat)
     for m in range(2, ws.mmax + 1):
         if not check_positivity(m, cat):
             poly = e_star_poly(m, cat)
@@ -628,16 +621,12 @@ def _delta_family(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
         return image * den * den, num.theta() * den - num * den.theta() - a * num * den
 
     b = cat.level2(2)
-    for lhs, rhs in (
+    return _first_failure(
         (image, delta4(b)),
         cleared(cat.level2(4), b),
         cleared(cat.level2(5), cat.level2(3)),
         (image, delta4(cat.level1(2))),
-    ):
-        d = first_difference(lhs, rhs)
-        if d:
-            return d
-    return None
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +644,18 @@ def _theta_rel(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     return first_difference(cat.power("theta3", 8).neg_q(), cat.level2(2))
 
 
+# r_s(n) for n >= 1 from the divisors of n, for s = 2, 4, 6, 8
+_SQUARE_COUNTS: dict[int, Callable[[int, list[int]], int]] = {
+    2: lambda n, divs: 4 * (sum(1 for d in divs if d % 4 == 1)
+                            - sum(1 for d in divs if d % 4 == 3)),
+    4: lambda n, divs: 8 * sum(d for d in divs if d % 4 != 0),
+    6: lambda n, divs: 4 * sum((-1) ** ((d - 1) // 2) * ((2 * n // d) ** 2 - d * d)
+                               for d in divs if d % 2),
+    8: lambda n, divs: 16 * (-1) ** n * sum(d**3 if d % 2 == 0 else -(d**3)
+                                            for d in divs),
+}
+
+
 @_register(
     "JACOBI",
     "classical 2, 4, 6, 8-square counts from divisor data on 0..nmax "
@@ -662,34 +663,14 @@ def _theta_rel(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     scope="range",
 )
 def _jacobi(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
-    divisor_lists = [None] + [arith.divisors(n) for n in range(1, ws.nmax + 1)]
-    for s in (2, 4, 6, 8):
-        table = ws.r_table(s).numerators  # integral: denominator 1
-        if table[0] != 1:
-            return (0, Fraction(table[0]), Fraction(1))
-        for n in range(1, ws.nmax + 1):
-            divs = divisor_lists[n]
-            if s == 2:
-                expected = 4 * (
-                    sum(1 for d in divs if d % 4 == 1)
-                    - sum(1 for d in divs if d % 4 == 3)
-                )
-            elif s == 4:
-                expected = 8 * sum(d for d in divs if d % 4 != 0)
-            elif s == 6:
-                expected = 4 * sum(
-                    (-1) ** ((d - 1) // 2) * ((2 * n // d) ** 2 - d * d)
-                    for d in divs
-                    if d % 2
-                )
-            else:
-                sign = -1 if n % 2 else 1
-                expected = 16 * sign * sum(
-                    d**3 if d % 2 == 0 else -(d**3) for d in divs
-                )
-            if table[n] != expected:
-                notes.append(f"{s}-square formula")
-                return (n, Fraction(table[n]), Fraction(expected))
+    divisor_lists = [arith.divisors(n) for n in range(1, ws.nmax + 1)]
+    for s, formula in _SQUARE_COUNTS.items():
+        expected = QSeries._make([1] + [formula(n, divs)
+                                        for n, divs in enumerate(divisor_lists, 1)])
+        d = first_difference(ws.r_table(s), expected)
+        if d:
+            notes.append(f"{s}-square formula")
+            return d
     return None
 
 
@@ -732,6 +713,14 @@ def _conv55_conv37(ws: Workspace, upto: int) -> tuple[QSeries, QSeries]:
     return s5 * s5, ws.sigma_star_range(3, upto) * ws.sigma_star_range(7, upto)
 
 
+def _r24_forms(conv55: QSeries, conv37: QSeries,
+               tau: QSeries) -> tuple[QSeries, QSeries]:
+    """T10's two 24-square forms: (-1)^n 64 (conv55 - tau) and
+    (-1)^n (512/17)(conv37 - tau)."""
+    return ((conv55 - tau).scale(64).neg_q(),
+            (conv37 - tau).scale(Fraction(512, 17)).neg_q())
+
+
 @_register(
     "T10",
     "r_24(n) = (-1)^n 64 (sum sigma*_5 sigma*_5 - tau(n)) "
@@ -740,14 +729,9 @@ def _conv55_conv37(ws: Workspace, upto: int) -> tuple[QSeries, QSeries]:
 )
 def _t10(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     r24 = ws.r_table(24)
-    conv55, conv37 = _conv55_conv37(ws, ws.nmax)
-    tau = ws.tau_range(ws.nmax)
-    via55 = first_difference(r24, (conv55 - tau).scale(64).neg_q())
-    via37 = first_difference(r24, (conv37 - tau).scale(Fraction(512, 17)).neg_q())
+    via55, via37 = _r24_forms(*_conv55_conv37(ws, ws.nmax), ws.tau_range(ws.nmax))
     # the lower first index wins; on a tie, the sigma*_5^2 form
-    if via37 is not None and (via55 is None or via37[0] < via55[0]):
-        return via37
-    return via55
+    return _earliest_failure((r24, via55), (r24, via37))
 
 
 @_register(
@@ -843,26 +827,24 @@ _TABLE2_PRINTED: dict[str, list[Fraction]] = {
 )
 def _table2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     upto = 4
-    conv55, conv37 = (c.coeffs for c in _conv55_conv37(ws, upto))
-    tau = ws.tau_range(upto).coeffs
+    conv55, conv37 = _conv55_conv37(ws, upto)
+    tau = ws.tau_range(upto)
+    # the two convolution rows are confirmed by the independent lattice
+    # route: r_24 from theta powers determines both convolutions given tau,
+    # through T10's two forms; r_24 is built at the table's own order, since
+    # nmax may be below it.  The lower n wins, on a tie the sigma*_5^2 form.
+    r24 = ws.catalog_at(upto).power("theta3", 24)
+    d = _earliest_failure(*((form, r24) for form in _r24_forms(conv55, conv37, tau)))
+    if d:
+        return d
     computed = {
         "sigma3*": ws.sigma_star_range(3, upto).coeffs,
         "sigma5*": ws.sigma_star_range(5, upto).coeffs,
         "sigma7*": ws.sigma_star_range(7, upto).coeffs,
-        "conv37": conv37,
-        "conv55": conv55,
-        "tau": tau,
+        "conv37": conv37.coeffs,
+        "conv55": conv55.coeffs,
+        "tau": tau.coeffs,
     }
-    # the two convolution rows are confirmed by the independent lattice
-    # route: r_24 from theta powers determines both convolutions given tau
-    # built at the table's own order, since nmax may be below it
-    r24 = ws.catalog_at(upto).power("theta3", 24).coeffs
-    for n in range(upto + 1):
-        sign = -1 if n % 2 else 1
-        if sign * 64 * (conv55[n] - tau[n]) != r24[n]:
-            return (n, sign * 64 * (conv55[n] - tau[n]), r24[n])
-        if sign * Fraction(512, 17) * (conv37[n] - tau[n]) != r24[n]:
-            return (n, sign * Fraction(512, 17) * (conv37[n] - tau[n]), r24[n])
     for row, printed in _TABLE2_PRINTED.items():
         ours = computed[row]
         for n in range(upto + 1):

@@ -118,8 +118,6 @@ def _cmd_export(args) -> int:
     order = args.order if args.order is not None else _default_order(args.name)
     if order < 0:
         return _bad_input("--order must be nonnegative")
-    if order == 0 and args.name == "tau":
-        return _bad_input("--order must be positive for tau")
     try:
         if m:
             weight = int(m.group(1))

@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Union
 
 from .catalog import CrossCheckMismatch, SeriesCatalog
 from .qseries import QSeries, first_difference, rational_str
-from .scalars import ks_alpha, ks_coefficient
+from .scalars import exact, ks_alpha, ks_coefficient
 
 __all__ = [
     "LEVEL1",
@@ -94,7 +94,7 @@ class GradedPoly:
         if ring not in _GENERATORS:
             raise ValueError(f"unknown ring {ring!r}")
         values = {
-            (int(exps[0]), int(exps[1]), int(exps[2])): Fraction(coeff)
+            (int(exps[0]), int(exps[1]), int(exps[2])): Fraction(exact(coeff))
             for exps, coeff in (terms or {}).items()
         }
         # the lcm of reduced denominators leaves no common factor to divide out
@@ -128,7 +128,7 @@ class GradedPoly:
 
     @classmethod
     def monomial(cls, ring: str, exps: Exponents, coeff=1) -> "GradedPoly":
-        return cls(ring, {tuple(exps): Fraction(coeff)})
+        return cls(ring, {tuple(exps): coeff})
 
     @classmethod
     def generator(cls, ring: str, name: str) -> "GradedPoly":
@@ -221,8 +221,8 @@ class GradedPoly:
         return GradedPoly._make(self.ring, {e: -x for e, x in self._nums.items()},
                                 self._den)
 
-    def scale(self, c) -> "GradedPoly":
-        c = Fraction(c)
+    def scale(self, c: Scalar) -> "GradedPoly":
+        c = Fraction(exact(c))
         p = c.numerator
         return GradedPoly._make(self.ring, {e: p * x for e, x in self._nums.items()},
                                 c.denominator * self._den)

@@ -16,8 +16,9 @@ coefficients.  Powers use it by repeated squaring and inversion by a Newton
 iteration that doubles the precision at each step.
 
 Every binary operation truncates to the smaller order of its operands, so a
-result never claims more precision than was computed.  Equality compares
-coefficients on the common range only.
+result never claims more precision than was computed.  Equality is the
+absence of a ``first_difference`` on the common range.  Inputs are ints and
+Fractions only.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
+
+from .scalars import exact
 
 __all__ = [
     "QSeries",
@@ -113,7 +116,8 @@ class QSeries:
     __slots__ = ("_nums", "_den", "_view")
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        values = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        # exact raises for anything that is not an int or a Fraction
+        values = [c if isinstance(c, (int, Fraction)) else exact(c) for c in coeffs]
         if not values:
             raise ValueError("a series needs at least the constant coefficient")
         # the lcm of reduced denominators leaves no common factor to divide out
@@ -194,12 +198,7 @@ class QSeries:
         # comparable only on the common range of the two truncations
         if not isinstance(other, QSeries):
             return NotImplemented
-        n = min(self.order, other.order) + 1
-        a, b = self._nums[:n], other._nums[:n]
-        da, db = self._den, other._den
-        if da == db:
-            return a == b
-        return all(x * db == y * da for x, y in zip(a, b))
+        return first_difference(self, other) is None
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -241,7 +240,7 @@ class QSeries:
         return QSeries._make([-x for x in self._nums], self._den)
 
     def scale(self, c: Scalar) -> "QSeries":
-        c = Fraction(c)
+        c = Fraction(exact(c))
         p = c.numerator
         return QSeries._make([p * x for x in self._nums], c.denominator * self._den)
 

@@ -3,16 +3,19 @@
 Everything is a ``fractions.Fraction`` or a rational multiple of an even
 power of pi (``PiScaled``), so all downstream series arithmetic stays exact.
 The Bernoulli numbers, zeta(2k) and lambda(2k) are pure values, memoized per
-index; the coefficient functions built from them are not.
+index; the coefficient functions built from them are not.  ``exact`` is the
+gate every layer's inputs pass: ints and Fractions only.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 __all__ = [
+    "exact",
     "PiScaled",
     "bernoulli",
     "zeta_even",
@@ -24,9 +27,20 @@ __all__ = [
 ]
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]
+# each B_m is computed from all before it, so the list is extended under one
+# lock; an entry below the length is final and read without it
+_BERNOULLI_LOCK = threading.Lock()
 # zeta(2k) and lambda(2k) by k: pure values, each computed once
 _ZETA: dict[int, PiScaled] = {}
 _LAMBDA: dict[int, PiScaled] = {}
+
+
+def exact(value):
+    """The value itself if it is an int or a Fraction, else TypeError: a float
+    0.1 would enter exact arithmetic as 3602879701896397/36028797018963968."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, got {value!r}")
+    return value
 
 
 def bernoulli(n: int) -> Fraction:
@@ -37,10 +51,12 @@ def bernoulli(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
-    while len(_BERNOULLI) <= n:
-        m = len(_BERNOULLI)
-        s = sum(comb(m + 1, j) * _BERNOULLI[j] for j in range(m))
-        _BERNOULLI.append(Fraction(-s, m + 1))
+    if n >= len(_BERNOULLI):
+        with _BERNOULLI_LOCK:
+            while len(_BERNOULLI) <= n:
+                m = len(_BERNOULLI)
+                s = sum(comb(m + 1, j) * _BERNOULLI[j] for j in range(m))
+                _BERNOULLI.append(Fraction(-s, m + 1))
     return _BERNOULLI[n]
 
 
@@ -56,6 +72,8 @@ class PiScaled:
     pi_power: int
 
     def __post_init__(self) -> None:
+        if type(self.coeff) is not Fraction:
+            object.__setattr__(self, "coeff", Fraction(exact(self.coeff)))
         if self.pi_power < 0 or self.pi_power % 2 != 0:
             raise ValueError("pi_power must be even and nonnegative")
         if self.coeff == 0 and self.pi_power != 0:
@@ -73,7 +91,7 @@ class PiScaled:
     def __mul__(self, other):
         if isinstance(other, PiScaled):
             return PiScaled(self.coeff * other.coeff, self.pi_power + other.pi_power)
-        return PiScaled(self.coeff * Fraction(other), self.pi_power)
+        return PiScaled(self.coeff * exact(other), self.pi_power)
 
     __rmul__ = __mul__
 

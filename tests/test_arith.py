@@ -87,6 +87,21 @@ def test_tau_table():
     assert all(v.denominator == 1 for v in table.values[1:])
 
 
+def test_tau_table_at_zero_is_the_constant_term():
+    assert arith.tau_table(0).values == (0,)
+    with pytest.raises(ValueError):
+        arith.tau_table(-1)
+
+
+def test_divisor_sum_zero_is_slot_0_and_rejects_bad_input():
+    for kind in _ORACLES:
+        for s in (1, 3, 11):
+            assert arith.divisor_sum_zero(kind, s) == arith.divisor_sum_table(kind, s, 0)[0]
+    for args in (("sigma", 2), ("sigma_star", 0), ("sigma_odd", 3)):
+        with pytest.raises(ValueError):
+            arith.divisor_sum_zero(*args)
+
+
 def test_r_count_matches_oracle():
     tables = {s: arith.r_count(s, 8) for s in (2, 4, 6, 8, 16, 24)}
     for s, table in tables.items():

@@ -7,25 +7,21 @@ from eisen2.catalog import (
     CrossCheckMismatch,
     SeriesCatalog,
     _eta24,
-    level1_constant,
-    level2_constant,
 )
 from eisen2.qseries import QSeries
 
 
 def test_level1_normalizations():
-    assert level1_constant(1) == -24
-    assert level1_constant(2) == 240
-    assert level1_constant(3) == -504
-    assert level1_constant(4) == 480
-    assert level1_constant(5) == -264
-    assert level1_constant(6) == Fraction(65520, 691)
-    assert level1_constant(7) == -24
+    # sigma_s(1) = 1, so the q^1 coefficient is the normalizing constant -4k/B_2k
+    cat = SeriesCatalog(1)
+    expected = [-24, 240, -504, 480, -264, Fraction(65520, 691), -24]
+    assert [cat.level1(k).coeffs[1] for k in range(1, 8)] == expected
 
 
 def test_level2_normalizations():
+    cat = SeriesCatalog(1)
     expected = [8, -16, 8, Fraction(-32, 17), Fraction(8, 31), Fraction(-16, 691)]
-    assert [level2_constant(k) for k in range(1, 7)] == expected
+    assert [cat.level2(k).coeffs[1] for k in range(1, 7)] == expected
 
 
 def test_level1_series():

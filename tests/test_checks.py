@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from eisen2 import arith, checks, cli, graded
-from eisen2.catalog import SeriesCatalog, level2_constant
+from eisen2.catalog import CrossCheckMismatch, SeriesCatalog
 from eisen2.qseries import QSeries
 
 
@@ -141,7 +141,7 @@ def test_t49_reports_a_bad_level2_series_at_its_exponent(monkeypatch):
     report = checks.run_check("T49", order=12, nmax=30, mmax=6)
     assert report.status == "fail"
     n, lhs, rhs = report.first_discrepancy
-    assert n == 9 and rhs - lhs == level2_constant(4)
+    assert n == 9 and rhs - lhs == 1 / arith.sigma_star(7, 0)
     assert any("E8star polynomial" in note for note in report.notes)
 
 
@@ -152,7 +152,7 @@ def test_t49_compares_every_level_at_the_top_order(monkeypatch):
     report = checks.run_check("T49", order=12, nmax=30, mmax=6)
     assert report.status == "fail"
     n, lhs, rhs = report.first_discrepancy
-    assert n == 13 and rhs - lhs == level2_constant(4)
+    assert n == 13 and rhs - lhs == 1 / arith.sigma_star(7, 0)
     assert any("E8star polynomial" in note for note in report.notes)
 
 
@@ -166,7 +166,7 @@ def test_t49_range_does_not_depend_on_earlier_calls(monkeypatch, warm):
     report = checks.run_check("T49", order=12, nmax=30, mmax=6)
     assert report.status == "fail"
     n, lhs, rhs = report.first_discrepancy
-    assert n == 13 and rhs - lhs == level2_constant(4)
+    assert n == 13 and rhs - lhs == 1 / arith.sigma_star(7, 0)
     assert any("E8star polynomial" in note for note in report.notes)
 
 
@@ -460,3 +460,83 @@ def test_t10_reports_the_lower_index_and_the_sigma5_form_on_a_tie():
     assert report.first_discrepancy == (17, r24[17], r24[17] + 64)
     ws.values["sigma*", 3][10] += 1  # only the sigma*_3 sigma*_7 form, from 10
     assert checks.run_check("T10", workspace=ws).first_discrepancy[0] == 10
+
+
+# ---------------------------------------------------------------------------
+# every equation between two series goes through first_difference
+
+
+def test_first_failure_takes_the_pairs_in_order():
+    one = QSeries.one(8)
+    late = one + QSeries.from_terms({6: 1}, 8)
+    early = one + QSeries.from_terms({2: 1}, 8)
+    # an earlier equation failing at a higher exponent still wins
+    assert checks._first_failure((one, one), (one, late), (one, early)) == (6, 0, 1)
+    assert checks._first_failure((one, one), (late, late)) is None
+    # the earliest failure takes the lowest exponent, the earlier pair on a tie
+    assert checks._earliest_failure((one, late), (one, early)) == (2, 0, 1)
+    assert checks._earliest_failure((one, late), (late, one)) == (6, 0, 1)
+    assert checks._earliest_failure((one, one)) is None
+
+
+def test_table2_24_square_route_reports_the_lowest_n(monkeypatch):
+    r24 = {n: arith.r_oracle(24, n) for n in range(5)}
+    # tau(3) + 1 breaks both forms at n = 3: the sigma*_5^2 form is reported
+    _bump_tau(monkeypatch, 3, 1)
+    report = checks.run_check("TABLE2")
+    assert report.first_discrepancy == (3, r24[3] + 64, r24[3])
+    assert report.notes == ()
+    # sigma*_7(2) + 1 moves conv37 from n = 2 by sigma*_3(0) = -1/16, so
+    # only the sigma*_3 sigma*_7 form fails there, below the tie at 3
+    _corrupt_sigma_star(monkeypatch, s=7, n=2)
+    report = checks.run_check("TABLE2")
+    assert report.first_discrepancy == (2, r24[2] - Fraction(32, 17), r24[2])
+
+
+def _bump_r_table(monkeypatch, s, n):
+    real = checks.Workspace.r_table
+
+    def bumped(self, ss):
+        table = real(self, ss)
+        return table + QSeries.from_terms({n: 1}, table.order) if ss == s else table
+
+    monkeypatch.setattr(checks.Workspace, "r_table", bumped)
+
+
+@pytest.mark.parametrize("n", [0, 5])
+@pytest.mark.parametrize("s", [2, 4, 6, 8])
+def test_jacobi_names_the_failing_formula(monkeypatch, s, n):
+    _bump_r_table(monkeypatch, s, n)
+    report = checks.run_check("JACOBI", nmax=12)
+    assert report.status == "fail"
+    r = arith.r_oracle(s, n)
+    assert report.first_discrepancy == (n, r + 1, r)
+    assert report.notes == (f"{s}-square formula",)
+
+
+def test_d_raises_at_the_first_oracle_mismatch(monkeypatch):
+    real = arith.delta8_oracle
+    monkeypatch.setattr(arith, "delta8_oracle", lambda n: real(n) + (n == 3))
+    with pytest.raises(CrossCheckMismatch) as info:
+        SeriesCatalog(12).D()
+    exc = info.value
+    assert (exc.name, exc.exponent, exc.values) == ("D", 4, (64, 65))
+    assert exc.routes == ("-(E4*-C^2)/64", "triangular-number count")
+    # a check that reads D fails at that exponent, with the mismatch as note
+    report = checks.run_check("L5", order=12)
+    assert report.first_discrepancy == (4, 64, 65)
+    assert report.notes == (str(exc),)
+
+
+def test_no_check_reads_the_fraction_view_but_table2(monkeypatch):
+    # every series equation compares integer numerators; TABLE2 alone reads
+    # Fraction coefficients, for its printed cells
+    def refuse(self):
+        raise AssertionError("QSeries.coeffs read")
+
+    monkeypatch.setattr(QSeries, "coeffs", property(refuse))
+    ids = [i for i in checks.registry_ids() if i != "TABLE2"]
+    reports = checks.run_all(order=16, nmax=30, mmax=6, ids=ids)
+    assert [r.id for r in reports if r.status != "pass"] == []
+    with pytest.raises(AssertionError, match="coeffs"):
+        checks.run_check("TABLE2")

@@ -33,6 +33,14 @@ def test_export_tau_csv(capsys):
     assert "4,-1472" in lines
 
 
+@pytest.mark.parametrize("name", ["tau", "delta"])
+def test_export_tau_at_order_0_is_the_constant_term(capsys, name):
+    # tau is the discriminant, so both names print its q^0 coefficient
+    code, out, err = run_cli(capsys, "export", name, "--order", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["coefficients"] == ["0"]
+
+
 def test_export_theta3_csv(capsys):
     code, out, _ = run_cli(
         capsys, "export", "theta3", "--order", "4", "--format", "csv"
@@ -158,7 +166,7 @@ def test_list_subcommand(capsys):
         ("verify", "all", "--order", "-1"),
         ("verify", "T8", "--nmax", "-5"),
         ("export", "E2star", "--order", "-2"),
-        ("export", "tau", "--order", "0"),
+        ("export", "tau", "--order", "-1"),
         ("decompose", "E8star", "--weight", "7"),
         ("decompose", "E8star", "--weight", "8", "--order", "1"),
         ("export", "E8star_poly", "--order", "11"),

@@ -607,3 +607,15 @@ def test_e_star_poly_matches_the_unpaired_fraction_recursion():
     oracle = _oracle_e_star(24)
     for m in range(2, 25):
         assert dict(e_star_poly(m).terms) == oracle[m]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: GradedPoly(LEVEL2, {(0, 1, 0): 0.1}),
+     lambda: GradedPoly.generator(LEVEL2, "B").scale(0.1),
+     lambda: GradedPoly.monomial(LEVEL2, (0, 1, 0), 0.1)],
+    ids=["GradedPoly", "scale", "monomial"],
+)
+def test_polys_refuse_floats(build):
+    with pytest.raises(TypeError):
+        build()

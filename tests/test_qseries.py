@@ -302,3 +302,15 @@ def test_fraction_view_and_difference_are_reduced():
     # equal values over different denominators compare equal
     assert QSeries([Fraction(1, 2), 1]) == QSeries([Fraction(1, 2), 1, Fraction(1, 3)])
     assert first_difference(QSeries([2, Fraction(4, 6)]), QSeries([2, Fraction(2, 3)])) is None
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: QSeries([0.1]), lambda: QSeries([1, 2]).scale(0.1),
+     lambda: QSeries.from_terms({1: 0.5}, 3)],
+    ids=["QSeries", "scale", "from_terms"],
+)
+def test_series_refuse_floats(build):
+    # a float would enter as its binary expansion, not as the decimal it shows
+    with pytest.raises(TypeError):
+        build()

@@ -117,3 +117,46 @@ def test_alpha_values_and_positivity():
     assert ks_alpha(4) == Fraction(17, 8)
     for m in range(2, 21):
         assert ks_alpha(m) > 0
+
+
+def test_bernoulli_memo_survives_concurrent_cold_callers():
+    # each B_m is built from all before it; threads extending a cleared memo
+    # at once must not interleave their entries
+    import sys
+    import threading
+
+    from eisen2 import scalars
+
+    expected = [bernoulli(n) for n in range(121)]
+    saved = list(scalars._BERNOULLI)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            del scalars._BERNOULLI[1:]
+            threads = [threading.Thread(target=bernoulli, args=(120,)) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            assert scalars._BERNOULLI[:121] == expected
+    finally:
+        sys.setswitchinterval(interval)
+        scalars._BERNOULLI[:] = saved
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: PiScaled(0.5, 2), lambda: PiScaled(Fraction(1), 2) * 0.5,
+     lambda: 0.5 * PiScaled(Fraction(1), 2)],
+    ids=["PiScaled", "PiScaled*float", "float*PiScaled"],
+)
+def test_pi_scaled_refuses_floats(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_pi_scaled_keeps_ints_exact():
+    assert PiScaled(1, 2) == PiScaled(Fraction(1), 2)
+    assert type(PiScaled(1, 2).coeff) is Fraction
+    assert PiScaled(Fraction(1, 3), 2) * 3 == PiScaled(Fraction(1), 2)
