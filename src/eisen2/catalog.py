@@ -1,11 +1,12 @@
 """The one route to the named q-series: E_{2k}, E*_{2k}, delta, theta3, C, D,
 the divisor-sum series sum sigma_s(n) q^n and sum sigma*_s(n) q^n, and the
-powers of any of them.
+powers of any of them and their products.
 
 A ``SeriesCatalog`` names, builds and memoizes every series at one order.
-``by_name`` resolves every export name, and ``power`` builds each power by
-one product from the powers already memoized.  Each series is built once,
-from its defining expansion.  The divisor-sum series are sieved in integers
+``by_name`` resolves every export name, ``power`` builds each power by one
+product from the powers already memoized, and ``monomial`` each product of
+powers by one product more.  Each series is built once, from its defining
+expansion.  The divisor-sum series are sieved in integers
 by ``arith.divisor_sum_table`` and keep its n = 0 convention values as their
 constant terms, so the convolution identities hold from n = 0; the per-n
 ``arith`` functions are left as the oracles the tests hold them to.  Each
@@ -69,7 +70,8 @@ _NAME = re.compile(r"(E|sigma|r)(\d+)(star)?")
 
 
 class SeriesCatalog:
-    """Memoized named series, their powers and E*_2m polynomials at one order."""
+    """Memoized named series, their powers and monomials, and E*_2m
+    polynomials at one order."""
 
     def __init__(self, order: int):
         if order < 0:
@@ -131,7 +133,7 @@ class SeriesCatalog:
         """
 
         def build() -> QSeries:
-            eta_route = QSeries([0] + _eta24(self.order)[: self.order])
+            eta_route = QSeries._make([0] + _eta24(self.order)[: self.order])
             e4, e6 = self.level1(2), self.level1(3)
             level1_route = (e4 * e4 * e4 - e6 * e6).scale(Fraction(1, 1728))
             e4, e6 = self.level2(2), self.level2(3)
@@ -212,6 +214,18 @@ class SeriesCatalog:
             return half * half
 
         return self._memo(f"{name}^{e}", build)
+
+    def monomial(self, powers) -> QSeries:
+        """The product of the powers ``power(name, e)`` over the (name, e)
+        pairs, memoized.  Zero exponents are dropped; a product of several
+        powers is one product past the memoized product of all but its last
+        factor, so each monomial costs one product once its powers exist."""
+        factors = tuple((name, e) for name, e in powers if e)
+        if len(factors) < 2:
+            return self.power(*factors[0]) if factors else QSeries.one(self.order)
+        return self._memo(
+            "*".join(f"{name}^{e}" for name, e in factors),
+            lambda: self.monomial(factors[:-1]) * self.power(*factors[-1]))
 
     def by_name(self, name: str) -> QSeries:
         """Resolve a series by its export name.

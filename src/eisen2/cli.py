@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 from typing import Optional
@@ -74,6 +75,26 @@ def _bad_input(message: str) -> int:
     return 2
 
 
+def _unwritable(path: str) -> Optional[str]:
+    """Why no file can be written at path, or None; asked before any work, so
+    a missing directory fails at once and nothing is created or truncated."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        return f"cannot write {path}: no directory {folder}"
+    if os.path.isdir(path):
+        return f"cannot write {path}: it is a directory"
+    return None
+
+
+def _write(path: str, text: str) -> int:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return _bad_input(f"cannot write {path}: {exc.strerror or exc}")
+    return 0
+
+
 def _cmd_verify(args) -> int:
     for flag in ("order", "nmax", "mmax"):
         if getattr(args, flag) < 0:
@@ -82,6 +103,9 @@ def _cmd_verify(args) -> int:
         ids = checks.resolve_ids(args.target)
     except checks.UnknownTheoremId:
         return _bad_input(f"unknown check id {args.target!r}; see `list`")
+    problem = args.json not in (None, "-") and _unwritable(args.json)
+    if problem:
+        return _bad_input(problem)
     reports = checks.run_all(
         order=args.order,
         nmax=args.nmax,
@@ -100,9 +124,9 @@ def _cmd_verify(args) -> int:
         failed = sum(r.status != "pass" for r in reports)
         print(f"{len(reports) - failed}/{len(reports)} checks passed")
         if args.json:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                json.dump([r.to_json_dict() for r in reports], fh, indent=2)
-                fh.write("\n")
+            text = json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
+            if _write(args.json, text):
+                return 2
     return 0 if all(r.status == "pass" for r in reports) else 1
 
 
@@ -118,6 +142,9 @@ def _cmd_export(args) -> int:
     order = args.order if args.order is not None else _default_order(args.name)
     if order < 0:
         return _bad_input("--order must be nonnegative")
+    problem = args.output and _unwritable(args.output)
+    if problem:
+        return _bad_input(problem)
     try:
         if m:
             weight = int(m.group(1))
@@ -134,10 +161,8 @@ def _cmd_export(args) -> int:
     except ValueError as exc:  # a catalog below the polynomial's compared order
         return _bad_input(str(exc))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return _write(args.output, text)
+    sys.stdout.write(text)
     return 0
 
 

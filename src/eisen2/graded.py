@@ -6,11 +6,14 @@ and C is their weight-2 quotient partner E6*/E4*.  A ``GradedPoly`` keeps
 integer numerators per monomial over one positive common denominator,
 reduced, as ``QSeries`` does for coefficients; products, sums, scaling and
 both Serre derivatives work on those integers, and ``terms`` gives a cached
-``Fraction`` view.  Evaluation substitutes the q-expansions through the
-catalog's memoized generator powers.  Modular forms of even weight 2k on
-the level-2 group decompose over the monomial basis B^j C^(k-2j), and that
-decomposition is computed by exact fraction-free elimination.  The module
-keeps no state: each E*_2m level is memoized in the catalog it was compared on.
+``Fraction`` view.  Evaluation is an integer linear combination of the
+catalog's memoized monomial series, so it makes no product of its own once
+they exist.  The E*_2m tower compares every level lifted to the top weight,
+times a power of C, so that all levels share one monomial set.  Modular
+forms of even weight 2k on the level-2 group decompose over the monomial
+basis B^j C^(k-2j), and that decomposition is computed by exact
+fraction-free elimination.  The module keeps no state: each E*_2m level is
+memoized in the catalog it was compared on.
 """
 
 from __future__ import annotations
@@ -294,18 +297,20 @@ def serre_partial(f: GradedPoly, weight: Optional[int] = None) -> GradedPoly:
 def gp_evaluate(f: GradedPoly, catalog: SeriesCatalog) -> QSeries:
     """Substitute the generator q-expansions and expand exactly.
 
-    Each monomial multiplies the catalog's memoized generator powers, so a
-    power is computed once per catalog however many monomials use it.
+    Each monomial's series is ``catalog.monomial``, memoized with the
+    generator powers, so it is multiplied out once per catalog however many
+    polynomials use it.  The result is the integer linear combination of
+    those series' numerators, over the polynomial's denominator times their
+    common one; it makes no series product of its own.
     """
     names = _SERIES_NAMES[f.ring]
-    total = QSeries.zero(catalog.order)
-    for exps, x in f._nums.items():
-        factors = [catalog.power(name, e) for name, e in zip(names, exps) if e]
-        term = factors[0] if factors else QSeries.one(catalog.order)
-        for factor in factors[1:]:
-            term = term * factor
-        total = total + term.scale(x)
-    return total.scale(Fraction(1, f._den))
+    terms = [(x, catalog.monomial(zip(names, exps))) for exps, x in f._nums.items()]
+    den = lcm(*(s.denominator for _, s in terms))
+    total = [0] * (catalog.order + 1)
+    for x, s in terms:
+        x *= den // s.denominator
+        total = [t + x * y for t, y in zip(total, s.numerators)]
+    return QSeries._make(total, f._den * den)
 
 
 @dataclass(frozen=True)
@@ -403,8 +408,16 @@ def e_star_order(m: int) -> int:
     return 2 * modular_dimension(2 * m) + 6
 
 
-def _solve_level(mm: int, tower: list, catalog: SeriesCatalog) -> GradedPoly:
-    """E*_{2mm} from the levels tower[2..mm-1], compared on the catalog."""
+def _solve_level(mm: int, tower: list, catalog: SeriesCatalog, top: int) -> GradedPoly:
+    """E*_{2mm} from the levels tower[2..mm-1], compared on the catalog.
+
+    The comparison is lifted to weight 2 top: both sides are multiplied by
+    C^(top-mm), which sends each monomial B^j C^(mm-2j) to B^j C^(top-2j),
+    so every level of one tower evaluates the same top/2 memoized monomials
+    and pays one product, on the right side.  C has constant term 1, so it
+    is a unit: the lifted difference is the unlifted one times C^(top-mm),
+    with the same first exponent and the same coefficient there.
+    """
     if mm == 2:
         return GradedPoly.generator(LEVEL2, "B")  # the weight-4 series is B itself
     acc = GradedPoly.zero(LEVEL2)
@@ -426,11 +439,21 @@ def _solve_level(mm: int, tower: list, catalog: SeriesCatalog) -> GradedPoly:
             name, 0, "differential recursion", "monomial basis",
             poly.terms[min(stray)], Fraction(0),
         )
-    diff = first_difference(gp_evaluate(poly, catalog), catalog.level2(mm))
+    shift = top - mm
+    series = catalog.level2(mm)
+    lifted = GradedPoly._make(
+        LEVEL2, {(a, b, c + shift): x for (a, b, c), x in poly._nums.items()}, poly._den
+    )
+    diff = first_difference(
+        gp_evaluate(lifted, catalog),
+        series * catalog.power("C", shift) if shift else series,
+    )
     if diff is not None:
+        n, lhs, rhs = diff
+        # the unlifted values: E*_{2mm} at q^n, and it plus the difference
         raise CrossCheckMismatch(
-            name, diff[0], "differential recursion", "q-expansion",
-            diff[1], diff[2],
+            name, n, "differential recursion", "q-expansion",
+            series.coeffs[n] + (lhs - rhs), series.coeffs[n],
         )
     return poly
 
@@ -444,10 +467,14 @@ def e_star_poly(m: int, catalog: Optional[SeriesCatalog] = None) -> GradedPoly:
                                    - delta E*_{2m-2} ]
 
     with c_{m,k} the rational convolution coefficients and alpha_{2m} the
-    positive rational normalizer.  Each new level is checked to lie in the
-    basis B^j C^(m-2j) and then, as one series equation, against the
+    positive rational normalizer.  Each new level mm is checked to lie in
+    the basis B^j C^(mm-2j) and then, as one series equation, against the
     divisor-sum q-expansion on the catalog's whole range; the basis is
-    independent, so that agreement fixes every coordinate.  Each level, from
+    independent, so that agreement fixes every coordinate.  The equation is
+    lifted to weight 2m, both sides times C^(m-mm): every level then
+    evaluates monomials B^j C^(m-2j) from one memoized set, and since C is a
+    unit a failure has the same exponent and values as the unlifted
+    equation's.  Each level, from
     E*_4 = B upward, is memoized as ``E{2m}star_poly`` in the catalog it was
     compared on; with none given, a fresh one of order ``e_star_order(m)``,
     rebuilt on every call.  A caller judging many levels passes one catalog.
@@ -462,7 +489,7 @@ def e_star_poly(m: int, catalog: Optional[SeriesCatalog] = None) -> GradedPoly:
     tower: list = [None, None]
     for mm in range(2, m + 1):
         key = f"E{2 * mm}star_poly"
-        tower.append(catalog._memo(key, lambda: _solve_level(mm, tower, catalog)))
+        tower.append(catalog._memo(key, lambda: _solve_level(mm, tower, catalog, m)))
     return tower[m]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 __all__ = [
     "exact",
@@ -47,16 +47,26 @@ def bernoulli(n: int) -> Fraction:
     """Signed Bernoulli number B_n of x/(e^x - 1), so B_1 = -1/2.
 
     Computed by the Pascal-triangle recursion
-    sum_{j=0}^{n} C(n+1, j) B_j = 0 for n >= 1.
+    sum_{j=0}^{n} C(n+1, j) B_j = 0 for n >= 1, in integers: the sum runs
+    over the nonzero B_j only, as numerators over the lcm of their
+    denominators, and each new B_m is one ``Fraction``.
     """
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
     if n >= len(_BERNOULLI):
         with _BERNOULLI_LOCK:
-            while len(_BERNOULLI) <= n:
-                m = len(_BERNOULLI)
-                s = sum(comb(m + 1, j) * _BERNOULLI[j] for j in range(m))
-                _BERNOULLI.append(Fraction(-s, m + 1))
+            den = lcm(*(b.denominator for b in _BERNOULLI))
+            terms = [(j, b.numerator * (den // b.denominator))
+                     for j, b in enumerate(_BERNOULLI) if b]
+            for m in range(len(_BERNOULLI), n + 1):
+                b = Fraction(-sum(comb(m + 1, j) * x for j, x in terms), (m + 1) * den)
+                _BERNOULLI.append(b)
+                if b:
+                    if den % b.denominator:
+                        grow = lcm(den, b.denominator) // den
+                        den *= grow
+                        terms = [(j, x * grow) for j, x in terms]
+                    terms.append((m, b.numerator * (den // b.denominator)))
     return _BERNOULLI[n]
 
 

@@ -170,6 +170,42 @@ def test_t49_range_does_not_depend_on_earlier_calls(monkeypatch, warm):
     assert any("E8star polynomial" in note for note in report.notes)
 
 
+@pytest.mark.parametrize(
+    "n, lhs, rhs",
+    [(9, Fraction(-153125024, 17), Fraction(-153125056, 17)),
+     (13, Fraction(-2007952576, 17), Fraction(-2007952608, 17)),
+     (30, Fraction(694698892032, 17), Fraction(694698892000, 17))],
+)
+def test_t49_reports_the_unlifted_values_of_a_bad_level(monkeypatch, n, lhs, rhs):
+    # levels are compared lifted to the top weight, but a failure names the
+    # polynomial's value at q^n and the bumped E8* coefficient, as the
+    # per-level comparison did
+    _corrupt_sigma_star(monkeypatch, s=7, n=n)
+    report = checks.run_check("T49", mmax=40)
+    assert report.status == "fail"
+    assert report.first_discrepancy == (n, lhs, rhs)
+    assert report.notes == (
+        f"E8star polynomial: routes 'differential recursion' and 'q-expansion' "
+        f"disagree at q^{n}: {lhs} != {rhs}",
+    )
+
+
+def test_t49_at_mmax_40_makes_at_most_130_products(monkeypatch):
+    # every level shares the top weight's monomials: 113 products, against
+    # 437 when each level multiplied out its own monomials
+    real = QSeries.__mul__
+    products = []
+
+    def counted(self, other):
+        if isinstance(other, QSeries):
+            products.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", counted)
+    assert checks.run_check("T49", mmax=40).status == "pass"
+    assert len(products) <= 130
+
+
 def test_special_forms_equal_the_derivative():
     # each displayed form is a second right-hand side for q E'_{2m-2}
     cat = SeriesCatalog(24)

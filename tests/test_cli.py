@@ -170,6 +170,8 @@ def test_list_subcommand(capsys):
         ("decompose", "E8star", "--weight", "7"),
         ("decompose", "E8star", "--weight", "8", "--order", "1"),
         ("export", "E8star_poly", "--order", "11"),
+        ("verify", "all", "--json", "/nonexistent/x.json"),
+        ("export", "tau", "--output", "/nonexistent/x.csv"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv):
@@ -177,6 +179,21 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.strip()
+
+
+@pytest.mark.parametrize("flag", ["--json", "--output"])
+def test_unwritable_output_fails_before_any_work(capsys, monkeypatch, tmp_path, flag):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(cli.checks, "run_all", refuse)
+    monkeypatch.setattr(cli, "SeriesCatalog", refuse)
+    command = ("verify", "all") if flag == "--json" else ("export", "tau")
+    for path in (tmp_path / "missing" / "x", tmp_path):
+        code, out, err = run_cli(capsys, *command, flag, str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and str(path) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_decompose_non_modular_reports_one_line(capsys):

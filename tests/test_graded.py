@@ -449,6 +449,19 @@ def _oracle_evaluate(ring, p, cat):
     return total
 
 
+def _oracle_gp_evaluate(f, cat):
+    # gp_evaluate's per-monomial loop before monomials were memoized
+    names = graded._SERIES_NAMES[f.ring]
+    total = QSeries.zero(cat.order)
+    for exps, x in f._nums.items():
+        factors = [cat.power(name, e) for name, e in zip(names, exps) if e]
+        term = factors[0] if factors else QSeries.one(cat.order)
+        for factor in factors[1:]:
+            term = term * factor
+        total = total + term.scale(x)
+    return total.scale(Fraction(1, f._den))
+
+
 def _oracle_e_star(mmax):
     polys = {2: {(0, 1, 0): Fraction(1)}}
     for mm in range(3, mmax + 1):
@@ -552,6 +565,45 @@ def test_gp_evaluate_matches_per_monomial_powers():
             for _ in range(10):
                 p = random_terms(rng, ring=ring, max_exp=max_exp)
                 assert gp_evaluate(GradedPoly(ring, p), cat) == _oracle_evaluate(ring, p, cat)
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_lifted_evaluation_is_the_evaluation_times_a_power_of_c(m):
+    # the tower compares E*_2m(B, C) C^s with E*_2m C^s; C is a unit, so that
+    # is the unlifted equation, and each side is the unlifted one times C^s
+    cat = SeriesCatalog(e_star_order(m + 6))
+    poly = e_star_poly(m, cat)
+    for s in range(7):
+        lifted = poly * GradedPoly.monomial(LEVEL2, (0, 0, s))
+        assert set(lifted.terms) <= {(0, j, m + s - 2 * j) for j in range(m // 2 + 1)}
+        got = gp_evaluate(lifted, cat)
+        assert got.order == cat.order
+        assert got == _oracle_gp_evaluate(poly, cat) * cat.power("C", s)
+        assert got == _oracle_gp_evaluate(lifted, cat)
+
+
+def test_gp_evaluate_keeps_the_generators_denominators():
+    # catalog generators are integral, but the combination must not rely on it
+    rng = random.Random(44)
+    cat = SeriesCatalog(16)
+    cat._cache["C"] = cat.C().scale(Fraction(5, 3))
+    cat._cache["E4star"] = cat.level2(2).scale(Fraction(1, 691))
+    for _ in range(20):
+        p = GradedPoly(LEVEL2, random_terms(rng, ring=LEVEL2, max_exp=3))
+        assert gp_evaluate(p, cat) == _oracle_gp_evaluate(p, cat)
+
+
+def test_gp_evaluate_memoizes_each_monomial_in_the_catalog(monkeypatch):
+    cat = SeriesCatalog(24)
+    poly = GradedPoly(LEVEL2, {(1, 2, 3): 5, (0, 1, 4): Fraction(1, 3), (2, 0, 0): -1})
+    first = gp_evaluate(poly, cat)
+    assert {"E2star^1*E4star^2*C^3", "E4star^1*C^4"} <= set(cat._cache)
+
+    def refuse(self, other):
+        raise AssertionError("a memoized monomial was multiplied again")
+
+    monkeypatch.setattr(QSeries, "__mul__", refuse)
+    assert gp_evaluate(poly.scale(7), cat) == first.scale(7)
 
 
 def test_catalog_power_matches_repeated_squaring():

@@ -304,6 +304,28 @@ def test_fraction_view_and_difference_are_reduced():
     assert first_difference(QSeries([2, Fraction(4, 6)]), QSeries([2, Fraction(2, 3)])) is None
 
 
+def test_constructor_and_make_give_equal_reduced_series():
+    rng = random.Random(11)
+    ints = [rng.randint(-10**30, 10**30) for _ in range(301)]
+    for den in (1, 6, 691):
+        built = QSeries([Fraction(x, den) for x in ints])
+        made = QSeries._make(ints, den)
+        assert (built.numerators, built.denominator) == (made.numerators, made.denominator)
+        assert built.coeffs == made.coeffs
+    # the integer route: ints are their own numerators, bools go the exact way
+    assert QSeries(ints).numerators == tuple(ints) and QSeries(ints).denominator == 1
+    assert QSeries([True, 0, 2]).numerators == (1, 0, 2)
+    assert {type(x) for x in QSeries([True, 0, 2]).numerators} == {int}
+    assert QSeries([2, Fraction(4, 2)]).numerators == (2, 2)
+    # a common factor of all numerators stays when the denominator is 1
+    assert QSeries([2, 4]).numerators == (2, 4)
+    sparse = {0: 1, 4: 2, 9: Fraction(2, 3), 40: 5}
+    assert QSeries.from_terms(sparse, 30) == QSeries._make(
+        [3] + [0] * 3 + [6] + [0] * 4 + [2] + [0] * 21, 3)
+    with pytest.raises(ValueError):
+        QSeries([])
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: QSeries([0.1]), lambda: QSeries([1, 2]).scale(0.1),

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -29,6 +30,31 @@ def test_bernoulli_odd_vanish_and_even_alternate():
     for k in range(1, 31):
         expected_sign = 1 if k % 2 == 1 else -1
         assert bernoulli(2 * k) * expected_sign > 0
+
+
+def _oracle_bernoulli(n):
+    # the Fraction loop bernoulli ran before it summed numerators in integers
+    values = [Fraction(1)]
+    for m in range(1, n + 1):
+        values.append(-sum(comb(m + 1, j) * values[j] for j in range(m)) / (m + 1))
+    return values
+
+
+def test_bernoulli_matches_the_fraction_recursion():
+    # extended from a cleared memo in steps, so the integer sums restart from
+    # entries already memoized and the common denominator grows in between
+    from eisen2 import scalars
+
+    expected = _oracle_bernoulli(200)
+    saved = list(scalars._BERNOULLI)
+    try:
+        del scalars._BERNOULLI[1:]
+        for n in (1, 2, 5, 6, 61, 200):
+            assert bernoulli(n) == expected[n]
+            assert type(bernoulli(n)) is Fraction
+        assert scalars._BERNOULLI == expected
+    finally:
+        scalars._BERNOULLI[:] = saved
 
 
 def test_bernoulli_rejects_negative():
