@@ -152,10 +152,10 @@ class SeriesCatalog:
         """Square-counting theta series: 1 + 2 sum_{m>=1} q^(m^2)."""
 
         def build() -> QSeries:
-            terms = {0: 1}
+            nums = [1] + [0] * self.order
             for m in range(1, isqrt(self.order) + 1):
-                terms[m * m] = 2
-            return QSeries.from_terms(terms, self.order)
+                nums[m * m] = 2
+            return QSeries._make(nums)
 
         return self._memo("theta3", build)
 

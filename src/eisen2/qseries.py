@@ -116,19 +116,14 @@ class QSeries:
     __slots__ = ("_nums", "_den", "_view")
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        values = list(coeffs)
+        # exact raises for anything that is not an int or a Fraction
+        values = [c if isinstance(c, (int, Fraction)) else exact(c) for c in coeffs]
         if not values:
             raise ValueError("a series needs at least the constant coefficient")
-        if set(map(type, values)) == {int}:
-            # integer coefficients are their own numerators over 1
-            self._nums, self._den = tuple(values), 1
-        else:
-            # exact raises for anything that is not an int or a Fraction
-            values = [c if isinstance(c, (int, Fraction)) else exact(c) for c in values]
-            # the lcm of reduced denominators leaves no common factor to divide out
-            den = lcm(*(c.denominator for c in values))
-            self._nums = tuple(c.numerator * (den // c.denominator) for c in values)
-            self._den = den
+        # the lcm of reduced denominators leaves no common factor to divide out
+        den = lcm(*(c.denominator for c in values))
+        self._nums = tuple(c.numerator * (den // c.denominator) for c in values)
+        self._den = den
         self._view: Optional[tuple[Fraction, ...]] = None
 
     @classmethod

@@ -312,7 +312,7 @@ def test_constructor_and_make_give_equal_reduced_series():
         made = QSeries._make(ints, den)
         assert (built.numerators, built.denominator) == (made.numerators, made.denominator)
         assert built.coeffs == made.coeffs
-    # the integer route: ints are their own numerators, bools go the exact way
+    # ints are their own numerators over 1, and bools become ints
     assert QSeries(ints).numerators == tuple(ints) and QSeries(ints).denominator == 1
     assert QSeries([True, 0, 2]).numerators == (1, 0, 2)
     assert {type(x) for x in QSeries([True, 0, 2]).numerators} == {int}
@@ -322,6 +322,11 @@ def test_constructor_and_make_give_equal_reduced_series():
     sparse = {0: 1, 4: 2, 9: Fraction(2, 3), 40: 5}
     assert QSeries.from_terms(sparse, 30) == QSeries._make(
         [3] + [0] * 3 + [6] + [0] * 4 + [2] + [0] * 21, 3)
+    # the catalog builds theta3 with _make over its integer list
+    squares = {m * m: 2 for m in range(1, 6)}
+    theta3 = SeriesCatalog(30).theta3()
+    assert theta3 == QSeries.from_terms({0: 1, **squares}, 30)
+    assert theta3.denominator == 1
     with pytest.raises(ValueError):
         QSeries([])
 
