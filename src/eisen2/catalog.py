@@ -183,7 +183,7 @@ class SeriesCatalog:
             series = (self.level2(2) - c * c).scale(Fraction(-1, 64))
             # q^1..q^51 against the enumeration, shifted by one
             count = [arith.delta8_oracle(n) for n in range(min(51, self.order))]
-            diff = first_difference(series, QSeries([0] + count))
+            diff = first_difference(series, QSeries._make([0] + count))
             if diff is not None:
                 raise CrossCheckMismatch("D", diff[0], "-(E4*-C^2)/64",
                                          "triangular-number count", diff[1], diff[2])

@@ -30,6 +30,7 @@ from .graded import (
     e_star_order,
     e_star_poly,
     gp_evaluate,
+    positivity_witness,
     serre_delta,
 )
 from .qseries import QSeries, first_difference, qs_det, rational_str
@@ -536,12 +537,13 @@ def _det_l2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 def _poly_first_diff(
     p: GradedPoly, q: GradedPoly
 ) -> Optional[tuple[int, Fraction, Fraction]]:
-    keys = sorted(set(p.terms) | set(q.terms))
+    # numerators cross-multiplied, as first_difference compares series
+    keys = sorted(set(p._nums) | set(q._nums))
+    dp, dq = p._den, q._den
     for i, key in enumerate(keys):
-        a = p.terms.get(key, Fraction(0))
-        b = q.terms.get(key, Fraction(0))
-        if a != b:
-            return (i, a, b)
+        x, y = p._nums.get(key, 0), q._nums.get(key, 0)
+        if x * dq != y * dp:
+            return (i, Fraction(x, dp), Fraction(y, dq))
     return None
 
 
@@ -592,12 +594,8 @@ def _t49(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     e_star_poly(ws.mmax, cat)
     for m in range(2, ws.mmax + 1):
         if not check_positivity(m, cat):
-            poly = e_star_poly(m, cat)
-            bad = min(
-                (e for e in poly.terms if poly.terms[e] <= 0 or e[1] < 1 or e[0]),
-                default=min(poly.terms),
-            )
-            return (m, poly.terms[bad], Fraction(0))
+            _, coeff = positivity_witness(e_star_poly(m, cat), m)
+            return (m, coeff, Fraction(0))
     return None
 
 

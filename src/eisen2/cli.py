@@ -43,30 +43,14 @@ def _export_values(name: str, order: int) -> list[str]:
         raise UnknownName(name) from exc
 
 
-def _format_table(name: str, order: int, values: list[str], fmt: str) -> str:
+def _format(fmt: str, payload: dict, header: tuple, rows) -> str:
+    """The payload as indented JSON, or the rows as CSV under the header."""
     if fmt == "json":
-        return json.dumps(
-            {"name": name, "order": order, "coefficients": values}, indent=2
-        ) + "\n"
+        return json.dumps(payload, indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["n", "value"])
-    for n, v in enumerate(values):
-        writer.writerow([n, v])
-    return buf.getvalue()
-
-
-def _format_records(name: str, weight: int, records, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(
-            {"name": name, "weight": weight, "terms": [list(r) for r in records]},
-            indent=2,
-        ) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["a", "b", "c", "value"])
-    for rec in records:
-        writer.writerow(rec)
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -78,6 +62,8 @@ def _bad_input(message: str) -> int:
 def _unwritable(path: str) -> Optional[str]:
     """Why no file can be written at path, or None; asked before any work, so
     a missing directory fails at once and nothing is created or truncated."""
+    if not path:
+        return "cannot write to an empty path"
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         return f"cannot write {path}: no directory {folder}"
@@ -123,7 +109,7 @@ def _cmd_verify(args) -> int:
             print(line)
         failed = sum(r.status != "pass" for r in reports)
         print(f"{len(reports) - failed}/{len(reports)} checks passed")
-        if args.json:
+        if args.json is not None:
             text = json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
             if _write(args.json, text):
                 return 2
@@ -142,7 +128,7 @@ def _cmd_export(args) -> int:
     order = args.order if args.order is not None else _default_order(args.name)
     if order < 0:
         return _bad_input("--order must be nonnegative")
-    problem = args.output and _unwritable(args.output)
+    problem = args.output is not None and _unwritable(args.output)
     if problem:
         return _bad_input(problem)
     try:
@@ -152,15 +138,20 @@ def _cmd_export(args) -> int:
                 raise UnknownName(args.name)
             cat = None if args.order is None else SeriesCatalog(order)
             poly = e_star_poly(weight // 2, cat)
-            text = _format_records(args.name, weight, poly.to_records(), args.format)
+            records = poly.to_records()
+            text = _format(args.format, {"name": args.name, "weight": weight,
+                                         "terms": records},
+                           ("a", "b", "c", "value"), records)
         else:
             values = _export_values(args.name, order)
-            text = _format_table(args.name, order, values, args.format)
+            text = _format(args.format, {"name": args.name, "order": order,
+                                         "coefficients": values},
+                           ("n", "value"), enumerate(values))
     except UnknownName:
         return _bad_input(f"unknown export name {args.name!r}; see `list`")
     except ValueError as exc:  # a catalog below the polynomial's compared order
         return _bad_input(str(exc))
-    if args.output:
+    if args.output is not None:
         return _write(args.output, text)
     sys.stdout.write(text)
     return 0
@@ -183,7 +174,10 @@ def _cmd_decompose(args) -> int:
         print(f"{args.name} is not modular of weight {args.weight}: {exc}",
               file=sys.stderr)
         return 1
-    text = _format_records(args.name, args.weight, dec.to_records(), args.format)
+    records = dec.to_records()
+    text = _format(args.format, {"name": args.name, "weight": args.weight,
+                                 "terms": records},
+                   ("a", "b", "c", "value"), records)
     sys.stdout.write(text)
     return 0
 

@@ -5,14 +5,14 @@ Two rings: level 1 in E2, E4, E6 (weights 2, 4, 6) and level 2 in A, B, C
 and C is their weight-2 quotient partner E6*/E4*.  A ``GradedPoly`` keeps
 integer numerators per monomial over one positive common denominator,
 reduced, as ``QSeries`` does for coefficients; products, sums, scaling and
-both Serre derivatives work on those integers, and ``terms`` gives a cached
-``Fraction`` view.  Evaluation is an integer linear combination of the
-catalog's memoized monomial series, so it makes no product of its own once
-they exist.  The E*_2m tower compares every level lifted to the top weight,
-times a power of C, so that all levels share one monomial set.  Modular
-forms of even weight 2k on the level-2 group decompose over the monomial
-basis B^j C^(k-2j), and that decomposition is computed by exact
-fraction-free elimination.  The module keeps no state: each E*_2m level is
+both Serre derivatives work on those integers, and ``terms`` gives the
+coefficients as ``Fraction`` values.  Evaluation is an integer linear
+combination of the catalog's memoized monomial series, so it makes no
+product of its own once they exist.  The E*_2m tower compares every level
+lifted to the top weight, times a power of C, so that all levels share one
+monomial set.  Modular forms of even weight 2k on the level-2 group
+decompose over the monomial basis B^j C^(k-2j), and that decomposition is
+computed by exact fraction-free elimination.  The module keeps no state: each E*_2m level is
 memoized in the catalog it was compared on.
 """
 
@@ -44,6 +44,7 @@ __all__ = [
     "e_star_order",
     "e_star_poly",
     "check_positivity",
+    "positivity_witness",
 ]
 
 LEVEL1 = "level1"
@@ -88,10 +89,10 @@ class GradedPoly:
     Kept as integer numerators per exponent triple over one positive common
     denominator, reduced, with no zero entries, so equal polynomials have
     equal representations.  ``terms`` gives the coefficients as ``Fraction``
-    values through a read-only view that is built on first use and cached.
+    values in a read-only mapping built on each call.
     """
 
-    __slots__ = ("ring", "_nums", "_den", "_view")
+    __slots__ = ("ring", "_nums", "_den")
 
     def __init__(self, ring: str, terms: Optional[Mapping[Exponents, Scalar]] = None):
         if ring not in _GENERATORS:
@@ -107,7 +108,6 @@ class GradedPoly:
             e: v.numerator * (den // v.denominator) for e, v in values.items() if v
         }
         self._den = den if self._nums else 1
-        self._view: Optional[Mapping[Exponents, Fraction]] = None
 
     @classmethod
     def _make(cls, ring: str, nums: dict[Exponents, int], den: int = 1) -> "GradedPoly":
@@ -122,7 +122,7 @@ class GradedPoly:
             if g != 1:
                 nums = {e: x // g for e, x in nums.items()}
                 den //= g
-        poly._nums, poly._den, poly._view = nums, den, None
+        poly._nums, poly._den = nums, den
         return poly
 
     @classmethod
@@ -143,14 +143,9 @@ class GradedPoly:
 
     @property
     def terms(self) -> Mapping[Exponents, Fraction]:
-        """The nonzero coefficients as reduced ``Fraction`` values (cached)."""
-        view = self._view
-        if view is None:
-            den = self._den
-            view = self._view = MappingProxyType(
-                {e: Fraction(x, den) for e, x in self._nums.items()}
-            )
-        return view
+        """The nonzero coefficients as reduced ``Fraction`` values, read-only."""
+        den = self._den
+        return MappingProxyType({e: Fraction(x, den) for e, x in self._nums.items()})
 
     def monomial_weight(self, exps: Exponents) -> int:
         w = _WEIGHTS[self.ring]
@@ -158,10 +153,6 @@ class GradedPoly:
 
     def is_zero(self) -> bool:
         return not self._nums
-
-    def is_homogeneous(self) -> bool:
-        weights = {self.monomial_weight(e) for e in self._nums}
-        return len(weights) <= 1
 
     def weight(self) -> Optional[int]:
         """Common weight of all monomials; None for the zero polynomial."""
@@ -260,9 +251,7 @@ _RULES: dict[str, tuple[int, tuple[dict[Exponents, int], ...]]] = {
 
 
 def _derive(f: GradedPoly, weight: Optional[int]) -> GradedPoly:
-    if not f.is_homogeneous():
-        raise NotHomogeneous("Serre derivative needs a homogeneous input")
-    own = f.weight()
+    own = f.weight()  # raises NotHomogeneous on mixed weights
     if weight is not None and own is not None and own != weight:
         raise NotHomogeneous(f"stated weight {weight} but polynomial has weight {own}")
     rule_den, rules = _RULES[f.ring]
@@ -391,16 +380,13 @@ def decompose_modular(
         gp_evaluate(GradedPoly.monomial(LEVEL2, (0, j, k - 2 * j)), catalog)
         for j in range(k // 2, -1, -1)
     ]
-    matrix = [[basis[i].coeffs[n] for i in range(dim)] for n in range(dim)]
-    rhs = [s.coeffs[n] for n in range(dim)]
-    coords = _solve_fraction_free(matrix, rhs)
-    combo = QSeries.zero(catalog.order)
-    for x, b in zip(coords, basis):
-        combo = combo + b.scale(x)
-    diff = first_difference(combo, s)
+    matrix = [[basis[i][n] for i in range(dim)] for n in range(dim)]
+    rhs = [s[n] for n in range(dim)]
+    dec = BasisDecomposition(weight, tuple(_solve_fraction_free(matrix, rhs)))
+    diff = first_difference(gp_evaluate(dec.as_poly(), catalog), s)
     if diff is not None:
         raise ResidualMismatch(diff[0], diff[2], diff[1])
-    return BasisDecomposition(weight, tuple(coords))
+    return dec
 
 
 def e_star_order(m: int) -> int:
@@ -433,11 +419,11 @@ def _solve_level(mm: int, tower: list, catalog: SeriesCatalog, top: int) -> Grad
     name = f"E{2 * mm}star polynomial"
     # series agreement cannot rule out a monomial outside the basis
     # (an A-term, say), so the monomials are checked first
-    stray = set(poly.terms) - {(0, j, mm - 2 * j) for j in range(mm // 2 + 1)}
+    stray = set(poly._nums) - {(0, j, mm - 2 * j) for j in range(mm // 2 + 1)}
     if stray:
         raise CrossCheckMismatch(
             name, 0, "differential recursion", "monomial basis",
-            poly.terms[min(stray)], Fraction(0),
+            Fraction(poly._nums[min(stray)], poly._den), Fraction(0),
         )
     shift = top - mm
     series = catalog.level2(mm)
@@ -453,7 +439,7 @@ def _solve_level(mm: int, tower: list, catalog: SeriesCatalog, top: int) -> Grad
         # the unlifted values: E*_{2mm} at q^n, and it plus the difference
         raise CrossCheckMismatch(
             name, n, "differential recursion", "q-expansion",
-            series.coeffs[n] + (lhs - rhs), series.coeffs[n],
+            series[n] + (lhs - rhs), series[n],
         )
     return poly
 
@@ -493,18 +479,27 @@ def e_star_poly(m: int, catalog: Optional[SeriesCatalog] = None) -> GradedPoly:
     return tower[m]
 
 
-def check_positivity(m: int, catalog: Optional[SeriesCatalog] = None) -> bool:
-    """True when the weight-2m polynomial lies in B * Q_+[B, C].
+def positivity_witness(
+    poly: GradedPoly, m: int
+) -> Optional[tuple[Exponents, Fraction]]:
+    """The least monomial of poly that keeps it out of B * Q_+[B, C] at
+    weight 2m, with its coefficient; None when every monomial has a strictly
+    positive coefficient, B-exponent at least 1, no A-exponent and weight
+    exactly 2m."""
+    for exps in sorted(poly._nums):
+        x = poly._nums[exps]
+        if exps[0] or exps[1] < 1 or x <= 0 or poly.monomial_weight(exps) != 2 * m:
+            return exps, Fraction(x, poly._den)
+    return None
 
-    Every monomial must have a strictly positive coefficient, B-exponent at
-    least 1, no A-exponent, and weight exactly 2m.  The polynomial is
-    ``e_star_poly(m, catalog)``, so it is compared on that catalog.  Without
-    one the tower is rebuilt; a caller judging many levels passes one catalog.
+
+def check_positivity(m: int, catalog: Optional[SeriesCatalog] = None) -> bool:
+    """True when the weight-2m polynomial is nonzero and lies in B * Q_+[B, C]
+    (``positivity_witness`` finds no monomial outside it).
+
+    The polynomial is ``e_star_poly(m, catalog)``, so it is compared on that
+    catalog.  Without one the tower is rebuilt; a caller judging many levels
+    passes one catalog.
     """
     poly = e_star_poly(m, catalog)
-    for (a, b, c), coeff in poly.terms.items():
-        if a != 0 or b < 1 or coeff <= 0:
-            return False
-        if poly.monomial_weight((a, b, c)) != 2 * m:
-            return False
-    return bool(poly.terms)
+    return not poly.is_zero() and positivity_witness(poly, m) is None

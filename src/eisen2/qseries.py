@@ -5,8 +5,7 @@ a tuple of integer numerators over one positive common denominator, reduced
 so that the denominator and all numerators have no common factor.  Every
 operation works on those integers.  ``numerators`` and ``denominator`` give
 them read-only, for scans that stay in integers.  ``coeffs``, ``coefficient``
-and indexing give the coefficients as ``Fraction`` values through a view
-that is built on first use and then cached.
+and indexing give the coefficients as ``Fraction`` values, built on each call.
 
 Series multiplication has one kernel, Kronecker substitution (Schoenhage
 1982; Harvey, J. Symbolic Comput. 2009): the numerators of each operand are
@@ -113,7 +112,7 @@ def _reduce(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
 class QSeries:
     """Power series sum c_n q^n truncated at a fixed order."""
 
-    __slots__ = ("_nums", "_den", "_view")
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar]):
         # exact raises for anything that is not an int or a Fraction
@@ -124,7 +123,6 @@ class QSeries:
         den = lcm(*(c.denominator for c in values))
         self._nums = tuple(c.numerator * (den // c.denominator) for c in values)
         self._den = den
-        self._view: Optional[tuple[Fraction, ...]] = None
 
     @classmethod
     def _make(cls, nums: Sequence[int], den: int = 1) -> "QSeries":
@@ -133,7 +131,6 @@ class QSeries:
             raise ValueError("a series needs at least the constant coefficient")
         series = object.__new__(cls)
         series._nums, series._den = _reduce(nums, den)
-        series._view = None
         return series
 
     # -- constructors ------------------------------------------------------
@@ -163,12 +160,9 @@ class QSeries:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as reduced ``Fraction`` values (cached)."""
-        view = self._view
-        if view is None:
-            den = self._den
-            view = self._view = tuple(Fraction(x, den) for x in self._nums)
-        return view
+        """The coefficients as reduced ``Fraction`` values."""
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._nums)
 
     @property
     def numerators(self) -> tuple[int, ...]:
@@ -184,7 +178,7 @@ class QSeries:
     def coefficient(self, n: int) -> Fraction:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} beyond truncation order {self.order}")
-        return self.coeffs[n]
+        return Fraction(self._nums[n], self._den)
 
     def __getitem__(self, n: int) -> Fraction:
         return self.coefficient(n)
@@ -203,7 +197,7 @@ class QSeries:
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
-        shown = ", ".join(rational_str(c) for c in self.coeffs[:8])
+        shown = ", ".join(rational_str(Fraction(x, self._den)) for x in self._nums[:8])
         tail = ", ..." if self.order >= 8 else ""
         return f"QSeries(order={self.order}; {shown}{tail})"
 

@@ -576,3 +576,47 @@ def test_no_check_reads_the_fraction_view_but_table2(monkeypatch):
     assert [r.id for r in reports if r.status != "pass"] == []
     with pytest.raises(AssertionError, match="coeffs"):
         checks.run_check("TABLE2")
+
+
+def test_level2_code_reads_no_fraction_view(monkeypatch):
+    # the polynomial compare of P4, positivity, the tower and decompositions
+    # read integer numerators; Fractions are built only at the edges
+    def refuse(name):
+        def read(self):
+            raise AssertionError(f"{name} read")
+        return property(read)
+
+    monkeypatch.setattr(QSeries, "coeffs", refuse("QSeries.coeffs"))
+    monkeypatch.setattr(graded.GradedPoly, "terms", refuse("GradedPoly.terms"))
+    ids = [i for i in checks.registry_ids() if i != "TABLE2"]
+    reports = checks.run_all(order=16, nmax=30, mmax=6, ids=ids)
+    assert [r.id for r in reports if r.status != "pass"] == []
+    assert graded.check_positivity(20, SeriesCatalog(graded.e_star_order(20)))
+    for w in (4, 8, 12, 24):
+        cat = SeriesCatalog(64)
+        dec = graded.decompose_modular(cat.level2(w // 2), w, cat)
+        assert dec.as_poly() == graded.e_star_poly(w // 2)
+
+
+def test_t49_names_the_least_monomial_outside_the_cone(monkeypatch):
+    # E8* = (8/17) B C^2 + (9/17) B^2; negated after its own comparison, its
+    # least monomial B C^2 is the one reported
+    real = graded._solve_level
+    monkeypatch.setattr(graded, "_solve_level", lambda mm, *rest: (
+        -real(mm, *rest) if mm == 4 else real(mm, *rest)))
+    report = checks.run_check("T49", mmax=4)
+    assert report.first_discrepancy == (4, Fraction(-8, 17), 0)
+
+
+def test_t49_reports_a_monomial_outside_the_basis(monkeypatch):
+    # an A-term in the rule for B puts -(1/4) A B C into E6*, which no series
+    # agreement could rule out
+    den, rules = graded._RULES[graded.LEVEL2]
+    bad = (rules[0], {**rules[1], (1, 1, 1): 1}, rules[2])
+    monkeypatch.setitem(graded._RULES, graded.LEVEL2, (den, bad))
+    report = checks.run_check("T49", mmax=6)
+    assert report.first_discrepancy == (0, Fraction(-1, 4), 0)
+    assert report.notes == (
+        "E6star polynomial: routes 'differential recursion' and 'monomial basis' "
+        "disagree at q^0: -1/4 != 0",
+    )

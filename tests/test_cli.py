@@ -172,6 +172,8 @@ def test_list_subcommand(capsys):
         ("export", "E8star_poly", "--order", "11"),
         ("verify", "all", "--json", "/nonexistent/x.json"),
         ("export", "tau", "--output", "/nonexistent/x.csv"),
+        ("verify", "T49", "--json", ""),
+        ("export", "C", "--output", ""),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv):
