@@ -14,7 +14,8 @@ Eisenstein series is one of the divisor-sum series over its n = 0
 convention value ``arith.divisor_sum_zero``, E = S/S(0) and E* = S*/S*(0),
 so its constant term is 1.  C is 24 times the sieved odd divisor sums.  The
 discriminant, C and D carry built-in cross-checks between independent
-routes, each a series equation, and none of them divides.
+routes, each a series equation that ``_cross_check`` compares, raising
+``CrossCheckMismatch`` at the first difference; none of them divides.
 """
 
 from __future__ import annotations
@@ -46,6 +47,13 @@ class CrossCheckMismatch(ArithmeticError):
             f"{name}: routes {route_a!r} and {route_b!r} disagree at q^{exponent}: "
             f"{lhs} != {rhs}"
         )
+
+
+def _cross_check(name: str, a: QSeries, b: QSeries, route_a: str, route_b: str) -> None:
+    """Raise ``CrossCheckMismatch`` at the first difference of the two routes."""
+    diff = first_difference(a, b)
+    if diff is not None:
+        raise CrossCheckMismatch(name, diff[0], route_a, route_b, diff[1], diff[2])
 
 
 def _eta24(order: int) -> list[int]:
@@ -140,10 +148,7 @@ class SeriesCatalog:
             level2_route = (e4 * e4 * e4 - e6 * e6).scale(Fraction(-1, 64))
             for other, label in ((level1_route, "(E4^3-E6^2)/1728"),
                                  (level2_route, "-(E4*^3-E6*^2)/64")):
-                diff = first_difference(eta_route, other)
-                if diff is not None:
-                    raise CrossCheckMismatch("delta", diff[0], "eta product",
-                                             label, diff[1], diff[2])
+                _cross_check("delta", eta_route, other, "eta product", label)
             return eta_route
 
         return self._memo("delta", build)
@@ -166,10 +171,8 @@ class SeriesCatalog:
 
         def build() -> QSeries:
             series = self._sieved("sigma_sharp", 1).scale(24)
-            diff = first_difference(series * self.level2(2), self.level2(3))
-            if diff is not None:
-                raise CrossCheckMismatch("C", diff[0], "(1+24*sum sharp(n) q^n)*E4*",
-                                         "E6*", diff[1], diff[2])
+            _cross_check("C", series * self.level2(2), self.level2(3),
+                         "(1+24*sum sharp(n) q^n)*E4*", "E6*")
             return series
 
         return self._memo("C", build)
@@ -183,10 +186,8 @@ class SeriesCatalog:
             series = (self.level2(2) - c * c).scale(Fraction(-1, 64))
             # q^1..q^51 against the enumeration, shifted by one
             count = [arith.delta8_oracle(n) for n in range(min(51, self.order))]
-            diff = first_difference(series, QSeries._make([0] + count))
-            if diff is not None:
-                raise CrossCheckMismatch("D", diff[0], "-(E4*-C^2)/64",
-                                         "triangular-number count", diff[1], diff[2])
+            _cross_check("D", series, QSeries._make([0] + count), "-(E4*-C^2)/64",
+                         "triangular-number count")
             return series
 
         return self._memo("D", build)

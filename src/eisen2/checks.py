@@ -6,10 +6,11 @@ explicit index range (the --nmax flag): each is a series equation between
 products of the divisor-sum series sum sigma_s(n) q^n and sum sigma*_s(n) q^n
 truncated at q^nmax, so the coefficient of q^n is the identity at index n.
 A failing check always reports the first offending exponent or index
-together with both exact values.  Every equation between two series is
-compared by ``first_difference``; ``_first_failure`` takes several in order,
-``_earliest_failure`` reports the lowest failing exponent.  The coefficient
-scans test other predicates.
+together with both exact values.  An equation check is a builder that returns
+its series equations, (lhs, rhs) or (lhs, rhs, note); ``_compare`` compares
+them with ``first_difference`` and reports the first that fails, or the
+lowest failing exponent where a check asks for it.  The scans test other
+predicates and return their discrepancy themselves.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Callable, Optional
+from math import gcd, prod
+from typing import Callable, Iterable, Optional
 
 from . import arith
 from .catalog import CrossCheckMismatch, SeriesCatalog
@@ -138,6 +139,8 @@ class Workspace:
 
 
 Runner = Callable[[Workspace, list[str]], Optional[Discrepancy]]
+Equation = tuple  # (lhs, rhs) or (lhs, rhs, note): two series, equal
+Builder = Callable[[Workspace], Iterable[Equation]]
 
 
 @dataclass(frozen=True)
@@ -146,6 +149,7 @@ class TheoremCheck:
     description: str
     runner: Runner
     scope: str  # "order" | "range" | "tau1000" | "mmax" | "table"
+    equations: Optional[Builder] = None  # None for a scan
 
 
 REGISTRY: dict[str, TheoremCheck] = {}
@@ -153,31 +157,44 @@ REGISTRY: dict[str, TheoremCheck] = {}
 _ALIASES = {"DELTA-L2": "DIS"}
 
 
-def _register(id: str, description: str, scope: str = "order"):
+def _register(id: str, description: str, scope: str = "order", equations=None):
     def wrap(fn: Runner) -> Runner:
         if id in REGISTRY:
             raise ValueError(f"duplicate registry id {id!r}")
-        REGISTRY[id] = TheoremCheck(id, description, fn, scope)
+        REGISTRY[id] = TheoremCheck(id, description, fn, scope, equations)
         return fn
 
     return wrap
 
 
-def _first_failure(*pairs: tuple[QSeries, QSeries]) -> Optional[Discrepancy]:
-    """The first difference of the first pair of series that differ, taking
-    the pairs in order."""
-    for lhs, rhs in pairs:
+def _equation_check(id: str, description: str, scope: str = "order",
+                    earliest: bool = False):
+    # the stored runner compares, so whatever wraps a runner also wraps the compare
+    def wrap(build: Builder) -> Builder:
+        _register(id, description, scope, build)(
+            lambda ws, notes: _compare(build(ws), notes, earliest))
+        return build
+
+    return wrap
+
+
+def _compare(equations: Iterable[Equation], notes: list[str],
+             earliest: bool = False) -> Optional[Discrepancy]:
+    """Compare the equations in order: report the first that fails and append
+    its note, reading a generator no further.  With ``earliest``, compare them
+    all and report the one failing at the lowest exponent, the earlier on a
+    tie."""
+    found = None
+    for lhs, rhs, *note in equations:
         d = first_difference(lhs, rhs)
-        if d:
-            return d
-    return None
-
-
-def _earliest_failure(*pairs: tuple[QSeries, QSeries]) -> Optional[Discrepancy]:
-    """The first difference at the lowest exponent over all pairs; on a tie,
-    the earlier pair's."""
-    found = [d for d in (first_difference(lhs, rhs) for lhs, rhs in pairs) if d]
-    return min(found, key=lambda d: d[0], default=None)
+        if d and (found is None or d[0] < found[0][0]):
+            found = d, note
+            if not earliest:
+                break
+    if found is None:
+        return None
+    notes.extend(found[1])
+    return found[0]
 
 
 def _first_non_multiple(series: QSeries, m: int) -> Optional[Discrepancy]:
@@ -194,31 +211,35 @@ def _first_non_multiple(series: QSeries, m: int) -> Optional[Discrepancy]:
 # level-1 differential equations
 
 
-@_register(
+@_equation_check(
     "RAM-DE",
     "classical system qP'=(P^2-Q)/12, qQ'=(PQ-R)/3, qR'=(PR-Q^2)/2 "
     "for P=E2, Q=E4, R=E6",
 )
-def _ram_de(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+def _ram_de(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
     p, q, r = cat.level1(1), cat.level1(2), cat.level1(3)
-    return _first_failure(
+    return [
         (p.theta(), (p * p - q).scale(Fraction(1, 12))),
         (q.theta(), (p * q - r).scale(Fraction(1, 3))),
         (r.theta(), (p * r - q * q).scale(Fraction(1, 2))),
-    )
+    ]
 
 
 # ---------------------------------------------------------------------------
 # the differential families at both levels
 
 
-def _rs_special_rhs(m: int, cat: SeriesCatalog) -> Optional[QSeries]:
-    if m != 5:
-        return None
+# the displayed forms, {(level, m): {k-tuple: coefficient}}: q E_{2m-2}' is
+# also the sum of coefficient * prod_k E_{2k}, in the level's series
+_DISPLAYED_FORMS: dict[tuple[int, int], dict[tuple[int, ...], Fraction]] = {
     # the weight-8 equation collapses because E4*E6 equals E10
-    return (cat.level1(1) * cat.level1(4) - cat.level1(5)).scale(Fraction(2, 3))
-
+    (1, 5): {(1, 4): Fraction(2, 3), (5,): Fraction(-2, 3)},
+    (2, 2): {(1, 1): Fraction(1, 4), (2,): Fraction(-1, 4)},
+    (2, 3): {(1, 2): Fraction(1), (3,): Fraction(-1)},
+    (2, 4): {(1, 3): Fraction(3, 2), (2, 2): Fraction(5, 8), (4,): Fraction(-17, 8)},
+    (2, 5): {(1, 4): Fraction(2), (2, 3): Fraction(28, 17), (5,): Fraction(-62, 17)},
+}
 
 _KS_SPECIALS: dict[int, str] = {
     2: "qA' = (A^2 - B)/4",
@@ -228,159 +249,140 @@ _KS_SPECIALS: dict[int, str] = {
 }
 
 
-def _ks_special_rhs(m: int, cat: SeriesCatalog) -> Optional[QSeries]:
-    if m not in _KS_SPECIALS:
-        return None
-    a = cat.level2(1)
-    if m == 2:
-        return (a * a - cat.level2(2)).scale(Fraction(1, 4))
-    if m == 3:
-        return a * cat.level2(2) - cat.level2(3)
-    if m == 4:
-        b = cat.level2(2)
-        return (
-            (a * cat.level2(3)).scale(12) + (b * b).scale(5) - cat.level2(4).scale(17)
-        ).scale(Fraction(1, 8))
-    b = cat.level2(2)
-    return (
-        (a * cat.level2(4)).scale(34)
-        + (b * cat.level2(3)).scale(28)
-        - cat.level2(5).scale(62)
-    ).scale(Fraction(1, 17))
-
-
-def _de_runner(m: int, level: int) -> Runner:
+def _de_equations(m: int, level: int) -> Builder:
     """RS-DE(m) at level 1 or KS-DE(m) at level 2: q E_{2m-2}' as the
-    weighted convolution of lower series, then the displayed special form.
+    weighted convolution of lower series, then as the displayed form.
 
     Both coefficient functions are symmetric in k <-> m - k, so the k and
     m - k terms are one product of weight 2 (weight 1 at k = m/2)."""
 
-    def run(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+    def build(ws: Workspace) -> Iterable[Equation]:
         cat = ws.catalog
-        # the coefficient function is looked up when the check runs, so a
-        # patched module attribute takes effect
+        # the coefficient function and the forms are looked up when the check
+        # runs, so a patched module attribute takes effect
         if level == 1:
-            series, coefficient, special = cat.level1, rs_coefficient, _rs_special_rhs
+            series, coefficient = cat.level1, rs_coefficient
         else:
-            series, coefficient, special = cat.level2, ks_coefficient, _ks_special_rhs
+            series, coefficient = cat.level2, ks_coefficient
         lhs = series(m - 1).theta()
         top = series(m)
         rhs = QSeries.zero(cat.order)
         for k in range(1, m // 2 + 1):
             pair = 1 if 2 * k == m else 2
             rhs = rhs + (series(k) * series(m - k) - top).scale(pair * coefficient(m, k))
-        special_rhs = special(m, cat)
-        pairs = [(lhs, rhs)] if special_rhs is None else [(lhs, rhs), (lhs, special_rhs)]
-        return _first_failure(*pairs)
+        yield lhs, rhs
+        form = _DISPLAYED_FORMS.get((level, m))
+        if form is not None:
+            yield lhs, sum((prod(map(series, ks), start=c) for ks, c in form.items()),
+                           QSeries.zero(cat.order))
 
-    return run
+    return build
 
 
 for _m in range(2, 13):
-    _register(
+    _equation_check(
         f"RS-DE({_m})",
         f"weight-{2 * _m - 2} level-1 differential equation: q E_{2 * _m - 2}' "
         "as a zeta-weighted convolution of lower series",
-    )(_de_runner(_m, 1))
-    _register(
+    )(_de_equations(_m, 1))
+    _equation_check(
         f"KS-DE({_m})",
         f"weight-{2 * _m - 2} level-2 differential equation: q E*_{2 * _m - 2}' "
         "as a lambda-weighted convolution of lower series"
         + (f"; includes displayed form {_KS_SPECIALS[_m]}" if _m in _KS_SPECIALS else ""),
-    )(_de_runner(_m, 2))
+    )(_de_equations(_m, 2))
 
 
 # ---------------------------------------------------------------------------
 # level-2 differential equations
 
 
-@_register("E6STAR-ABC", "qE6*' = (3ABC - B^2 - 2BC^2)/2 with C = E6*/E4*")
-def _e6star_abc(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+@_equation_check("E6STAR-ABC", "qE6*' = (3ABC - B^2 - 2BC^2)/2 with C = E6*/E4*")
+def _e6star_abc(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
     a, b, c = cat.level2(1), cat.level2(2), cat.C()
     rhs = ((a * b * c).scale(3) - b * b - (b * c * c).scale(2)).scale(Fraction(1, 2))
-    return first_difference(cat.level2(3).theta(), rhs)
+    return [(cat.level2(3).theta(), rhs)]
 
 
-@_register(
+@_equation_check(
     "HAHN-SYS",
     "closed system for (A, C, B): qA'=(A^2-B)/4, qC'=(AC-B)/2, qB'=AB-CB",
 )
-def _hahn_sys(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+def _hahn_sys(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
     a, b, c = cat.level2(1), cat.level2(2), cat.C()
-    return _first_failure(
+    return [
         (a.theta(), (a * a - b).scale(Fraction(1, 4))),
         (c.theta(), (a * c - b).scale(Fraction(1, 2))),
         (b.theta(), a * b - c * b),
-    )
+    ]
 
 
 # ---------------------------------------------------------------------------
 # divisor-sum convolution identities
 
 
-@_register(
+@_equation_check(
     "SIGMA3-CLASSICAL",
     "sigma_3(n) = (6/5)(n sigma(n) + 2 sum_j sigma(j) sigma(n-j)) on 0..nmax",
     scope="range",
 )
-def _sigma3_classical(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+def _sigma3_classical(ws: Workspace) -> list[Equation]:
     s1 = ws.sigma_range(1, ws.nmax)
     s3 = ws.sigma_range(3, ws.nmax)
     rhs = (s1.theta() + (s1 * s1).scale(2)).scale(Fraction(6, 5))
-    return first_difference(s3, rhs)
+    return [(s3, rhs)]
 
 
-@_register(
+@_equation_check(
     "T7",
     "sigma_13(n) = (2730/691)(24 sum_j sigma(j) sigma_11(n-j) + n sigma_11(n)) "
     "on 0..nmax",
     scope="range",
 )
-def _t7(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+def _t7(ws: Workspace) -> list[Equation]:
     s1 = ws.sigma_range(1, ws.nmax)
     s11 = ws.sigma_range(11, ws.nmax)
     s13 = ws.sigma_range(13, ws.nmax)
     rhs = ((s1 * s11).scale(24) + s11.theta()).scale(Fraction(2730, 691))
-    return first_difference(s13, rhs)
+    return [(s13, rhs)]
 
 
-@_register(
+@_equation_check(
     "T5",
     "sigma*_3(n) = 2n sigma*(n) - 4 sum_j sigma*(j) sigma*(n-j) on 0..nmax",
     scope="range",
 )
-def _t5(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+def _t5(ws: Workspace) -> list[Equation]:
     s1 = ws.sigma_star_range(1, ws.nmax)
     s3 = ws.sigma_star_range(3, ws.nmax)
-    return first_difference(s3, s1.theta().scale(2) - (s1 * s1).scale(4))
+    return [(s3, s1.theta().scale(2) - (s1 * s1).scale(4))]
 
 
 # ---------------------------------------------------------------------------
 # the discriminant and tau
 
 
-@_register("L4", "1728 Delta = 3 E6 qE4' - 2 E4 qE6' as series")
-def _l4(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+@_equation_check("L4", "1728 Delta = 3 E6 qE4' - 2 E4 qE6' as series")
+def _l4(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
     e4, e6 = cat.level1(2), cat.level1(3)
     rhs = (e6 * e4.theta()).scale(3) - (e4 * e6.theta()).scale(2)
-    return first_difference(cat.delta().scale(1728), rhs)
+    return [(cat.delta().scale(1728), rhs)]
 
 
-@_register(
+@_equation_check(
     "T8",
     "tau(n) = 70 sum_{j+k=n} (2k-3j) sigma_3(j) sigma_5(k) on 0..nmax",
     scope="range",
 )
-def _t8(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+def _t8(ws: Workspace) -> list[Equation]:
     s3 = ws.sigma_range(3, ws.nmax)
     s5 = ws.sigma_range(5, ws.nmax)
     tau = ws.tau_range(ws.nmax)
     rhs = ((s3 * s5.theta()).scale(2) - (s3.theta() * s5).scale(3)).scale(70)
-    return first_difference(tau, rhs)
+    return [(tau, rhs)]
 
 
 @_register(
@@ -396,17 +398,17 @@ def _c1(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     return _first_non_multiple(diff, 70)
 
 
-@_register(
+@_equation_check(
     "T314",
     "tau(n) = 2 sum_{j+k=n} (3j-2k) sigma*_3(j) sigma*_5(k) on 0..nmax",
     scope="range",
 )
-def _t314(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+def _t314(ws: Workspace) -> list[Equation]:
     s3 = ws.sigma_star_range(3, ws.nmax)
     s5 = ws.sigma_star_range(5, ws.nmax)
     tau = ws.tau_range(ws.nmax)
     rhs = ((s3.theta() * s5).scale(3) - (s3 * s5.theta()).scale(2)).scale(2)
-    return first_difference(tau, rhs)
+    return [(tau, rhs)]
 
 
 @_register(
@@ -430,28 +432,28 @@ def _c2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 # determinant identities
 
 
-@_register(
+@_equation_check(
     "MINORS-L1",
     "minors of the level-1 Hankel array are derivative multiples: "
     "|E0 E2; E2 E4| = -12 qE2', |E0 E2; E4 E6| = -3 qE4', "
     "|E2 E4; E4 E6| = 2 qE6', |E2 E6; E4 E8| = (3/2) qE8'",
 )
-def _minors_l1(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+def _minors_l1(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
     e = [cat.level1(k) for k in range(5)]
-    return _first_failure(
+    return [
         (qs_det([[e[0], e[1]], [e[1], e[2]]]), e[1].theta().scale(-12)),
         (qs_det([[e[0], e[1]], [e[2], e[3]]]), e[2].theta().scale(-3)),
         (qs_det([[e[1], e[2]], [e[2], e[3]]]), e[3].theta().scale(2)),
         (qs_det([[e[1], e[3]], [e[2], e[4]]]), e[4].theta().scale(Fraction(3, 2))),
-    )
+    ]
 
 
-@_register(
+@_equation_check(
     "GARVAN",
     "3x3 Hankel determinant of E4..E12 equals -(250/691)(1728 Delta)^2",
 )
-def _garvan(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+def _garvan(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
     e = {k: cat.level1(k) for k in range(2, 7)}
     det = qs_det(
@@ -462,7 +464,7 @@ def _garvan(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
         ]
     )
     sq = cat.delta().scale(1728)
-    return first_difference(det, (sq * sq).scale(Fraction(-250, 691)))
+    return [(det, (sq * sq).scale(Fraction(-250, 691)))]
 
 
 @_register(
@@ -478,29 +480,29 @@ def _dis(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     return None
 
 
-@_register("L5", "|E0* E4*; E4* E8*| = (512/17) B D as series")
-def _l5(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+@_equation_check("L5", "|E0* E4*; E4* E8*| = (512/17) B D as series")
+def _l5(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
     det = qs_det([[cat.level2(0), cat.level2(2)], [cat.level2(2), cat.level2(4)]])
     rhs = (cat.level2(2) * cat.D()).scale(Fraction(512, 17))
-    return first_difference(det, rhs)
+    return [(det, rhs)]
 
 
 _DET_L2_CONSTANT = Fraction(-(2**13) * 3**5 * 5**2, 17**3 * 31**2 * 691)
 
 
-@_register(
+@_equation_check(
     "DET-L2",
     "level-2 determinant identities: |E4* E6*; E6* E8*| = -(576/17) Delta, "
     "|E4* E8*; E6* E10*| = -(11520/527) C Delta, |E6* E8*; E8* E10*| = "
     "(576/8959)(279B - 92C^2) Delta, and the 3x3 Hankel determinant of "
     "E4*..E12* = -(2^13 3^5 5^2 / (17^3 31^2 691))(961B + 3136C^2) B D Delta",
 )
-def _det_l2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+def _det_l2(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
     e = {k: cat.level2(k) for k in range(2, 7)}
     b, c, dd, delta = cat.level2(2), cat.C(), cat.D(), cat.delta()
-    return _first_failure(
+    return [
         (
             qs_det([[e[2], e[3]], [e[3], e[4]]]),
             delta.scale(Fraction(-(2**6) * 3**2, 17)),
@@ -527,7 +529,7 @@ def _det_l2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
                 _DET_L2_CONSTANT
             ),
         ),
-    )
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -536,14 +538,16 @@ def _det_l2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 
 def _poly_first_diff(
     p: GradedPoly, q: GradedPoly
-) -> Optional[tuple[int, Fraction, Fraction]]:
+) -> Optional[tuple[int, tuple, Fraction, Fraction]]:
+    """The first differing monomial in the sorted union of both polynomials'
+    monomials: its position there, its exponents and both coefficients."""
     # numerators cross-multiplied, as first_difference compares series
     keys = sorted(set(p._nums) | set(q._nums))
     dp, dq = p._den, q._den
     for i, key in enumerate(keys):
         x, y = p._nums.get(key, 0), q._nums.get(key, 0)
         if x * dq != y * dp:
-            return (i, Fraction(x, dp), Fraction(y, dq))
+            return (i, key, Fraction(x, dp), Fraction(y, dq))
     return None
 
 
@@ -564,19 +568,19 @@ def _p4(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
         image = serre_delta(GradedPoly.generator(LEVEL2, name))
         d = _poly_first_diff(image, target)
         if d:
-            notes.append(f"polynomial rule for {name} broken")
-            return d
+            n, exps, lhs, rhs = d
+            notes.append(f"polynomial rule for {name} broken at {image.monomial_name(exps)}"
+                         f": {rational_str(lhs)} != {rational_str(rhs)}")
+            return (n, lhs, rhs)
     cat = ws.catalog
     a = cat.level2(1)
     gens = {"A": (a, 2), "B": (cat.level2(2), 4), "C": (cat.C(), 2)}
-    for name, (series, weight) in gens.items():
-        lhs = series.theta() - (a * series).scale(Fraction(weight, 4))
-        rhs = gp_evaluate(serre_delta(GradedPoly.generator(LEVEL2, name)), cat)
-        d = first_difference(lhs, rhs)
-        if d:
-            notes.append(f"series-level rule for {name} broken")
-            return d
-    return None
+    return _compare(
+        ((series.theta() - (a * series).scale(Fraction(weight, 4)),
+          gp_evaluate(serre_delta(GradedPoly.generator(LEVEL2, name)), cat),
+          f"series-level rule for {name} broken")
+         for name, (series, weight) in gens.items()),
+        notes)
 
 
 @_register(
@@ -599,12 +603,12 @@ def _t49(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     return None
 
 
-@_register(
+@_equation_check(
     "DELTA-FAMILY",
     "the weight-4 Serre derivative sends E6*^2/E4*^2, E4*, E8*/E4*, E10*/E6* "
     "and E4 to one common series",
 )
-def _delta_family(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+def _delta_family(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
     a = cat.level2(1)
     c = cat.C()
@@ -619,27 +623,27 @@ def _delta_family(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
         return image * den * den, num.theta() * den - num * den.theta() - a * num * den
 
     b = cat.level2(2)
-    return _first_failure(
+    return [
         (image, delta4(b)),
         cleared(cat.level2(4), b),
         cleared(cat.level2(5), cat.level2(3)),
         (image, delta4(cat.level1(2))),
-    )
+    ]
 
 
 # ---------------------------------------------------------------------------
 # theta series and representation counts
 
 
-@_register(
+@_equation_check(
     "THETA-REL",
     "the eighth theta power at -q equals the weight-4 level-2 series, "
     "coefficients 0..nmax",
     scope="range",
 )
-def _theta_rel(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+def _theta_rel(ws: Workspace) -> list[Equation]:
     cat = ws.rcat
-    return first_difference(cat.power("theta3", 8).neg_q(), cat.level2(2))
+    return [(cat.power("theta3", 8).neg_q(), cat.level2(2))]
 
 
 # r_s(n) for n >= 1 from the divisors of n, for s = 2, 4, 6, 8
@@ -654,31 +658,27 @@ _SQUARE_COUNTS: dict[int, Callable[[int, list[int]], int]] = {
 }
 
 
-@_register(
+@_equation_check(
     "JACOBI",
     "classical 2, 4, 6, 8-square counts from divisor data on 0..nmax "
     "(two-square case uses divisor counts mod 4)",
     scope="range",
 )
-def _jacobi(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+def _jacobi(ws: Workspace) -> Iterable[Equation]:
     divisor_lists = [arith.divisors(n) for n in range(1, ws.nmax + 1)]
     for s, formula in _SQUARE_COUNTS.items():
         expected = QSeries._make([1] + [formula(n, divs)
                                         for n, divs in enumerate(divisor_lists, 1)])
-        d = first_difference(ws.r_table(s), expected)
-        if d:
-            notes.append(f"{s}-square formula")
-            return d
-    return None
+        yield ws.r_table(s), expected, f"{s}-square formula"
 
 
-@_register(
+@_equation_check(
     "T9",
     "sixteen-square count: r_16(n) = (-1)^n (32/17)(256 sum_j sigma*_3(j) "
     "delta_8(n-j-1) - sigma*_7(n)) on 0..nmax",
     scope="range",
 )
-def _t9(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+def _t9(ws: Workspace) -> list[Equation]:
     r16 = ws.r_table(16)
     s3 = ws.sigma_star_range(3, ws.nmax)
     s7 = ws.sigma_star_range(7, ws.nmax)
@@ -686,23 +686,23 @@ def _t9(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     # 8-triangular-number representations of n
     d8 = ws.rcat.D()
     rhs = ((s3 * d8).scale(256) - s7).scale(Fraction(32, 17)).neg_q()
-    return first_difference(r16, rhs)
+    return [(r16, rhs)]
 
 
-@_register(
+@_equation_check(
     "R24-FACT",
     "24-square count from sigma_11 and tau at n, n/2, n/4 with the "
     "1/691 normalization, on 0..nmax",
     scope="range",
 )
-def _r24_fact(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+def _r24_fact(ws: Workspace) -> list[Equation]:
     s11 = ws.sigma_range(11, ws.nmax)
     tau = ws.tau_range(ws.nmax)
     rhs = (
         s11.scale(16) - s11.dilate(2).scale(32) + s11.dilate(4).scale(65536)
         - tau.dilate(2).scale(65536) - tau.neg_q().scale(33152)
     ).scale(Fraction(1, 691))
-    return first_difference(ws.r_table(24), rhs)
+    return [(ws.r_table(24), rhs)]
 
 
 def _conv55_conv37(ws: Workspace, upto: int) -> tuple[QSeries, QSeries]:
@@ -719,17 +719,17 @@ def _r24_forms(conv55: QSeries, conv37: QSeries,
             (conv37 - tau).scale(Fraction(512, 17)).neg_q())
 
 
-@_register(
+@_equation_check(
     "T10",
     "r_24(n) = (-1)^n 64 (sum sigma*_5 sigma*_5 - tau(n)) "
     "= (-1)^n (512/17)(sum sigma*_3 sigma*_7 - tau(n)) on 0..nmax",
     scope="range",
+    earliest=True,  # the lower first index wins; on a tie, the sigma*_5^2 form
 )
-def _t10(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+def _t10(ws: Workspace) -> list[Equation]:
     r24 = ws.r_table(24)
     via55, via37 = _r24_forms(*_conv55_conv37(ws, ws.nmax), ws.tau_range(ws.nmax))
-    # the lower first index wins; on a tie, the sigma*_5^2 form
-    return _earliest_failure((r24, via55), (r24, via37))
+    return [(r24, via55), (r24, via37)]
 
 
 @_register(
@@ -832,7 +832,7 @@ def _table2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     # through T10's two forms; r_24 is built at the table's own order, since
     # nmax may be below it.  The lower n wins, on a tie the sigma*_5^2 form.
     r24 = ws.catalog_at(upto).power("theta3", 24)
-    d = _earliest_failure(*((form, r24) for form in _r24_forms(conv55, conv37, tau)))
+    d = _compare([(f, r24) for f in _r24_forms(conv55, conv37, tau)], notes, earliest=True)
     if d:
         return d
     computed = {

@@ -242,7 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OverflowError:
+        # a size past the platform's index range, so no list that long can
+        # exist: name the largest size flag given, or else the export name
+        flags = [(v, f"--{flag} {v}") for flag in ("order", "nmax", "mmax", "weight")
+                 if (v := getattr(args, flag, None)) is not None]
+        size = max(flags)[1] if flags else args.name
+        return _bad_input(f"{size} is too large for this platform")
 
 
 if __name__ == "__main__":

@@ -147,6 +147,13 @@ class GradedPoly:
         den = self._den
         return MappingProxyType({e: Fraction(x, den) for e, x in self._nums.items()})
 
+    def monomial_name(self, exps: Exponents) -> str:
+        """The monomial in the ring's generator names, e.g. "A^2*B"; "1" for
+        the constant."""
+        names = _GENERATORS[self.ring]
+        return "*".join(f"{names[i]}^{e}" if e > 1 else names[i]
+                        for i, e in enumerate(exps) if e) or "1"
+
     def monomial_weight(self, exps: Exponents) -> int:
         w = _WEIGHTS[self.ring]
         return exps[0] * w[0] + exps[1] * w[1] + exps[2] * w[2]
@@ -182,14 +189,10 @@ class GradedPoly:
     def __repr__(self) -> str:
         if not self._nums:
             return f"GradedPoly({self.ring}, 0)"
-        names = _GENERATORS[self.ring]
         parts = []
         for exps, coeff in self.sorted_terms():
-            mono = "*".join(
-                f"{names[i]}^{e}" if e > 1 else names[i]
-                for i, e in enumerate(exps) if e
-            )
-            parts.append(f"({rational_str(coeff)}){'*' + mono if mono else ''}")
+            mono = f"*{self.monomial_name(exps)}" if any(exps) else ""
+            parts.append(f"({rational_str(coeff)}){mono}")
         return f"GradedPoly({self.ring}, {' + '.join(parts)})"
 
     # -- arithmetic ----------------------------------------------------------

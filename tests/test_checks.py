@@ -206,22 +206,39 @@ def test_t49_at_mmax_40_makes_at_most_130_products(monkeypatch):
     assert len(products) <= 130
 
 
-def test_special_forms_equal_the_derivative():
+def _de_id(level, m):
+    return f"{'RS' if level == 1 else 'KS'}-DE({m})"
+
+
+@pytest.mark.parametrize("level, m", [(1, 5), (2, 2), (2, 3), (2, 4), (2, 5)])
+def test_displayed_forms_are_a_second_equation_equal_to_the_derivative(level, m):
     # each displayed form is a second right-hand side for q E'_{2m-2}
-    cat = SeriesCatalog(24)
-    rs = checks._rs_special_rhs(5, cat)
-    assert rs is not None and rs == cat.level1(4).theta()
-    for m in range(2, 6):
-        ks = checks._ks_special_rhs(m, cat)
-        assert ks is not None and ks == cat.level2(m - 1).theta()
+    ws = checks.Workspace(order=24)
+    equations = list(checks.REGISTRY[_de_id(level, m)].equations(ws))
+    series = ws.catalog.level1 if level == 1 else ws.catalog.level2
+    assert len(equations) == 2
+    assert equations[1][0] == equations[1][1] == series(m - 1).theta()
 
 
-@pytest.mark.parametrize(
-    "name, check_id", [("_rs_special_rhs", "RS-DE(5)"), ("_ks_special_rhs", "KS-DE(3)")]
-)
-def test_de_runners_compare_the_special_form(monkeypatch, name, check_id):
-    monkeypatch.setattr(checks, name, lambda m, cat: QSeries.zero(cat.order))
-    assert checks.run_check(check_id, order=12).status == "fail"
+def test_only_the_displayed_forms_add_an_equation():
+    ws = checks.Workspace(order=12)
+    counts = {(level, m): len(list(checks.REGISTRY[_de_id(level, m)].equations(ws)))
+              for level in (1, 2) for m in range(2, 13)}
+    assert {key for key, n in counts.items() if n == 2} == set(checks._DISPLAYED_FORMS)
+    assert set(counts.values()) == {1, 2}
+    # the KS-DE descriptions name exactly the level-2 displayed forms
+    assert {m for level, m in checks._DISPLAYED_FORMS if level == 2} == set(checks._KS_SPECIALS)
+
+
+@pytest.mark.parametrize("level, m", [(1, 5), (2, 2), (2, 3), (2, 4), (2, 5)])
+def test_de_checks_compare_the_displayed_form(monkeypatch, level, m):
+    zeroed = {ks: Fraction(0) for ks in checks._DISPLAYED_FORMS[level, m]}
+    monkeypatch.setitem(checks._DISPLAYED_FORMS, (level, m), zeroed)
+    report = checks.run_check(_de_id(level, m), order=12)
+    assert report.status == "fail"
+    # the convolution equation still holds: the form's equation fails, at
+    # the first nonzero coefficient of q E'_{2m-2}
+    assert report.first_discrepancy[0] == 1 and report.first_discrepancy[2] == 0
 
 
 def test_no_check_or_constructor_divides(monkeypatch, capsys):
@@ -499,20 +516,126 @@ def test_t10_reports_the_lower_index_and_the_sigma5_form_on_a_tie():
 
 
 # ---------------------------------------------------------------------------
-# every equation between two series goes through first_difference
+# every equation between two series goes through _compare
 
 
-def test_first_failure_takes_the_pairs_in_order():
-    one = QSeries.one(8)
-    late = one + QSeries.from_terms({6: 1}, 8)
-    early = one + QSeries.from_terms({2: 1}, 8)
+_ONE = QSeries.one(8)
+_LATE = _ONE + QSeries.from_terms({6: 1}, 8)
+_EARLY = _ONE + QSeries.from_terms({2: 1}, 8)
+
+
+def test_compare_reports_the_first_failing_equation_and_its_note():
+    notes = []
     # an earlier equation failing at a higher exponent still wins
-    assert checks._first_failure((one, one), (one, late), (one, early)) == (6, 0, 1)
-    assert checks._first_failure((one, one), (late, late)) is None
-    # the earliest failure takes the lowest exponent, the earlier pair on a tie
-    assert checks._earliest_failure((one, late), (one, early)) == (2, 0, 1)
-    assert checks._earliest_failure((one, late), (late, one)) == (6, 0, 1)
-    assert checks._earliest_failure((one, one)) is None
+    equations = [(_ONE, _ONE, "a"), (_ONE, _LATE, "b"), (_ONE, _EARLY, "c")]
+    assert checks._compare(equations, notes) == (6, 0, 1)
+    assert notes == ["b"]
+    # an equation without a note adds none; a pass adds none
+    assert checks._compare([(_ONE, _EARLY), (_ONE, _LATE, "b")], notes) == (2, 0, 1)
+    assert checks._compare([(_ONE, _ONE, "a"), (_LATE, _LATE)], notes) is None
+    assert checks._compare([], notes) is None
+    assert notes == ["b"]
+
+
+def test_compare_earliest_takes_the_lowest_exponent_the_earlier_on_a_tie():
+    notes = []
+    equations = [(_ONE, _LATE, "late"), (_ONE, _EARLY, "early")]
+    assert checks._compare(equations, notes, earliest=True) == (2, 0, 1)
+    assert notes == ["early"]
+    # a tie at q^6: the first equation's values and note, not the second's
+    notes.clear()
+    equations = [(_ONE, _LATE, "first"), (_LATE, _ONE, "second")]
+    assert checks._compare(equations, notes, earliest=True) == (6, 0, 1)
+    assert notes == ["first"]
+    assert checks._compare([(_ONE, _ONE, "a")], notes, earliest=True) is None
+    assert notes == ["first"]
+
+
+@pytest.mark.parametrize("earliest, read", [(False, 2), (True, 3)])
+def test_compare_reads_a_generator_only_to_the_first_failure(earliest, read):
+    built = []
+
+    def equations():
+        for rhs in (_ONE, _LATE, _EARLY):
+            built.append(rhs)
+            yield _ONE, rhs
+
+    checks._compare(equations(), [], earliest)
+    assert len(built) == read
+
+
+_SCANS = {"C1", "C2", "DIS", "P4", "T49", "C10", "TAU-PROPS", "TABLE2"}
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [dict(order=64, nmax=200, mmax=20), dict(order=12, nmax=30, mmax=6),
+     dict(order=1, nmax=0, mmax=1), dict(order=0, nmax=0, mmax=0)],
+    ids=["defaults", "12-30-6", "1-0-1", "0-0-0"],
+)
+def test_equation_builders_return_their_equations_without_comparing(monkeypatch, sizes):
+    # each equation check is data: its builder compares nothing, and every
+    # equation it returns is compared on exactly the range its report prints
+    ids = [i for i in checks.registry_ids() if checks.REGISTRY[i].equations]
+    assert len(ids) == 41 and set(checks.registry_ids()) - set(ids) == _SCANS
+    printed = {r.id: r.order for r in checks.run_all(**sizes, ids=ids)}
+
+    def refuse(*args):
+        raise AssertionError("first_difference called")
+
+    monkeypatch.setattr(checks, "first_difference", refuse)
+    ws = checks.Workspace(**sizes)
+    for i in ids:
+        equations = list(checks.REGISTRY[i].equations(ws))
+        assert equations, i
+        for lhs, rhs, *note in equations:
+            assert min(lhs.order, rhs.order) == printed[i], i
+            assert len(note) <= 1
+
+
+def test_equation_checks_compare_inside_their_runner(monkeypatch):
+    # the stored runner is what a tracer wraps, so the comparison must run
+    # within its call, not after it returns
+    calls = []
+    real = checks.first_difference
+    monkeypatch.setattr(checks, "first_difference",
+                        lambda a, b: calls.append(1) or real(a, b))
+    runner = checks.REGISTRY["HAHN-SYS"].runner
+    assert runner(checks.Workspace(order=8), []) is None
+    assert len(calls) == 3
+
+
+def test_p4_and_jacobi_build_no_equation_past_the_first_failure(monkeypatch):
+    evaluated = []
+    real = checks.gp_evaluate
+    monkeypatch.setattr(checks, "gp_evaluate",
+                        lambda f, cat: evaluated.append(1) or real(f, cat))
+    assert checks.run_check("P4", order=12).status == "pass"
+    assert len(evaluated) == 3
+    evaluated.clear()
+    _corrupt_sigma_star(monkeypatch, s=1, n=1)
+    report = checks.run_check("P4", order=12)
+    assert report.notes == ("series-level rule for A broken",)
+    assert len(evaluated) == 1
+    # JACOBI: a bad 4-square table stops it before the 6- and 8-square ones
+    _bump_r_table(monkeypatch, 4, 3)
+    tables = []
+    real_table = checks.Workspace.r_table
+    monkeypatch.setattr(checks.Workspace, "r_table",
+                        lambda self, s: tables.append(s) or real_table(self, s))
+    assert checks.run_check("JACOBI", nmax=12).notes == ("4-square formula",)
+    assert tables == [2, 4]
+
+
+def test_p4_names_the_differing_monomial(monkeypatch):
+    # the A^2 numerator of the level-2 rule for A raised by one: -1/4 -> 0
+    den, rules = graded._RULES[graded.LEVEL2]
+    bad = ({**rules[0], (2, 0, 0): rules[0][2, 0, 0] + 1}, rules[1], rules[2])
+    monkeypatch.setitem(graded._RULES, graded.LEVEL2, (den, bad))
+    report = checks.run_check("P4", order=12)
+    # n counts monomials in the sorted union, B before A^2, not powers of q
+    assert report.first_discrepancy == (1, 0, Fraction(-1, 4))
+    assert report.notes == ("polynomial rule for A broken at A^2: 0 != -1/4",)
 
 
 def test_table2_24_square_route_reports_the_lowest_n(monkeypatch):

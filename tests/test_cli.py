@@ -6,6 +6,10 @@ import pytest
 from eisen2 import cli
 
 
+# past sys.maxsize on any platform, so no list of this length can be made
+_HUGE = str(10**20)
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     out, err = capsys.readouterr()
@@ -174,6 +178,11 @@ def test_list_subcommand(capsys):
         ("export", "tau", "--output", "/nonexistent/x.csv"),
         ("verify", "T49", "--json", ""),
         ("export", "C", "--output", ""),
+        ("verify", "all", "--order", _HUGE),
+        ("verify", "T49", "--mmax", _HUGE),
+        ("verify", "C1", "--nmax", _HUGE),
+        ("export", "E4", "--order", _HUGE),
+        ("decompose", "E4star", "--weight", "4", "--order", _HUGE),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv):
@@ -181,6 +190,22 @@ def test_bad_input_exits_2_with_one_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.strip()
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("verify", "all", "--order", _HUGE), f"--order {_HUGE}"),
+        (("verify", "T49", "--mmax", _HUGE), f"--mmax {_HUGE}"),
+        (("verify", "C1", "--nmax", _HUGE), f"--nmax {_HUGE}"),
+        (("export", "E4", "--order", _HUGE), f"--order {_HUGE}"),
+        (("decompose", "E4star", "--weight", "4", "--order", _HUGE), f"--order {_HUGE}"),
+        (("export", f"E{_HUGE}star_poly"), f"E{_HUGE}star_poly"),
+    ],
+)
+def test_a_size_past_the_index_range_is_named(capsys, argv, named):
+    # no list that long can exist: one line naming the size, not a traceback
+    assert run_cli(capsys, *argv) == (2, "", f"{named} is too large for this platform\n")
 
 
 @pytest.mark.parametrize("flag", ["--json", "--output"])

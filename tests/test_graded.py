@@ -671,3 +671,13 @@ def test_e_star_poly_matches_the_unpaired_fraction_recursion():
 def test_polys_refuse_floats(build):
     with pytest.raises(TypeError):
         build()
+
+
+def test_monomials_are_named_in_the_ring_generators():
+    a = GradedPoly.generator(LEVEL2, "A")
+    assert a.monomial_name((2, 1, 0)) == "A^2*B"
+    assert a.monomial_name((0, 0, 3)) == "C^3"
+    assert a.monomial_name((0, 0, 0)) == "1"
+    assert GradedPoly.generator(LEVEL1, "E2").monomial_name((1, 0, 2)) == "E2*E6^2"
+    poly = GradedPoly(LEVEL2, {(2, 0, 0): Fraction(-1, 4), (0, 0, 0): 3})
+    assert repr(poly) == "GradedPoly(level2, (3) + (-1/4)*A^2)"
