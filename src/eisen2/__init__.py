@@ -6,7 +6,6 @@ coefficient-by-coefficient up to a configurable truncation order.
 """
 
 from .arith import (
-    ArithTable,
     delta8_oracle,
     r_count,
     r_oracle,
@@ -17,7 +16,6 @@ from .arith import (
 )
 from .catalog import CrossCheckMismatch, SeriesCatalog
 from .graded import (
-    BasisDecomposition,
     GradedPoly,
     check_positivity,
     decompose_modular,
@@ -32,8 +30,6 @@ from .scalars import PiScaled, bernoulli, check_scalar_recursion, lambda_even, z
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArithTable",
-    "BasisDecomposition",
     "CrossCheckMismatch",
     "GradedPoly",
     "PiScaled",

@@ -9,22 +9,22 @@ scaled by the reciprocals of the conventions, so their constant terms come
 out as 1.  The per-n functions
 ``divisors``, ``sigma``, ``sigma_star`` and ``sigma_sharp`` work by trial
 division; they are the independent oracles the sieve is tested against, and
-JACOBI reads divisor lists from ``divisors``.  ``tau_table`` and ``r_count``
-read their values off a ``SeriesCatalog`` (``tau_table(0)`` is ``(0,)``); no
-check uses them.  The
-enumeration oracles are deliberately independent of all series code.
+JACOBI reads divisor lists from ``divisors``.  A table of values is a
+series: ``tau_table`` and ``r_count`` return the catalog's ``QSeries`` of
+tau(n) and r_s(n), whose coefficient n is the value at n; no check uses
+them.  The enumeration oracles are deliberately independent of all series
+code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .qseries import QSeries
 from .scalars import bernoulli
 
 __all__ = [
-    "ArithTable",
     "divisors",
     "sigma",
     "sigma_star",
@@ -37,20 +37,6 @@ __all__ = [
     "delta8_oracle",
     "primes_up_to",
 ]
-
-
-@dataclass(frozen=True)
-class ArithTable:
-    """Values of one arithmetic function for n = 0..N."""
-
-    kind: str
-    values: tuple[Fraction, ...]
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def divisors(n: int) -> list[int]:
@@ -146,26 +132,26 @@ def divisor_sum_table(kind: str, s: int, N: int) -> list:
     return table
 
 
-def tau_table(N: int) -> ArithTable:
-    """Coefficients of the weight-12 discriminant cusp form, tau(0..N).
+def tau_table(N: int) -> QSeries:
+    """The weight-12 discriminant cusp form sum tau(n) q^n on 0..N.
 
-    The table is ``SeriesCatalog(N).delta()``: the eta-product expansion of
+    It is ``SeriesCatalog(N).delta()``: the eta-product expansion of
     q prod (1-q^n)^24, cross-checked against the two Eisenstein routes, which
     raises CrossCheckMismatch on any disagreement.
     """
     from . import catalog
 
-    return ArithTable("tau", catalog.SeriesCatalog(N).delta().coeffs)
+    return catalog.SeriesCatalog(N).delta()
 
 
-def r_count(s: int, N: int) -> ArithTable:
-    """Representation counts r_s(0..N): the coefficients of theta3^s, the
+def r_count(s: int, N: int) -> QSeries:
+    """The representation counts sum r_s(n) q^n on 0..N: theta3^s, the
     catalog's memoized power ``SeriesCatalog(N).power("theta3", s)``."""
     if s < 1:
         raise ValueError("s must be positive")
     from . import catalog
 
-    return ArithTable(f"r{s}", catalog.SeriesCatalog(N).power("theta3", s).coeffs)
+    return catalog.SeriesCatalog(N).power("theta3", s)
 
 
 @lru_cache(maxsize=None)

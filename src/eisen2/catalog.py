@@ -202,9 +202,9 @@ class SeriesCatalog:
         """
         if e < 0:
             raise ValueError("negative powers are not defined; invert first")
+        base = self.by_name(name)  # an unknown name raises even for e = 0
         if e == 0:
             return QSeries.one(self.order)
-        base = self.by_name(name)
         if e == 1:
             return base
 

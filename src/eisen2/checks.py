@@ -536,21 +536,6 @@ def _det_l2(ws: Workspace) -> list[Equation]:
 # Serre derivative structure
 
 
-def _poly_first_diff(
-    p: GradedPoly, q: GradedPoly
-) -> Optional[tuple[int, tuple, Fraction, Fraction]]:
-    """The first differing monomial in the sorted union of both polynomials'
-    monomials: its position there, its exponents and both coefficients."""
-    # numerators cross-multiplied, as first_difference compares series
-    keys = sorted(set(p._nums) | set(q._nums))
-    dp, dq = p._den, q._den
-    for i, key in enumerate(keys):
-        x, y = p._nums.get(key, 0), q._nums.get(key, 0)
-        if x * dq != y * dp:
-            return (i, key, Fraction(x, dp), Fraction(y, dq))
-    return None
-
-
 @_register(
     "P4",
     "generator rules dA = -(A^2+B)/4, dB = -BC, dC = -B/2, verified at the "
@@ -566,7 +551,7 @@ def _p4(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     }
     for name, target in expected.items():
         image = serre_delta(GradedPoly.generator(LEVEL2, name))
-        d = _poly_first_diff(image, target)
+        d = image.first_difference(target)
         if d:
             n, exps, lhs, rhs = d
             notes.append(f"polynomial rule for {name} broken at {image.monomial_name(exps)}"
@@ -762,15 +747,19 @@ def _c10(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 # tau arithmetic and the reference table
 
 
+_TAU_PROPS_N = 1000  # TAU-PROPS judges tau(n) for n <= this
+_TABLE2_N = 4  # TABLE2's rows run over n = 0..this
+
+
 @_register(
     "TAU-PROPS",
     "multiplicativity and prime-power recursion of tau, the 691 congruence "
     "with sigma_11, the squared Ramanujan bound at primes, and nonvanishing, "
-    "all for n <= 1000",
+    f"all for n <= {_TAU_PROPS_N}",
     scope="tau1000",
 )
 def _tau_props(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
-    limit = 1000
+    limit = _TAU_PROPS_N
     tau = ws.tau_range(limit).numerators  # integral: denominator 1
     for m in range(2, limit + 1):
         for n in range(2, limit // m + 1):
@@ -805,26 +794,29 @@ def _tau_props(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     return None
 
 
-_TABLE2_PRINTED: dict[str, list[Fraction]] = {
-    "sigma3*": [Fraction(-1, 16), Fraction(1), Fraction(-7), Fraction(28), Fraction(-71)],
-    "sigma5*": [Fraction(1, 8), Fraction(1), Fraction(-31), Fraction(244), Fraction(-1055)],
-    "sigma7*": [Fraction(-17, 32), Fraction(1), Fraction(-127), Fraction(2188), Fraction(-16511)],
-    "conv37": [Fraction(12, 517), Fraction(-19, 32), Fraction(405, 32), Fraction(-2285, 8), Fraction(133589, 32)],
-    "conv55": [Fraction(1, 64), Fraction(1, 4), Fraction(33, 32), Fraction(-1), Fraction(37928, 32)],
-    "tau": [Fraction(0), Fraction(1), Fraction(-24), Fraction(252), Fraction(-1472)],
+# the printed rows, each as the series of its cells on n = 0.._TABLE2_N
+_TABLE2_PRINTED: dict[str, QSeries] = {
+    "sigma3*": QSeries([Fraction(-1, 16), 1, -7, 28, -71]),
+    "sigma5*": QSeries([Fraction(1, 8), 1, -31, 244, -1055]),
+    "sigma7*": QSeries([Fraction(-17, 32), 1, -127, 2188, -16511]),
+    "conv37": QSeries([Fraction(12, 517), Fraction(-19, 32), Fraction(405, 32),
+                       Fraction(-2285, 8), Fraction(133589, 32)]),
+    "conv55": QSeries([Fraction(1, 64), Fraction(1, 4), Fraction(33, 32), -1,
+                       Fraction(37928, 32)]),
+    "tau": QSeries([0, 1, -24, 252, -1472]),
 }
 
 
 @_register(
     "TABLE2",
     "reference table of sigma*_3, sigma*_5, sigma*_7, their convolutions and "
-    "tau on n = 0..4; convolution cells are judged by our exact convolution, "
-    "confirmed against the independent 24-square route, and any printed cell "
-    "that differs is flagged",
+    f"tau on n = 0..{_TABLE2_N}; convolution cells are judged by our exact "
+    "convolution, confirmed against the independent 24-square route, and any "
+    "printed cell that differs is flagged",
     scope="table",
 )
 def _table2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
-    upto = 4
+    upto = _TABLE2_N
     conv55, conv37 = _conv55_conv37(ws, upto)
     tau = ws.tau_range(upto)
     # the two convolution rows are confirmed by the independent lattice
@@ -835,28 +827,23 @@ def _table2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     d = _compare([(f, r24) for f in _r24_forms(conv55, conv37, tau)], notes, earliest=True)
     if d:
         return d
-    computed = {
-        "sigma3*": ws.sigma_star_range(3, upto).coeffs,
-        "sigma5*": ws.sigma_star_range(5, upto).coeffs,
-        "sigma7*": ws.sigma_star_range(7, upto).coeffs,
-        "conv37": conv37.coeffs,
-        "conv55": conv55.coeffs,
-        "tau": tau.coeffs,
-    }
-    for row, printed in _TABLE2_PRINTED.items():
-        ours = computed[row]
-        for n in range(upto + 1):
-            if printed[n] != ours[n]:
-                if row in ("conv37", "conv55"):
-                    notes.append(
-                        f"flagged cell ({row}, n={n}): printed "
-                        f"{rational_str(printed[n])}, computed "
-                        f"{rational_str(ours[n])} (computed value confirmed "
-                        "by the 24-square route)"
-                    )
-                else:
-                    return (n, ours[n], printed[n])
-    return None
+    # the rows in table order: a sigma* row fails the check, a convolution
+    # cell that differs is flagged, and tau is compared last
+    printed = _TABLE2_PRINTED
+    d = _compare(((ws.sigma_star_range(s, upto), printed[f"sigma{s}*"])
+                  for s in (3, 5, 7)), notes)
+    if d:
+        return d
+    for row, ours in (("conv37", conv37), ("conv55", conv55)):
+        for n, x in enumerate((ours - printed[row]).numerators):
+            if x:
+                notes.append(
+                    f"flagged cell ({row}, n={n}): printed "
+                    f"{rational_str(printed[row][n])}, computed "
+                    f"{rational_str(ours[n])} (computed value confirmed "
+                    "by the 24-square route)"
+                )
+    return _compare([(tau, printed["tau"])], notes)
 
 
 # ---------------------------------------------------------------------------
@@ -917,9 +904,9 @@ def run_check(
     reported_order = {
         "order": ws.order,
         "range": ws.nmax,
-        "tau1000": 1000,
+        "tau1000": _TAU_PROPS_N,
         "mmax": ws.mmax,
-        "table": 4,
+        "table": _TABLE2_N,
     }[check.scope]
     return CheckReport(
         id=check.id,

@@ -54,6 +54,14 @@ def _format(fmt: str, payload: dict, header: tuple, rows) -> str:
     return buf.getvalue()
 
 
+def _poly_text(fmt: str, name: str, weight: int, poly) -> str:
+    """A polynomial's sorted (a, b, c, value) records, under its name and
+    weight in JSON."""
+    records = poly.to_records()
+    return _format(fmt, {"name": name, "weight": weight, "terms": records},
+                   ("a", "b", "c", "value"), records)
+
+
 def _bad_input(message: str) -> int:
     print(message, file=sys.stderr)
     return 2
@@ -137,11 +145,8 @@ def _cmd_export(args) -> int:
             if weight < 4 or weight % 2:
                 raise UnknownName(args.name)
             cat = None if args.order is None else SeriesCatalog(order)
-            poly = e_star_poly(weight // 2, cat)
-            records = poly.to_records()
-            text = _format(args.format, {"name": args.name, "weight": weight,
-                                         "terms": records},
-                           ("a", "b", "c", "value"), records)
+            text = _poly_text(args.format, args.name, weight,
+                              e_star_poly(weight // 2, cat))
         else:
             values = _export_values(args.name, order)
             text = _format(args.format, {"name": args.name, "order": order,
@@ -167,18 +172,14 @@ def _cmd_decompose(args) -> int:
     except KeyError:
         return _bad_input(f"unknown series name {args.name!r}")
     try:
-        dec = decompose_modular(series, args.weight, cat)
+        poly = decompose_modular(series, args.weight, cat)
     except ValueError as exc:  # weight not even, or order below the window
         return _bad_input(str(exc))
     except ResidualMismatch as exc:
         print(f"{args.name} is not modular of weight {args.weight}: {exc}",
               file=sys.stderr)
         return 1
-    records = dec.to_records()
-    text = _format(args.format, {"name": args.name, "weight": args.weight,
-                                 "terms": records},
-                   ("a", "b", "c", "value"), records)
-    sys.stdout.write(text)
+    sys.stdout.write(_poly_text(args.format, args.name, args.weight, poly))
     return 0
 
 

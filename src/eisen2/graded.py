@@ -4,35 +4,35 @@ Two rings: level 1 in E2, E4, E6 (weights 2, 4, 6) and level 2 in A, B, C
 (weights 2, 4, 2) where A, B are the weight-2 and weight-4 level-2 series
 and C is their weight-2 quotient partner E6*/E4*.  A ``GradedPoly`` keeps
 integer numerators per monomial over one positive common denominator,
-reduced, as ``QSeries`` does for coefficients; products, sums, scaling and
-both Serre derivatives work on those integers, and ``terms`` gives the
-coefficients as ``Fraction`` values.  Evaluation is an integer linear
-combination of the catalog's memoized monomial series, so it makes no
-product of its own once they exist.  The E*_2m tower compares every level
-lifted to the top weight, times a power of C, so that all levels share one
-monomial set.  Modular forms of even weight 2k on the level-2 group
-decompose over the monomial basis B^j C^(k-2j), and that decomposition is
-computed by exact fraction-free elimination.  The module keeps no state: each E*_2m level is
-memoized in the catalog it was compared on.
+reduced, in the format and by the helpers of ``QSeries``; products, sums,
+scaling, both Serre derivatives and ``first_difference`` work on those
+integers, and ``terms`` gives the coefficients as ``Fraction`` values.
+Evaluation is an integer linear combination of the catalog's memoized
+monomial series, so it makes no product of its own once they exist.  The
+E*_2m tower compares every level lifted to the top weight, times a power of
+C, so that all levels share one monomial set.  Modular forms of even weight
+2k on the level-2 group decompose over the monomial basis B^j C^(k-2j):
+``decompose_modular`` solves for the coordinates by exact fraction-free
+elimination and returns them as a ``GradedPoly``, the type ``e_star_poly``
+returns.  The module keeps no state: each E*_2m level is memoized in the
+catalog it was compared on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping, Optional, Union
 
 from .catalog import CrossCheckMismatch, SeriesCatalog
-from .qseries import QSeries, first_difference, rational_str
+from .qseries import QSeries, _over_lcm, _reduce, first_difference, rational_str
 from .scalars import exact, ks_alpha, ks_coefficient
 
 __all__ = [
     "LEVEL1",
     "LEVEL2",
     "GradedPoly",
-    "BasisDecomposition",
     "RingMismatch",
     "NotHomogeneous",
     "SingularSystem",
@@ -97,32 +97,26 @@ class GradedPoly:
     def __init__(self, ring: str, terms: Optional[Mapping[Exponents, Scalar]] = None):
         if ring not in _GENERATORS:
             raise ValueError(f"unknown ring {ring!r}")
-        values = {
-            (int(exps[0]), int(exps[1]), int(exps[2])): Fraction(exact(coeff))
-            for exps, coeff in (terms or {}).items()
-        }
-        # the lcm of reduced denominators leaves no common factor to divide out
-        den = lcm(*(v.denominator for v in values.values()))
+        terms = dict(terms or {})
+        for exps in terms:
+            if len(exps) != 3 or not all(isinstance(e, int) for e in exps):
+                raise TypeError(f"exponents must be three ints, got {exps!r}")
+            if min(exps) < 0:
+                raise ValueError(f"exponents must be nonnegative, got {exps!r}")
+        nums, self._den = _over_lcm(terms.values())
         self.ring = ring
-        self._nums = {
-            e: v.numerator * (den // v.denominator) for e, v in values.items() if v
-        }
-        self._den = den if self._nums else 1
+        self._nums = {tuple(e): x for e, x in zip(terms, nums) if x}
 
     @classmethod
     def _make(cls, ring: str, nums: dict[Exponents, int], den: int = 1) -> "GradedPoly":
-        """The polynomial sum nums[e] x^e / den, zero terms dropped, reduced."""
+        """The polynomial sum nums[e] x^e / den, zero terms dropped, reduced;
+        the exponents are not checked."""
         poly = object.__new__(cls)
         poly.ring = ring
         nums = {e: x for e, x in nums.items() if x}
-        if not nums:
-            den = 1
-        elif den != 1:
-            g = gcd(den, *nums.values())
-            if g != 1:
-                nums = {e: x // g for e, x in nums.items()}
-                den //= g
-        poly._nums, poly._den = nums, den
+        values, poly._den = _reduce(tuple(nums.values()), den)
+        # most results in the E*_2m tower have no common factor to divide out
+        poly._nums = nums if poly._den == den else dict(zip(nums, values))
         return poly
 
     @classmethod
@@ -176,6 +170,21 @@ class GradedPoly:
     def to_records(self) -> list[tuple[int, int, int, str]]:
         """Serialization as sorted (a, b, c, "p/q") records."""
         return [(a, b, c, rational_str(v)) for (a, b, c), v in self.sorted_terms()]
+
+    def first_difference(
+        self, other: "GradedPoly"
+    ) -> Optional[tuple[int, Exponents, Fraction, Fraction]]:
+        """The first differing monomial in the sorted union of both
+        polynomials' monomials: its position there, its exponents and both
+        coefficients; None when they are equal."""
+        self._check_ring(other)
+        # numerators cross-multiplied, as first_difference compares series
+        da, db = self._den, other._den
+        for i, exps in enumerate(sorted(self._nums.keys() | other._nums.keys())):
+            x, y = self._nums.get(exps, 0), other._nums.get(exps, 0)
+            if x * db != y * da:
+                return i, exps, Fraction(x, da), Fraction(y, db)
+        return None
 
     def __eq__(self, other: object) -> bool:
         # the reduced form is unique, so equal values have equal fields
@@ -305,29 +314,6 @@ def gp_evaluate(f: GradedPoly, catalog: SeriesCatalog) -> QSeries:
     return QSeries._make(total, f._den * den)
 
 
-@dataclass(frozen=True)
-class BasisDecomposition:
-    """Coordinates of a weight-2k modular form over the B^j C^(k-2j) basis.
-
-    Coefficients are listed with the B-exponent j descending, matching the
-    usual display order (B^(k//2) ... , B C^(k-2), C^k).
-    """
-
-    weight: int
-    coefficients: tuple[Fraction, ...]
-
-    def basis_exponents(self) -> list[Exponents]:
-        k = self.weight // 2
-        return [(0, j, k - 2 * j) for j in range(k // 2, -1, -1)]
-
-    def as_poly(self) -> GradedPoly:
-        terms = dict(zip(self.basis_exponents(), self.coefficients))
-        return GradedPoly(LEVEL2, terms)
-
-    def to_records(self) -> list[tuple[int, int, int, str]]:
-        return self.as_poly().to_records()
-
-
 def modular_dimension(weight: int) -> int:
     """dim of the weight-2k modular forms on the level-2 group: floor(2k/4)+1."""
     if weight < 2 or weight % 2:
@@ -364,32 +350,35 @@ def _solve_fraction_free(matrix: list[list[Fraction]], rhs: list[Fraction]) -> l
 
 def decompose_modular(
     s: QSeries, weight: int, catalog: Optional[SeriesCatalog] = None
-) -> BasisDecomposition:
-    """Write a claimed weight-2k modular form over the monomial basis.
+) -> GradedPoly:
+    """Write a claimed weight-2k modular form over the monomial basis
+    B^j C^(k-2j), as a polynomial in B and C.
 
     Solves the exact square system on the leading dim-many coefficients and
     then verifies the combination against every remaining computed
     coefficient; a residual failure means the series is not modular of the
     claimed weight (quasi-modular inputs like the weight-2 level series fail
-    here by design).
+    here by design).  The basis is evaluated on the catalog, which must
+    reach the series' order; with none given, a fresh one of that order.
     """
     dim = modular_dimension(weight)
     if s.order < 2 * dim:
         raise ValueError(f"need order >= {2 * dim} to certify a weight-{weight} form")
-    if catalog is None or catalog.order < s.order:
+    if catalog is None:
         catalog = SeriesCatalog(s.order)
+    elif catalog.order < s.order:
+        raise ValueError(f"a series of order {s.order} needs a catalog of order "
+                         f">= {s.order}, got {catalog.order}")
     k = weight // 2
-    basis = [
-        gp_evaluate(GradedPoly.monomial(LEVEL2, (0, j, k - 2 * j)), catalog)
-        for j in range(k // 2, -1, -1)
-    ]
-    matrix = [[basis[i][n] for i in range(dim)] for n in range(dim)]
+    exponents = [(0, j, k - 2 * j) for j in range(k // 2, -1, -1)]
+    basis = [gp_evaluate(GradedPoly.monomial(LEVEL2, e), catalog) for e in exponents]
+    matrix = [[b[n] for b in basis] for n in range(dim)]
     rhs = [s[n] for n in range(dim)]
-    dec = BasisDecomposition(weight, tuple(_solve_fraction_free(matrix, rhs)))
-    diff = first_difference(gp_evaluate(dec.as_poly(), catalog), s)
+    poly = GradedPoly(LEVEL2, dict(zip(exponents, _solve_fraction_free(matrix, rhs))))
+    diff = first_difference(gp_evaluate(poly, catalog), s)
     if diff is not None:
         raise ResidualMismatch(diff[0], diff[2], diff[1])
-    return dec
+    return poly
 
 
 def e_star_order(m: int) -> int:

@@ -100,8 +100,18 @@ def int_mul(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
     return out
 
 
+def _over_lcm(values: Iterable[Scalar]) -> tuple[tuple[int, ...], int]:
+    """Exact values as integer numerators over one positive denominator, the
+    lcm of their reduced denominators, which leaves no common factor."""
+    # exact raises for anything that is not an int or a Fraction
+    values = [c if isinstance(c, (int, Fraction)) else exact(c) for c in values]
+    den = lcm(*(c.denominator for c in values))
+    return tuple(c.numerator * (den // c.denominator) for c in values), den
+
+
 def _reduce(nums: Sequence[int], den: int) -> tuple[tuple[int, ...], int]:
-    """Divide numerators and denominator by their common factor."""
+    """Divide numerators and denominator by their common factor; no
+    numerators get the denominator 1."""
     if den != 1:
         g = gcd(den, *nums)
         if g != 1:
@@ -115,14 +125,9 @@ class QSeries:
     __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs: Iterable[Scalar]):
-        # exact raises for anything that is not an int or a Fraction
-        values = [c if isinstance(c, (int, Fraction)) else exact(c) for c in coeffs]
-        if not values:
+        self._nums, self._den = _over_lcm(coeffs)
+        if not self._nums:
             raise ValueError("a series needs at least the constant coefficient")
-        # the lcm of reduced denominators leaves no common factor to divide out
-        den = lcm(*(c.denominator for c in values))
-        self._nums = tuple(c.numerator * (den // c.denominator) for c in values)
-        self._den = den
 
     @classmethod
     def _make(cls, nums: Sequence[int], den: int = 1) -> "QSeries":

@@ -4,7 +4,8 @@ from math import gcd
 import pytest
 
 from eisen2 import arith
-from eisen2.catalog import CrossCheckMismatch
+from eisen2.catalog import CrossCheckMismatch, SeriesCatalog
+from eisen2.qseries import QSeries
 
 
 def test_divisors():
@@ -84,13 +85,23 @@ def test_tau_table():
     assert table[2] == -24
     assert table[3] == 252
     assert table[4] == -1472
-    assert all(v.denominator == 1 for v in table.values[1:])
+    assert all(v.denominator == 1 for v in table.coeffs[1:])
 
 
 def test_tau_table_at_zero_is_the_constant_term():
-    assert arith.tau_table(0).values == (0,)
+    assert arith.tau_table(0).coeffs == (0,)
     with pytest.raises(ValueError):
         arith.tau_table(-1)
+
+
+@pytest.mark.parametrize("N", [0, 1, 30])
+def test_tables_are_the_catalogs_series(N):
+    cat = SeriesCatalog(N)
+    assert isinstance(arith.tau_table(N), QSeries)
+    assert arith.tau_table(N) == cat.delta() and arith.tau_table(N).order == N
+    for s in (1, 4, 24):
+        assert arith.r_count(s, N) == cat.power("theta3", s)
+        assert arith.r_count(s, N).order == N
 
 
 def test_divisor_sum_zero_is_slot_0_and_rejects_bad_input():
@@ -121,8 +132,6 @@ def test_delta8_oracle():
     assert arith.delta8_oracle(1) == 8
     assert arith.delta8_oracle(2) == 28
     # matches the series route through the weight-4 kernel form
-    from eisen2.catalog import SeriesCatalog
-
     d = SeriesCatalog(51).D()
     for n in range(50):
         assert d.coeffs[n + 1] == arith.delta8_oracle(n)
@@ -151,7 +160,7 @@ def test_lagrange_positivity():
 
 def test_tau_multiplicative():
     table = arith.tau_table(1000)
-    tau = table.values
+    tau = table.coeffs
     for m in range(2, 1001):
         for n in range(2, 1000 // m + 1):
             if gcd(m, n) == 1:
@@ -159,7 +168,7 @@ def test_tau_multiplicative():
 
 
 def test_tau_prime_power_recursion():
-    tau = arith.tau_table(1000).values
+    tau = arith.tau_table(1000).coeffs
     for p in arith.primes_up_to(31):
         prev, pk = 1, p
         while pk * p <= 1000:
@@ -168,19 +177,19 @@ def test_tau_prime_power_recursion():
 
 
 def test_tau_congruence_mod_691():
-    tau = arith.tau_table(1000).values
+    tau = arith.tau_table(1000).coeffs
     for n in range(1, 1001):
         assert (tau[n] - arith.sigma(11, n)).numerator % 691 == 0
 
 
 def test_tau_squared_prime_bound():
-    tau = arith.tau_table(1000).values
+    tau = arith.tau_table(1000).coeffs
     for p in arith.primes_up_to(1000):
         assert tau[p] ** 2 <= 4 * p**11
 
 
 def test_tau_nonvanishing():
-    tau = arith.tau_table(1000).values
+    tau = arith.tau_table(1000).coeffs
     assert all(tau[n] != 0 for n in range(1, 1001))
 
 

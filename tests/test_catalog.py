@@ -155,6 +155,13 @@ def _count_products(monkeypatch) -> list:
     return calls
 
 
+@pytest.mark.parametrize("e", [0, 1, 2])
+def test_power_of_an_unknown_name_raises_at_every_exponent(e):
+    # the zeroth power once returned 1 without resolving the name
+    with pytest.raises(KeyError, match="bogus"):
+        SeriesCatalog(8).power("bogus", e)
+
+
 def test_a_lone_power_is_built_by_squaring(monkeypatch):
     cat = SeriesCatalog(30)
     calls = _count_products(monkeypatch)

@@ -638,6 +638,24 @@ def test_p4_names_the_differing_monomial(monkeypatch):
     assert report.notes == ("polynomial rule for A broken at A^2: 0 != -1/4",)
 
 
+@pytest.mark.parametrize(
+    "row, n, expected, flagged",
+    [("sigma5*", 3, (3, 244, 245), 0), ("tau", 2, (2, -24, -23), 2)],
+    ids=["sigma5*", "tau"],
+)
+def test_table2_fails_on_a_printed_row_after_the_rows_before_it(
+        monkeypatch, row, n, expected, flagged):
+    # a printed cell one off in a sigma* or the tau row fails the check; the
+    # convolution rows, between them, are flagged first when tau is the row
+    printed = checks._TABLE2_PRINTED[row]
+    monkeypatch.setitem(checks._TABLE2_PRINTED, row,
+                        printed + QSeries.from_terms({n: 1}, printed.order))
+    report = checks.run_check("TABLE2")
+    assert report.first_discrepancy == expected
+    assert len(report.notes) == flagged
+    assert all(note.startswith("flagged cell (conv") for note in report.notes)
+
+
 def test_table2_24_square_route_reports_the_lowest_n(monkeypatch):
     r24 = {n: arith.r_oracle(24, n) for n in range(5)}
     # tau(3) + 1 breaks both forms at n = 3: the sigma*_5^2 form is reported
@@ -687,18 +705,19 @@ def test_d_raises_at_the_first_oracle_mismatch(monkeypatch):
     assert report.notes == (str(exc),)
 
 
-def test_no_check_reads_the_fraction_view_but_table2(monkeypatch):
-    # every series equation compares integer numerators; TABLE2 alone reads
-    # Fraction coefficients, for its printed cells
+def test_no_check_reads_the_fraction_view(monkeypatch):
+    # every series equation compares integer numerators at the defaults, and
+    # TABLE2 compares its printed rows as series, building Fractions only for
+    # the cells it flags
     def refuse(self):
         raise AssertionError("QSeries.coeffs read")
 
     monkeypatch.setattr(QSeries, "coeffs", property(refuse))
-    ids = [i for i in checks.registry_ids() if i != "TABLE2"]
-    reports = checks.run_all(order=16, nmax=30, mmax=6, ids=ids)
+    reports = checks.run_all()
+    assert len(reports) == 49
     assert [r.id for r in reports if r.status != "pass"] == []
-    with pytest.raises(AssertionError, match="coeffs"):
-        checks.run_check("TABLE2")
+    table2 = next(r for r in reports if r.id == "TABLE2")
+    assert "flagged cell (conv37, n=0): printed 12/517" in table2.notes[0]
 
 
 def test_level2_code_reads_no_fraction_view(monkeypatch):
@@ -711,14 +730,14 @@ def test_level2_code_reads_no_fraction_view(monkeypatch):
 
     monkeypatch.setattr(QSeries, "coeffs", refuse("QSeries.coeffs"))
     monkeypatch.setattr(graded.GradedPoly, "terms", refuse("GradedPoly.terms"))
-    ids = [i for i in checks.registry_ids() if i != "TABLE2"]
-    reports = checks.run_all(order=16, nmax=30, mmax=6, ids=ids)
+    reports = checks.run_all(order=16, nmax=30, mmax=6)
+    assert len(reports) == 49
     assert [r.id for r in reports if r.status != "pass"] == []
     assert graded.check_positivity(20, SeriesCatalog(graded.e_star_order(20)))
     for w in (4, 8, 12, 24):
         cat = SeriesCatalog(64)
         dec = graded.decompose_modular(cat.level2(w // 2), w, cat)
-        assert dec.as_poly() == graded.e_star_poly(w // 2)
+        assert dec == graded.e_star_poly(w // 2)
 
 
 def test_t49_names_the_least_monomial_outside_the_cone(monkeypatch):

@@ -9,7 +9,6 @@ from eisen2.catalog import CrossCheckMismatch, SeriesCatalog
 from eisen2.graded import (
     LEVEL1,
     LEVEL2,
-    BasisDecomposition,
     GradedPoly,
     NotHomogeneous,
     ResidualMismatch,
@@ -172,27 +171,22 @@ def test_modular_dimension():
 
 
 def test_decompose_examples():
+    # the decomposition is a polynomial in B and C; zero coordinates drop out
     cat = SeriesCatalog(24)
-    dec = decompose_modular(cat.level2(4), 8, cat)
-    assert dec.coefficients == (Fraction(9, 17), Fraction(8, 17), Fraction(0))
-    assert dec.basis_exponents() == [(0, 2, 0), (0, 1, 2), (0, 0, 4)]
-    dec12 = decompose_modular(cat.level2(6), 12, cat)
-    assert dec12.coefficients == (
-        Fraction(189, 691),
-        Fraction(486, 691),
-        Fraction(16, 691),
-        Fraction(0),
+    assert decompose_modular(cat.level2(4), 8, cat) == GradedPoly(
+        LEVEL2, {(0, 2, 0): Fraction(9, 17), (0, 1, 2): Fraction(8, 17)})
+    assert decompose_modular(cat.level2(6), 12, cat) == GradedPoly(
+        LEVEL2,
+        {(0, 3, 0): Fraction(189, 691), (0, 2, 2): Fraction(486, 691),
+         (0, 1, 4): Fraction(16, 691)},
     )
-    dec4 = decompose_modular(cat.level2(2), 4, cat)
-    assert dec4.coefficients == (Fraction(1), Fraction(0))
+    assert decompose_modular(cat.level2(2), 4, cat) == GradedPoly.generator(LEVEL2, "B")
 
 
 def test_decompose_kernel_form():
     cat = SeriesCatalog(24)
     d_poly = GradedPoly(LEVEL2, {(0, 1, 0): Fraction(-1, 64), (0, 0, 2): Fraction(1, 64)})
-    dec = decompose_modular(gp_evaluate(d_poly, cat), 4, cat)
-    assert dec.coefficients == (Fraction(-1, 64), Fraction(1, 64))
-    assert dec.as_poly() == d_poly
+    assert decompose_modular(gp_evaluate(d_poly, cat), 4, cat) == d_poly
     assert gp_evaluate(d_poly, cat) == cat.D()
 
 
@@ -210,6 +204,15 @@ def test_decompose_order_precondition():
     cat = SeriesCatalog(3)
     with pytest.raises(ValueError):
         decompose_modular(cat.level2(2), 4, cat)
+
+
+def test_decompose_refuses_a_catalog_below_the_series_order():
+    # the rule e_star_poly keeps: a short catalog raises, naming both orders
+    series = SeriesCatalog(24).level2(4)
+    with pytest.raises(ValueError, match="order 24.*got 23"):
+        decompose_modular(series, 8, SeriesCatalog(23))
+    assert decompose_modular(series, 8, SeriesCatalog(30)) == e_star_poly(4)
+    assert decompose_modular(series, 8) == e_star_poly(4)
 
 
 def test_solver_detects_singular_matrix():
@@ -319,7 +322,7 @@ def test_graded_keeps_no_state_between_calls():
 def test_e_star_poly_matches_the_basis_decomposition(m):
     # the exact Bareiss decomposition is the oracle for the series check
     cat = SeriesCatalog(e_star_order(m))
-    assert decompose_modular(cat.level2(m), 2 * m, cat).as_poly() == e_star_poly(m)
+    assert decompose_modular(cat.level2(m), 2 * m, cat) == e_star_poly(m)
 
 
 def test_positivity():
@@ -370,7 +373,8 @@ def test_cusp_form_bases():
 
 
 def test_basis_decomposition_records():
-    dec = BasisDecomposition(8, (Fraction(9, 17), Fraction(8, 17), Fraction(0)))
+    cat = SeriesCatalog(24)
+    dec = decompose_modular(cat.level2(4), 8, cat)
     assert dec.to_records() == [(0, 1, 2, "8/17"), (0, 2, 0, "9/17")]
 
 
@@ -527,6 +531,22 @@ def test_poly_arithmetic_matches_fraction_dict_oracle():
         assert fp.scale(691).scale(Fraction(1, 691)) == fp
 
 
+def test_poly_first_difference_compares_values_over_both_denominators():
+    b = GradedPoly.generator(LEVEL2, "B")
+    half, third = b.scale(Fraction(1, 2)), b.scale(Fraction(1, 3))
+    assert half.first_difference(b.scale(Fraction(2, 4))) is None
+    # equal numerators over different denominators differ
+    assert (half._nums, third._nums) == ({(0, 1, 0): 1}, {(0, 1, 0): 1})
+    assert half.first_difference(third) == (0, (0, 1, 0), Fraction(1, 2), Fraction(1, 3))
+    # the position counts the sorted union of both monomial sets
+    c2 = GradedPoly.monomial(LEVEL2, (0, 0, 2), 5)
+    assert (half + c2).first_difference(half) == (0, (0, 0, 2), 5, 0)
+    assert (c2 + half).first_difference(c2 + third) == (1, (0, 1, 0), Fraction(1, 2),
+                                                        Fraction(1, 3))
+    with pytest.raises(RingMismatch):
+        half.first_difference(GradedPoly.generator(LEVEL1, "E4"))
+
+
 def test_poly_is_kept_reduced():
     p = GradedPoly(LEVEL2, {(0, 1, 0): Fraction(2, 691), (0, 0, 2): Fraction(-4, 691)})
     assert (p._den, p._nums) == (691, {(0, 1, 0): 2, (0, 0, 2): -4})
@@ -671,6 +691,20 @@ def test_e_star_poly_matches_the_unpaired_fraction_recursion():
 def test_polys_refuse_floats(build):
     with pytest.raises(TypeError):
         build()
+
+
+@pytest.mark.parametrize(
+    "exps, error",
+    [((1.5, 0, 0), TypeError), ((Fraction(1), 0, 0), TypeError),
+     ((1, 0), TypeError), ((-1, 0, 0), ValueError), ((0, 1, -2), ValueError)],
+    ids=["float", "Fraction", "two", "negative-A", "negative-C"],
+)
+def test_polys_refuse_bad_exponents(exps, error):
+    # 1.5 once truncated to A, and A^-1 printed as A with weight -2
+    with pytest.raises(error):
+        GradedPoly(LEVEL2, {exps: 1})
+    with pytest.raises(error):
+        GradedPoly.monomial(LEVEL2, exps)
 
 
 def test_monomials_are_named_in_the_ring_generators():
