@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import arith
 from .catalog import CrossCheckMismatch, SeriesCatalog
@@ -432,6 +432,14 @@ def _c2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 # determinant identities
 
 
+def _minor(series: Callable[[int], QSeries], rows: Sequence[int],
+           cols: Sequence[int]) -> QSeries:
+    """The minor on the given rows and columns of the Hankel array whose
+    (i, j) entry is series(i + j): E_{2(i+j)} with ``cat.level1`` and
+    E*_{2(i+j)} with ``cat.level2``."""
+    return qs_det([[series(r + c) for c in cols] for r in rows])
+
+
 @_equation_check(
     "MINORS-L1",
     "minors of the level-1 Hankel array are derivative multiples: "
@@ -439,13 +447,12 @@ def _c2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     "|E2 E4; E4 E6| = 2 qE6', |E2 E6; E4 E8| = (3/2) qE8'",
 )
 def _minors_l1(ws: Workspace) -> list[Equation]:
-    cat = ws.catalog
-    e = [cat.level1(k) for k in range(5)]
+    e = ws.catalog.level1
     return [
-        (qs_det([[e[0], e[1]], [e[1], e[2]]]), e[1].theta().scale(-12)),
-        (qs_det([[e[0], e[1]], [e[2], e[3]]]), e[2].theta().scale(-3)),
-        (qs_det([[e[1], e[2]], [e[2], e[3]]]), e[3].theta().scale(2)),
-        (qs_det([[e[1], e[3]], [e[2], e[4]]]), e[4].theta().scale(Fraction(3, 2))),
+        (_minor(e, (0, 1), (0, 1)), e(1).theta().scale(-12)),
+        (_minor(e, (0, 2), (0, 1)), e(2).theta().scale(-3)),
+        (_minor(e, (1, 2), (0, 1)), e(3).theta().scale(2)),
+        (_minor(e, (1, 2), (0, 2)), e(4).theta().scale(Fraction(3, 2))),
     ]
 
 
@@ -455,14 +462,7 @@ def _minors_l1(ws: Workspace) -> list[Equation]:
 )
 def _garvan(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
-    e = {k: cat.level1(k) for k in range(2, 7)}
-    det = qs_det(
-        [
-            [e[2], e[3], e[4]],
-            [e[3], e[4], e[5]],
-            [e[4], e[5], e[6]],
-        ]
-    )
+    det = _minor(cat.level1, (2, 3, 4), (0, 1, 2))
     sq = cat.delta().scale(1728)
     return [(det, (sq * sq).scale(Fraction(-250, 691)))]
 
@@ -483,9 +483,8 @@ def _dis(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 @_equation_check("L5", "|E0* E4*; E4* E8*| = (512/17) B D as series")
 def _l5(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
-    det = qs_det([[cat.level2(0), cat.level2(2)], [cat.level2(2), cat.level2(4)]])
     rhs = (cat.level2(2) * cat.D()).scale(Fraction(512, 17))
-    return [(det, rhs)]
+    return [(_minor(cat.level2, (0, 2), (0, 2)), rhs)]
 
 
 _DET_L2_CONSTANT = Fraction(-(2**13) * 3**5 * 5**2, 17**3 * 31**2 * 691)
@@ -500,35 +499,17 @@ _DET_L2_CONSTANT = Fraction(-(2**13) * 3**5 * 5**2, 17**3 * 31**2 * 691)
 )
 def _det_l2(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
-    e = {k: cat.level2(k) for k in range(2, 7)}
-    b, c, dd, delta = cat.level2(2), cat.C(), cat.D(), cat.delta()
+    e = cat.level2
+    b, c, dd, delta = e(2), cat.C(), cat.D(), cat.delta()
     return [
-        (
-            qs_det([[e[2], e[3]], [e[3], e[4]]]),
-            delta.scale(Fraction(-(2**6) * 3**2, 17)),
-        ),
-        (
-            qs_det([[e[2], e[4]], [e[3], e[5]]]),
-            (c * delta).scale(Fraction(-(2**8) * 3**2 * 5, 17 * 31)),
-        ),
-        (
-            qs_det([[e[3], e[4]], [e[4], e[5]]]),
-            ((b.scale(279) - (c * c).scale(92)) * delta).scale(
-                Fraction(2**6 * 3**2, 17**2 * 31)
-            ),
-        ),
-        (
-            qs_det(
-                [
-                    [e[2], e[3], e[4]],
-                    [e[3], e[4], e[5]],
-                    [e[4], e[5], e[6]],
-                ]
-            ),
-            ((b.scale(961) + (c * c).scale(3136)) * b * dd * delta).scale(
-                _DET_L2_CONSTANT
-            ),
-        ),
+        (_minor(e, (2, 3), (0, 1)), delta.scale(Fraction(-(2**6) * 3**2, 17))),
+        (_minor(e, (2, 3), (0, 2)),
+         (c * delta).scale(Fraction(-(2**8) * 3**2 * 5, 17 * 31))),
+        (_minor(e, (3, 4), (0, 1)),
+         ((b.scale(279) - (c * c).scale(92)) * delta).scale(
+             Fraction(2**6 * 3**2, 17**2 * 31))),
+        (_minor(e, (2, 3, 4), (0, 1, 2)),
+         ((b.scale(961) + (c * c).scale(3136)) * b * dd * delta).scale(_DET_L2_CONSTANT)),
     ]
 
 

@@ -46,10 +46,7 @@ class ZeroConstantTerm(ZeroDivisionError):
 
 def rational_str(x: Fraction) -> str:
     """Render an exact rational as "p/q", or just "p" when q = 1."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))
 
 
 def _pack(a: Sequence[int], size: int) -> int:
@@ -150,10 +147,13 @@ class QSeries:
 
     @classmethod
     def from_terms(cls, terms: dict[int, Scalar], order: int) -> "QSeries":
-        """Series with the given sparse exponent -> coefficient terms."""
+        """Series with the given sparse exponent -> coefficient terms; terms
+        past the order are truncated away, and a negative exponent is refused."""
         coeffs: list[Scalar] = [0] * (order + 1)
         for n, c in terms.items():
-            if 0 <= n <= order:
+            if n < 0:
+                raise ValueError(f"exponents must be nonnegative, got {n}")
+            if n <= order:
                 coeffs[n] = c
         return cls(coeffs)
 

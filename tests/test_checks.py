@@ -1,3 +1,4 @@
+import inspect
 import random
 from collections import defaultdict
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 
 from eisen2 import arith, checks, cli, graded
 from eisen2.catalog import CrossCheckMismatch, SeriesCatalog
-from eisen2.qseries import QSeries
+from eisen2.qseries import QSeries, qs_det
 
 
 def test_registry_shape():
@@ -315,6 +316,49 @@ def test_integer_scans_report_the_fraction_triple(monkeypatch, check_id, n, by,
     assert report.first_discrepancy == expected
     assert all(type(x) is Fraction for x in report.first_discrepancy[1:])
     assert report.notes == ((note,) if note else ())
+
+
+def _doubled_at_multiples_of_4(upto):
+    # multiplicative still (of two coprime factors at most one is even), but
+    # tau(4) is no longer tau(2)^2 - 2^11
+    tau = SeriesCatalog(upto).delta().numerators
+    return QSeries([2 * t if n % 4 == 0 else t for n, t in enumerate(tau)])
+
+
+def _sigma11_from_1(upto):
+    # multiplicative, obeys the prime-power recursion and is congruent to
+    # itself mod 691, so only the squared bound at primes can catch it
+    return QSeries([0] + arith.divisor_sum_table("sigma", 11, upto)[1:])
+
+
+# tau(n) = 0 would need sigma_11(n) = 0 mod 691, which holds at no n <= 1000,
+# so nonvanishing cannot fail once the 691 congruence has passed
+@pytest.mark.parametrize(
+    "table, expected, note",
+    [
+        pytest.param(_doubled_at_multiples_of_4, (4, -2944, -1472),
+                     "prime-power recursion fails", id="recursion"),
+        pytest.param(_sigma11_from_1, (2, 4198401, 8192),
+                     "squared coefficient bound fails at a prime", id="bound"),
+    ],
+)
+def test_tau_props_later_clauses_fail_on_their_own(monkeypatch, table, expected, note):
+    monkeypatch.setattr(checks.Workspace, "tau_range", lambda self, upto: table(upto))
+    report = checks.run_check("TAU-PROPS")
+    assert (report.first_discrepancy, report.notes) == (expected, (note,))
+
+
+def test_c10_fails_where_r4_vanishes(monkeypatch):
+    real = checks.Workspace.r_table
+
+    def r4_zero_at_7(self, s):
+        table = real(self, s)
+        return table - QSeries.from_terms({7: table[7]}, table.order) if s == 4 else table
+
+    monkeypatch.setattr(checks.Workspace, "r_table", r4_zero_at_7)
+    report = checks.run_check("C10", nmax=12)
+    assert report.first_discrepancy == (7, arith.r_oracle(24, 7), 0)
+    assert report.notes == ()
 
 
 def test_tau_props_reads_sigma11_from_the_catalog(monkeypatch):
@@ -762,3 +806,48 @@ def test_t49_reports_a_monomial_outside_the_basis(monkeypatch):
         "E6star polynomial: routes 'differential recursion' and 'monomial basis' "
         "disagree at q^0: -1/4 != 0",
     )
+
+
+# The determinant checks' matrices written out entry by entry, the oracle for
+# their (rows, cols) pairs: entry k stands for E_2k on the level-1 array and
+# for E*_2k on the level-2 one.
+_HANKEL_MATRICES = {
+    "MINORS-L1": (1, [
+        ([[0, 1], [1, 2]], (0, 1), (0, 1)),
+        ([[0, 1], [2, 3]], (0, 2), (0, 1)),
+        ([[1, 2], [2, 3]], (1, 2), (0, 1)),
+        ([[1, 3], [2, 4]], (1, 2), (0, 2)),
+    ]),
+    "GARVAN": (1, [([[2, 3, 4], [3, 4, 5], [4, 5, 6]], (2, 3, 4), (0, 1, 2))]),
+    "L5": (2, [([[0, 2], [2, 4]], (0, 2), (0, 2))]),
+    "DET-L2": (2, [
+        ([[2, 3], [3, 4]], (2, 3), (0, 1)),
+        ([[2, 4], [3, 5]], (2, 3), (0, 2)),
+        ([[3, 4], [4, 5]], (3, 4), (0, 1)),
+        ([[2, 3, 4], [3, 4, 5], [4, 5, 6]], (2, 3, 4), (0, 1, 2)),
+    ]),
+}
+
+
+def _literal_det(series, matrix):
+    return qs_det([[series(k) for k in row] for row in matrix])
+
+
+@pytest.mark.parametrize("check_id", sorted(_HANKEL_MATRICES))
+def test_hankel_minors_equal_the_literal_matrices(check_id):
+    cat = SeriesCatalog(16)
+    level, matrices = _HANKEL_MATRICES[check_id]
+    # the pair names the literal matrix on both Hankel arrays
+    for matrix, rows, cols in matrices:
+        for series in (cat.level1, cat.level2):
+            assert checks._minor(series, rows, cols) == _literal_det(series, matrix)
+    # and the check's left sides are those matrices' determinants, in order
+    series = cat.level1 if level == 1 else cat.level2
+    lhs = [eq[0] for eq in checks.REGISTRY[check_id].equations(checks.Workspace(order=16))]
+    assert lhs == [_literal_det(series, matrix) for matrix, _, _ in matrices]
+
+
+def test_qs_det_is_called_only_by_minor():
+    source = inspect.getsource(checks)
+    assert source.count("qs_det(") == 1
+    assert "qs_det(" in inspect.getsource(checks._minor)

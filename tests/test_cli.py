@@ -1,8 +1,10 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+import fault_grid
 from eisen2 import cli
 
 
@@ -137,6 +139,54 @@ def test_verify_json_stdout(capsys):
     assert isinstance(record["elapsed_ms"], int)
 
 
+@pytest.mark.parametrize(
+    "check_id, lhs, rhs, notes",
+    [
+        ("MINORS-L1", "16368", "16128", None),
+        ("GARVAN", "-16744", "-200923/12",
+         ["delta: routes 'eta product' and '(E4^3-E6^2)/1728' disagree at q^7: "
+          "-16744 != -200923/12"]),
+    ],
+    ids=["MINORS-L1", "GARVAN"],
+)
+def test_verify_json_reports_a_failure_exactly(capsys, check_id, lhs, rhs, notes):
+    # a fault-grid case: sigma_3(7) + 1 in the divisor-sum sieve
+    with dict(fault_grid.cases((7,), ()))["sigma(3)[7]+1"]:
+        code, out, _ = run_cli(capsys, "verify", check_id, "--order", "32", "--json", "-")
+    assert code == 1
+    (record,) = json.loads(out)
+    assert record["status"] == "fail"
+    assert record["first_discrepancy"] == {"n": 7, "lhs": lhs, "rhs": rhs}
+    assert record.get("notes") == notes
+
+
+def test_verify_timings_end_each_check_line(capsys):
+    code, out, _ = run_cli(capsys, "verify", "KS-DE", "--order", "8", "--timings")
+    assert code == 0
+    *lines, total = out.splitlines()
+    assert len(lines) == 11 and total == "11/11 checks passed"
+    assert all(re.fullmatch(r"pass  KS-DE\(\d+\)  \(order 8\)  \[\d+ ms\]", line)
+               for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("verify", "L4", "--order", "8", "--json"), ("export", "C", "--output")],
+    ids=["json", "output"],
+)
+def test_a_failed_write_exits_2_with_one_line(capsys, monkeypatch, tmp_path, argv):
+    # the path passes the checks made before any work, and open still fails
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    target = tmp_path / "x"
+    code, _, err = run_cli(capsys, *argv, str(target))
+    assert code == 2
+    assert err == f"cannot write {target}: Permission denied\n"
+    assert not target.exists()
+
+
 def test_verify_json_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, _ = run_cli(
@@ -183,6 +233,9 @@ def test_list_subcommand(capsys):
         ("verify", "C1", "--nmax", _HUGE),
         ("export", "E4", "--order", _HUGE),
         ("decompose", "E4star", "--weight", "4", "--order", _HUGE),
+        ("decompose", "E4star", "--weight", "4", "--order", "-1"),
+        ("decompose", "bogus", "--weight", "4"),
+        ("export", "E2star_poly"),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv):

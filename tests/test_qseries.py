@@ -148,6 +148,7 @@ def test_first_difference():
 def test_serialization():
     assert rational_str(Fraction(3)) == "3"
     assert rational_str(Fraction(-32, 17)) == "-32/17"
+    assert [rational_str(x) for x in (0, 5, -3, True)] == ["0", "5", "-3", "1"]
     assert QSeries([1, Fraction(1, 2)]).to_strings() == ["1", "1/2"]
 
 
@@ -329,6 +330,9 @@ def test_constructor_and_make_give_equal_reduced_series():
     assert theta3.denominator == 1
     with pytest.raises(ValueError):
         QSeries([])
+    # exponent 40 above is truncated away; a negative one is refused, by name
+    with pytest.raises(ValueError, match="got -1"):
+        QSeries.from_terms({-1: 5, 2: 1}, 4)
 
 
 @pytest.mark.parametrize(
