@@ -113,7 +113,9 @@ def _cmd_verify(args) -> int:
         for r in reports:
             line = r.line()
             if args.timings:
-                line += f"  [{r.elapsed_ms} ms]"
+                # on the check's own line, before any note lines
+                head, sep, notes = line.partition("\n")
+                line = f"{head}  [{r.elapsed_ms} ms]{sep}{notes}"
             print(line)
         failed = sum(r.status != "pass" for r in reports)
         print(f"{len(reports) - failed}/{len(reports)} checks passed")

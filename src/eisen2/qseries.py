@@ -311,6 +311,15 @@ class QSeries:
         nums[::k] = self._nums[: self.order // k + 1]
         return QSeries._make(nums, self._den)
 
+    def hecke(self, p: int, k: int) -> "QSeries":
+        """The weight-k Hecke operator T_p at a prime p: c_n -> c_(pn) +
+        p^(k-1) c_(n/p), the second term only where p | n, on n = 0..order//p."""
+        if p < 2:
+            raise ValueError("the Hecke operator T_p needs a prime p")
+        nums, w = list(self._nums[::p]), p ** (k - 1)
+        nums[::p] = [x + w * y for x, y in zip(nums[::p], self._nums)]
+        return QSeries._make(nums, self._den)
+
 
 def qs_det(matrix: Sequence[Sequence[QSeries]]) -> QSeries:
     """Determinant of a square matrix of series, by cofactor expansion.

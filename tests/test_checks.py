@@ -2,6 +2,7 @@ import inspect
 import random
 from collections import defaultdict
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -288,6 +289,9 @@ def _c10_flags(n, tau_n):
     return (n % 2 == 1, tau_n > conv55, tau_n > conv37, conv55 > conv37)
 
 
+_HECKE_T2 = ("Hecke relation T_2 Delta = tau(2) Delta fails: exponent n stands for "
+             "tau(2n) + 2^11 tau(n/2) against tau(2) tau(n)")
+
 # each identity's exact values at its first bad index, from the per-n oracles
 _C1_AT_2 = _TAU[2] + 1 - Fraction(2, 12) * (5 * arith.sigma(3, 2) + 7 * arith.sigma(5, 2))
 _C2_AT_3 = _TAU[3] + 1 - Fraction(3, 4) * (
@@ -302,8 +306,14 @@ _C2_AT_3 = _TAU[3] + 1 - Fraction(3, 4) * (
         pytest.param("C10", 2, 10**9, (2, 0, 1),
                      f"equivalence flags {_c10_flags(2, _TAU[2] + 10**9)} diverge",
                      id="C10"),
-        pytest.param("TAU-PROPS", 6, 1, (6, _TAU[6] + 1, _TAU[2] * _TAU[3]),
-                     "multiplicativity fails", id="TAU-PROPS"),
+        # tau(2) = 0 lies between conv55(2) = -27/4 and conv37(2) = 405/32, so
+        # the pair reported is flags[0] and flags[1], which differ
+        pytest.param("C10", 2, 24, (2, 0, 1),
+                     "equivalence flags (False, True, False, False) diverge",
+                     id="C10-tau2-zero"),
+        # T_2 at q^3: tau(6) + 1 against tau(2) tau(3)
+        pytest.param("TAU-PROPS", 6, 1, (3, _TAU[6] + 1, _TAU[2] * _TAU[3]),
+                     _HECKE_T2, id="TAU-PROPS"),
     ],
 )
 def test_integer_scans_report_the_fraction_triple(monkeypatch, check_id, n, by,
@@ -331,13 +341,15 @@ def _sigma11_from_1(upto):
     return QSeries([0] + arith.divisor_sum_table("sigma", 11, upto)[1:])
 
 
-# tau(n) = 0 would need sigma_11(n) = 0 mod 691, which holds at no n <= 1000,
-# so nonvanishing cannot fail once the 691 congruence has passed
+# the clauses after the Hecke relations: the 691 congruence, and the squared
+# bound at primes; nonvanishing has no scan of its own, since the 691 clause
+# implies it (test_691_congruence_implies_nonvanishing)
 @pytest.mark.parametrize(
     "table, expected, note",
     [
-        pytest.param(_doubled_at_multiples_of_4, (4, -2944, -1472),
-                     "prime-power recursion fails", id="recursion"),
+        # T_2 at q^2: tau(4) + 2^11 tau(1) = -896 against tau(2)^2 = 576
+        pytest.param(_doubled_at_multiples_of_4, (2, -896, 576), _HECKE_T2,
+                     id="recursion"),
         pytest.param(_sigma11_from_1, (2, 4198401, 8192),
                      "squared coefficient bound fails at a prime", id="bound"),
     ],
@@ -346,6 +358,81 @@ def test_tau_props_later_clauses_fail_on_their_own(monkeypatch, table, expected,
     monkeypatch.setattr(checks.Workspace, "tau_range", lambda self, upto: table(upto))
     report = checks.run_check("TAU-PROPS")
     assert (report.first_discrepancy, report.notes) == (expected, (note,))
+
+
+def test_691_congruence_implies_nonvanishing():
+    # tau(n) = 0 with tau(n) = sigma_11(n) mod 691 needs 691 | sigma_11(n), which
+    # holds at no n <= _TAU_PROPS_N, so TAU-PROPS scans no nonvanishing loop
+    # (the first such n is 1381)
+    limit = checks._TAU_PROPS_N
+    sigma11 = arith.divisor_sum_table("sigma", 11, limit)
+    assert all(sigma11[n] % 691 for n in range(1, limit + 1))
+
+
+def _tau_loops(tau, limit):
+    """The index loops TAU-PROPS once ran, kept as the oracle for its Hecke
+    relations: multiplicativity over coprime pairs, then the prime-power
+    recursion for p <= 31.  The first failure as (n, lhs, rhs), or None."""
+    for m in range(2, limit + 1):
+        for n in range(2, limit // m + 1):
+            if gcd(m, n) == 1 and tau[m * n] != tau[m] * tau[n]:
+                return (m * n, tau[m * n], tau[m] * tau[n])
+    for p in arith.primes_up_to(31):
+        prev, pk = 1, p
+        while pk * p <= limit:
+            nxt = pk * p
+            expected = tau[p] * tau[pk] - p**11 * tau[prev]
+            if tau[nxt] != expected:
+                return (nxt, tau[nxt], expected)
+            prev, pk = pk, nxt
+    return None
+
+
+def _tau_faults(tau, rng):
+    """Faulted copies of the tau list on n >= 1 (the Hecke relation at q^0
+    also pins tau(0) = 0, which the loops never read)."""
+    limit = len(tau) - 1
+    large = [p for p in arith.primes_up_to(limit) if p > 31]
+    yield [2 * t if n % 4 == 0 else t for n, t in enumerate(tau)]
+    for n in (997, 289, 961):  # a prime above 500, then 17^2 and 31^2
+        yield [t + (i == n) for i, t in enumerate(tau)]
+    for _ in range(250):  # one to three faults anywhere
+        faulty = list(tau)
+        for n in rng.sample(range(1, limit + 1), rng.randint(1, 3)):
+            faulty[n] += rng.choice((-1, 1)) * rng.randint(1, 10**6)
+        yield faulty
+    for _ in range(250):
+        # a new tau(p) at a prime p > 31 with every tau(pm) made to match, so
+        # it stays multiplicative (p^2 > limit), or with one multiple left out
+        p = rng.choice(large)
+        faulty = list(tau)
+        faulty[p] += rng.randint(1, 10**6)
+        multiples = range(2 * p, limit + 1, p)
+        skip = rng.choice([None, *multiples])
+        for n in multiples:
+            if n != skip:
+                faulty[n] = faulty[p] * tau[n // p]
+        yield faulty
+
+
+def test_hecke_relations_fail_exactly_when_the_loops_do(monkeypatch):
+    # one workspace, so the order-1000 discriminant and sigma_11 are built once
+    ws = checks.Workspace()
+    limit = checks._TAU_PROPS_N
+    tau = list(ws.tau_range(limit).numerators)
+    runner = checks.REGISTRY["TAU-PROPS"].runner
+    outcomes = []
+    for faulty in _tau_faults(tau, random.Random(16)):
+        table = QSeries(faulty)
+        monkeypatch.setattr(ws, "tau_range", lambda upto: table)
+        notes = []
+        runner(ws, notes)
+        hecke_fails = bool(notes) and notes[0].startswith("Hecke relation")
+        assert hecke_fails == (_tau_loops(faulty, limit) is not None), faulty
+        outcomes.append(hecke_fails)
+    assert len(outcomes) > 500
+    assert outcomes[:4] == [True, False, True, True]
+    assert 50 < outcomes.count(False) < len(outcomes) - 50
 
 
 def test_c10_fails_where_r4_vanishes(monkeypatch):

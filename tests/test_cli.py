@@ -169,6 +169,18 @@ def test_verify_timings_end_each_check_line(capsys):
                for line in lines)
 
 
+def test_verify_timings_end_the_fail_line_not_its_notes(capsys):
+    with dict(fault_grid.cases((7,), ()))["sigma(3)[7]+1"]:
+        code, out, _ = run_cli(capsys, "verify", "GARVAN", "--order", "32", "--timings")
+    assert code == 1
+    fail, note, total = out.splitlines()
+    assert re.fullmatch(r"FAIL  GARVAN  \(order 32\) at n=7: -16744 != -200923/12"
+                        r"  \[\d+ ms\]", fail)
+    assert note == ("      note: delta: routes 'eta product' and '(E4^3-E6^2)/1728' "
+                    "disagree at q^7: -16744 != -200923/12")
+    assert total == "0/1 checks passed"
+
+
 @pytest.mark.parametrize(
     "argv",
     [("verify", "L4", "--order", "8", "--json"), ("export", "C", "--output")],

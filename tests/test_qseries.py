@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from eisen2 import arith
 from eisen2.catalog import SeriesCatalog
 from eisen2.qseries import (
     QSeries,
@@ -97,6 +98,38 @@ def test_dilate():
         for n in range(0, b.order // k + 1):
             expected[k * n] = b[n]
         assert b.dilate(k).coeffs == tuple(expected)
+
+
+def test_hecke():
+    # (T_p f)_n = f_(pn) + p^(k-1) f_(n/p), the second term only where p | n
+    a = QSeries([Fraction(1, 6), 3, Fraction(-5, 4), 7, 11, -2, 13])
+    assert a.hecke(2, 4).coeffs == (Fraction(3, 2), Fraction(-5, 4), 35, 13)
+    assert a.hecke(3, 2).coeffs == (Fraction(2, 3), 7, 13)
+    # past the order only q^0 is left, where p | 0
+    assert a.hecke(7, 12).coeffs == (Fraction(1 + 7**11, 6),)
+    for p in (0, 1):
+        with pytest.raises(ValueError):
+            a.hecke(p, 12)
+    rng = random.Random(16)
+    for _ in range(50):
+        b = random_series(rng).scale(Fraction(1, rng.randint(1, 12)))
+        p, k = rng.choice((2, 3, 5, 7)), rng.randint(1, 12)
+        expected = [b[p * n] + (p ** (k - 1) * b[n // p] if n % p == 0 else 0)
+                    for n in range(b.order // p + 1)]
+        assert b.hecke(p, k).coeffs == tuple(expected)
+
+
+def test_hecke_eigenforms():
+    # T_p E_2k = sigma_(2k-1)(p) E_2k, and T_p Delta = tau(p) Delta
+    cat = SeriesCatalog(200)
+    delta = cat.delta()
+    for p in (2, 3, 5, 7, 11, 13):
+        for k in range(1, 7):
+            e = cat.level1(k)
+            image = e.hecke(p, 2 * k)
+            assert image.order == 200 // p
+            assert image == e.scale(arith.sigma(2 * k - 1, p)), (p, k)
+        assert delta.hecke(p, 12) == delta.scale(delta[p]), p
 
 
 def test_pow():
