@@ -4,9 +4,16 @@ powers of any of them and their products.
 
 A ``SeriesCatalog`` names, builds and memoizes every series at one order.
 ``by_name`` resolves every export name, ``power`` builds each power by one
-product from the powers already memoized, and ``monomial`` each product of
-powers by one product more.  Each series is built once, from its defining
-expansion.  The divisor-sum series are sieved in integers
+product from the powers already memoized, ``monomial`` each product of
+powers by one product more, and ``product`` each product of named series
+through ``monomial``, whatever the order of its factors.  So a product that
+several checks share is multiplied out once per catalog.  Three kinds of
+product stay outside the memo: the discriminant's polynomial routes, so no
+power at order 1000 is kept after its cross-check; the cofactor products of
+``qseries.qs_det``, whose operands are unnamed minors; and the convolutions
+of the range checks, whose operands come from the workspace's range
+accessors rather than by name.  Each series is built once, from its
+defining expansion.  The divisor-sum series are sieved in integers
 by ``arith.divisor_sum_table`` and keep its n = 0 convention values as their
 constant terms, so the convolution identities hold from n = 0; the per-n
 ``arith`` functions are left as the oracles the tests hold them to.  Each
@@ -21,6 +28,7 @@ routes, each a series equation that ``_cross_check`` compares, raising
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
@@ -182,8 +190,7 @@ class SeriesCatalog:
         ordered sums of 8 triangular numbers; checked against enumeration."""
 
         def build() -> QSeries:
-            c = self.C()
-            series = (self.level2(2) - c * c).scale(Fraction(-1, 64))
+            series = (self.level2(2) - self.power("C", 2)).scale(Fraction(-1, 64))
             # q^1..q^51 against the enumeration, shifted by one
             count = [arith.delta8_oracle(n) for n in range(min(51, self.order))]
             _cross_check("D", series, QSeries._make([0] + count), "-(E4*-C^2)/64",
@@ -227,6 +234,13 @@ class SeriesCatalog:
         return self._memo(
             "*".join(f"{name}^{e}" for name, e in factors),
             lambda: self.monomial(factors[:-1]) * self.power(*factors[-1]))
+
+    def product(self, *names: str) -> QSeries:
+        """The product of the named series, memoized: the ``monomial`` of the
+        names counted with multiplicity, in sorted order, so its key does not
+        depend on the order of the names or on how a repeat is written, and
+        ``product("E4", "E4")`` is ``power("E4", 2)``."""
+        return self.monomial(sorted(Counter(names).items()))
 
     def by_name(self, name: str) -> QSeries:
         """Resolve a series by its export name.

@@ -19,7 +19,7 @@ import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import arith
@@ -219,10 +219,11 @@ def _first_non_multiple(series: QSeries, m: int) -> Optional[Discrepancy]:
 def _ram_de(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
     p, q, r = cat.level1(1), cat.level1(2), cat.level1(3)
+    pq = cat.product
     return [
-        (p.theta(), (p * p - q).scale(Fraction(1, 12))),
-        (q.theta(), (p * q - r).scale(Fraction(1, 3))),
-        (r.theta(), (p * r - q * q).scale(Fraction(1, 2))),
+        (p.theta(), (pq("E2", "E2") - q).scale(Fraction(1, 12))),
+        (q.theta(), (pq("E2", "E4") - r).scale(Fraction(1, 3))),
+        (r.theta(), (pq("E2", "E6") - pq("E4", "E4")).scale(Fraction(1, 2))),
     ]
 
 
@@ -254,26 +255,29 @@ def _de_equations(m: int, level: int) -> Builder:
     weighted convolution of lower series, then as the displayed form.
 
     Both coefficient functions are symmetric in k <-> m - k, so the k and
-    m - k terms are one product of weight 2 (weight 1 at k = m/2)."""
+    m - k terms are one product of weight 2 (weight 1 at k = m/2).  Every
+    product is the catalog's, so the families and the other checks share it."""
+    star = "" if level == 1 else "star"
+
+    def name(k: int) -> str:
+        return f"E{2 * k}{star}"
 
     def build(ws: Workspace) -> Iterable[Equation]:
         cat = ws.catalog
         # the coefficient function and the forms are looked up when the check
         # runs, so a patched module attribute takes effect
-        if level == 1:
-            series, coefficient = cat.level1, rs_coefficient
-        else:
-            series, coefficient = cat.level2, ks_coefficient
-        lhs = series(m - 1).theta()
-        top = series(m)
+        coefficient = rs_coefficient if level == 1 else ks_coefficient
+        lhs = cat.by_name(name(m - 1)).theta()
+        top = cat.by_name(name(m))
         rhs = QSeries.zero(cat.order)
         for k in range(1, m // 2 + 1):
             pair = 1 if 2 * k == m else 2
-            rhs = rhs + (series(k) * series(m - k) - top).scale(pair * coefficient(m, k))
+            rhs = rhs + (cat.product(name(k), name(m - k)) - top).scale(
+                pair * coefficient(m, k))
         yield lhs, rhs
         form = _DISPLAYED_FORMS.get((level, m))
         if form is not None:
-            yield lhs, sum((prod(map(series, ks), start=c) for ks, c in form.items()),
+            yield lhs, sum((cat.product(*map(name, ks)).scale(c) for ks, c in form.items()),
                            QSeries.zero(cat.order))
 
     return build
@@ -300,8 +304,9 @@ for _m in range(2, 13):
 @_equation_check("E6STAR-ABC", "qE6*' = (3ABC - B^2 - 2BC^2)/2 with C = E6*/E4*")
 def _e6star_abc(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
-    a, b, c = cat.level2(1), cat.level2(2), cat.C()
-    rhs = ((a * b * c).scale(3) - b * b - (b * c * c).scale(2)).scale(Fraction(1, 2))
+    pq = cat.product
+    rhs = (pq("E2star", "E4star", "C").scale(3) - pq("E4star", "E4star")
+           - pq("E4star", "C", "C").scale(2)).scale(Fraction(1, 2))
     return [(cat.level2(3).theta(), rhs)]
 
 
@@ -312,10 +317,11 @@ def _e6star_abc(ws: Workspace) -> list[Equation]:
 def _hahn_sys(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
     a, b, c = cat.level2(1), cat.level2(2), cat.C()
+    pq = cat.product
     return [
-        (a.theta(), (a * a - b).scale(Fraction(1, 4))),
-        (c.theta(), (a * c - b).scale(Fraction(1, 2))),
-        (b.theta(), a * b - c * b),
+        (a.theta(), (pq("E2star", "E2star") - b).scale(Fraction(1, 4))),
+        (c.theta(), (pq("E2star", "C") - b).scale(Fraction(1, 2))),
+        (b.theta(), pq("E2star", "E4star") - pq("C", "E4star")),
     ]
 
 
@@ -463,8 +469,7 @@ def _minors_l1(ws: Workspace) -> list[Equation]:
 def _garvan(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
     det = _minor(cat.level1, (2, 3, 4), (0, 1, 2))
-    sq = cat.delta().scale(1728)
-    return [(det, (sq * sq).scale(Fraction(-250, 691)))]
+    return [(det, cat.power("delta", 2).scale(1728**2 * Fraction(-250, 691)))]
 
 
 @_register(
@@ -483,7 +488,7 @@ def _dis(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 @_equation_check("L5", "|E0* E4*; E4* E8*| = (512/17) B D as series")
 def _l5(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
-    rhs = (cat.level2(2) * cat.D()).scale(Fraction(512, 17))
+    rhs = cat.product("E4star", "D").scale(Fraction(512, 17))
     return [(_minor(cat.level2, (0, 2), (0, 2)), rhs)]
 
 
@@ -500,16 +505,18 @@ _DET_L2_CONSTANT = Fraction(-(2**13) * 3**5 * 5**2, 17**3 * 31**2 * 691)
 def _det_l2(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
     e = cat.level2
-    b, c, dd, delta = e(2), cat.C(), cat.D(), cat.delta()
+    # C, D and the discriminant are built in that order, so a fault reports
+    # the first of their cross-checks to trip
+    b, c2, bd_delta = e(2), cat.power("C", 2), cat.product("E4star", "D", "delta")
+    delta = cat.delta()
     return [
         (_minor(e, (2, 3), (0, 1)), delta.scale(Fraction(-(2**6) * 3**2, 17))),
         (_minor(e, (2, 3), (0, 2)),
-         (c * delta).scale(Fraction(-(2**8) * 3**2 * 5, 17 * 31))),
+         cat.product("C", "delta").scale(Fraction(-(2**8) * 3**2 * 5, 17 * 31))),
         (_minor(e, (3, 4), (0, 1)),
-         ((b.scale(279) - (c * c).scale(92)) * delta).scale(
-             Fraction(2**6 * 3**2, 17**2 * 31))),
+         ((b.scale(279) - c2.scale(92)) * delta).scale(Fraction(2**6 * 3**2, 17**2 * 31))),
         (_minor(e, (2, 3, 4), (0, 1, 2)),
-         ((b.scale(961) + (c * c).scale(3136)) * b * dd * delta).scale(_DET_L2_CONSTANT)),
+         ((b.scale(961) + c2.scale(3136)) * bd_delta).scale(_DET_L2_CONSTANT)),
     ]
 
 
@@ -539,13 +546,15 @@ def _p4(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
                          f": {rational_str(lhs)} != {rational_str(rhs)}")
             return (n, lhs, rhs)
     cat = ws.catalog
-    a = cat.level2(1)
-    gens = {"A": (a, 2), "B": (cat.level2(2), 4), "C": (cat.C(), 2)}
+    # each generator's series name and weight; all three series are built
+    # before the first compare, so a cross-check in C's constructor reports first
+    gens = {"A": ("E2star", 2), "B": ("E4star", 4), "C": ("C", 2)}
+    series = {name: cat.by_name(key) for name, (key, _) in gens.items()}
     return _compare(
-        ((series.theta() - (a * series).scale(Fraction(weight, 4)),
+        ((series[name].theta() - cat.product("E2star", key).scale(Fraction(weight, 4)),
           gp_evaluate(serre_delta(GradedPoly.generator(LEVEL2, name)), cat),
           f"series-level rule for {name} broken")
-         for name, (series, weight) in gens.items()),
+         for name, (key, weight) in gens.items()),
         notes)
 
 
@@ -576,24 +585,24 @@ def _t49(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 )
 def _delta_family(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
-    a = cat.level2(1)
-    c = cat.C()
 
-    def delta4(s: QSeries) -> QSeries:
-        return s.theta() - a * s
+    def delta4(*names: str) -> QSeries:
+        # the weight-4 Serre derivative of the product of the named series
+        return cat.product(*names).theta() - cat.product("E2star", *names)
 
-    image = delta4(c * c)
+    image = delta4("C", "C")
 
-    def cleared(num: QSeries, den: QSeries) -> tuple[QSeries, QSeries]:
+    def cleared(num: str, den: str) -> tuple[QSeries, QSeries]:
         # image = delta4(N/G) as image G^2 = theta N G - N theta G - A N G
-        return image * den * den, num.theta() * den - num * den.theta() - a * num * den
+        n, g = cat.by_name(num), cat.by_name(den)
+        return (image * cat.power(den, 2),
+                n.theta() * g - n * g.theta() - cat.product("E2star", num, den))
 
-    b = cat.level2(2)
     return [
-        (image, delta4(b)),
-        cleared(cat.level2(4), b),
-        cleared(cat.level2(5), cat.level2(3)),
-        (image, delta4(cat.level1(2))),
+        (image, delta4("E4star")),
+        cleared("E8star", "E4star"),
+        cleared("E10star", "E6star"),
+        (image, delta4("E4")),
     ]
 
 

@@ -9,10 +9,12 @@ and indexing give the coefficients as ``Fraction`` values, built on each call.
 
 Series multiplication has one kernel, Kronecker substitution (Schoenhage
 1982; Harvey, J. Symbolic Comput. 2009): the numerators of each operand are
-packed as fixed-width slots of one big integer, the two integers are
-multiplied once, and the low slots of the product are read back as signed
-coefficients.  Powers use it by repeated squaring and inversion by a Newton
-iteration that doubles the precision at each step.
+packed as fixed-width slots of one big integer, each slot holding its
+numerator plus half the slot's range, the two integers are multiplied once,
+and the low slots of the product, offset the same way, are each read back as
+one unsigned value minus that half.  ``int_mul`` is the only code that packs
+or unpacks integers.  Powers use it by repeated squaring and inversion by a
+Newton iteration that doubles the precision at each step.
 
 Every binary operation truncates to the smaller order of its operands, so a
 result never claims more precision than was computed.  Equality is the
@@ -49,52 +51,52 @@ def rational_str(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def _pack(a: Sequence[int], size: int) -> int:
-    """sum a_i 2^(8 size i), from slots of ``size`` bytes.
+def _offset(slots: int, size: int) -> int:
+    """The half-slot value 2^(8 size - 1) in each of the low ``slots`` slots
+    of ``size`` bytes."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
 
-    The positive and the negative parts are packed separately, so every slot
-    holds a magnitude; the caller guarantees |a_i| < 2^(8 size).
+
+def _pack(a: Sequence[int], size: int) -> int:
+    """sum a_i 2^(8 size i), for |a_i| < 2^(8 size - 1).
+
+    Each slot of ``size`` bytes holds a_i plus the half-slot value, which is
+    never negative, and the offset of the operand's own length is subtracted
+    once from the packed integer.
     """
-    zero = bytes(size)
+    half = 1 << (8 * size - 1)
     packed = int.from_bytes(
-        b"".join(x.to_bytes(size, "little") if x > 0 else zero for x in a), "little"
-    )
-    if min(a) < 0:
-        packed -= int.from_bytes(
-            b"".join((-x).to_bytes(size, "little") if x < 0 else zero for x in a),
-            "little",
-        )
-    return packed
+        b"".join([(x + half).to_bytes(size, "little") for x in a]), "little")
+    return packed - _offset(len(a), size)
 
 
 def int_mul(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
     """Coefficients 0..order of the product of two integer polynomials.
 
-    Kronecker substitution: evaluate both at q = 2^w by packing, multiply
-    the two big integers once, and read the low order+1 slots of the product
-    back with a signed carry.  The slot width w covers the largest possible
-    coefficient of the product plus a sign bit, so no slot overflows.
+    Kronecker substitution in one offset pass: evaluate both at q = 2^w by
+    packing, multiply the two big integers once, add the half-slot value
+    2^(w-1) to each of the low order+1 slots of the product and read each
+    slot back as its unsigned value minus 2^(w-1).  The slot width w covers
+    the largest possible coefficient of the product plus a sign bit, so every
+    offset slot lies in [0, 2^w) and no slot carries into the next.  An
+    operand may be shorter than order+1; its offset is that of its own length.
     """
     square = a is b
     a = a[: order + 1]
     b = a if square else b[: order + 1]
     slots = order + 1
-    bits = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
-            + slots.bit_length() + 1)
+    bits_a = max(max(a), -min(a)).bit_length()
+    bits_b = bits_a if square else max(max(b), -min(b)).bit_length()
+    bits = bits_a + bits_b + slots.bit_length() + 1
     size = (bits + 7) // 8
     packed = _pack(a, size)
-    product = packed * (packed if square else _pack(b, size))
+    product = packed * (packed if square else _pack(b, size)) + _offset(slots, size)
     # the product mod 2^(w slots), whatever its sign, holds the wanted slots
-    raw = (product & ((1 << 8 * size * slots) - 1)).to_bytes(size * slots, "little")
+    n = size * slots
+    raw = (product & ((1 << 8 * n) - 1)).to_bytes(n, "little")
     half = 1 << (8 * size - 1)
-    full = half << 1
-    out = []
-    carry = 0
-    for i in range(0, size * slots, size):
-        c = int.from_bytes(raw[i : i + size], "little") + carry
-        carry = c >= half
-        out.append(c - full if carry else c)
-    return out
+    from_bytes = int.from_bytes
+    return [from_bytes(raw[i : i + size], "little") - half for i in range(0, n, size)]
 
 
 def _over_lcm(values: Iterable[Scalar]) -> tuple[tuple[int, ...], int]:
@@ -349,8 +351,12 @@ def first_difference(
     Returns (n, a_n, b_n), or None when they agree everywhere compared.
     """
     n = min(a.order, b.order) + 1
+    nums_a, nums_b = a._nums[:n], b._nums[:n]
     da, db = a._den, b._den
-    for i, (x, y) in enumerate(zip(a._nums[:n], b._nums[:n])):
+    # over one denominator, equal numerator tuples are equal series
+    if da == db and nums_a == nums_b:
+        return None
+    for i, (x, y) in enumerate(zip(nums_a, nums_b)):
         if x * db != y * da:
             return i, Fraction(x, da), Fraction(y, db)
     return None

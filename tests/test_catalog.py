@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
@@ -204,6 +207,43 @@ def test_delta_keeps_no_intermediate_powers(monkeypatch):
     assert len(calls) == 6
     assert not [key for key in cat._cache if "^" in key]
     assert {"E4", "E6", "E4star", "E6star", "delta"} <= set(cat._cache)
+
+
+_PRODUCT_NAMES = ("E2", "E4", "E6", "E2star", "E4star", "E6star", "E8star", "C", "D",
+                  "delta", "theta3", "sigma3", "sigma5star", "r4")
+
+
+def test_product_equals_the_plain_chain():
+    cat = SeriesCatalog(24)
+    rng = random.Random(23)
+    for _ in range(60):
+        names = [rng.choice(_PRODUCT_NAMES) for _ in range(rng.randint(1, 4))]
+        chain = reduce(mul, (cat.by_name(name) for name in names))
+        made = cat.product(*names)
+        assert (made.numerators, made.denominator) == (chain.numerators, chain.denominator)
+        # the key depends on the multiset of names, not on their order
+        rng.shuffle(names)
+        assert cat.product(*names) is made
+    assert cat.product("E4") is cat.level1(2)
+    assert cat.product() == QSeries.one(24)
+
+
+def test_product_of_a_repeat_is_the_power():
+    cat = SeriesCatalog(16)
+    assert cat.product("E4", "E4") is cat.power("E4", 2)
+    assert cat.power("C", 3) is cat.product("C", "C", "C")
+    assert cat.product("C", "E4star", "C") is cat.monomial([("C", 2), ("E4star", 1)])
+
+
+def test_a_second_product_makes_no_series_product(monkeypatch):
+    cat = SeriesCatalog(30)
+    cat.C()  # C's own cross-check is one product
+    calls = _count_products(monkeypatch)
+    first = cat.product("E2star", "E4star", "C")
+    assert len(calls) == 2  # C * E2star, then times E4star
+    assert cat.product("C", "E4star", "E2star") is first
+    assert cat.product("E2star", "C") is cat.product("C", "E2star")
+    assert len(calls) == 2
 
 
 def test_catalog_rejects_negative():

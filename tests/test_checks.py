@@ -208,6 +208,25 @@ def test_t49_at_mmax_40_makes_at_most_130_products(monkeypatch):
     assert len(products) <= 130
 
 
+def test_order_checks_at_order_96_make_at_most_150_products(monkeypatch):
+    # the order-scoped checks share each product of named series through the
+    # catalog: 137 series products, against 166 when each check made its own
+    ids = [i for i in checks.registry_ids() if checks.REGISTRY[i].scope == "order"]
+    assert len(ids) == 33
+    real = QSeries.__mul__
+    products = []
+
+    def counted(self, other):
+        if isinstance(other, QSeries):
+            products.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", counted)
+    reports = checks.run_all(order=96, ids=ids)
+    assert [r.id for r in reports if r.status != "pass"] == []
+    assert len(products) <= 150
+
+
 def _de_id(level, m):
     return f"{'RS' if level == 1 else 'KS'}-DE({m})"
 

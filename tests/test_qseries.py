@@ -305,6 +305,116 @@ def test_int_mul_signed_carries():
     assert int_mul([3, 1], [5], 1) == [15, 5]
 
 
+def schoolbook_int(a, b, order):
+    """The integer convolution of a and b at exponents 0..order, either
+    operand possibly shorter than order + 1."""
+    return [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+            for k in range(order + 1)]
+
+
+def slot_bits(a, b, order):
+    # int_mul's slot-width rule, to place inputs at a byte boundary
+    return (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+            + (order + 1).bit_length() + 1)
+
+
+@pytest.mark.parametrize("past", [0, 1], ids=["on-byte-boundary", "one-bit-past"])
+@pytest.mark.parametrize("order", [0, 1, 2, 6, 7, 15, 31, 64])
+def test_int_mul_slot_width_at_a_byte_boundary(order, past):
+    # extreme entries +-(2^k - 1) and -2^(k-1), k the bit length, fill the
+    # top slot of the product as far as the width rule allows
+    rng = random.Random(100 * order + past)
+    for target in range(16, 65, 8):
+        free = target + past - 1 - (order + 1).bit_length()
+        ka, kb = free // 2, free - free // 2
+        top_a, top_b = 2**ka - 1, 2**kb - 1
+        layouts = [
+            ([top_a] * (order + 1), [top_b] * (order + 1)),
+            ([-top_a] * (order + 1), [top_b] * (order + 1)),
+            ([-top_a] * (order + 1), [-top_b] * (order + 1)),
+            ([-(2 ** (ka - 1))] * order + [-top_a], [-(2 ** (kb - 1))] * order + [top_b]),
+            ([rng.choice((top_a, -top_a, -(2 ** (ka - 1)))) for _ in range(order)] + [top_a],
+             [rng.choice((top_b, -top_b, -(2 ** (kb - 1)))) for _ in range(order)] + [-top_b]),
+        ]
+        for a, b in layouts:
+            assert slot_bits(a, b, order) == target + past
+            assert int_mul(a, b, order) == schoolbook_int(a, b, order)
+            assert int_mul(b, a, order) == schoolbook_int(a, b, order)
+
+
+def test_int_mul_all_negative_operands_and_negative_squares():
+    for order in (0, 1, 5, 33):
+        for k in (1, 7, 8, 63, 64, 200):
+            neg = [-(2**k - 1)] * (order + 1)
+            low = [-(2**k)] * (order + 1)
+            assert int_mul(neg, low, order) == schoolbook_int(neg, low, order)
+            mixed = [-(2**k) if i % 3 else -(2**k - 1) for i in range(order + 1)]
+            # a is b is the one-pack square
+            assert int_mul(neg, neg, order) == schoolbook_int(neg, neg, order)
+            assert int_mul(mixed, mixed, order) == schoolbook_int(mixed, mixed, order)
+            assert int_mul(mixed, list(mixed), order) == schoolbook_int(mixed, mixed, order)
+
+
+def test_int_mul_operand_shorter_than_the_order():
+    # Newton inversion passes an iterate g shorter than order + 1; its offset
+    # is that of its own length (one offset for both gave [15, -123] for
+    # int_mul([3, 1], [5], 1), which test_int_mul_signed_carries pins)
+    assert int_mul([5], [3, 1], 1) == [15, 5]
+    assert int_mul([-3, 1], [-5], 3) == [15, -5, 0, 0]
+    assert int_mul([-1], [-1], 4) == [1, 0, 0, 0, 0]
+    rng = random.Random(31)
+    for _ in range(100):
+        order = rng.randint(0, 40)
+        bits = rng.randint(1, 120)
+        a = [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(1, order + 1))]
+        b = [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(1, order + 1))]
+        assert int_mul(a, b, order) == schoolbook_int(a, b, order)
+        assert int_mul(a, a, order) == schoolbook_int(a, a, order)
+
+
+def test_int_mul_seeded_sweep():
+    # bit lengths 1..300 and orders 0..64, with zeros and short operands mixed in
+    rng = random.Random(17)
+    for bits in range(1, 301):
+        order = rng.randint(0, 64)
+        other = rng.randint(1, 300)
+
+        def draw(k, length):
+            top = 2**k - 1
+            return [rng.choice((0, top, -top, -(2 ** (k - 1)), rng.randint(-top, top)))
+                    for _ in range(length)]
+
+        a = draw(bits, order + 1 if bits % 4 else rng.randint(1, order + 1))
+        b = draw(other, order + 1 if bits % 5 else rng.randint(1, order + 1))
+        assert int_mul(a, b, order) == schoolbook_int(a, b, order)
+        if bits % 3 == 0:
+            assert int_mul(a, a, order) == schoolbook_int(a, a, order)
+
+
+def test_first_difference_with_equal_and_unequal_denominators():
+    base = [Fraction(1, 6), 2, Fraction(-5, 6), 7, 0, Fraction(11, 3)]
+    a = QSeries(base)
+    assert first_difference(a, QSeries(base)) is None
+    assert first_difference(a, a.truncate(3)) is None
+    last = len(base) - 1
+    for i in (0, last):
+        # equal denominators: the numerator tuples differ at i
+        same = list(base)
+        same[i] += 1
+        b = QSeries(same)
+        assert a.denominator == b.denominator == 6
+        assert first_difference(a, b) == (i, base[i], base[i] + 1)
+        assert first_difference(b, a) == (i, base[i] + 1, base[i])
+        # unequal denominators: 6 against 30
+        other = list(base)
+        other[i] += Fraction(1, 5)
+        c = QSeries(other)
+        assert c.denominator == 30
+        assert first_difference(a, c) == (i, base[i], base[i] + Fraction(1, 5))
+    # unequal denominators that agree on the common range
+    assert first_difference(a.truncate(2), QSeries(base[:3] + [Fraction(1, 7)])) is None
+
+
 def test_invert_matches_triangular_recursion():
     rng = random.Random(77)
     for order in (0, 1, 2, 5, 16, 33):
