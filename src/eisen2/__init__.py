@@ -25,14 +25,13 @@ from .graded import (
     serre_partial,
 )
 from .qseries import QSeries, ZeroConstantTerm, first_difference, qs_det
-from .scalars import PiScaled, bernoulli, check_scalar_recursion, lambda_even, zeta_even
+from .scalars import bernoulli, check_scalar_recursion, lambda_even, zeta_even
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CrossCheckMismatch",
     "GradedPoly",
-    "PiScaled",
     "QSeries",
     "SeriesCatalog",
     "ZeroConstantTerm",

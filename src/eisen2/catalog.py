@@ -225,10 +225,12 @@ class SeriesCatalog:
 
     def monomial(self, powers) -> QSeries:
         """The product of the powers ``power(name, e)`` over the (name, e)
-        pairs, memoized.  Zero exponents are dropped; a product of several
-        powers is one product past the memoized product of all but its last
-        factor, so each monomial costs one product once its powers exist."""
-        factors = tuple((name, e) for name, e in powers if e)
+        pairs, memoized.  Zero exponents are dropped and the factors sorted,
+        so the key does not depend on the order of the pairs; a product of
+        several powers is one product past the memoized product of all but
+        its last factor, so each monomial costs one product once its powers
+        exist."""
+        factors = tuple(sorted((name, e) for name, e in powers if e))
         if len(factors) < 2:
             return self.power(*factors[0]) if factors else QSeries.one(self.order)
         return self._memo(
@@ -237,10 +239,10 @@ class SeriesCatalog:
 
     def product(self, *names: str) -> QSeries:
         """The product of the named series, memoized: the ``monomial`` of the
-        names counted with multiplicity, in sorted order, so its key does not
-        depend on the order of the names or on how a repeat is written, and
+        names counted with multiplicity, so its key does not depend on the
+        order of the names or on how a repeat is written, and
         ``product("E4", "E4")`` is ``power("E4", 2)``."""
-        return self.monomial(sorted(Counter(names).items()))
+        return self.monomial(Counter(names).items())
 
     def by_name(self, name: str) -> QSeries:
         """Resolve a series by its export name.

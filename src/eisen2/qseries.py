@@ -25,7 +25,7 @@ Fractions only.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 from .scalars import exact
@@ -316,8 +316,8 @@ class QSeries:
     def hecke(self, p: int, k: int) -> "QSeries":
         """The weight-k Hecke operator T_p at a prime p: c_n -> c_(pn) +
         p^(k-1) c_(n/p), the second term only where p | n, on n = 0..order//p."""
-        if p < 2:
-            raise ValueError("the Hecke operator T_p needs a prime p")
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            raise ValueError(f"the Hecke operator T_p needs a prime p, got {p}")
         nums, w = list(self._nums[::p]), p ** (k - 1)
         nums[::p] = [x + w * y for x, y in zip(nums[::p], self._nums)]
         return QSeries._make(nums, self._den)

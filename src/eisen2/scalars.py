@@ -1,22 +1,22 @@
 """Exact scalar layer: Bernoulli numbers and the even zeta values.
 
-Everything is a ``fractions.Fraction`` or a rational multiple of an even
-power of pi (``PiScaled``), so all downstream series arithmetic stays exact.
-The Bernoulli numbers, zeta(2k) and lambda(2k) are pure values, memoized per
-index; the coefficient functions built from them are not.  ``exact`` is the
-gate every layer's inputs pass: ints and Fractions only.
+Everything is a ``fractions.Fraction``, so all downstream series arithmetic
+stays exact.  zeta(2k) and lambda(2k) are rational multiples of pi^(2k), and
+every coefficient built from them is a ratio in which the pi powers cancel,
+so only the rational parts zeta(2k)/pi^(2k) and lambda(2k)/pi^(2k) are kept.
+The Bernoulli numbers and those parts are pure values, memoized per index;
+the coefficient functions built from them are not.  ``exact`` is the gate
+every layer's inputs pass: ints and Fractions only.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, lcm
 
 __all__ = [
     "exact",
-    "PiScaled",
     "bernoulli",
     "zeta_even",
     "lambda_even",
@@ -30,9 +30,9 @@ _BERNOULLI: list[Fraction] = [Fraction(1)]
 # each B_m is computed from all before it, so the list is extended under one
 # lock; an entry below the length is final and read without it
 _BERNOULLI_LOCK = threading.Lock()
-# zeta(2k) and lambda(2k) by k: pure values, each computed once
-_ZETA: dict[int, PiScaled] = {}
-_LAMBDA: dict[int, PiScaled] = {}
+# zeta(2k)/pi^(2k) and lambda(2k)/pi^(2k) by k: pure values, each computed once
+_ZETA: dict[int, Fraction] = {}
+_LAMBDA: dict[int, Fraction] = {}
 
 
 def exact(value):
@@ -70,69 +70,20 @@ def bernoulli(n: int) -> Fraction:
     return _BERNOULLI[n]
 
 
-@dataclass(frozen=True)
-class PiScaled:
-    """An exact value coeff * pi**pi_power with even nonnegative pi_power.
-
-    A zero coefficient is normalized to pi_power 0 so equality is value
-    equality.
-    """
-
-    coeff: Fraction
-    pi_power: int
-
-    def __post_init__(self) -> None:
-        if type(self.coeff) is not Fraction:
-            object.__setattr__(self, "coeff", Fraction(exact(self.coeff)))
-        if self.pi_power < 0 or self.pi_power % 2 != 0:
-            raise ValueError("pi_power must be even and nonnegative")
-        if self.coeff == 0 and self.pi_power != 0:
-            object.__setattr__(self, "pi_power", 0)
-
-    def __add__(self, other: "PiScaled") -> "PiScaled":
-        if self.coeff == 0:
-            return other
-        if other.coeff == 0:
-            return self
-        if self.pi_power != other.pi_power:
-            raise ValueError("cannot add values with different pi powers")
-        return PiScaled(self.coeff + other.coeff, self.pi_power)
-
-    def __mul__(self, other):
-        if isinstance(other, PiScaled):
-            return PiScaled(self.coeff * other.coeff, self.pi_power + other.pi_power)
-        return PiScaled(self.coeff * exact(other), self.pi_power)
-
-    __rmul__ = __mul__
-
-    def ratio(self, other: "PiScaled") -> Fraction:
-        """Exact quotient self/other, defined when the pi powers agree."""
-        if other.coeff == 0:
-            raise ZeroDivisionError("division by zero PiScaled value")
-        if self.coeff == 0:
-            return Fraction(0)
-        if self.pi_power != other.pi_power:
-            raise ValueError("ratio requires equal pi powers")
-        return self.coeff / other.coeff
-
-
-def zeta_even(k: int) -> PiScaled:
-    """zeta(2k) = -(1/2) * (2*pi*i)^(2k) / (2k)! * B_{2k}, as coeff * pi^(2k).
-
-    The factor i^(2k) = (-1)^k is folded into the rational coefficient.
-    """
+def zeta_even(k: int) -> Fraction:
+    """zeta(2k)/pi^(2k) = -(-4)^k B_{2k} / (2 (2k)!), from
+    zeta(2k) = -(1/2) (2 pi i)^(2k) B_{2k} / (2k)!.  So zeta_even(1) = 1/6."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     value = _ZETA.get(k)
     if value is None:
-        sign = -1 if k % 2 else 1
-        coeff = Fraction(-sign * 4**k, 2) * bernoulli(2 * k) / factorial(2 * k)
-        value = _ZETA[k] = PiScaled(coeff, 2 * k)
+        value = _ZETA[k] = Fraction(-(-4) ** k, 2) * bernoulli(2 * k) / factorial(2 * k)
     return value
 
 
-def lambda_even(k: int) -> PiScaled:
-    """The odd-index analog (1 - 2^(-2k)) * zeta(2k)."""
+def lambda_even(k: int) -> Fraction:
+    """lambda(2k)/pi^(2k) for the odd-index analog lambda(2k) =
+    (1 - 2^(-2k)) zeta(2k).  So lambda_even(1) = 1/8."""
     if k < 0:
         raise ValueError("k must be nonnegative")
     value = _LAMBDA.get(k)
@@ -146,6 +97,8 @@ def check_scalar_recursion(kind: str, m: int) -> bool:
 
     zeta(2m)   = 2/(2m+1) * sum_{k=1}^{m-1} zeta(2k) zeta(2m-2k)
     lambda(2m) = 2/(2m-1) * sum_{k=1}^{m-1} lambda(2k) lambda(2m-2k)
+
+    Both sides are pi^(2m) times a Fraction; the Fractions are compared.
     """
     if m < 2:
         raise ValueError("recursion holds for m >= 2")
@@ -155,36 +108,22 @@ def check_scalar_recursion(kind: str, m: int) -> bool:
         f, denom = lambda_even, 2 * m - 1
     else:
         raise ValueError(f"unknown recursion kind {kind!r}")
-    total = PiScaled(Fraction(0), 0)
-    for k in range(1, m):
-        total = total + f(k) * f(m - k)
-    return f(m) == total * Fraction(2, denom)
+    return f(m) == Fraction(2, denom) * sum(f(k) * f(m - k) for k in range(1, m))
 
 
 def rs_coefficient(m: int, k: int) -> Fraction:
-    """(m-1) * zeta(2k) * zeta(2m-2k) / (2 * pi^2 * zeta(2m-2)) as a Fraction.
-
-    The pi powers of numerator and denominator both equal 2m, so the ratio
-    is rational.
-    """
-    num = zeta_even(k) * zeta_even(m - k) * Fraction(m - 1, 2)
-    den = zeta_even(m - 1) * PiScaled(Fraction(1), 2)
-    return num.ratio(den)
+    """(m-1) * zeta(2k) * zeta(2m-2k) / (2 * pi^2 * zeta(2m-2)) as a Fraction;
+    the pi powers above and below both equal 2m."""
+    return Fraction(m - 1, 2) * zeta_even(k) * zeta_even(m - k) / zeta_even(m - 1)
 
 
 def ks_coefficient(m: int, k: int) -> Fraction:
     """(2m-2) * lambda(2k) * lambda(2m-2k) / (pi^2 * lambda(2m-2))."""
-    num = lambda_even(k) * lambda_even(m - k) * (2 * m - 2)
-    den = lambda_even(m - 1) * PiScaled(Fraction(1), 2)
-    return num.ratio(den)
+    return (2 * m - 2) * lambda_even(k) * lambda_even(m - k) / lambda_even(m - 1)
 
 
 def ks_alpha(m: int) -> Fraction:
-    """(2m-2)/(pi^2 lambda(2m-2)) * (2m-1)/2 * lambda(2m), a positive rational.
-
-    This is the factor multiplying the weight-2m series when the level-2
-    differential recursion is solved for it.
-    """
-    num = lambda_even(m) * Fraction((2 * m - 2) * (2 * m - 1), 2)
-    den = lambda_even(m - 1) * PiScaled(Fraction(1), 2)
-    return num.ratio(den)
+    """(2m-2)/(pi^2 lambda(2m-2)) * (2m-1)/2 * lambda(2m), a positive rational:
+    the factor multiplying the weight-2m series when the level-2 differential
+    recursion is solved for it."""
+    return Fraction((2 * m - 2) * (2 * m - 1), 2) * lambda_even(m) / lambda_even(m - 1)

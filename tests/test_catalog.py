@@ -246,6 +246,19 @@ def test_a_second_product_makes_no_series_product(monkeypatch):
     assert len(calls) == 2
 
 
+def test_product_and_monomial_share_one_key(monkeypatch):
+    # gp_evaluate lists its generators in ring order, product sorts names;
+    # B*C asked for both ways is one series, built by one product
+    cat = SeriesCatalog(30)
+    cat.C()  # C's own cross-check is one product
+    calls = _count_products(monkeypatch)
+    made = cat.product("C", "E4star")
+    assert cat.monomial([("E4star", 1), ("C", 1)]) is made
+    assert cat.monomial([("C", 1), ("E4star", 1)]) is made
+    assert len(calls) == 1
+    assert "C^1*E4star^1" in cat._cache and "E4star^1*C^1" not in cat._cache
+
+
 def test_catalog_rejects_negative():
     with pytest.raises(ValueError):
         SeriesCatalog(-1)

@@ -4,7 +4,6 @@ from math import comb
 import pytest
 
 from eisen2.scalars import (
-    PiScaled,
     bernoulli,
     check_scalar_recursion,
     ks_alpha,
@@ -63,16 +62,17 @@ def test_bernoulli_rejects_negative():
 
 
 def test_zeta_even_values():
-    assert zeta_even(0) == PiScaled(Fraction(-1, 2), 0)
-    assert zeta_even(1) == PiScaled(Fraction(1, 6), 2)
-    assert zeta_even(2) == PiScaled(Fraction(1, 90), 4)
-    assert zeta_even(3) == PiScaled(Fraction(1, 945), 6)
+    # zeta(2k)/pi^(2k): zeta(0) = -1/2, zeta(2) = pi^2/6, zeta(4) = pi^4/90
+    assert zeta_even(0) == Fraction(-1, 2)
+    assert zeta_even(1) == Fraction(1, 6)
+    assert zeta_even(2) == Fraction(1, 90)
+    assert zeta_even(3) == Fraction(1, 945)
 
 
 def test_lambda_even_values():
-    assert lambda_even(0) == PiScaled(Fraction(0), 0)
-    assert lambda_even(1) == PiScaled(Fraction(1, 8), 2)
-    assert lambda_even(2) == PiScaled(Fraction(1, 96), 4)
+    assert lambda_even(0) == 0
+    assert lambda_even(1) == Fraction(1, 8)
+    assert lambda_even(2) == Fraction(1, 96)
 
 
 def test_even_zeta_and_lambda_are_memoized():
@@ -84,14 +84,41 @@ def test_even_zeta_and_lambda_are_memoized():
 
 def test_zeta_lambda_positive_for_positive_index():
     for k in range(1, 21):
-        assert zeta_even(k).coeff > 0
-        assert lambda_even(k).coeff > 0
-        assert zeta_even(k).pi_power == 2 * k
+        assert type(zeta_even(k)) is Fraction and zeta_even(k) > 0
+        assert type(lambda_even(k)) is Fraction and lambda_even(k) > 0
 
 
 def test_lambda_to_zeta_ratio():
     for k in range(1, 21):
-        assert lambda_even(k).ratio(zeta_even(k)) == 1 - Fraction(1, 4**k)
+        assert lambda_even(k) / zeta_even(k) == 1 - Fraction(1, 4**k)
+
+
+_ORACLE_TOP = 41  # T49 at mmax 40 reads lambda(2k) for k <= 40
+
+
+def _oracle_even_values(first, shift, top=_ORACLE_TOP):
+    """x_k = zeta(2k)/pi^(2k) (first 1/6, shift +1) or lambda(2k)/pi^(2k)
+    (first 1/8, shift -1) for k = 1..top from the quadratic recursion
+    x_m = 2/(2m + shift) sum_{k=1}^{m-1} x_k x_(m-k) alone, with no Bernoulli
+    number; index 0 is unused."""
+    x = [None, Fraction(first)]
+    for m in range(2, top + 1):
+        x.append(Fraction(2, 2 * m + shift) * sum(x[k] * x[m - k] for k in range(1, m)))
+    return x
+
+
+def test_scalars_match_the_recursion_oracle():
+    z = _oracle_even_values(Fraction(1, 6), 1)
+    lam = _oracle_even_values(Fraction(1, 8), -1)
+    for k in range(1, _ORACLE_TOP + 1):
+        assert zeta_even(k) == z[k], k
+        assert lambda_even(k) == lam[k], k
+    for m in range(2, _ORACLE_TOP + 1):
+        # the pi powers cancel in each coefficient: 2m above and below
+        assert ks_alpha(m) == Fraction((2 * m - 2) * (2 * m - 1), 2) * lam[m] / lam[m - 1], m
+        for k in range(1, m):
+            assert rs_coefficient(m, k) == (m - 1) * z[k] * z[m - k] / (2 * z[m - 1]), (m, k)
+            assert ks_coefficient(m, k) == (2 * m - 2) * lam[k] * lam[m - k] / lam[m - 1], (m, k)
 
 
 def test_scalar_recursions():
@@ -105,23 +132,6 @@ def test_recursion_kind_and_bounds():
         check_scalar_recursion("zeta", 1)
     with pytest.raises(ValueError):
         check_scalar_recursion("eta", 3)
-
-
-def test_pi_scaled_algebra():
-    a = PiScaled(Fraction(1, 6), 2)
-    b = PiScaled(Fraction(1, 90), 4)
-    assert a * b == PiScaled(Fraction(1, 540), 6)
-    assert a * 3 == PiScaled(Fraction(1, 2), 2)
-    assert (a + a).coeff == Fraction(1, 3)
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
-        a.ratio(b)
-    with pytest.raises(ValueError):
-        PiScaled(Fraction(1), 3)
-    # zero absorbs any pi power
-    assert PiScaled(Fraction(0), 8) == PiScaled(Fraction(0), 0)
-    assert PiScaled(Fraction(0), 0) + a == a
 
 
 def test_differential_coefficients():
@@ -169,20 +179,3 @@ def test_bernoulli_memo_survives_concurrent_cold_callers():
     finally:
         sys.setswitchinterval(interval)
         scalars._BERNOULLI[:] = saved
-
-
-@pytest.mark.parametrize(
-    "build",
-    [lambda: PiScaled(0.5, 2), lambda: PiScaled(Fraction(1), 2) * 0.5,
-     lambda: 0.5 * PiScaled(Fraction(1), 2)],
-    ids=["PiScaled", "PiScaled*float", "float*PiScaled"],
-)
-def test_pi_scaled_refuses_floats(build):
-    with pytest.raises(TypeError):
-        build()
-
-
-def test_pi_scaled_keeps_ints_exact():
-    assert PiScaled(1, 2) == PiScaled(Fraction(1), 2)
-    assert type(PiScaled(1, 2).coeff) is Fraction
-    assert PiScaled(Fraction(1, 3), 2) * 3 == PiScaled(Fraction(1), 2)
