@@ -7,16 +7,13 @@ A ``SeriesCatalog`` names, builds and memoizes every series at one order.
 product from the powers already memoized, ``monomial`` each product of
 powers by one product more, and ``product`` each product of named series
 through ``monomial``, whatever the order of its factors.  So a product that
-several checks share is multiplied out once per catalog.  Three kinds of
-product stay outside the memo: the discriminant's polynomial routes, so no
-power at order 1000 is kept after its cross-check; the cofactor products of
-``qseries.qs_det``, whose operands are unnamed minors; and the convolutions
-of the range checks, whose operands come from the workspace's range
-accessors rather than by name.  Each series is built once, from its
-defining expansion.  The divisor-sum series are sieved in integers
-by ``arith.divisor_sum_table`` and keep its n = 0 convention values as their
-constant terms, so the convolution identities hold from n = 0; the per-n
-``arith`` functions are left as the oracles the tests hold them to.  Each
+several checks share is multiplied out once per catalog.  One kind of
+product stays outside the memo: the discriminant's polynomial routes, so no
+power at order 1000 is kept after its cross-check.  Each series is built
+once, from its defining expansion.  The divisor-sum series are sieved in
+integers by ``arith.divisor_sum_table`` and keep its n = 0 convention values
+as their constant terms, so the convolution identities hold from n = 0; the
+per-n ``arith`` functions are left as the oracles the tests hold them to.  Each
 Eisenstein series is one of the divisor-sum series over its n = 0
 convention value ``arith.divisor_sum_zero``, E = S/S(0) and E* = S*/S*(0),
 so its constant term is 1.  C is 24 times the sieved odd divisor sums.  The

@@ -34,7 +34,8 @@ from .graded import (
     positivity_witness,
     serre_delta,
 )
-from .qseries import QSeries, first_difference, qs_det, rational_str
+from .qseries import QSeries, first_difference, rational_str
+from .qseries import qs_det  # noqa: F401  (perfbench's tracer wraps it here)
 from .scalars import ks_coefficient, rs_coefficient
 
 __all__ = [
@@ -250,6 +251,11 @@ _KS_SPECIALS: dict[int, str] = {
 }
 
 
+def _eisenstein_name(level: int, k: int) -> str:
+    """The catalog name of E_{2k} at level 1 and of E*_{2k} at level 2."""
+    return f"E{2 * k}{'' if level == 1 else 'star'}"
+
+
 def _de_equations(m: int, level: int) -> Builder:
     """RS-DE(m) at level 1 or KS-DE(m) at level 2: q E_{2m-2}' as the
     weighted convolution of lower series, then as the displayed form.
@@ -257,10 +263,9 @@ def _de_equations(m: int, level: int) -> Builder:
     Both coefficient functions are symmetric in k <-> m - k, so the k and
     m - k terms are one product of weight 2 (weight 1 at k = m/2).  Every
     product is the catalog's, so the families and the other checks share it."""
-    star = "" if level == 1 else "star"
 
     def name(k: int) -> str:
-        return f"E{2 * k}{star}"
+        return _eisenstein_name(level, k)
 
     def build(ws: Workspace) -> Iterable[Equation]:
         cat = ws.catalog
@@ -438,12 +443,29 @@ def _c2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 # determinant identities
 
 
-def _minor(series: Callable[[int], QSeries], rows: Sequence[int],
+def _minor(cat: SeriesCatalog, level: int, rows: Sequence[int],
            cols: Sequence[int]) -> QSeries:
     """The minor on the given rows and columns of the Hankel array whose
-    (i, j) entry is series(i + j): E_{2(i+j)} with ``cat.level1`` and
-    E*_{2(i+j)} with ``cat.level2``."""
-    return qs_det([[series(r + c) for c in cols] for r in rows])
+    (i, j) entry is E_{2(i+j)} at level 1 and E*_{2(i+j)} at level 2.
+
+    Expanded along its first row down to 2x2 minors, each the difference of
+    two catalog products, so every pair E_{2i} E_{2j} is the memoized one the
+    other checks share; an index-0 entry is 1 and drops out of the names.
+    The cofactors of a larger minor have no name, so its outer products are
+    plain ones."""
+    if len(rows) == 2:
+        (r0, r1), (c0, c1) = rows, cols
+
+        def pair(i: int, j: int) -> QSeries:
+            return cat.product(*(_eisenstein_name(level, k) for k in (i, j) if k))
+
+        return pair(r0 + c0, r1 + c1) - pair(r0 + c1, r1 + c0)
+    total = QSeries.zero(cat.order)
+    for j, col in enumerate(cols):
+        entry = cat.by_name(_eisenstein_name(level, rows[0] + col))
+        term = entry * _minor(cat, level, rows[1:], cols[:j] + cols[j + 1:])
+        total = total - term if j % 2 else total + term
+    return total
 
 
 @_equation_check(
@@ -453,12 +475,13 @@ def _minor(series: Callable[[int], QSeries], rows: Sequence[int],
     "|E2 E4; E4 E6| = 2 qE6', |E2 E6; E4 E8| = (3/2) qE8'",
 )
 def _minors_l1(ws: Workspace) -> list[Equation]:
-    e = ws.catalog.level1
+    cat = ws.catalog
+    e = cat.level1
     return [
-        (_minor(e, (0, 1), (0, 1)), e(1).theta().scale(-12)),
-        (_minor(e, (0, 2), (0, 1)), e(2).theta().scale(-3)),
-        (_minor(e, (1, 2), (0, 1)), e(3).theta().scale(2)),
-        (_minor(e, (1, 2), (0, 2)), e(4).theta().scale(Fraction(3, 2))),
+        (_minor(cat, 1, (0, 1), (0, 1)), e(1).theta().scale(-12)),
+        (_minor(cat, 1, (0, 2), (0, 1)), e(2).theta().scale(-3)),
+        (_minor(cat, 1, (1, 2), (0, 1)), e(3).theta().scale(2)),
+        (_minor(cat, 1, (1, 2), (0, 2)), e(4).theta().scale(Fraction(3, 2))),
     ]
 
 
@@ -468,7 +491,7 @@ def _minors_l1(ws: Workspace) -> list[Equation]:
 )
 def _garvan(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
-    det = _minor(cat.level1, (2, 3, 4), (0, 1, 2))
+    det = _minor(cat, 1, (2, 3, 4), (0, 1, 2))
     return [(det, cat.power("delta", 2).scale(1728**2 * Fraction(-250, 691)))]
 
 
@@ -489,7 +512,7 @@ def _dis(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 def _l5(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
     rhs = cat.product("E4star", "D").scale(Fraction(512, 17))
-    return [(_minor(cat.level2, (0, 2), (0, 2)), rhs)]
+    return [(_minor(cat, 2, (0, 2), (0, 2)), rhs)]
 
 
 _DET_L2_CONSTANT = Fraction(-(2**13) * 3**5 * 5**2, 17**3 * 31**2 * 691)
@@ -510,12 +533,12 @@ def _det_l2(ws: Workspace) -> list[Equation]:
     b, c2, bd_delta = e(2), cat.power("C", 2), cat.product("E4star", "D", "delta")
     delta = cat.delta()
     return [
-        (_minor(e, (2, 3), (0, 1)), delta.scale(Fraction(-(2**6) * 3**2, 17))),
-        (_minor(e, (2, 3), (0, 2)),
+        (_minor(cat, 2, (2, 3), (0, 1)), delta.scale(Fraction(-(2**6) * 3**2, 17))),
+        (_minor(cat, 2, (2, 3), (0, 2)),
          cat.product("C", "delta").scale(Fraction(-(2**8) * 3**2 * 5, 17 * 31))),
-        (_minor(e, (3, 4), (0, 1)),
+        (_minor(cat, 2, (3, 4), (0, 1)),
          ((b.scale(279) - c2.scale(92)) * delta).scale(Fraction(2**6 * 3**2, 17**2 * 31))),
-        (_minor(e, (2, 3, 4), (0, 1, 2)),
+        (_minor(cat, 2, (2, 3, 4), (0, 1, 2)),
          ((b.scale(961) + c2.scale(3136)) * bd_delta).scale(_DET_L2_CONSTANT)),
     ]
 
@@ -681,9 +704,10 @@ def _r24_fact(ws: Workspace) -> list[Equation]:
 
 
 def _conv55_conv37(ws: Workspace, upto: int) -> tuple[QSeries, QSeries]:
-    """The convolution series sigma*_5 sigma*_5 and sigma*_3 sigma*_7 on 0..upto."""
-    s5 = ws.sigma_star_range(5, upto)
-    return s5 * s5, ws.sigma_star_range(3, upto) * ws.sigma_star_range(7, upto)
+    """The convolution series sigma*_5 sigma*_5 and sigma*_3 sigma*_7 on 0..upto,
+    memoized in the catalog at that order, so T10, C10 and TABLE2 share them."""
+    cat = ws.catalog_at(upto)
+    return cat.product("sigma5star", "sigma5star"), cat.product("sigma3star", "sigma7star")
 
 
 def _r24_forms(conv55: QSeries, conv37: QSeries,

@@ -318,6 +318,9 @@ class QSeries:
         p^(k-1) c_(n/p), the second term only where p | n, on n = 0..order//p."""
         if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             raise ValueError(f"the Hecke operator T_p needs a prime p, got {p}")
+        if not isinstance(k, int) or k < 1:
+            raise ValueError(f"the Hecke operator T_p needs an integer weight k >= 1, "
+                             f"got k = {k!r}")
         nums, w = list(self._nums[::p]), p ** (k - 1)
         nums[::p] = [x + w * y for x, y in zip(nums[::p], self._nums)]
         return QSeries._make(nums, self._den)
@@ -326,8 +329,9 @@ class QSeries:
 def qs_det(matrix: Sequence[Sequence[QSeries]]) -> QSeries:
     """Determinant of a square matrix of series, by cofactor expansion.
 
-    Intended for the small (n <= 3) matrices of the determinant identities;
-    the result is truncated to the smallest order among the entries.
+    The tests' oracle for the Hankel minors of the determinant identities,
+    which ``checks._minor`` builds from the catalog's memoized products; the
+    result is truncated to the smallest order among the entries.
     """
     n = len(matrix)
     if n == 0 or any(len(row) != n for row in matrix):

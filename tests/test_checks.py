@@ -1,8 +1,10 @@
-import inspect
+import operator
 import random
 from collections import defaultdict
 from fractions import Fraction
+from functools import reduce
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
@@ -192,9 +194,7 @@ def test_t49_reports_the_unlifted_values_of_a_bad_level(monkeypatch, n, lhs, rhs
     )
 
 
-def test_t49_at_mmax_40_makes_at_most_130_products(monkeypatch):
-    # every level shares the top weight's monomials: 113 products, against
-    # 437 when each level multiplied out its own monomials
+def _count_series_products(monkeypatch) -> list:
     real = QSeries.__mul__
     products = []
 
@@ -204,27 +204,38 @@ def test_t49_at_mmax_40_makes_at_most_130_products(monkeypatch):
         return real(self, other)
 
     monkeypatch.setattr(QSeries, "__mul__", counted)
+    return products
+
+
+def test_t49_at_mmax_40_makes_at_most_130_products(monkeypatch):
+    # every level shares the top weight's monomials: 113 products, against
+    # 437 when each level multiplied out its own monomials
+    products = _count_series_products(monkeypatch)
     assert checks.run_check("T49", mmax=40).status == "pass"
     assert len(products) <= 130
 
 
-def test_order_checks_at_order_96_make_at_most_150_products(monkeypatch):
+def test_order_checks_at_order_96_make_at_most_110_products(monkeypatch):
     # the order-scoped checks share each product of named series through the
-    # catalog: 137 series products, against 166 when each check made its own
+    # catalog, the Hankel minors' pairs included: 108 series products, against
+    # 166 when each check made its own
     ids = [i for i in checks.registry_ids() if checks.REGISTRY[i].scope == "order"]
     assert len(ids) == 33
-    real = QSeries.__mul__
-    products = []
-
-    def counted(self, other):
-        if isinstance(other, QSeries):
-            products.append(1)
-        return real(self, other)
-
-    monkeypatch.setattr(QSeries, "__mul__", counted)
+    products = _count_series_products(monkeypatch)
     reports = checks.run_all(order=96, ids=ids)
     assert [r.id for r in reports if r.status != "pass"] == []
-    assert len(products) <= 150
+    assert len(products) <= 110
+
+
+def test_range_checks_at_nmax_300_make_at_most_26_products(monkeypatch):
+    # T10 and C10 share the catalog's sigma*_5^2 and sigma*_3 sigma*_7: 26
+    # series products, against 28 when each made its own
+    ids = [i for i in checks.registry_ids() if checks.REGISTRY[i].scope == "range"]
+    assert len(ids) == 13
+    products = _count_series_products(monkeypatch)
+    reports = checks.run_all(nmax=300, ids=ids)
+    assert [r.id for r in reports if r.status != "pass"] == []
+    assert len(products) <= 26
 
 
 def _de_id(level, m):
@@ -535,6 +546,14 @@ class RandomInputs:
 
     def D(self):
         return self._series("D", self.nmax)
+
+    def catalog_at(self, upto):
+        # product(*names) multiplies the named sigma* series on 0..upto
+        def product(*names):
+            indices = (int(name.removeprefix("sigma").removesuffix("star")) for name in names)
+            return reduce(operator.mul, (self.sigma_star_range(s, upto) for s in indices))
+
+        return SimpleNamespace(product=product)
 
 
 def _sigma3_classical_oracle(v, N):
@@ -945,15 +964,44 @@ def test_hankel_minors_equal_the_literal_matrices(check_id):
     level, matrices = _HANKEL_MATRICES[check_id]
     # the pair names the literal matrix on both Hankel arrays
     for matrix, rows, cols in matrices:
-        for series in (cat.level1, cat.level2):
-            assert checks._minor(series, rows, cols) == _literal_det(series, matrix)
+        for on, series in ((1, cat.level1), (2, cat.level2)):
+            assert checks._minor(cat, on, rows, cols) == _literal_det(series, matrix)
     # and the check's left sides are those matrices' determinants, in order
     series = cat.level1 if level == 1 else cat.level2
     lhs = [eq[0] for eq in checks.REGISTRY[check_id].equations(checks.Workspace(order=16))]
     assert lhs == [_literal_det(series, matrix) for matrix, _, _ in matrices]
 
 
-def test_qs_det_is_called_only_by_minor():
-    source = inspect.getsource(checks)
-    assert source.count("qs_det(") == 1
-    assert "qs_det(" in inspect.getsource(checks._minor)
+def test_a_2x2_minor_of_memoized_pairs_makes_no_product(monkeypatch):
+    cat = SeriesCatalog(16)
+    # |E4* E6*; E6* E8*| is E4* E8* - E6*^2
+    cat.product("E4star", "E8star"), cat.product("E6star", "E6star")
+    products = _count_series_products(monkeypatch)
+    minor = checks._minor(cat, 2, (2, 3), (0, 1))
+    assert products == []
+    assert minor == _literal_det(cat.level2, [[2, 3], [3, 4]])
+
+
+@pytest.mark.parametrize("level", [1, 2])
+def test_a_3x3_minor_makes_three_products_once_its_pairs_exist(monkeypatch, level):
+    cat = SeriesCatalog(16)
+    checks._minor(cat, level, (2, 3, 4), (0, 1, 2))  # cold: six pairs, three more
+    products = _count_series_products(monkeypatch)
+    minor = checks._minor(cat, level, (2, 3, 4), (0, 1, 2))
+    # one per entry of the first row, times its unnamed 2x2 cofactor
+    assert len(products) == 3
+    series = cat.level1 if level == 1 else cat.level2
+    assert minor == _literal_det(series, [[2, 3, 4], [3, 4, 5], [4, 5, 6]])
+
+
+def test_the_index_0_entry_never_enters_the_memo():
+    ws = checks.Workspace(order=16)
+    for check_id in _HANKEL_MATRICES:
+        assert checks.run_check(check_id, workspace=ws).status == "pass"
+    cat = ws.catalog
+    for level in (1, 2):
+        checks._minor(cat, level, (0, 1), (0, 1))
+        checks._minor(cat, level, (0, 2), (0, 2))
+    names = {factor.split("^")[0] for key in cat._cache for factor in key.split("*")}
+    assert {"E2", "E4", "E2star", "E4star"} <= names
+    assert not names & {"E0", "E0star"}

@@ -112,6 +112,11 @@ def test_hecke():
     for p in (0, 1, 4, 6, 9):
         with pytest.raises(ValueError, match="needs a prime p"):
             a.hecke(p, 12)
+    # p^(k-1) would be a float below k = 1, and a float or Fraction weight
+    # would leak into the integer numerators
+    for k in (0, -1, 12.0, Fraction(12)):
+        with pytest.raises(ValueError, match=r"weight k >= 1, got k = "):
+            a.hecke(2, k)
     rng = random.Random(16)
     for _ in range(50):
         b = random_series(rng).scale(Fraction(1, rng.randint(1, 12)))
