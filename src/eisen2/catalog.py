@@ -82,6 +82,12 @@ def _eta24(order: int) -> list[int]:
 _NAME = re.compile(r"(E|sigma|r)(\d+)(star)?")
 
 
+def _is_one(name: str) -> bool:
+    """Whether the name is E0 or E0star in any spelling, the series 1."""
+    m = _NAME.fullmatch(name)
+    return m is not None and m[1] == "E" and int(m[2]) == 0
+
+
 class SeriesCatalog:
     """Memoized named series, their powers and monomials, and E*_2m
     polynomials at one order."""
@@ -202,12 +208,13 @@ class SeriesCatalog:
         Each power is one product: the power e - 1 times the base when e is
         odd or the power e - 1 is memoized, and otherwise the square of the
         power e/2.  So ascending powers cost one product each, and a lone
-        power e at most 2 log2(e).
+        power e at most 2 log2(e).  A power of E0 or E0star, in any
+        spelling, is the series 1, with no product and no key.
         """
         if e < 0:
             raise ValueError("negative powers are not defined; invert first")
         base = self.by_name(name)  # an unknown name raises even for e = 0
-        if e == 0:
+        if e == 0 or _is_one(name):
             return QSeries.one(self.order)
         if e == 1:
             return base
@@ -222,12 +229,14 @@ class SeriesCatalog:
 
     def monomial(self, powers) -> QSeries:
         """The product of the powers ``power(name, e)`` over the (name, e)
-        pairs, memoized.  Zero exponents are dropped and the factors sorted,
-        so the key does not depend on the order of the pairs; a product of
+        pairs, memoized.  Zero exponents and the factors E0 and E0star (the
+        series 1) are dropped and the rest sorted, so the key does not
+        depend on the order of the pairs or on a factor 1; a product of
         several powers is one product past the memoized product of all but
         its last factor, so each monomial costs one product once its powers
         exist."""
-        factors = tuple(sorted((name, e) for name, e in powers if e))
+        factors = tuple(sorted((name, e) for name, e in powers
+                               if e and not _is_one(name)))
         if len(factors) < 2:
             return self.power(*factors[0]) if factors else QSeries.one(self.order)
         return self._memo(

@@ -450,14 +450,14 @@ def _minor(cat: SeriesCatalog, level: int, rows: Sequence[int],
 
     Expanded along its first row down to 2x2 minors, each the difference of
     two catalog products, so every pair E_{2i} E_{2j} is the memoized one the
-    other checks share; an index-0 entry is 1 and drops out of the names.
+    other checks share; the catalog drops an index-0 entry, the series 1.
     The cofactors of a larger minor have no name, so its outer products are
     plain ones."""
     if len(rows) == 2:
         (r0, r1), (c0, c1) = rows, cols
 
         def pair(i: int, j: int) -> QSeries:
-            return cat.product(*(_eisenstein_name(level, k) for k in (i, j) if k))
+            return cat.product(_eisenstein_name(level, i), _eisenstein_name(level, j))
 
         return pair(r0 + c0, r1 + c1) - pair(r0 + c1, r1 + c0)
     total = QSeries.zero(cat.order)

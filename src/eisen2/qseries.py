@@ -7,14 +7,20 @@ operation works on those integers.  ``numerators`` and ``denominator`` give
 them read-only, for scans that stay in integers.  ``coeffs``, ``coefficient``
 and indexing give the coefficients as ``Fraction`` values, built on each call.
 
-Series multiplication has one kernel, Kronecker substitution (Schoenhage
-1982; Harvey, J. Symbolic Comput. 2009): the numerators of each operand are
-packed as fixed-width slots of one big integer, each slot holding its
-numerator plus half the slot's range, the two integers are multiplied once,
-and the low slots of the product, offset the same way, are each read back as
-one unsigned value minus that half.  ``int_mul`` is the only code that packs
-or unpacks integers.  Powers use it by repeated squaring and inversion by a
-Newton iteration that doubles the precision at each step.
+Series multiplication has one kernel, two-point Kronecker substitution
+(Schoenhage 1982; Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", J. Symbolic Comput. 2009, variant KS2).  With w the
+slot width and X = 2^(w/2), each operand's even and odd numerators are packed
+as w-bit slots of two big integers, each slot holding its numerator plus half
+the slot's range, and the even part plus or minus X times the odd part is the
+operand's value at X or at -X.  Two products of these half-length integers
+give the product polynomial h at X and at -X; their half sum holds the even
+coefficients of h and their difference over 2X the odd ones, each in w-bit
+slots.  Both divisions are exact, because the sum has only even and the
+difference only odd powers of X, and each slot, offset by half its range, is
+read back as one unsigned value minus that half.  ``int_mul`` is the only
+code that packs or unpacks integers.  Powers use it by repeated squaring and
+inversion by a Newton iteration that doubles the precision at each step.
 
 Every binary operation truncates to the smaller order of its operands, so a
 result never claims more precision than was computed.  Equality is the
@@ -70,16 +76,33 @@ def _pack(a: Sequence[int], size: int) -> int:
     return packed - _offset(len(a), size)
 
 
-def int_mul(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
-    """Coefficients 0..order of the product of two integer polynomials.
+def _unpack(value: int, slots: int, size: int) -> list[int]:
+    """The low ``slots`` coefficients of the polynomial in 2^(8 size) whose
+    value is ``value``, each of absolute value below 2^(8 size - 1)."""
+    # plus the offset, value mod 2^(w slots), whatever its sign, holds them
+    n = size * slots
+    raw = ((value + _offset(slots, size)) & ((1 << 8 * n) - 1)).to_bytes(n, "little")
+    half = 1 << (8 * size - 1)
+    from_bytes = int.from_bytes
+    return [from_bytes(raw[i : i + size], "little") - half for i in range(0, n, size)]
 
-    Kronecker substitution in one offset pass: evaluate both at q = 2^w by
-    packing, multiply the two big integers once, add the half-slot value
-    2^(w-1) to each of the low order+1 slots of the product and read each
-    slot back as its unsigned value minus 2^(w-1).  The slot width w covers
-    the largest possible coefficient of the product plus a sign bit, so every
-    offset slot lies in [0, 2^w) and no slot carries into the next.  An
-    operand may be shorter than order+1; its offset is that of its own length.
+
+def int_mul(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
+    """Coefficients 0..order of the product h = a b of two integer polynomials.
+
+    Two-point Kronecker substitution (KS2, Harvey 2009).  The slot width w
+    covers the largest possible coefficient of h plus a sign bit, and
+    X = 2^(w/2).  Each operand is packed as its even part plus X times its
+    odd part, both in slots of w bits, which is its value at X; the odd part
+    subtracted instead gives its value at -X.  Two products of half-length
+    integers give h(X) and h(-X), and in Y = X^2 = 2^w
+    (h(X) + h(-X))/2 = sum c_2j Y^j and (h(X) - h(-X))/(2X) = sum c_2j+1 Y^j.
+    Both divisions are exact shifts, since the sum has only the even and the
+    difference only the odd powers of X.  Each quotient has coefficients of
+    h alone, so it is read in w-bit slots by the one offset rule of
+    ``_unpack``: with the half-slot value 2^(w-1) added, every slot lies in
+    [0, 2^w) and none carries into the next.  An operand may be shorter than
+    order+1; ``_pack`` gives each part the offset of its own length.
     """
     square = a is b
     a = a[: order + 1]
@@ -89,14 +112,18 @@ def int_mul(a: Sequence[int], b: Sequence[int], order: int) -> list[int]:
     bits_b = bits_a if square else max(max(b), -min(b)).bit_length()
     bits = bits_a + bits_b + slots.bit_length() + 1
     size = (bits + 7) // 8
-    packed = _pack(a, size)
-    product = packed * (packed if square else _pack(b, size)) + _offset(slots, size)
-    # the product mod 2^(w slots), whatever its sign, holds the wanted slots
-    n = size * slots
-    raw = (product & ((1 << 8 * n) - 1)).to_bytes(n, "little")
-    half = 1 << (8 * size - 1)
-    from_bytes = int.from_bytes
-    return [from_bytes(raw[i : i + size], "little") - half for i in range(0, n, size)]
+    shift = 4 * size
+    even, odd = _pack(a[::2], size), _pack(a[1::2], size) << shift
+    a_plus, a_minus = even + odd, even - odd
+    if square:
+        h_plus, h_minus = a_plus * a_plus, a_minus * a_minus
+    else:
+        even, odd = _pack(b[::2], size), _pack(b[1::2], size) << shift
+        h_plus, h_minus = a_plus * (even + odd), a_minus * (even - odd)
+    out = [0] * slots
+    out[::2] = _unpack((h_plus + h_minus) >> 1, (slots + 1) // 2, size)
+    out[1::2] = _unpack((h_plus - h_minus) >> (shift + 1), slots // 2, size)
+    return out
 
 
 def _over_lcm(values: Iterable[Scalar]) -> tuple[tuple[int, ...], int]:

@@ -5,7 +5,7 @@ from operator import mul
 
 import pytest
 
-from eisen2 import arith
+from eisen2 import arith, qseries
 from eisen2.catalog import (
     CrossCheckMismatch,
     SeriesCatalog,
@@ -299,3 +299,31 @@ def test_eta24_matches_naive_product():
                 prod[i] -= prod[i - n]
     assert _eta24(order) == prod
     assert _eta24(0) == [1]
+
+
+def test_factors_of_one_make_no_product_and_no_key(monkeypatch):
+    # E0 and E0star, in any spelling, resolve to the series 1
+    cat = SeriesCatalog(10)
+    e4, c = cat.level1(2), cat.C()  # C's own cross-check is one product
+    calls = []
+    real = qseries.int_mul
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(qseries, "int_mul", counting)
+    one = QSeries.one(10)
+    assert cat.product("E0", "E4") is e4
+    assert cat.product("E4", "E00", "E000star") is e4
+    assert cat.product("E0star", "E0star", "C") is c
+    for name in ("E0", "E0star", "E00"):
+        for e in range(4):
+            assert cat.power(name, e) == one
+    assert cat.product("E0", "E0star") == one
+    assert cat.monomial([("E0", 3), ("E0star", 2)]) == one
+    assert calls == []
+    names = {factor.split("^")[0] for key in cat._cache for factor in key.split("*")}
+    assert not [name for name in names if name.startswith("E0")]
+    # a factor of 1 does not change the key of the rest
+    assert cat.product("E0", "C", "E4") is cat.product("C", "E4")

@@ -495,3 +495,85 @@ def test_series_refuse_floats(build):
     # a float would enter as its binary expansion, not as the decimal it shows
     with pytest.raises(TypeError):
         build()
+
+
+# int_mul evaluates at +X and -X, X = 2^(w/2), and reads the even and the odd
+# coefficients of the product from two quotients; these cases sit on its
+# seams: one slot or two, a half-slot shift 4 size that is not a whole byte,
+# parts of one sign against parts of the other, and short operands
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_int_mul_at_the_smallest_orders(order):
+    # order + 1 slots: one even slot alone, then even and odd counts in turn
+    rng = random.Random(order)
+    values = (0, 1, -1, 2, -2, 127, -128, 255, -256, 2**40 - 1, -(2**40))
+    for _ in range(300):
+        a = [rng.choice(values) for _ in range(rng.randint(1, order + 1))]
+        b = [rng.choice(values) for _ in range(rng.randint(1, order + 1))]
+        assert int_mul(a, b, order) == schoolbook_int(a, b, order)
+        assert int_mul(a, a, order) == schoolbook_int(a, a, order)
+    assert int_mul([7], [-6], order) == [-42] + [0] * order
+
+
+@pytest.mark.parametrize("size", [1, 3, 5, 7, 9, 17])
+def test_int_mul_half_slot_shift_off_a_byte(size):
+    # an odd slot size puts the shift 4 size in the middle of a byte
+    rng = random.Random(size)
+    seen = 0
+    for order in range(0, 12):
+        for bits in range(8 * size - 7, 8 * size + 1):
+            free = bits - 1 - (order + 1).bit_length()
+            if free < 2:
+                continue
+            ka, kb = free // 2, free - free // 2
+            top_a, top_b = 2**ka - 1, 2**kb - 1
+            a = [rng.choice((top_a, -top_a, -(2 ** (ka - 1)))) for _ in range(order)] + [top_a]
+            b = [rng.choice((top_b, -top_b, -(2 ** (kb - 1)))) for _ in range(order)] + [-top_b]
+            assert (slot_bits(a, b, order) + 7) // 8 == size  # int_mul's slot bytes
+            assert int_mul(a, b, order) == schoolbook_int(a, b, order)
+            assert int_mul(a, a, order) == schoolbook_int(a, a, order)
+            seen += 1
+    assert seen > 0
+
+
+@pytest.mark.parametrize("order", [1, 2, 5, 8, 33])
+def test_int_mul_even_and_odd_parts_of_opposite_signs(order):
+    # a(X) and a(-X) are the even part plus and minus X times the odd part;
+    # with the parts of opposite signs one of the two nearly cancels
+    for k in (1, 4, 8, 31, 64, 100):
+        top = 2**k - 1
+        alternating = [top if i % 2 == 0 else -top for i in range(order + 1)]
+        flipped = [-x for x in alternating]
+        low = [-(2**k) if i % 2 else 2**k - 1 for i in range(order + 1)]
+        for a, b in ((alternating, alternating), (alternating, flipped),
+                     (alternating, low), (low, flipped), (low, low)):
+            assert int_mul(a, b, order) == schoolbook_int(a, b, order)
+            assert int_mul(b, a, order) == schoolbook_int(a, b, order)
+        for a in (alternating, flipped, low):
+            # a is a is the square of each evaluation
+            assert int_mul(a, a, order) == schoolbook_int(a, a, order)
+
+
+@pytest.mark.parametrize("order", [4, 5, 12, 13])
+def test_int_mul_short_operands_of_odd_and_even_length(order):
+    # a shorter operand has its own even and odd slot counts, which may
+    # differ from those of the product
+    rng = random.Random(order)
+    for la in range(1, order + 1):
+        for lb in (1, 2, la, order + 1):
+            a = [rng.randint(-(2**60), 2**60) for _ in range(la)]
+            b = [rng.randint(-(2**9), 2**9) for _ in range(lb)]
+            assert int_mul(a, b, order) == schoolbook_int(a, b, order)
+            assert int_mul(b, a, order) == schoolbook_int(a, b, order)
+            assert int_mul(a, a, order) == schoolbook_int(a, a, order)
+
+
+@pytest.mark.parametrize("names", [("E10", "E12"), ("E12", "E12"), ("r12", "r12")],
+                         ids=["E10*E12", "E12*E12", "theta3^12*theta3^12"])
+def test_int_mul_on_catalog_operands_at_order_300(names):
+    cat = SeriesCatalog(300)
+    a, b = (cat.by_name(name).numerators for name in names)
+    if names[0] == names[1]:
+        assert int_mul(a, a, 300) == schoolbook_int(a, a, 300)
+    assert int_mul(a, b, 300) == schoolbook_int(a, b, 300)
