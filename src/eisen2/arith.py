@@ -135,9 +135,9 @@ def divisor_sum_table(kind: str, s: int, N: int) -> list:
 def tau_table(N: int) -> QSeries:
     """The weight-12 discriminant cusp form sum tau(n) q^n on 0..N.
 
-    It is ``SeriesCatalog(N).delta()``: the eta-product expansion of
-    q prod (1-q^n)^24, cross-checked against the two Eisenstein routes, which
-    raises CrossCheckMismatch on any disagreement.
+    It is ``SeriesCatalog(N).delta()``, the eta-product expansion of
+    q prod (1-q^n)^24; the DIS check compares it with the two Eisenstein
+    routes.
     """
     from . import catalog
 

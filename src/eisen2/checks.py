@@ -135,7 +135,7 @@ class Workspace:
         return self.rcat.power("theta3", s)
 
     def tau_range(self, upto: int) -> QSeries:
-        """sum tau(n) q^n on 0..upto, the cross-checked discriminant."""
+        """sum tau(n) q^n on 0..upto, the discriminant's eta product."""
         return self.catalog_at(upto).delta()
 
 
@@ -149,7 +149,7 @@ class TheoremCheck:
     id: str
     description: str
     runner: Runner
-    scope: str  # "order" | "range" | "tau1000" | "mmax" | "table"
+    scope: str  # "order" | "range" | "tau1000" | "mmax" | "table" | "delta8"
     equations: Optional[Builder] = None  # None for a scan
 
 
@@ -306,13 +306,16 @@ for _m in range(2, 13):
 # level-2 differential equations
 
 
-@_equation_check("E6STAR-ABC", "qE6*' = (3ABC - B^2 - 2BC^2)/2 with C = E6*/E4*")
+@_equation_check("E6STAR-ABC", "C E4* = E6*, and qE6*' = (3ABC - B^2 - 2BC^2)/2")
 def _e6star_abc(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
     pq = cat.product
     rhs = (pq("E2star", "E4star", "C").scale(3) - pq("E4star", "E4star")
            - pq("E4star", "C", "C").scale(2)).scale(Fraction(1, 2))
-    return [(cat.level2(3).theta(), rhs)]
+    return [
+        (pq("C", "E4star"), cat.level2(3), "C E4* = E6* for C = 1 + 24 sum sigma#(n) q^n"),
+        (cat.level2(3).theta(), rhs),
+    ]
 
 
 @_equation_check(
@@ -495,17 +498,20 @@ def _garvan(ws: Workspace) -> list[Equation]:
     return [(det, cat.power("delta", 2).scale(1728**2 * Fraction(-250, 691)))]
 
 
-@_register(
+@_equation_check(
     "DIS",
     "discriminant route agreement: eta product = (E4^3-E6^2)/1728 "
     "= -(E4*^3-E6*^2)/64",
 )
-def _dis(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
-    # the constructor compares the eta product with each polynomial route on
-    # the whole range and raises with the offending exponent, so the two
-    # routes agree with each other once it returns
-    ws.catalog.delta()
-    return None
+def _dis(ws: Workspace) -> list[Equation]:
+    cat = ws.catalog
+    power, delta = cat.power, cat.delta()
+    return [
+        (delta, (power("E4", 3) - power("E6", 2)).scale(Fraction(1, 1728)),
+         "eta product against the level-1 route (E4^3-E6^2)/1728"),
+        (delta, (power("E4star", 3) - power("E6star", 2)).scale(Fraction(-1, 64)),
+         "eta product against the level-2 route -(E4*^3-E6*^2)/64"),
+    ]
 
 
 @_equation_check("L5", "|E0* E4*; E4* E8*| = (512/17) B D as series")
@@ -528,8 +534,6 @@ _DET_L2_CONSTANT = Fraction(-(2**13) * 3**5 * 5**2, 17**3 * 31**2 * 691)
 def _det_l2(ws: Workspace) -> list[Equation]:
     cat = ws.catalog
     e = cat.level2
-    # C, D and the discriminant are built in that order, so a fault reports
-    # the first of their cross-checks to trip
     b, c2, bd_delta = e(2), cat.power("C", 2), cat.product("E4star", "D", "delta")
     delta = cat.delta()
     return [
@@ -569,12 +573,10 @@ def _p4(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
                          f": {rational_str(lhs)} != {rational_str(rhs)}")
             return (n, lhs, rhs)
     cat = ws.catalog
-    # each generator's series name and weight; all three series are built
-    # before the first compare, so a cross-check in C's constructor reports first
+    # each generator's series name and weight
     gens = {"A": ("E2star", 2), "B": ("E4star", 4), "C": ("C", 2)}
-    series = {name: cat.by_name(key) for name, (key, _) in gens.items()}
     return _compare(
-        ((series[name].theta() - cat.product("E2star", key).scale(Fraction(weight, 4)),
+        ((cat.by_name(key).theta() - cat.product("E2star", key).scale(Fraction(weight, 4)),
           gp_evaluate(serre_delta(GradedPoly.generator(LEVEL2, name)), cat),
           f"series-level rule for {name} broken")
          for name, (key, weight) in gens.items()),
@@ -685,6 +687,20 @@ def _t9(ws: Workspace) -> list[Equation]:
     d8 = ws.rcat.D()
     rhs = ((s3 * d8).scale(256) - s7).scale(Fraction(32, 17)).neg_q()
     return [(r16, rhs)]
+
+
+_DELTA8_N = 51  # DELTA8 compares D on q^0..q^this
+
+
+@_equation_check(
+    "DELTA8",
+    "D = -(E4* - C^2)/64 against an enumeration: its q^(n+1) coefficient counts "
+    f"the ordered sums of 8 triangular numbers equal to n, on q^0..q^{_DELTA8_N}",
+    scope="delta8",
+)
+def _delta8(ws: Workspace) -> list[Equation]:
+    count = [arith.delta8_oracle(n) for n in range(_DELTA8_N)]
+    return [(ws.catalog_at(_DELTA8_N).D(), QSeries._make([0] + count))]
 
 
 @_equation_check(
@@ -907,8 +923,8 @@ def run_check(
     try:
         disc = check.runner(ws, notes)
     except CrossCheckMismatch as exc:
-        # a constructor cross-check tripped while building the inputs: the
-        # check fails at the exponent the constructor localized
+        # the E*_2m tower's series cross-check tripped: the check fails at
+        # the exponent the tower localized
         notes.append(str(exc))
         disc = (exc.exponent, exc.values[0], exc.values[1])
     elapsed = int((time.perf_counter() - start) * 1000)
@@ -918,6 +934,7 @@ def run_check(
         "tau1000": _TAU_PROPS_N,
         "mmax": ws.mmax,
         "table": _TABLE2_N,
+        "delta8": _DELTA8_N,
     }[check.scope]
     return CheckReport(
         id=check.id,

@@ -61,11 +61,12 @@ def test_criterion_02_level1_differential_family(ws):
 
 def test_criterion_03_tau_table_to_1000():
     start = time.perf_counter()
-    table = arith.tau_table(1000)  # raises on any route disagreement
+    # the eta product; test_catalog holds it to both polynomial routes to 1000
+    table = arith.tau_table(1000)
     elapsed = time.perf_counter() - start
     spot = table[2] == -24 and table[3] == 252 and table[4] == -1472
     ok = spot and elapsed < 30.0
-    _report(3, f"tau to 1000 triple-checked in {elapsed:.2f}s (< 30s)", ok)
+    _report(3, f"tau to 1000 in {elapsed:.2f}s (< 30s)", ok)
 
 
 def test_criterion_04_tau_convolution_identities(ws):

@@ -3,8 +3,8 @@ from math import gcd
 
 import pytest
 
-from eisen2 import arith
-from eisen2.catalog import CrossCheckMismatch, SeriesCatalog
+from eisen2 import arith, checks
+from eisen2.catalog import SeriesCatalog
 from eisen2.qseries import QSeries
 
 
@@ -200,10 +200,8 @@ def test_primes_up_to():
 
 
 def test_cross_check_guards_divisor_sums(monkeypatch):
-    # corrupting one signed divisor sum must trip the discriminant
-    # cross-check between the eta product and the level-2 route
-    import eisen2.catalog as catalog
-
+    # corrupting one signed divisor sum must fail DIS's equation between the
+    # eta product and the level-2 route, at that exponent with both values
     real = arith.divisor_sum_table
 
     def corrupted(kind, s, N):
@@ -213,7 +211,6 @@ def test_cross_check_guards_divisor_sums(monkeypatch):
         return table
 
     monkeypatch.setattr(arith, "divisor_sum_table", corrupted)
-    cat = catalog.SeriesCatalog(12)
-    with pytest.raises(CrossCheckMismatch) as info:
-        cat.delta()
-    assert info.value.exponent == 5
+    report = checks.run_check("DIS", order=12)
+    assert report.first_discrepancy == (5, 4830, Fraction(19323, 4))
+    assert report.notes == ("eta product against the level-2 route -(E4*^3-E6*^2)/64",)

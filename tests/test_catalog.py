@@ -6,11 +6,8 @@ from operator import mul
 import pytest
 
 from eisen2 import arith, qseries
-from eisen2.catalog import (
-    CrossCheckMismatch,
-    SeriesCatalog,
-    _eta24,
-)
+from eisen2 import checks
+from eisen2.catalog import SeriesCatalog, _eta24
 from eisen2.qseries import QSeries
 
 
@@ -178,7 +175,6 @@ def test_a_lone_power_is_built_by_squaring(monkeypatch):
 def test_ascending_powers_cost_one_product_each(monkeypatch):
     # gp_evaluate asks for consecutive powers of each generator
     cat = SeriesCatalog(30)
-    cat.C()  # C's own cross-check is one product
     calls = _count_products(monkeypatch)
     for e in range(2, 21):
         cat.power("C", e)
@@ -200,13 +196,35 @@ def test_divisor_sum_series_never_call_the_oracles(monkeypatch):
 
 
 def test_delta_keeps_no_intermediate_powers(monkeypatch):
+    # the discriminant is the eta product alone: its polynomial routes are
+    # DIS's equations, so the constructor makes no series product
     cat = SeriesCatalog(60)
     calls = _count_products(monkeypatch)
     cat.delta()
-    # E4^3 and E6^2 on each route, one product per power as before
-    assert len(calls) == 6
-    assert not [key for key in cat._cache if "^" in key]
-    assert {"E4", "E6", "E4star", "E6star", "delta"} <= set(cat._cache)
+    assert calls == []
+    assert set(cat._cache) == {"delta"}
+
+
+@pytest.mark.parametrize("name, products", [("C", 0), ("D", 1)])
+def test_C_and_D_are_built_by_one_route(monkeypatch, name, products):
+    # C is the sieved sigma# series; D squares C and takes nothing else
+    cat = SeriesCatalog(60)
+    calls = _count_products(monkeypatch)
+    cat.by_name(name)
+    assert len(calls) == products
+
+
+def test_the_eta_product_equals_both_polynomial_routes_to_1000():
+    # the three routes to the discriminant agree at the largest order a
+    # default run builds, so the multiplication kernel is held to an
+    # independent route there: the eta product's squarings against products
+    # of Eisenstein series at both levels
+    cat = SeriesCatalog(1000)
+    e4, e6, b, e6star = cat.level1(2), cat.level1(3), cat.level2(2), cat.level2(3)
+    delta = cat.delta()
+    assert delta.order == 1000
+    assert delta == (e4 * e4 * e4 - e6 * e6).scale(Fraction(1, 1728))
+    assert delta == (b * b * b - e6star * e6star).scale(Fraction(-1, 64))
 
 
 _PRODUCT_NAMES = ("E2", "E4", "E6", "E2star", "E4star", "E6star", "E8star", "C", "D",
@@ -237,7 +255,6 @@ def test_product_of_a_repeat_is_the_power():
 
 def test_a_second_product_makes_no_series_product(monkeypatch):
     cat = SeriesCatalog(30)
-    cat.C()  # C's own cross-check is one product
     calls = _count_products(monkeypatch)
     first = cat.product("E2star", "E4star", "C")
     assert len(calls) == 2  # C * E2star, then times E4star
@@ -250,7 +267,6 @@ def test_product_and_monomial_share_one_key(monkeypatch):
     # gp_evaluate lists its generators in ring order, product sorts names;
     # B*C asked for both ways is one series, built by one product
     cat = SeriesCatalog(30)
-    cat.C()  # C's own cross-check is one product
     calls = _count_products(monkeypatch)
     made = cat.product("C", "E4star")
     assert cat.monomial([("E4star", 1), ("C", 1)]) is made
@@ -283,10 +299,10 @@ def test_corrupted_sharp_trips_C(monkeypatch):
         return table
 
     monkeypatch.setattr(arith, "divisor_sum_table", corrupted)
-    cat = SeriesCatalog(8)
-    with pytest.raises(CrossCheckMismatch) as info:
-        cat.C()
-    assert info.value.exponent == 4
+    # E6STAR-ABC's first equation, C E4* = E6*, fails at the corrupted index
+    report = checks.run_check("E6STAR-ABC", order=8)
+    assert report.first_discrepancy == (4, -8416, -8440)
+    assert report.notes == ("C E4* = E6* for C = 1 + 24 sum sigma#(n) q^n",)
 
 
 def test_eta24_matches_naive_product():
@@ -304,7 +320,7 @@ def test_eta24_matches_naive_product():
 def test_factors_of_one_make_no_product_and_no_key(monkeypatch):
     # E0 and E0star, in any spelling, resolve to the series 1
     cat = SeriesCatalog(10)
-    e4, c = cat.level1(2), cat.C()  # C's own cross-check is one product
+    e4, c = cat.level1(2), cat.C()
     calls = []
     real = qseries.int_mul
 

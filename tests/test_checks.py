@@ -8,8 +8,9 @@ from types import SimpleNamespace
 
 import pytest
 
+import fault_grid
 from eisen2 import arith, checks, cli, graded
-from eisen2.catalog import CrossCheckMismatch, SeriesCatalog
+from eisen2.catalog import SeriesCatalog
 from eisen2.qseries import QSeries, qs_det
 
 
@@ -23,7 +24,7 @@ def test_registry_shape():
         "RAM-DE", "E6STAR-ABC", "HAHN-SYS", "SIGMA3-CLASSICAL", "T7", "T5",
         "L4", "T8", "C1", "T314", "C2", "MINORS-L1", "GARVAN", "DIS", "L5",
         "P4", "T49", "DELTA-FAMILY", "THETA-REL", "JACOBI", "T9", "R24-FACT",
-        "T10", "C10", "DET-L2", "TAU-PROPS", "TABLE2",
+        "T10", "C10", "DET-L2", "TAU-PROPS", "TABLE2", "DELTA8",
     ):
         assert fixed in ids
 
@@ -208,34 +209,36 @@ def _count_series_products(monkeypatch) -> list:
 
 
 def test_t49_at_mmax_40_makes_at_most_130_products(monkeypatch):
-    # every level shares the top weight's monomials: 113 products, against
+    # every level shares the top weight's monomials: 112 products, against
     # 437 when each level multiplied out its own monomials
     products = _count_series_products(monkeypatch)
     assert checks.run_check("T49", mmax=40).status == "pass"
     assert len(products) <= 130
 
 
-def test_order_checks_at_order_96_make_at_most_110_products(monkeypatch):
+def test_order_checks_at_order_96_make_at_most_103_products(monkeypatch):
     # the order-scoped checks share each product of named series through the
-    # catalog, the Hankel minors' pairs included: 108 series products, against
-    # 166 when each check made its own
+    # catalog, the Hankel minors' pairs included, and the discriminant's
+    # polynomial routes are DIS's equations on shared powers: 103 series
+    # products, against 166 when each check made its own
     ids = [i for i in checks.registry_ids() if checks.REGISTRY[i].scope == "order"]
     assert len(ids) == 33
     products = _count_series_products(monkeypatch)
     reports = checks.run_all(order=96, ids=ids)
     assert [r.id for r in reports if r.status != "pass"] == []
-    assert len(products) <= 110
+    assert len(products) <= 103
 
 
-def test_range_checks_at_nmax_300_make_at_most_26_products(monkeypatch):
-    # T10 and C10 share the catalog's sigma*_5^2 and sigma*_3 sigma*_7: 26
-    # series products, against 28 when each made its own
+def test_range_checks_at_nmax_300_make_at_most_19_products(monkeypatch):
+    # T10 and C10 share the catalog's sigma*_5^2 and sigma*_3 sigma*_7, and
+    # the discriminant at nmax is the eta product alone: 19 series products,
+    # against 28 when each made its own and the discriminant its routes
     ids = [i for i in checks.registry_ids() if checks.REGISTRY[i].scope == "range"]
     assert len(ids) == 13
     products = _count_series_products(monkeypatch)
     reports = checks.run_all(nmax=300, ids=ids)
     assert [r.id for r in reports if r.status != "pass"] == []
-    assert len(products) <= 26
+    assert len(products) <= 19
 
 
 def _de_id(level, m):
@@ -733,7 +736,7 @@ def test_compare_reads_a_generator_only_to_the_first_failure(earliest, read):
     assert len(built) == read
 
 
-_SCANS = {"C1", "C2", "DIS", "P4", "T49", "C10", "TAU-PROPS", "TABLE2"}
+_SCANS = {"C1", "C2", "P4", "T49", "C10", "TAU-PROPS", "TABLE2"}
 
 
 @pytest.mark.parametrize(
@@ -746,7 +749,7 @@ def test_equation_builders_return_their_equations_without_comparing(monkeypatch,
     # each equation check is data: its builder compares nothing, and every
     # equation it returns is compared on exactly the range its report prints
     ids = [i for i in checks.registry_ids() if checks.REGISTRY[i].equations]
-    assert len(ids) == 41 and set(checks.registry_ids()) - set(ids) == _SCANS
+    assert len(ids) == 43 and set(checks.registry_ids()) - set(ids) == _SCANS
     printed = {r.id: r.order for r in checks.run_all(**sizes, ids=ids)}
 
     def refuse(*args):
@@ -860,18 +863,30 @@ def test_jacobi_names_the_failing_formula(monkeypatch, s, n):
     assert report.notes == (f"{s}-square formula",)
 
 
-def test_d_raises_at_the_first_oracle_mismatch(monkeypatch):
+def test_delta8_fails_at_the_first_oracle_mismatch(monkeypatch):
     real = arith.delta8_oracle
     monkeypatch.setattr(arith, "delta8_oracle", lambda n: real(n) + (n == 3))
-    with pytest.raises(CrossCheckMismatch) as info:
-        SeriesCatalog(12).D()
-    exc = info.value
-    assert (exc.name, exc.exponent, exc.values) == ("D", 4, (64, 65))
-    assert exc.routes == ("-(E4*-C^2)/64", "triangular-number count")
-    # a check that reads D fails at that exponent, with the mismatch as note
-    report = checks.run_check("L5", order=12)
+    # D's q^(n+1) coefficient counts the representations of n, so the fault
+    # shows at q^4, on DELTA8's own range whatever the order
+    report = checks.run_check("DELTA8", order=12, nmax=12)
     assert report.first_discrepancy == (4, 64, 65)
-    assert report.notes == (str(exc),)
+    assert report.order == 51
+    # the enumeration is DELTA8's alone: the checks that read D pass
+    for check_id in ("L5", "DET-L2", "T9"):
+        assert checks.run_check(check_id, order=12, nmax=12).status == "pass"
+
+
+def test_a_fault_in_sigma3_fails_only_the_checks_that_read_it():
+    # sigma_3(7) + 1: the level-1 route of DIS, L4 through E4, and C1 and T8
+    # through the sieved sigma_3 fail; the checks that read the discriminant
+    # but not sigma_3 pass, since the discriminant is the eta product alone
+    with dict(fault_grid.cases((7,), ()))["sigma(3)[7]+1"]:
+        reports = {r.id: r for r in checks.run_all(**fault_grid.SETTINGS)}
+    assert {"DIS", "L4", "C1", "T8"} <= {i for i, r in reports.items() if r.status == "fail"}
+    for check_id in ("C2", "C10", "T10", "T314", "R24-FACT", "TAU-PROPS"):
+        assert reports[check_id].status == "pass", check_id
+    assert reports["DIS"].first_discrepancy == (7, -16744, Fraction(-200923, 12))
+    assert reports["DIS"].notes == ("eta product against the level-1 route (E4^3-E6^2)/1728",)
 
 
 def test_no_check_reads_the_fraction_view(monkeypatch):
@@ -883,7 +898,7 @@ def test_no_check_reads_the_fraction_view(monkeypatch):
 
     monkeypatch.setattr(QSeries, "coeffs", property(refuse))
     reports = checks.run_all()
-    assert len(reports) == 49
+    assert len(reports) == 50
     assert [r.id for r in reports if r.status != "pass"] == []
     table2 = next(r for r in reports if r.id == "TABLE2")
     assert "flagged cell (conv37, n=0): printed 12/517" in table2.notes[0]
@@ -900,7 +915,7 @@ def test_level2_code_reads_no_fraction_view(monkeypatch):
     monkeypatch.setattr(QSeries, "coeffs", refuse("QSeries.coeffs"))
     monkeypatch.setattr(graded.GradedPoly, "terms", refuse("GradedPoly.terms"))
     reports = checks.run_all(order=16, nmax=30, mmax=6)
-    assert len(reports) == 49
+    assert len(reports) == 50
     assert [r.id for r in reports if r.status != "pass"] == []
     assert graded.check_positivity(20, SeriesCatalog(graded.e_star_order(20)))
     for w in (4, 8, 12, 24):

@@ -140,23 +140,23 @@ def test_verify_json_stdout(capsys):
 
 
 @pytest.mark.parametrize(
-    "check_id, lhs, rhs, notes",
+    "check_id, n, lhs, rhs, notes",
     [
-        ("MINORS-L1", "16368", "16128", None),
-        ("GARVAN", "-16744", "-200923/12",
-         ["delta: routes 'eta product' and '(E4^3-E6^2)/1728' disagree at q^7: "
-          "-16744 != -200923/12"]),
+        ("MINORS-L1", 7, "16368", "16128", None),
+        ("GARVAN", 8, "-3626417665428480/691", "-3626417848320000/691", None),
+        ("DIS", 7, "-16744", "-200923/12",
+         ["eta product against the level-1 route (E4^3-E6^2)/1728"]),
     ],
-    ids=["MINORS-L1", "GARVAN"],
+    ids=["MINORS-L1", "GARVAN", "DIS"],
 )
-def test_verify_json_reports_a_failure_exactly(capsys, check_id, lhs, rhs, notes):
+def test_verify_json_reports_a_failure_exactly(capsys, check_id, n, lhs, rhs, notes):
     # a fault-grid case: sigma_3(7) + 1 in the divisor-sum sieve
     with dict(fault_grid.cases((7,), ()))["sigma(3)[7]+1"]:
         code, out, _ = run_cli(capsys, "verify", check_id, "--order", "32", "--json", "-")
     assert code == 1
     (record,) = json.loads(out)
     assert record["status"] == "fail"
-    assert record["first_discrepancy"] == {"n": 7, "lhs": lhs, "rhs": rhs}
+    assert record["first_discrepancy"] == {"n": n, "lhs": lhs, "rhs": rhs}
     assert record.get("notes") == notes
 
 
@@ -170,14 +170,13 @@ def test_verify_timings_end_each_check_line(capsys):
 
 
 def test_verify_timings_end_the_fail_line_not_its_notes(capsys):
-    with dict(fault_grid.cases((7,), ()))["sigma(3)[7]+1"]:
-        code, out, _ = run_cli(capsys, "verify", "GARVAN", "--order", "32", "--timings")
+    with dict(fault_grid.cases((7,), ()))["sigma_sharp(1)[7]+1"]:
+        code, out, _ = run_cli(capsys, "verify", "P4", "--order", "32", "--timings")
     assert code == 1
     fail, note, total = out.splitlines()
-    assert re.fullmatch(r"FAIL  GARVAN  \(order 32\) at n=7: -16744 != -200923/12"
+    assert re.fullmatch(r"FAIL  P4  \(order 32\) at n=7: -134464 != -134488"
                         r"  \[\d+ ms\]", fail)
-    assert note == ("      note: delta: routes 'eta product' and '(E4^3-E6^2)/1728' "
-                    "disagree at q^7: -16744 != -200923/12")
+    assert note == "      note: series-level rule for B broken"
     assert total == "0/1 checks passed"
 
 
