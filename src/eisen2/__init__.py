@@ -14,7 +14,7 @@ from .arith import (
     sigma_star,
     tau_table,
 )
-from .catalog import CrossCheckMismatch, SeriesCatalog
+from .catalog import SeriesCatalog
 from .graded import (
     GradedPoly,
     check_positivity,
@@ -30,7 +30,6 @@ from .scalars import bernoulli, check_scalar_recursion, lambda_even, zeta_even
 __version__ = "0.1.0"
 
 __all__ = [
-    "CrossCheckMismatch",
     "GradedPoly",
     "QSeries",
     "SeriesCatalog",

@@ -18,7 +18,9 @@ divisor-sum series over its n = 0 convention value
 term is 1.  The discriminant is the eta product, C is 24 times the sieved
 odd divisor sums and D is -(E*_4 - C^2)/64; their other routes are
 equations of the registry checks DIS, E6STAR-ABC and DELTA8.  No
-constructor divides.
+constructor divides.  The catalog also memoizes the levels of the E*_2m
+tower that ``graded.e_star_poly`` builds, whose series equations T49
+compares.  The catalog itself compares nothing.
 """
 
 from __future__ import annotations
@@ -33,26 +35,7 @@ from .qseries import QSeries, int_mul
 from .qseries import first_difference  # noqa: F401  (perfbench's tracer wraps it here)
 from .scalars import bernoulli  # noqa: F401  (perfbench's tracer wraps it here)
 
-__all__ = [
-    "CrossCheckMismatch",
-    "SeriesCatalog",
-]
-
-
-class CrossCheckMismatch(ArithmeticError):
-    """Two independent routes to the same series disagreed; the E*_2m tower
-    of ``graded`` raises it."""
-
-    def __init__(self, name: str, exponent: int, route_a: str, route_b: str,
-                 lhs: Fraction, rhs: Fraction):
-        self.name = name
-        self.exponent = exponent
-        self.routes = (route_a, route_b)
-        self.values = (lhs, rhs)
-        super().__init__(
-            f"{name}: routes {route_a!r} and {route_b!r} disagree at q^{exponent}: "
-            f"{lhs} != {rhs}"
-        )
+__all__ = ["SeriesCatalog"]
 
 
 def _eta24(order: int) -> list[int]:

@@ -19,7 +19,9 @@ from typing import Optional
 
 from . import checks
 from .catalog import SeriesCatalog
-from .graded import ResidualMismatch, decompose_modular, e_star_poly
+from .graded import (ResidualMismatch, decompose_modular, e_star_equations, e_star_order,
+                     e_star_poly)
+from .qseries import rational_str
 
 __all__ = ["main", "UnknownName"]
 
@@ -146,9 +148,15 @@ def _cmd_export(args) -> int:
             weight = int(m.group(1))
             if weight < 4 or weight % 2:
                 raise UnknownName(args.name)
-            cat = None if args.order is None else SeriesCatalog(order)
-            text = _poly_text(args.format, args.name, weight,
-                              e_star_poly(weight // 2, cat))
+            cat = SeriesCatalog(e_star_order(weight // 2) if args.order is None else order)
+            notes: list[str] = []
+            d = checks._compare(e_star_equations(weight // 2, cat), notes)
+            if d:
+                n, lhs, rhs = d
+                print(f"{args.name} is not certified: {notes[0]} fails at q^{n}: "
+                      f"{rational_str(lhs)} != {rational_str(rhs)}", file=sys.stderr)
+                return 1
+            text = _poly_text(args.format, args.name, weight, e_star_poly(weight // 2, cat))
         else:
             values = _export_values(args.name, order)
             text = _format(args.format, {"name": args.name, "order": order,
@@ -223,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_export.add_argument("name")
     p_export.add_argument("--order", type=int, default=None,
                           help="truncation order (default 64; 1000 for tau, r<s>; "
-                          "for E<2m>star_poly the compared order, at least 2*(m//2)+8)")
+                          "for E<2m>star_poly the order its series equations are "
+                          "compared to, at least 2*(m//2)+8)")
     p_export.add_argument("--format", choices=("json", "csv"), default="json")
     p_export.add_argument("--output", metavar="FILE")
     p_export.set_defaults(fn=_cmd_export)

@@ -9,13 +9,15 @@ scaling, both Serre derivatives and ``first_difference`` work on those
 integers, and ``terms`` gives the coefficients as ``Fraction`` values.
 Evaluation is an integer linear combination of the catalog's memoized
 monomial series, so it makes no product of its own once they exist.  The
-E*_2m tower compares every level lifted to the top weight, times a power of
-C, so that all levels share one monomial set.  Modular forms of even weight
-2k on the level-2 group decompose over the monomial basis B^j C^(k-2j):
-``decompose_modular`` solves for the coordinates by exact fraction-free
-elimination and returns them as a ``GradedPoly``, the type ``e_star_poly``
-returns.  The module keeps no state: each E*_2m level is memoized in the
-catalog it was compared on.
+E*_2m tower is built by its differential recursion alone (``e_star_poly``)
+and judged by series equations (``e_star_equations``), one per level, each
+lifted to the top weight, times a power of C, so that all levels share one
+monomial set.  Modular forms of even weight 2k on the level-2 group
+decompose over the monomial basis B^j C^(k-2j): ``decompose_modular``
+solves for the coordinates by exact fraction-free elimination and returns
+them as a ``GradedPoly``, the type ``e_star_poly`` returns.  The module
+keeps no state: each E*_2m level is memoized in the catalog it was built
+on.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
-from typing import Mapping, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
-from .catalog import CrossCheckMismatch, SeriesCatalog
+from .catalog import SeriesCatalog
 from .qseries import QSeries, _over_lcm, _reduce, first_difference, rational_str
 from .scalars import exact, ks_alpha, ks_coefficient
 
@@ -43,6 +45,7 @@ __all__ = [
     "decompose_modular",
     "e_star_order",
     "e_star_poly",
+    "e_star_equations",
     "check_positivity",
     "positivity_witness",
 ]
@@ -382,20 +385,13 @@ def decompose_modular(
 
 
 def e_star_order(m: int) -> int:
-    """The order 2 dim + 6 at which the weight-2m level is compared."""
+    """The least catalog order, 2 dim + 6, on which ``e_star_equations``
+    compares the tower up to weight 2m."""
     return 2 * modular_dimension(2 * m) + 6
 
 
-def _solve_level(mm: int, tower: list, catalog: SeriesCatalog, top: int) -> GradedPoly:
-    """E*_{2mm} from the levels tower[2..mm-1], compared on the catalog.
-
-    The comparison is lifted to weight 2 top: both sides are multiplied by
-    C^(top-mm), which sends each monomial B^j C^(mm-2j) to B^j C^(top-2j),
-    so every level of one tower evaluates the same top/2 memoized monomials
-    and pays one product, on the right side.  C has constant term 1, so it
-    is a unit: the lifted difference is the unlifted one times C^(top-mm),
-    with the same first exponent and the same coefficient there.
-    """
+def _solve_level(mm: int, tower: list) -> GradedPoly:
+    """E*_{2mm} from the levels tower[2..mm-1] by the differential recursion."""
     if mm == 2:
         return GradedPoly.generator(LEVEL2, "B")  # the weight-4 series is B itself
     acc = GradedPoly.zero(LEVEL2)
@@ -407,33 +403,7 @@ def _solve_level(mm: int, tower: list, catalog: SeriesCatalog, top: int) -> Grad
     alpha = ks_alpha(mm)
     if alpha <= 0:
         raise ArithmeticError(f"normalizer alpha for weight {2 * mm} not positive")
-    poly = acc.scale(1 / alpha)
-    name = f"E{2 * mm}star polynomial"
-    # series agreement cannot rule out a monomial outside the basis
-    # (an A-term, say), so the monomials are checked first
-    stray = set(poly._nums) - {(0, j, mm - 2 * j) for j in range(mm // 2 + 1)}
-    if stray:
-        raise CrossCheckMismatch(
-            name, 0, "differential recursion", "monomial basis",
-            Fraction(poly._nums[min(stray)], poly._den), Fraction(0),
-        )
-    shift = top - mm
-    series = catalog.level2(mm)
-    lifted = GradedPoly._make(
-        LEVEL2, {(a, b, c + shift): x for (a, b, c), x in poly._nums.items()}, poly._den
-    )
-    diff = first_difference(
-        gp_evaluate(lifted, catalog),
-        series * catalog.power("C", shift) if shift else series,
-    )
-    if diff is not None:
-        n, lhs, rhs = diff
-        # the unlifted values: E*_{2mm} at q^n, and it plus the difference
-        raise CrossCheckMismatch(
-            name, n, "differential recursion", "q-expansion",
-            series[n] + (lhs - rhs), series[n],
-        )
-    return poly
+    return acc.scale(1 / alpha)
 
 
 def e_star_poly(m: int, catalog: Optional[SeriesCatalog] = None) -> GradedPoly:
@@ -445,30 +415,52 @@ def e_star_poly(m: int, catalog: Optional[SeriesCatalog] = None) -> GradedPoly:
                                    - delta E*_{2m-2} ]
 
     with c_{m,k} the rational convolution coefficients and alpha_{2m} the
-    positive rational normalizer.  Each new level mm is checked to lie in
-    the basis B^j C^(mm-2j) and then, as one series equation, against the
-    divisor-sum q-expansion on the catalog's whole range; the basis is
-    independent, so that agreement fixes every coordinate.  The equation is
-    lifted to weight 2m, both sides times C^(m-mm): every level then
-    evaluates monomials B^j C^(m-2j) from one memoized set, and since C is a
-    unit a failure has the same exponent and values as the unlifted
-    equation's.  Each level, from
-    E*_4 = B upward, is memoized as ``E{2m}star_poly`` in the catalog it was
-    compared on; with none given, a fresh one of order ``e_star_order(m)``,
-    rebuilt on every call.  A caller judging many levels passes one catalog.
+    positive rational normalizer.  Nothing is compared here: the levels are
+    judged by ``e_star_equations``.  Each level, from E*_4 = B upward, is
+    memoized as ``E{2m}star_poly`` in the catalog, whatever its order; with
+    none given, in a fresh one, so the tower is rebuilt on every call.
     """
     if m < 2:
         raise ValueError("defined for m >= 2")
-    need = e_star_order(m)
     if catalog is None:
-        catalog = SeriesCatalog(need)
-    elif catalog.order < need:
-        raise ValueError(f"E{2 * m}star_poly needs order >= {need}, got {catalog.order}")
+        catalog = SeriesCatalog(0)
     tower: list = [None, None]
     for mm in range(2, m + 1):
-        key = f"E{2 * mm}star_poly"
-        tower.append(catalog._memo(key, lambda: _solve_level(mm, tower, catalog, m)))
+        tower.append(catalog._memo(f"E{2 * mm}star_poly", lambda: _solve_level(mm, tower)))
     return tower[m]
+
+
+def e_star_equations(m: int, catalog: SeriesCatalog) -> Iterator[tuple]:
+    """One series equation (lhs, rhs, note) per level 3..m of the tower,
+    each level built by ``e_star_poly`` on the catalog only when its
+    equation is drawn.
+
+    Level mm is compared on the catalog's whole range, lifted to weight 2m:
+    the polynomial's monomials B^j C^(mm-2j) become B^j C^(m-2j), so every
+    level evaluates the same memoized monomials, and the series is
+    multiplied by C^(m-mm), one product.  C has constant term 1, so it is a
+    unit: the lifted difference is the unlifted one times C^(m-mm), with the
+    same first exponent and the same coefficient there.  The equation is
+    E*_{2mm} + (lifted polynomial - lifted series) = E*_{2mm}, so a failure
+    names the unlifted values.  The basis is independent, so agreement fixes
+    every coordinate; ``positivity_witness`` also refuses a monomial outside
+    it.  E*_4 = B needs no equation.  A catalog below ``e_star_order(m)`` is
+    refused on the call, before any level is built.
+    """
+    need = e_star_order(m)
+    if catalog.order < need:
+        raise ValueError(f"E{2 * m}star_poly needs order >= {need}, got {catalog.order}")
+
+    def level(mm: int) -> tuple:
+        poly, series, shift = e_star_poly(mm, catalog), catalog.level2(mm), m - mm
+        lifted = GradedPoly._make(
+            LEVEL2, {(a, b, c + shift): x for (a, b, c), x in poly._nums.items()}, poly._den
+        )
+        top = series * catalog.power("C", shift) if shift else series
+        return (series + (gp_evaluate(lifted, catalog) - top), series,
+                f"E{2 * mm}star polynomial: differential recursion against the q-expansion")
+
+    return (level(mm) for mm in range(3, m + 1))
 
 
 def positivity_witness(
@@ -489,9 +481,10 @@ def check_positivity(m: int, catalog: Optional[SeriesCatalog] = None) -> bool:
     """True when the weight-2m polynomial is nonzero and lies in B * Q_+[B, C]
     (``positivity_witness`` finds no monomial outside it).
 
-    The polynomial is ``e_star_poly(m, catalog)``, so it is compared on that
-    catalog.  Without one the tower is rebuilt; a caller judging many levels
-    passes one catalog.
+    The polynomial is ``e_star_poly(m, catalog)``, a memo hit once the
+    catalog holds the level; it judges no series, which is the job of
+    ``e_star_equations``.  Without a catalog the tower is rebuilt; a caller
+    judging many levels passes one catalog.
     """
     poly = e_star_poly(m, catalog)
     return not poly.is_zero() and positivity_witness(poly, m) is None

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import fault_grid
-from eisen2 import cli
+from eisen2 import cli, graded
 
 
 # past sys.maxsize on any platform, so no list of this length can be made
@@ -292,6 +292,17 @@ def test_decompose_non_modular_reports_one_line(capsys):
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and "not modular" in err
+
+
+def test_export_of_a_bad_tower_level_reports_one_line(capsys, monkeypatch):
+    # the level is judged by its series equation, as T49 judges it: a fault
+    # exits 1 with the level, the exponent and both values, and no traceback
+    real = graded.ks_alpha
+    monkeypatch.setattr(graded, "ks_alpha", lambda m: 2 * real(m) if m == 4 else real(m))
+    code, out, err = run_cli(capsys, "export", "E8star_poly")
+    assert (code, out) == (1, "")
+    assert err == ("E8star_poly is not certified: E8star polynomial: differential "
+                   "recursion against the q-expansion fails at q^0: 1/2 != 1\n")
 
 
 def test_decompose_resolves_the_export_names(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from eisen2 import arith, checks, graded
-from eisen2.catalog import CrossCheckMismatch, SeriesCatalog
+from eisen2.catalog import SeriesCatalog
 from eisen2.graded import (
     LEVEL1,
     LEVEL2,
@@ -17,6 +17,7 @@ from eisen2.graded import (
     _solve_fraction_free,
     check_positivity,
     decompose_modular,
+    e_star_equations,
     e_star_order,
     e_star_poly,
     gp_evaluate,
@@ -207,7 +208,7 @@ def test_decompose_order_precondition():
 
 
 def test_decompose_refuses_a_catalog_below_the_series_order():
-    # the rule e_star_poly keeps: a short catalog raises, naming both orders
+    # the rule e_star_equations keeps: a short catalog raises, naming both orders
     series = SeriesCatalog(24).level2(4)
     with pytest.raises(ValueError, match="order 24.*got 23"):
         decompose_modular(series, 8, SeriesCatalog(23))
@@ -248,42 +249,54 @@ def test_e_star_poly_examples():
         e_star_poly(1)
 
 
+def _first_failure(equations):
+    notes = []
+    return checks._compare(equations, notes), notes
+
+
 def test_e_star_poly_reports_a_bad_level_at_q0(monkeypatch):
+    # the recursion builds the bad level; its equation reports it
     real = graded.ks_alpha
     monkeypatch.setattr(graded, "ks_alpha", lambda m: 2 * real(m) if m == 5 else real(m))
-    with pytest.raises(CrossCheckMismatch) as info:
-        e_star_poly(6)
-    assert info.value.name == "E10star polynomial"
-    assert (info.value.exponent, info.value.values) == (0, (Fraction(1, 2), Fraction(1)))
+    assert e_star_poly(5).terms[(0, 2, 1)] == Fraction(27, 62)
+    cat = SeriesCatalog(e_star_order(6))
+    assert _first_failure(e_star_equations(6, cat)) == (
+        (0, Fraction(1, 2), Fraction(1)),
+        ["E10star polynomial: differential recursion against the q-expansion"])
+    # the level past the failing one is never built
+    assert "E12star_poly" not in cat._cache
 
 
 @pytest.mark.parametrize("m", [2, 4, 7])
-def test_e_star_poly_refuses_a_catalog_below_its_order(m):
-    with pytest.raises(ValueError):
-        e_star_poly(m, SeriesCatalog(e_star_order(m) - 1))
-    assert e_star_poly(m, SeriesCatalog(e_star_order(m))) == e_star_poly(m)
+def test_e_star_equations_refuse_a_catalog_below_their_order(m):
+    # refused on the call, before any equation is drawn; the recursion
+    # itself needs no order
+    with pytest.raises(ValueError, match=f"needs order >= {e_star_order(m)}"):
+        e_star_equations(m, SeriesCatalog(e_star_order(m) - 1))
+    assert _first_failure(e_star_equations(m, SeriesCatalog(e_star_order(m)))) == (None, [])
+    assert e_star_poly(m, SeriesCatalog(0)) == e_star_poly(m)
 
 
 def test_e_star_poly_memoizes_each_level_in_its_catalog(monkeypatch):
     cat = SeriesCatalog(e_star_order(8))
     poly = e_star_poly(8, cat)
-    real = graded.first_difference
-    calls = []
-
-    def counted(a, b):
-        calls.append(1)
-        return real(a, b)
-
-    monkeypatch.setattr(graded, "first_difference", counted)
+    built, compared = [], []
+    real_level, real_compare = graded._solve_level, checks.first_difference
+    monkeypatch.setattr(graded, "_solve_level",
+                        lambda mm, tower: built.append(mm) or real_level(mm, tower))
+    monkeypatch.setattr(checks, "first_difference",
+                        lambda a, b: compared.append(1) or real_compare(a, b))
     assert e_star_poly(8, cat) is poly
     assert check_positivity(5, cat)
-    assert not calls
-    # a new catalog holds no levels, so they are compared again
+    # the equations compare levels 3..8, each drawn from the memo
+    assert _first_failure(e_star_equations(8, cat)) == (None, [])
+    assert (built, len(compared)) == ([], 6)
+    # a new catalog holds no levels, so they are built again
     assert e_star_poly(8) == poly
-    assert len(calls) == 6
+    assert built == list(range(2, 9))
 
 
-def test_e_star_poly_compares_on_the_whole_catalog_range(monkeypatch):
+def test_e_star_equations_compare_on_the_whole_catalog_range(monkeypatch):
     # E8* needs q^0..q^12 on its own, but a catalog of order 40 compares to
     # q^40, so a fault at n = 30 is caught there and nowhere else
     real = arith.divisor_sum_table
@@ -296,10 +309,10 @@ def test_e_star_poly_compares_on_the_whole_catalog_range(monkeypatch):
 
     monkeypatch.setattr(arith, "divisor_sum_table", corrupted)
     assert e_star_order(4) < 30
-    with pytest.raises(CrossCheckMismatch) as info:
-        e_star_poly(4, SeriesCatalog(40))
-    assert (info.value.name, info.value.exponent) == ("E8star polynomial", 30)
-    assert e_star_poly(4) == e_star_poly(4, SeriesCatalog(29))
+    (n, _, _), notes = _first_failure(e_star_equations(4, SeriesCatalog(40)))
+    assert (n, notes) == (30, ["E8star polynomial: differential recursion against "
+                               "the q-expansion"])
+    assert _first_failure(e_star_equations(4, SeriesCatalog(29))) == (None, [])
 
 
 def test_graded_keeps_no_state_between_calls():
@@ -326,7 +339,7 @@ def test_e_star_poly_matches_the_basis_decomposition(m):
 
 
 def test_positivity():
-    # one catalog for every level, each compared to the top level's order
+    # one catalog for every level, each built once
     cat = SeriesCatalog(e_star_order(20))
     for m in range(2, 21):
         assert check_positivity(m, cat)

@@ -1,9 +1,10 @@
 """Each catalog constructor builds one route, and every other route to the
-same series is an equation of a registry check that ``checks._compare``
-judges.  So ``catalog.py`` compares nothing: it calls ``first_difference``
-nowhere (it imports the name only for perfbench's tracer).  And only the
-E*_2m tower in ``graded.py`` raises ``CrossCheckMismatch``, as the one
-second way for a check to fail."""
+same series, the E*_2m tower's included, is an equation of a registry check
+that ``checks._compare`` judges.  So ``catalog.py`` compares nothing: it
+calls ``first_difference`` nowhere (it imports the name only for perfbench's
+tracer).  And a check fails one way only, by the discrepancy its runner
+returns: no module defines or raises ``CrossCheckMismatch``, and
+``run_check`` catches nothing."""
 
 import ast
 from pathlib import Path
@@ -29,15 +30,30 @@ def raises_of(source: str, name: str, exc: str) -> list[tuple[str, int]]:
     return found
 
 
+def defines(source: str, name: str, cls: str) -> list[tuple[str, int]]:
+    """Every ``class cls``, as (file name, line)."""
+    return [(name, node.lineno) for node in ast.walk(ast.parse(source, filename=name))
+            if isinstance(node, ast.ClassDef) and node.name == cls]
+
+
+def tries_in(source: str, name: str, func: str) -> list[tuple[str, int]]:
+    """Every ``try`` statement inside the function ``func``, as (file name, line)."""
+    return [(name, inner.lineno) for node in ast.walk(ast.parse(source, filename=name))
+            if isinstance(node, ast.FunctionDef) and node.name == func
+            for inner in ast.walk(node) if isinstance(inner, ast.Try)]
+
+
 def _sources():
     return {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
 
 
-def test_only_the_tower_raises_a_cross_check_mismatch():
+def test_a_check_fails_by_its_discrepancy_alone():
     sources = _sources()
-    raising = {name for name, source in sources.items()
-               if raises_of(source, name, "CrossCheckMismatch")}
-    assert raising == {"graded.py"}
+    for name, source in sources.items():
+        assert defines(source, name, "CrossCheckMismatch") == []
+        assert raises_of(source, name, "CrossCheckMismatch") == []
+    assert "def run_check(" in sources["checks.py"]
+    assert tries_in(sources["checks.py"], "checks.py", "run_check") == []
 
 
 def test_the_catalog_compares_nothing():
@@ -58,3 +74,14 @@ def _cross_check(name, a, b, route_a, route_b):
     assert calls_of(old, "catalog.py", "first_difference") == [("catalog.py", 3)]
     assert raises_of(old, "catalog.py", "CrossCheckMismatch") == [("catalog.py", 5)]
     assert raises_of("raise catalog.CrossCheckMismatch", "x.py", "CrossCheckMismatch")
+    # and the second failure channel as it once stood
+    exc = "class CrossCheckMismatch(ArithmeticError):\n    pass\n"
+    assert defines(exc, "catalog.py", "CrossCheckMismatch") == [("catalog.py", 1)]
+    runner = """
+def run_check(id):
+    try:
+        disc = runner()
+    except CrossCheckMismatch as exc:
+        disc = exc.exponent
+"""
+    assert tries_in(runner, "checks.py", "run_check") == [("checks.py", 3)]
