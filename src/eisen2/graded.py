@@ -7,6 +7,9 @@ integer numerators per monomial over one positive common denominator,
 reduced, in the format and by the helpers of ``QSeries``; products, sums,
 scaling, both Serre derivatives and ``first_difference`` work on those
 integers, and ``terms`` gives the coefficients as ``Fraction`` values.
+A product is the one-term case of a weighted sum of products, whose
+integer numerators are taken over one common denominator and reduced
+once; the recursion sums each level's convolution terms that way.
 Evaluation is an integer linear combination of the catalog's memoized
 monomial series, so it makes no product of its own once they exist.  The
 E*_2m tower is built by its differential recursion alone (``e_star_poly``)
@@ -239,12 +242,7 @@ class GradedPoly:
     def __mul__(self, other):
         if isinstance(other, GradedPoly):
             self._check_ring(other)
-            nums: dict[Exponents, int] = {}
-            for (a1, b1, c1), x in self._nums.items():
-                for (a2, b2, c2), y in other._nums.items():
-                    key = (a1 + a2, b1 + b2, c1 + c2)
-                    nums[key] = nums.get(key, 0) + x * y
-            return GradedPoly._make(self.ring, nums, self._den * other._den)
+            return _sum_of_products(self.ring, [(1, self, other)])
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -253,6 +251,29 @@ class GradedPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
+
+
+def _sum_of_products(ring: str, terms) -> GradedPoly:
+    """The polynomial sum of w f g over the (w, f, g) triples, w an int or a
+    ``Fraction`` and f, g in the ring, reduced once.
+
+    Each product's integer numerators are collected, then added with the
+    integer weight w.numerator (D // d), where d = w.denominator f._den g._den
+    and D, the result's denominator, is the lcm of the d.
+    """
+    terms = [(w, f, g, w.denominator * f._den * g._den) for w, f, g in terms]
+    den = lcm(*(d for *_, d in terms))
+    nums: dict[Exponents, int] = {}
+    for w, f, g, d in terms:
+        prod: dict[Exponents, int] = {}
+        for (a1, b1, c1), x in f._nums.items():
+            for (a2, b2, c2), y in g._nums.items():
+                key = (a1 + a2, b1 + b2, c1 + c2)
+                prod[key] = prod.get(key, 0) + x * y
+        weight = w.numerator * (den // d)
+        for key, x in prod.items():
+            nums[key] = nums.get(key, 0) + weight * x
+    return GradedPoly._make(ring, nums, den)
 
 
 # generator images under the weight-raising derivative, as integer numerators
@@ -319,8 +340,8 @@ def gp_evaluate(f: GradedPoly, catalog: SeriesCatalog) -> QSeries:
 
 def modular_dimension(weight: int) -> int:
     """dim of the weight-2k modular forms on the level-2 group: floor(2k/4)+1."""
-    if weight < 2 or weight % 2:
-        raise ValueError("weight must be a positive even integer")
+    if not isinstance(weight, int) or weight < 2 or weight % 2:
+        raise ValueError(f"weight must be a positive even integer, got {weight!r}")
     return weight // 4 + 1
 
 
@@ -387,18 +408,25 @@ def decompose_modular(
 def e_star_order(m: int) -> int:
     """The least catalog order, 2 dim + 6, on which ``e_star_equations``
     compares the tower up to weight 2m."""
+    if not isinstance(m, int):
+        raise ValueError(f"the E*_2m tower needs an integer m, got m = {m!r}")
     return 2 * modular_dimension(2 * m) + 6
 
 
 def _solve_level(mm: int, tower: list) -> GradedPoly:
-    """E*_{2mm} from the levels tower[2..mm-1] by the differential recursion."""
+    """E*_{2mm} from the levels tower[2..mm-1] by the differential recursion.
+
+    The convolution sum is one ``_sum_of_products`` over the symmetric k and
+    mm - k pairs, weighted by the rational c_{mm,k}: integer numerators over
+    one common denominator, reduced once per level.  The Serre term and the
+    1/alpha scale are one sum and one scale more.
+    """
     if mm == 2:
         return GradedPoly.generator(LEVEL2, "B")  # the weight-4 series is B itself
-    acc = GradedPoly.zero(LEVEL2)
     # c_{mm,k} = c_{mm,mm-k}, so the k and mm-k terms are one product
-    for k in range(2, mm // 2 + 1):
-        pair = 1 if 2 * k == mm else 2
-        acc = acc + (tower[k] * tower[mm - k]).scale(pair * ks_coefficient(mm, k))
+    acc = _sum_of_products(LEVEL2, [
+        ((1 if 2 * k == mm else 2) * ks_coefficient(mm, k), tower[k], tower[mm - k])
+        for k in range(2, mm // 2 + 1)])
     acc = acc - serre_delta(tower[mm - 1], 2 * (mm - 1))
     alpha = ks_alpha(mm)
     if alpha <= 0:
@@ -418,16 +446,22 @@ def e_star_poly(m: int, catalog: Optional[SeriesCatalog] = None) -> GradedPoly:
     positive rational normalizer.  Nothing is compared here: the levels are
     judged by ``e_star_equations``.  Each level, from E*_4 = B upward, is
     memoized as ``E{2m}star_poly`` in the catalog, whatever its order; with
-    none given, in a fresh one, so the tower is rebuilt on every call.
+    none given, in a fresh one, so the tower is rebuilt on every call.  A
+    level the catalog holds is one lookup; a new one walks the levels below
+    it.  m must be an int, else ``ValueError``.
     """
-    if m < 2:
-        raise ValueError("defined for m >= 2")
+    if not isinstance(m, int) or m < 2:
+        raise ValueError(f"the E*_2m tower is defined for integers m >= 2, got m = {m!r}")
     if catalog is None:
         catalog = SeriesCatalog(0)
-    tower: list = [None, None]
-    for mm in range(2, m + 1):
-        tower.append(catalog._memo(f"E{2 * mm}star_poly", lambda: _solve_level(mm, tower)))
-    return tower[m]
+
+    def build() -> GradedPoly:
+        tower: list = [None, None]
+        for mm in range(2, m):
+            tower.append(catalog._memo(f"E{2 * mm}star_poly", lambda: _solve_level(mm, tower)))
+        return _solve_level(m, tower)
+
+    return catalog._memo(f"E{2 * m}star_poly", build)
 
 
 def e_star_equations(m: int, catalog: SeriesCatalog) -> Iterator[tuple]:

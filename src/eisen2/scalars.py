@@ -5,8 +5,9 @@ stays exact.  zeta(2k) and lambda(2k) are rational multiples of pi^(2k), and
 every coefficient built from them is a ratio in which the pi powers cancel,
 so only the rational parts zeta(2k)/pi^(2k) and lambda(2k)/pi^(2k) are kept.
 The Bernoulli numbers and those parts are pure values, memoized per index;
-the coefficient functions built from them are not.  ``exact`` is the gate
-every layer's inputs pass: ints and Fractions only.
+the coefficient functions built from them are not, and each builds one
+``Fraction`` from the memoized values' numerators and denominators.
+``exact`` is the gate every layer's inputs pass: ints and Fractions only.
 """
 
 from __future__ import annotations
@@ -113,17 +114,25 @@ def check_scalar_recursion(kind: str, m: int) -> bool:
 
 def rs_coefficient(m: int, k: int) -> Fraction:
     """(m-1) * zeta(2k) * zeta(2m-2k) / (2 * pi^2 * zeta(2m-2)) as a Fraction;
-    the pi powers above and below both equal 2m."""
-    return Fraction(m - 1, 2) * zeta_even(k) * zeta_even(m - k) / zeta_even(m - 1)
+    the pi powers above and below both equal 2m.  One ``Fraction`` from the
+    three memoized values' numerators and denominators, normalized once."""
+    a, b, c = zeta_even(k), zeta_even(m - k), zeta_even(m - 1)
+    return Fraction((m - 1) * a.numerator * b.numerator * c.denominator,
+                    2 * a.denominator * b.denominator * c.numerator)
 
 
 def ks_coefficient(m: int, k: int) -> Fraction:
-    """(2m-2) * lambda(2k) * lambda(2m-2k) / (pi^2 * lambda(2m-2))."""
-    return (2 * m - 2) * lambda_even(k) * lambda_even(m - k) / lambda_even(m - 1)
+    """(2m-2) * lambda(2k) * lambda(2m-2k) / (pi^2 * lambda(2m-2)), one
+    ``Fraction`` normalized once, as ``rs_coefficient``."""
+    a, b, c = lambda_even(k), lambda_even(m - k), lambda_even(m - 1)
+    return Fraction((2 * m - 2) * a.numerator * b.numerator * c.denominator,
+                    a.denominator * b.denominator * c.numerator)
 
 
 def ks_alpha(m: int) -> Fraction:
     """(2m-2)/(pi^2 lambda(2m-2)) * (2m-1)/2 * lambda(2m), a positive rational:
     the factor multiplying the weight-2m series when the level-2 differential
-    recursion is solved for it."""
-    return Fraction((2 * m - 2) * (2 * m - 1), 2) * lambda_even(m) / lambda_even(m - 1)
+    recursion is solved for it.  One ``Fraction``, as ``rs_coefficient``."""
+    a, c = lambda_even(m), lambda_even(m - 1)
+    return Fraction((2 * m - 2) * (2 * m - 1) * a.numerator * c.denominator,
+                    2 * a.denominator * c.numerator)

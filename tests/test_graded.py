@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -294,6 +295,38 @@ def test_e_star_poly_memoizes_each_level_in_its_catalog(monkeypatch):
     # a new catalog holds no levels, so they are built again
     assert e_star_poly(8) == poly
     assert built == list(range(2, 9))
+
+
+def test_a_warm_e_star_poly_is_one_lookup(monkeypatch):
+    cat = SeriesCatalog(0)
+    poly = e_star_poly(40, cat)
+    built, keys = [], []
+    real_level, real_memo = graded._solve_level, cat._memo
+    monkeypatch.setattr(graded, "_solve_level",
+                        lambda mm, tower: built.append(mm) or real_level(mm, tower))
+    monkeypatch.setattr(cat, "_memo", lambda key, build: keys.append(key) or real_memo(key, build))
+    assert e_star_poly(40, cat) is poly
+    assert check_positivity(40, cat)
+    assert (built, keys) == ([], ["E80star_poly"] * 2)
+    # a new level above the memoized ones walks the levels below it once
+    e_star_poly(41, cat)
+    assert built == [41]
+    assert keys[2:] == [f"E{2 * mm}star_poly" for mm in (41, *range(2, 41))]
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [(e_star_order, 3.0), (modular_dimension, 6.0), (e_star_poly, 3.0),
+     (e_star_poly, Fraction(3)), (check_positivity, 4.0),
+     (lambda m: e_star_equations(m, SeriesCatalog(40)), 4.0)],
+    ids=["e_star_order", "modular_dimension", "e_star_poly", "e_star_poly-Fraction",
+         "check_positivity", "e_star_equations"],
+)
+def test_the_tower_refuses_a_non_int(call, value):
+    # e_star_order(3.0) was 10.0, a float catalog order, and range raised a
+    # bare TypeError on e_star_poly(3.0)
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        call(value)
 
 
 def test_e_star_equations_compare_on_the_whole_catalog_range(monkeypatch):
@@ -689,9 +722,33 @@ def test_rs_coefficient_is_symmetric():
 
 
 def test_e_star_poly_matches_the_unpaired_fraction_recursion():
-    oracle = _oracle_e_star(24)
-    for m in range(2, 25):
-        assert dict(e_star_poly(m).terms) == oracle[m]
+    # up to the graded-tower benchmark's mmax
+    oracle = _oracle_e_star(40)
+    cat = SeriesCatalog(0)
+    for m in range(2, 41):
+        assert dict(e_star_poly(m, cat).terms) == oracle[m]
+
+
+def test_sum_of_products_matches_fraction_dict_oracle():
+    rng = random.Random(23)
+    for _ in range(200):
+        ring = rng.choice((LEVEL1, LEVEL2))
+        triples = []
+        for _ in range(rng.randint(0, 5)):
+            p = {} if rng.random() < 0.15 else random_terms(rng, ring=ring)
+            q = {} if rng.random() < 0.15 else random_terms(rng, ring=ring)
+            w = rng.choice((rng.randint(-9, 9),
+                            Fraction(rng.randint(-3617, 3617), rng.choice(_DENOMINATORS))))
+            triples.append((w, p, q))
+        want = {}
+        for w, p, q in triples:
+            want = _oracle_add(want, _oracle_scale(_oracle_mul(p, q), w))
+        got = graded._sum_of_products(
+            ring, [(w, GradedPoly(ring, p), GradedPoly(ring, q)) for w, p, q in triples])
+        assert dict(got.terms) == want
+        # the reduced form is unique, so the fields equal the oracle's
+        assert got == GradedPoly(ring, want)
+    assert graded._sum_of_products(LEVEL2, []) == GradedPoly.zero(LEVEL2)
 
 
 @pytest.mark.parametrize(

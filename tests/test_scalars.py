@@ -155,6 +155,44 @@ def test_alpha_values_and_positivity():
         assert ks_alpha(m) > 0
 
 
+def _old_rs(m, k):
+    return Fraction(m - 1, 2) * zeta_even(k) * zeta_even(m - k) / zeta_even(m - 1)
+
+
+def _old_ks(m, k):
+    return (2 * m - 2) * lambda_even(k) * lambda_even(m - k) / lambda_even(m - 1)
+
+
+def _old_alpha(m):
+    return Fraction((2 * m - 2) * (2 * m - 1), 2) * lambda_even(m) / lambda_even(m - 1)
+
+
+def test_coefficients_match_the_fraction_products():
+    # each coefficient is one Fraction of the memoized values' numerators and
+    # denominators; the oracle multiplies and divides the Fractions themselves
+    for m in range(2, 90):
+        assert ks_alpha(m) == _old_alpha(m)
+        for k in range(1, m):
+            assert rs_coefficient(m, k) == _old_rs(m, k)
+            assert ks_coefficient(m, k) == _old_ks(m, k)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # the exception's type is the outcome
+        return type(exc)
+
+
+@pytest.mark.parametrize("m", range(-2, 4))
+def test_coefficients_fail_as_the_fraction_products_do(m):
+    # lambda(0) = 0 divides by zero and a negative index is refused, as before
+    assert _outcome(ks_alpha, m) == _outcome(_old_alpha, m)
+    for k in range(-2, 5):
+        assert _outcome(rs_coefficient, m, k) == _outcome(_old_rs, m, k)
+        assert _outcome(ks_coefficient, m, k) == _outcome(_old_ks, m, k)
+
+
 def test_bernoulli_memo_survives_concurrent_cold_callers():
     # each B_m is built from all before it; threads extending a cleared memo
     # at once must not interleave their entries
