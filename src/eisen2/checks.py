@@ -19,7 +19,9 @@ import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import isqrt
+from operator import add
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import arith
@@ -275,16 +277,13 @@ def _de_equations(m: int, level: int) -> Builder:
         coefficient = rs_coefficient if level == 1 else ks_coefficient
         lhs = cat.by_name(name(m - 1)).theta()
         top = cat.by_name(name(m))
-        rhs = QSeries.zero(cat.order)
-        for k in range(1, m // 2 + 1):
-            pair = 1 if 2 * k == m else 2
-            rhs = rhs + (cat.product(name(k), name(m - k)) - top).scale(
-                pair * coefficient(m, k))
-        yield lhs, rhs
+        terms = ((cat.product(name(k), name(m - k)) - top).scale(
+            (1 if 2 * k == m else 2) * coefficient(m, k)) for k in range(1, m // 2 + 1))
+        yield lhs, reduce(add, terms)
         form = _DISPLAYED_FORMS.get((level, m))
         if form is not None:
-            yield lhs, sum((cat.product(*map(name, ks)).scale(c) for ks, c in form.items()),
-                           QSeries.zero(cat.order))
+            yield lhs, reduce(add, (cat.product(*map(name, ks)).scale(c)
+                                    for ks, c in form.items()))
 
     return build
 
@@ -464,12 +463,10 @@ def _minor(cat: SeriesCatalog, level: int, rows: Sequence[int],
             return cat.product(_eisenstein_name(level, i), _eisenstein_name(level, j))
 
         return pair(r0 + c0, r1 + c1) - pair(r0 + c1, r1 + c0)
-    total = QSeries.zero(cat.order)
-    for j, col in enumerate(cols):
-        entry = cat.by_name(_eisenstein_name(level, rows[0] + col))
-        term = entry * _minor(cat, level, rows[1:], cols[:j] + cols[j + 1:])
-        total = total - term if j % 2 else total + term
-    return total
+    terms = (cat.by_name(_eisenstein_name(level, rows[0] + col))
+             * _minor(cat, level, rows[1:], cols[:j] + cols[j + 1:])
+             for j, col in enumerate(cols))
+    return reduce(add, (-term if j % 2 else term for j, term in enumerate(terms)))
 
 
 @_equation_check(
@@ -771,7 +768,9 @@ def _c10(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
                  c55[n] * d37 > c37[n] * d55)
         if len(set(flags)) != 1:
             notes.append(f"equivalence flags {flags} diverge")
-            return (n, Fraction(int(flags[0])), Fraction(int(flags[1])))
+            # flags[0] against the first flag that differs from it: a boolean,
+            # so its negation
+            return (n, Fraction(int(flags[0])), Fraction(int(not flags[0])))
     return None
 
 
@@ -904,31 +903,21 @@ def resolve_ids(target: str) -> list[str]:
     raise UnknownTheoremId(target)
 
 
-def run_check(
-    id: str,
-    order: int = 64,
-    nmax: int = 200,
-    mmax: int = 20,
-    workspace: Optional[Workspace] = None,
-) -> CheckReport:
-    """Execute one registry check and report the outcome.
-
-    When a prebuilt workspace is passed, its order/nmax/mmax govern and the
-    keyword values here are ignored.
-    """
+def run_check(id: str, workspace: Workspace) -> CheckReport:
+    """Execute one registry check on the workspace, whose order, nmax and
+    mmax set the ranges it compares, and report the outcome."""
     check = REGISTRY.get(_ALIASES.get(id, id))
     if check is None:
         raise UnknownTheoremId(id)
-    ws = workspace or Workspace(order=order, nmax=nmax, mmax=mmax)
     notes: list[str] = []
     start = time.perf_counter()
-    disc = check.runner(ws, notes)
+    disc = check.runner(workspace, notes)
     elapsed = int((time.perf_counter() - start) * 1000)
     reported_order = {
-        "order": ws.order,
-        "range": ws.nmax,
+        "order": workspace.order,
+        "range": workspace.nmax,
         "tau1000": _TAU_PROPS_N,
-        "mmax": ws.mmax,
+        "mmax": workspace.mmax,
         "table": _TABLE2_N,
         "delta8": _DELTA8_N,
     }[check.scope]
@@ -952,5 +941,5 @@ def run_all(
     id regardless of execution order."""
     wanted = ids if ids is not None else registry_ids()
     ws = Workspace(order=order, nmax=nmax, mmax=mmax)
-    reports = [run_check(i, workspace=ws) for i in wanted]
+    reports = [run_check(i, ws) for i in wanted]
     return sorted(reports, key=lambda r: _natural_key(r.id))

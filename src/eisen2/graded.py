@@ -286,10 +286,8 @@ _RULES: dict[str, tuple[int, tuple[dict[Exponents, int], ...]]] = {
 }
 
 
-def _derive(f: GradedPoly, weight: Optional[int]) -> GradedPoly:
-    own = f.weight()  # raises NotHomogeneous on mixed weights
-    if weight is not None and own is not None and own != weight:
-        raise NotHomogeneous(f"stated weight {weight} but polynomial has weight {own}")
+def _derive(f: GradedPoly) -> GradedPoly:
+    f.weight()  # raises NotHomogeneous on mixed weights
     rule_den, rules = _RULES[f.ring]
     # d(x^e) = sum_i e_i x^(e - unit_i) d(x_i), collected into one dict
     nums: dict[Exponents, int] = {}
@@ -305,18 +303,20 @@ def _derive(f: GradedPoly, weight: Optional[int]) -> GradedPoly:
     return GradedPoly._make(f.ring, nums, f._den * rule_den)
 
 
-def serre_delta(f: GradedPoly, weight: Optional[int] = None) -> GradedPoly:
-    """Level-2 Serre derivative q f' - (w/4) A f, via the generator rules."""
+def serre_delta(f: GradedPoly) -> GradedPoly:
+    """Level-2 Serre derivative q f' - (w/4) A f, via the generator rules,
+    w the weight of f; a polynomial of mixed weight raises ``NotHomogeneous``."""
     if f.ring != LEVEL2:
         raise RingMismatch("serre_delta acts on the level-2 ring")
-    return _derive(f, weight)
+    return _derive(f)
 
 
-def serre_partial(f: GradedPoly, weight: Optional[int] = None) -> GradedPoly:
-    """Level-1 Serre derivative q f' - (w/12) E2 f, via the generator rules."""
+def serre_partial(f: GradedPoly) -> GradedPoly:
+    """Level-1 Serre derivative q f' - (w/12) E2 f, via the generator rules,
+    w the weight of f; a polynomial of mixed weight raises ``NotHomogeneous``."""
     if f.ring != LEVEL1:
         raise RingMismatch("serre_partial acts on the level-1 ring")
-    return _derive(f, weight)
+    return _derive(f)
 
 
 def gp_evaluate(f: GradedPoly, catalog: SeriesCatalog) -> QSeries:
@@ -372,9 +372,7 @@ def _solve_fraction_free(matrix: list[list[Fraction]], rhs: list[Fraction]) -> l
     return x
 
 
-def decompose_modular(
-    s: QSeries, weight: int, catalog: Optional[SeriesCatalog] = None
-) -> GradedPoly:
+def decompose_modular(s: QSeries, weight: int, catalog: SeriesCatalog) -> GradedPoly:
     """Write a claimed weight-2k modular form over the monomial basis
     B^j C^(k-2j), as a polynomial in B and C.
 
@@ -383,14 +381,12 @@ def decompose_modular(
     coefficient; a residual failure means the series is not modular of the
     claimed weight (quasi-modular inputs like the weight-2 level series fail
     here by design).  The basis is evaluated on the catalog, which must
-    reach the series' order; with none given, a fresh one of that order.
+    reach the series' order.
     """
     dim = modular_dimension(weight)
     if s.order < 2 * dim:
         raise ValueError(f"need order >= {2 * dim} to certify a weight-{weight} form")
-    if catalog is None:
-        catalog = SeriesCatalog(s.order)
-    elif catalog.order < s.order:
+    if catalog.order < s.order:
         raise ValueError(f"a series of order {s.order} needs a catalog of order "
                          f">= {s.order}, got {catalog.order}")
     k = weight // 2
@@ -427,14 +423,14 @@ def _solve_level(mm: int, tower: list) -> GradedPoly:
     acc = _sum_of_products(LEVEL2, [
         ((1 if 2 * k == mm else 2) * ks_coefficient(mm, k), tower[k], tower[mm - k])
         for k in range(2, mm // 2 + 1)])
-    acc = acc - serre_delta(tower[mm - 1], 2 * (mm - 1))
+    acc = acc - serre_delta(tower[mm - 1])
     alpha = ks_alpha(mm)
     if alpha <= 0:
         raise ArithmeticError(f"normalizer alpha for weight {2 * mm} not positive")
     return acc.scale(1 / alpha)
 
 
-def e_star_poly(m: int, catalog: Optional[SeriesCatalog] = None) -> GradedPoly:
+def e_star_poly(m: int, catalog: SeriesCatalog) -> GradedPoly:
     """The weight-2m level-2 series as a polynomial in B and C.
 
     Built by solving the level-2 differential recursion for the top term:
@@ -445,15 +441,12 @@ def e_star_poly(m: int, catalog: Optional[SeriesCatalog] = None) -> GradedPoly:
     with c_{m,k} the rational convolution coefficients and alpha_{2m} the
     positive rational normalizer.  Nothing is compared here: the levels are
     judged by ``e_star_equations``.  Each level, from E*_4 = B upward, is
-    memoized as ``E{2m}star_poly`` in the catalog, whatever its order; with
-    none given, in a fresh one, so the tower is rebuilt on every call.  A
+    memoized as ``E{2m}star_poly`` in the catalog, whatever its order.  A
     level the catalog holds is one lookup; a new one walks the levels below
     it.  m must be an int, else ``ValueError``.
     """
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"the E*_2m tower is defined for integers m >= 2, got m = {m!r}")
-    if catalog is None:
-        catalog = SeriesCatalog(0)
 
     def build() -> GradedPoly:
         tower: list = [None, None]
@@ -511,14 +504,13 @@ def positivity_witness(
     return None
 
 
-def check_positivity(m: int, catalog: Optional[SeriesCatalog] = None) -> bool:
+def check_positivity(m: int, catalog: SeriesCatalog) -> bool:
     """True when the weight-2m polynomial is nonzero and lies in B * Q_+[B, C]
     (``positivity_witness`` finds no monomial outside it).
 
     The polynomial is ``e_star_poly(m, catalog)``, a memo hit once the
     catalog holds the level; it judges no series, which is the job of
-    ``e_star_equations``.  Without a catalog the tower is rebuilt; a caller
-    judging many levels passes one catalog.
+    ``e_star_equations``.
     """
     poly = e_star_poly(m, catalog)
     return not poly.is_zero() and positivity_witness(poly, m) is None

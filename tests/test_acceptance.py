@@ -37,8 +37,8 @@ def ws():
     return checks.Workspace(order=64, nmax=200, mmax=20)
 
 
-def _run(ws, ids, **kw):
-    return [checks.run_check(i, workspace=ws, **kw) for i in ids]
+def _run(ws, ids):
+    return [checks.run_check(i, ws) for i in ids]
 
 
 def test_criterion_01_level2_differential_family():
@@ -78,12 +78,12 @@ def test_criterion_04_tau_convolution_identities(ws):
 
 
 def test_criterion_05_hankel_determinant_level1():
-    report = checks.run_check("GARVAN", order=48)
+    report = checks.run_check("GARVAN", checks.Workspace(order=48))
     _report(5, "3x3 level-1 Hankel determinant at order 48", report.status == "pass")
 
 
 def test_criterion_06_level2_determinants():
-    reports = [checks.run_check(i, order=48) for i in ("L5", "DET-L2")]
+    reports = [checks.run_check(i, checks.Workspace(order=48)) for i in ("L5", "DET-L2")]
     # the printed 3x3 identity, re-asserted directly
     cat = SeriesCatalog(48)
     e = {k: cat.level2(k) for k in range(2, 7)}
@@ -114,8 +114,8 @@ def test_criterion_07_polynomial_recursion_and_positivity():
             },
         ),
     }
-    decompositions = all(e_star_poly(m) == poly for m, poly in printed.items())
     cat = SeriesCatalog(e_star_order(20))
+    decompositions = all(e_star_poly(m, cat) == poly for m, poly in printed.items())
     positivity = all(check_positivity(m, cat) for m in range(2, 21))
     _report(7, "printed weight-8/10/12 decompositions and positivity to m=20",
             decompositions and positivity)
@@ -135,7 +135,7 @@ def test_criterion_08_representation_counts(ws):
 
 
 def test_criterion_09_reference_table(ws):
-    report = checks.run_check("TABLE2", workspace=ws)
+    report = checks.run_check("TABLE2", ws)
     joined = "\n".join(report.notes)
     flagged = (
         "12/517" in joined

@@ -300,7 +300,7 @@ def test_corrupted_sharp_trips_C(monkeypatch):
 
     monkeypatch.setattr(arith, "divisor_sum_table", corrupted)
     # E6STAR-ABC's first equation, C E4* = E6*, fails at the corrupted index
-    report = checks.run_check("E6STAR-ABC", order=8)
+    report = checks.run_check("E6STAR-ABC", checks.Workspace(order=8))
     assert report.first_discrepancy == (4, -8416, -8440)
     assert report.notes == ("C E4* = E6* for C = 1 + 24 sum sigma#(n) q^n",)
 

@@ -31,7 +31,7 @@ def test_registry_shape():
 
 def test_unknown_id():
     with pytest.raises(checks.UnknownTheoremId):
-        checks.run_check("NOPE")
+        checks.run_check("NOPE", checks.Workspace())
     with pytest.raises(checks.UnknownTheoremId):
         checks.resolve_ids("NOPE")
 
@@ -44,7 +44,7 @@ def test_resolve_families_and_aliases():
 
 
 def test_single_check_report():
-    report = checks.run_check("RAM-DE", order=16)
+    report = checks.run_check("RAM-DE", checks.Workspace(order=16))
     assert report.status == "pass"
     assert report.first_discrepancy is None
     assert report.order == 16
@@ -65,7 +65,7 @@ def test_reports_deterministic():
 
 
 def test_table2_flags_differing_printed_cells():
-    report = checks.run_check("TABLE2")
+    report = checks.run_check("TABLE2", checks.Workspace())
     assert report.status == "pass"
     joined = "\n".join(report.notes)
     assert "12/517" in joined and "17/512" in joined
@@ -111,13 +111,16 @@ def _corrupt_sigma_star(monkeypatch, s=3, n=5):
     + [pytest.param("DELTA-FAMILY", 7, 5, None, id="DELTA-FAMILY-E8star"),
        pytest.param("DELTA-FAMILY", 9, 5, None, id="DELTA-FAMILY-E10star")]
     # and it gives the Eisenstein series their constant terms as well
-    + [pytest.param("KS-DE(3)", 3, 0, None, id="KS-DE(3)-at-0")],
+    + [pytest.param("KS-DE(3)", 3, 0, None, id="KS-DE(3)-at-0")]
+    # C10's flags at q^0 are (False, False, False, True): the first flag that
+    # differs from flags[0] is the last one, so the report is 0 != 1
+    + [pytest.param("C10", 5, 0, (0, 0, 1), id="C10-last-flag-differs")],
 )
 def test_injected_corruption_localizes(monkeypatch, check_id, s, n, expected):
     # an off-by-one in sigma*_s(n) must fail exactly these checks, with the
     # first discrepancy at the earliest affected index
     _corrupt_sigma_star(monkeypatch, s=s, n=n)
-    report = checks.run_check(check_id, order=12, nmax=12)
+    report = checks.run_check(check_id, checks.Workspace(order=12, nmax=12))
     assert report.status == "fail"
     assert report.first_discrepancy[0] == n
     if expected is not None:
@@ -127,8 +130,8 @@ def test_injected_corruption_localizes(monkeypatch, check_id, s, n, expected):
 def test_injected_corruption_leaves_untouched_checks_green(monkeypatch):
     _corrupt_sigma_star(monkeypatch)
     # purely level-1 checks never consult the signed divisor sums
-    assert checks.run_check("RAM-DE", order=12).status == "pass"
-    assert checks.run_check("SIGMA3-CLASSICAL", nmax=12).status == "pass"
+    assert checks.run_check("RAM-DE", checks.Workspace(order=12)).status == "pass"
+    assert checks.run_check("SIGMA3-CLASSICAL", checks.Workspace(nmax=12)).status == "pass"
 
 
 @pytest.mark.parametrize(
@@ -138,12 +141,12 @@ def test_de_runners_read_the_coefficients_when_they_run(monkeypatch, name, check
     # the layer tracer rebinds these module attributes after import
     real = getattr(checks, name)
     monkeypatch.setattr(checks, name, lambda m, k: real(m, k) + 1)
-    assert checks.run_check(check_id, order=12).status == "fail"
+    assert checks.run_check(check_id, checks.Workspace(order=12)).status == "fail"
 
 
 def test_t49_reports_a_bad_level2_series_at_its_exponent(monkeypatch):
     _corrupt_sigma_star(monkeypatch, s=7, n=9)
-    report = checks.run_check("T49", order=12, nmax=30, mmax=6)
+    report = checks.run_check("T49", checks.Workspace(order=12, nmax=30, mmax=6))
     assert report.status == "fail"
     n, lhs, rhs = report.first_discrepancy
     assert n == 9 and rhs - lhs == 1 / arith.sigma_star(7, 0)
@@ -154,7 +157,7 @@ def test_t49_compares_every_level_at_the_top_order(monkeypatch):
     # E8* is level 4; at mmax 6 the tower is compared to q^14 at every level,
     # not only to the q^12 that level 4 would need on its own
     _corrupt_sigma_star(monkeypatch, s=7, n=13)
-    report = checks.run_check("T49", order=12, nmax=30, mmax=6)
+    report = checks.run_check("T49", checks.Workspace(order=12, nmax=30, mmax=6))
     assert report.status == "fail"
     n, lhs, rhs = report.first_discrepancy
     assert n == 13 and rhs - lhs == 1 / arith.sigma_star(7, 0)
@@ -166,9 +169,9 @@ def test_t49_range_does_not_depend_on_earlier_calls(monkeypatch, warm):
     # a level built before, on a catalog of its own, is not the level T49
     # judges: T49 compares E8* to q^14 on its own catalog either way
     if warm:
-        graded.e_star_poly(4)
+        graded.e_star_poly(4, SeriesCatalog(0))
     _corrupt_sigma_star(monkeypatch, s=7, n=13)
-    report = checks.run_check("T49", order=12, nmax=30, mmax=6)
+    report = checks.run_check("T49", checks.Workspace(order=12, nmax=30, mmax=6))
     assert report.status == "fail"
     n, lhs, rhs = report.first_discrepancy
     assert n == 13 and rhs - lhs == 1 / arith.sigma_star(7, 0)
@@ -186,7 +189,7 @@ def test_t49_reports_the_unlifted_values_of_a_bad_level(monkeypatch, n, lhs, rhs
     # polynomial's value at q^n and the bumped E8* coefficient, as the
     # per-level comparison did
     _corrupt_sigma_star(monkeypatch, s=7, n=n)
-    report = checks.run_check("T49", mmax=40)
+    report = checks.run_check("T49", checks.Workspace(mmax=40))
     assert report.status == "fail"
     assert report.first_discrepancy == (n, lhs, rhs)
     assert report.notes == ("E8star polynomial: differential recursion against the q-expansion",)
@@ -209,7 +212,7 @@ def test_t49_at_mmax_40_makes_at_most_112_products(monkeypatch):
     # every level shares the top weight's monomials: 112 products, against
     # 437 when each level multiplied out its own monomials
     products = _count_series_products(monkeypatch)
-    assert checks.run_check("T49", mmax=40).status == "pass"
+    assert checks.run_check("T49", checks.Workspace(mmax=40)).status == "pass"
     assert len(products) <= 112
 
 
@@ -266,7 +269,7 @@ def test_only_the_displayed_forms_add_an_equation():
 def test_de_checks_compare_the_displayed_form(monkeypatch, level, m):
     zeroed = {ks: Fraction(0) for ks in checks._DISPLAYED_FORMS[level, m]}
     monkeypatch.setitem(checks._DISPLAYED_FORMS, (level, m), zeroed)
-    report = checks.run_check(_de_id(level, m), order=12)
+    report = checks.run_check(_de_id(level, m), checks.Workspace(order=12))
     assert report.status == "fail"
     # the convolution equation still holds: the form's equation fails, at
     # the first nonzero coefficient of q E'_{2m-2}
@@ -337,7 +340,7 @@ _C2_AT_3 = _TAU[3] + 1 - Fraction(3, 4) * (
                      f"equivalence flags {_c10_flags(2, _TAU[2] + 10**9)} diverge",
                      id="C10"),
         # tau(2) = 0 lies between conv55(2) = -27/4 and conv37(2) = 405/32, so
-        # the pair reported is flags[0] and flags[1], which differ
+        # flags[1] is the first flag that differs from flags[0]
         pytest.param("C10", 2, 24, (2, 0, 1),
                      "equivalence flags (False, True, False, False) diverge",
                      id="C10-tau2-zero"),
@@ -351,7 +354,7 @@ def test_integer_scans_report_the_fraction_triple(monkeypatch, check_id, n, by,
     # the scans run on integer numerators; a failure is still reported as
     # the exact values of the identity at its first bad index
     _bump_tau(monkeypatch, n, by)
-    report = checks.run_check(check_id, order=12, nmax=12)
+    report = checks.run_check(check_id, checks.Workspace(order=12, nmax=12))
     assert report.status == "fail"
     assert report.first_discrepancy == expected
     assert all(type(x) is Fraction for x in report.first_discrepancy[1:])
@@ -386,7 +389,7 @@ def _sigma11_from_1(upto):
 )
 def test_tau_props_later_clauses_fail_on_their_own(monkeypatch, table, expected, note):
     monkeypatch.setattr(checks.Workspace, "tau_range", lambda self, upto: table(upto))
-    report = checks.run_check("TAU-PROPS")
+    report = checks.run_check("TAU-PROPS", checks.Workspace())
     assert (report.first_discrepancy, report.notes) == (expected, (note,))
 
 
@@ -473,14 +476,14 @@ def test_c10_fails_where_r4_vanishes(monkeypatch):
         return table - QSeries.from_terms({7: table[7]}, table.order) if s == 4 else table
 
     monkeypatch.setattr(checks.Workspace, "r_table", r4_zero_at_7)
-    report = checks.run_check("C10", nmax=12)
+    report = checks.run_check("C10", checks.Workspace(nmax=12))
     assert report.first_discrepancy == (7, arith.r_oracle(24, 7), 0)
     assert report.notes == ()
 
 
 def test_tau_props_reads_sigma11_from_the_catalog(monkeypatch):
     _corrupt_divisor_sums(monkeypatch, "sigma", 11, 7)
-    report = checks.run_check("TAU-PROPS")
+    report = checks.run_check("TAU-PROPS", checks.Workspace())
     assert report.first_discrepancy == (7, _TAU[7], arith.sigma(11, 7) + 1)
     assert report.notes == ("691 congruence fails",)
 
@@ -489,13 +492,13 @@ def test_jacobi_lists_each_divisor_set_once(monkeypatch):
     calls = []
     real = arith.divisors
     monkeypatch.setattr(arith, "divisors", lambda n: calls.append(n) or real(n))
-    assert checks.run_check("JACOBI", nmax=30).status == "pass"
+    assert checks.run_check("JACOBI", checks.Workspace(nmax=30)).status == "pass"
     assert sorted(calls) == list(range(1, 31))
 
 
 def test_failing_line_format(monkeypatch):
     _corrupt_sigma_star(monkeypatch)
-    report = checks.run_check("T5", nmax=12)
+    report = checks.run_check("T5", checks.Workspace(nmax=12))
     line = report.line()
     assert line.startswith("FAIL  T5")
     assert "n=5" in line
@@ -659,9 +662,9 @@ def test_series_rhs_matches_double_sum_oracle(check_id):
     lhs_key, rhs = ORACLES[check_id](ws.values, ws.nmax)
     ws.values[lhs_key] = list(rhs)
     # the check passes only if its series side equals the loop on 0..nmax
-    assert checks.run_check(check_id, workspace=ws).status == "pass"
+    assert checks.run_check(check_id, ws).status == "pass"
     ws.values[lhs_key][17] += 1
-    report = checks.run_check(check_id, workspace=ws)
+    report = checks.run_check(check_id, ws)
     assert report.first_discrepancy == (17, rhs[17] + 1, rhs[17])
 
 
@@ -678,10 +681,10 @@ def test_t10_reports_the_lower_index_and_the_sigma5_form_on_a_tie():
     _, r24 = _t10_oracle(ws.values, ws.nmax)
     ws.values["r", 24] = r24
     ws.values["tau"][17] += 1  # both forms now fail at 17, by 64 and 512/17
-    report = checks.run_check("T10", workspace=ws)
+    report = checks.run_check("T10", ws)
     assert report.first_discrepancy == (17, r24[17], r24[17] + 64)
     ws.values["sigma*", 3][10] += 1  # only the sigma*_3 sigma*_7 form, from 10
-    assert checks.run_check("T10", workspace=ws).first_discrepancy[0] == 10
+    assert checks.run_check("T10", ws).first_discrepancy[0] == 10
 
 
 # ---------------------------------------------------------------------------
@@ -779,11 +782,11 @@ def test_p4_and_jacobi_build_no_equation_past_the_first_failure(monkeypatch):
     real = checks.gp_evaluate
     monkeypatch.setattr(checks, "gp_evaluate",
                         lambda f, cat: evaluated.append(1) or real(f, cat))
-    assert checks.run_check("P4", order=12).status == "pass"
+    assert checks.run_check("P4", checks.Workspace(order=12)).status == "pass"
     assert len(evaluated) == 3
     evaluated.clear()
     _corrupt_sigma_star(monkeypatch, s=1, n=1)
-    report = checks.run_check("P4", order=12)
+    report = checks.run_check("P4", checks.Workspace(order=12))
     assert report.notes == ("series-level rule for A broken",)
     assert len(evaluated) == 1
     # JACOBI: a bad 4-square table stops it before the 6- and 8-square ones
@@ -792,7 +795,7 @@ def test_p4_and_jacobi_build_no_equation_past_the_first_failure(monkeypatch):
     real_table = checks.Workspace.r_table
     monkeypatch.setattr(checks.Workspace, "r_table",
                         lambda self, s: tables.append(s) or real_table(self, s))
-    assert checks.run_check("JACOBI", nmax=12).notes == ("4-square formula",)
+    assert checks.run_check("JACOBI", checks.Workspace(nmax=12)).notes == ("4-square formula",)
     assert tables == [2, 4]
 
 
@@ -801,7 +804,7 @@ def test_p4_names_the_differing_monomial(monkeypatch):
     den, rules = graded._RULES[graded.LEVEL2]
     bad = ({**rules[0], (2, 0, 0): rules[0][2, 0, 0] + 1}, rules[1], rules[2])
     monkeypatch.setitem(graded._RULES, graded.LEVEL2, (den, bad))
-    report = checks.run_check("P4", order=12)
+    report = checks.run_check("P4", checks.Workspace(order=12))
     # n counts monomials in the sorted union, B before A^2, not powers of q
     assert report.first_discrepancy == (1, 0, Fraction(-1, 4))
     assert report.notes == ("polynomial rule for A broken at A^2: 0 != -1/4",)
@@ -819,7 +822,7 @@ def test_table2_fails_on_a_printed_row_after_the_rows_before_it(
     printed = checks._TABLE2_PRINTED[row]
     monkeypatch.setitem(checks._TABLE2_PRINTED, row,
                         printed + QSeries.from_terms({n: 1}, printed.order))
-    report = checks.run_check("TABLE2")
+    report = checks.run_check("TABLE2", checks.Workspace())
     assert report.first_discrepancy == expected
     assert len(report.notes) == flagged
     assert all(note.startswith("flagged cell (conv") for note in report.notes)
@@ -829,13 +832,13 @@ def test_table2_24_square_route_reports_the_lowest_n(monkeypatch):
     r24 = {n: arith.r_oracle(24, n) for n in range(5)}
     # tau(3) + 1 breaks both forms at n = 3: the sigma*_5^2 form is reported
     _bump_tau(monkeypatch, 3, 1)
-    report = checks.run_check("TABLE2")
+    report = checks.run_check("TABLE2", checks.Workspace())
     assert report.first_discrepancy == (3, r24[3] + 64, r24[3])
     assert report.notes == ()
     # sigma*_7(2) + 1 moves conv37 from n = 2 by sigma*_3(0) = -1/16, so
     # only the sigma*_3 sigma*_7 form fails there, below the tie at 3
     _corrupt_sigma_star(monkeypatch, s=7, n=2)
-    report = checks.run_check("TABLE2")
+    report = checks.run_check("TABLE2", checks.Workspace())
     assert report.first_discrepancy == (2, r24[2] - Fraction(32, 17), r24[2])
 
 
@@ -853,7 +856,7 @@ def _bump_r_table(monkeypatch, s, n):
 @pytest.mark.parametrize("s", [2, 4, 6, 8])
 def test_jacobi_names_the_failing_formula(monkeypatch, s, n):
     _bump_r_table(monkeypatch, s, n)
-    report = checks.run_check("JACOBI", nmax=12)
+    report = checks.run_check("JACOBI", checks.Workspace(nmax=12))
     assert report.status == "fail"
     r = arith.r_oracle(s, n)
     assert report.first_discrepancy == (n, r + 1, r)
@@ -865,12 +868,12 @@ def test_delta8_fails_at_the_first_oracle_mismatch(monkeypatch):
     monkeypatch.setattr(arith, "delta8_oracle", lambda n: real(n) + (n == 3))
     # D's q^(n+1) coefficient counts the representations of n, so the fault
     # shows at q^4, on DELTA8's own range whatever the order
-    report = checks.run_check("DELTA8", order=12, nmax=12)
+    report = checks.run_check("DELTA8", checks.Workspace(order=12, nmax=12))
     assert report.first_discrepancy == (4, 64, 65)
     assert report.order == 51
     # the enumeration is DELTA8's alone: the checks that read D pass
     for check_id in ("L5", "DET-L2", "T9"):
-        assert checks.run_check(check_id, order=12, nmax=12).status == "pass"
+        assert checks.run_check(check_id, checks.Workspace(order=12, nmax=12)).status == "pass"
 
 
 def test_a_fault_in_sigma3_fails_only_the_checks_that_read_it():
@@ -918,7 +921,7 @@ def test_level2_code_reads_no_fraction_view(monkeypatch):
     for w in (4, 8, 12, 24):
         cat = SeriesCatalog(64)
         dec = graded.decompose_modular(cat.level2(w // 2), w, cat)
-        assert dec == graded.e_star_poly(w // 2)
+        assert dec == graded.e_star_poly(w // 2, cat)
 
 
 def test_t49_names_the_least_monomial_outside_the_cone(monkeypatch):
@@ -932,7 +935,7 @@ def test_t49_names_the_least_monomial_outside_the_cone(monkeypatch):
     monkeypatch.setattr(arith, "divisor_sum_table", lambda kind, s, N: (
         [-x for x in real_table(kind, s, N)] if (kind, s) == ("sigma_star", 7)
         else real_table(kind, s, N)))
-    report = checks.run_check("T49", mmax=4)
+    report = checks.run_check("T49", checks.Workspace(mmax=4))
     assert report.first_discrepancy == (4, Fraction(-8, 17), 0)
 
 
@@ -942,10 +945,10 @@ def test_t49_reports_a_monomial_outside_the_basis(monkeypatch):
     den, rules = graded._RULES[graded.LEVEL2]
     bad = (rules[0], {**rules[1], (1, 1, 1): 1}, rules[2])
     monkeypatch.setitem(graded._RULES, graded.LEVEL2, (den, bad))
-    report = checks.run_check("T49", mmax=6)
+    report = checks.run_check("T49", checks.Workspace(mmax=6))
     assert report.first_discrepancy == (0, Fraction(3, 4), 1)
     assert report.notes == ("E6star polynomial: differential recursion against the q-expansion",)
-    assert checks.run_check("P4").notes == (
+    assert checks.run_check("P4", checks.Workspace()).notes == (
         "polynomial rule for B broken at A*B*C: 1/4 != 0",)
 
 
@@ -1013,7 +1016,7 @@ def test_a_3x3_minor_makes_three_products_once_its_pairs_exist(monkeypatch, leve
 def test_the_index_0_entry_never_enters_the_memo():
     ws = checks.Workspace(order=16)
     for check_id in _HANKEL_MATRICES:
-        assert checks.run_check(check_id, workspace=ws).status == "pass"
+        assert checks.run_check(check_id, ws).status == "pass"
     cat = ws.catalog
     for level in (1, 2):
         checks._minor(cat, level, (0, 1), (0, 1))

@@ -61,7 +61,7 @@ def test_arithmetic_examples():
     e8 = (
         GradedPoly(LEVEL2, {(0, 2, 0): 9, (0, 1, 2): 8}).scale(Fraction(1, 17))
     )
-    assert e8 == e_star_poly(4)
+    assert e8 == e_star_poly(4, SeriesCatalog(0))
 
 
 def test_ring_mismatch():
@@ -104,8 +104,6 @@ def test_not_homogeneous():
     mixed = GradedPoly(LEVEL2, {(1, 0, 0): 1, (0, 1, 0): 1})
     with pytest.raises(NotHomogeneous):
         serre_delta(mixed)
-    with pytest.raises(NotHomogeneous):
-        serre_delta(GradedPoly.generator(LEVEL2, "B"), weight=2)
 
 
 def test_weight_raising_randomized():
@@ -113,7 +111,7 @@ def test_weight_raising_randomized():
     for _ in range(LAW_RUNS):
         weight = rng.choice(range(2, 21, 2))
         f = random_homogeneous(rng, LEVEL2, weight)
-        image = serre_delta(f, weight)
+        image = serre_delta(f)
         if not image.is_zero():
             assert image.weight() == weight + 2
 
@@ -151,7 +149,7 @@ def test_serre_evaluation_consistency():
         f = random_homogeneous(rng, LEVEL2, weight)
         series = gp_evaluate(f, cat)
         expected = series.theta() - (a * series).scale(Fraction(weight, 4))
-        assert gp_evaluate(serre_delta(f, weight), cat) == expected
+        assert gp_evaluate(serre_delta(f), cat) == expected
 
 
 def test_negativity_of_basis_derivatives():
@@ -213,8 +211,7 @@ def test_decompose_refuses_a_catalog_below_the_series_order():
     series = SeriesCatalog(24).level2(4)
     with pytest.raises(ValueError, match="order 24.*got 23"):
         decompose_modular(series, 8, SeriesCatalog(23))
-    assert decompose_modular(series, 8, SeriesCatalog(30)) == e_star_poly(4)
-    assert decompose_modular(series, 8) == e_star_poly(4)
+    assert decompose_modular(series, 8, SeriesCatalog(30)) == e_star_poly(4, SeriesCatalog(0))
 
 
 def test_solver_detects_singular_matrix():
@@ -230,15 +227,16 @@ def test_solver_first_nonzero_pivot():
 
 
 def test_e_star_poly_examples():
-    assert e_star_poly(2) == GradedPoly.monomial(LEVEL2, (0, 1, 0))
-    assert e_star_poly(3) == GradedPoly.monomial(LEVEL2, (0, 1, 1))
-    assert e_star_poly(4) == GradedPoly(
+    cat = SeriesCatalog(0)
+    assert e_star_poly(2, cat) == GradedPoly.monomial(LEVEL2, (0, 1, 0))
+    assert e_star_poly(3, cat) == GradedPoly.monomial(LEVEL2, (0, 1, 1))
+    assert e_star_poly(4, cat) == GradedPoly(
         LEVEL2, {(0, 2, 0): Fraction(9, 17), (0, 1, 2): Fraction(8, 17)}
     )
-    assert e_star_poly(5) == GradedPoly(
+    assert e_star_poly(5, cat) == GradedPoly(
         LEVEL2, {(0, 2, 1): Fraction(27, 31), (0, 1, 3): Fraction(4, 31)}
     )
-    assert e_star_poly(6) == GradedPoly(
+    assert e_star_poly(6, cat) == GradedPoly(
         LEVEL2,
         {
             (0, 3, 0): Fraction(189, 691),
@@ -247,7 +245,7 @@ def test_e_star_poly_examples():
         },
     )
     with pytest.raises(ValueError):
-        e_star_poly(1)
+        e_star_poly(1, cat)
 
 
 def _first_failure(equations):
@@ -259,7 +257,7 @@ def test_e_star_poly_reports_a_bad_level_at_q0(monkeypatch):
     # the recursion builds the bad level; its equation reports it
     real = graded.ks_alpha
     monkeypatch.setattr(graded, "ks_alpha", lambda m: 2 * real(m) if m == 5 else real(m))
-    assert e_star_poly(5).terms[(0, 2, 1)] == Fraction(27, 62)
+    assert e_star_poly(5, SeriesCatalog(0)).terms[(0, 2, 1)] == Fraction(27, 62)
     cat = SeriesCatalog(e_star_order(6))
     assert _first_failure(e_star_equations(6, cat)) == (
         (0, Fraction(1, 2), Fraction(1)),
@@ -275,7 +273,7 @@ def test_e_star_equations_refuse_a_catalog_below_their_order(m):
     with pytest.raises(ValueError, match=f"needs order >= {e_star_order(m)}"):
         e_star_equations(m, SeriesCatalog(e_star_order(m) - 1))
     assert _first_failure(e_star_equations(m, SeriesCatalog(e_star_order(m)))) == (None, [])
-    assert e_star_poly(m, SeriesCatalog(0)) == e_star_poly(m)
+    assert e_star_poly(m, SeriesCatalog(0)) == e_star_poly(m, SeriesCatalog(e_star_order(m)))
 
 
 def test_e_star_poly_memoizes_each_level_in_its_catalog(monkeypatch):
@@ -293,7 +291,7 @@ def test_e_star_poly_memoizes_each_level_in_its_catalog(monkeypatch):
     assert _first_failure(e_star_equations(8, cat)) == (None, [])
     assert (built, len(compared)) == ([], 6)
     # a new catalog holds no levels, so they are built again
-    assert e_star_poly(8) == poly
+    assert e_star_poly(8, SeriesCatalog(0)) == poly
     assert built == list(range(2, 9))
 
 
@@ -316,8 +314,10 @@ def test_a_warm_e_star_poly_is_one_lookup(monkeypatch):
 
 @pytest.mark.parametrize(
     "call, value",
-    [(e_star_order, 3.0), (modular_dimension, 6.0), (e_star_poly, 3.0),
-     (e_star_poly, Fraction(3)), (check_positivity, 4.0),
+    [(e_star_order, 3.0), (modular_dimension, 6.0),
+     (lambda m: e_star_poly(m, SeriesCatalog(0)), 3.0),
+     (lambda m: e_star_poly(m, SeriesCatalog(0)), Fraction(3)),
+     (lambda m: check_positivity(m, SeriesCatalog(0)), 4.0),
      (lambda m: e_star_equations(m, SeriesCatalog(40)), 4.0)],
     ids=["e_star_order", "modular_dimension", "e_star_poly", "e_star_poly-Fraction",
          "check_positivity", "e_star_equations"],
@@ -355,9 +355,10 @@ def test_graded_keeps_no_state_between_calls():
         k: v for k, v in before.items()
         if k != "__builtins__" and isinstance(v, (dict, list, set, tuple))
     })
-    e_star_poly(8)
-    check_positivity(5)
-    assert checks.run_check("T49", mmax=6).status == "pass"
+    cat = SeriesCatalog(0)
+    e_star_poly(8, cat)
+    check_positivity(5, cat)
+    assert checks.run_check("T49", checks.Workspace(mmax=6)).status == "pass"
     after = dict(vars(graded))
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
@@ -368,7 +369,7 @@ def test_graded_keeps_no_state_between_calls():
 def test_e_star_poly_matches_the_basis_decomposition(m):
     # the exact Bareiss decomposition is the oracle for the series check
     cat = SeriesCatalog(e_star_order(m))
-    assert decompose_modular(cat.level2(m), 2 * m, cat) == e_star_poly(m)
+    assert decompose_modular(cat.level2(m), 2 * m, cat) == e_star_poly(m, cat)
 
 
 def test_positivity():
@@ -381,7 +382,7 @@ def test_positivity():
 def test_evaluated_e_star_poly_matches_series():
     cat = SeriesCatalog(20)
     for m in (2, 4, 5, 6):
-        assert gp_evaluate(e_star_poly(m), cat) == cat.level2(m)
+        assert gp_evaluate(e_star_poly(m, cat), cat) == cat.level2(m)
 
 
 def test_delta_equal_family():
@@ -610,7 +611,7 @@ def test_serre_derivatives_match_fraction_dict_oracle():
         weight = rng.choice(range(2, 25, 2))
         p = random_terms(rng, weight, ring)
         derive = serre_delta if ring == LEVEL2 else serre_partial
-        got = derive(GradedPoly(ring, p), weight if p else None)
+        got = derive(GradedPoly(ring, p))
         assert dict(got.terms) == _oracle_derive(ring, p)
     for ring, derive in ((LEVEL1, serre_partial), (LEVEL2, serre_delta)):
         assert derive(GradedPoly.zero(ring)).is_zero()

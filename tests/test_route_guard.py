@@ -4,7 +4,14 @@ that ``checks._compare`` judges.  So ``catalog.py`` compares nothing: it
 calls ``first_difference`` nowhere (it imports the name only for perfbench's
 tracer).  And a check fails one way only, by the discrepancy its runner
 returns: no module defines or raises ``CrossCheckMismatch``, and
-``run_check`` catches nothing."""
+``run_check`` catches nothing.
+
+Each entry point has one calling convention: ``run_check`` takes its
+workspace, the tower and decomposition functions their catalog, and the
+Serre derivatives read the weight from the polynomial, so none of them has
+a parameter default or a ``weight`` parameter.  And no equation builder in
+``checks.py`` seeds a sum with ``QSeries.zero``: each sums from its first
+term."""
 
 import ast
 from pathlib import Path
@@ -41,6 +48,29 @@ def tries_in(source: str, name: str, func: str) -> list[tuple[str, int]]:
     return [(name, inner.lineno) for node in ast.walk(ast.parse(source, filename=name))
             if isinstance(node, ast.FunctionDef) and node.name == func
             for inner in ast.walk(node) if isinstance(inner, ast.Try)]
+
+
+def signature_of(source: str, name: str, func: str) -> tuple[list[str], int]:
+    """The parameter names of the function ``func`` and how many of them
+    have a default."""
+    (node,) = [node for node in ast.walk(ast.parse(source, filename=name))
+               if isinstance(node, ast.FunctionDef) and node.name == func]
+    args = node.args
+    params = args.posonlyargs + args.args + args.kwonlyargs
+    defaults = len(args.defaults) + sum(d is not None for d in args.kw_defaults)
+    return [a.arg for a in params], defaults
+
+
+ENTRY_POINTS = {
+    "checks.py": {"run_check": ["id", "workspace"]},
+    "graded.py": {
+        "e_star_poly": ["m", "catalog"],
+        "check_positivity": ["m", "catalog"],
+        "decompose_modular": ["s", "weight", "catalog"],
+        "serre_delta": ["f"],
+        "serre_partial": ["f"],
+    },
+}
 
 
 def _sources():
@@ -85,3 +115,24 @@ def run_check(id):
         disc = exc.exponent
 """
     assert tries_in(runner, "checks.py", "run_check") == [("checks.py", 3)]
+
+
+def test_each_entry_point_has_one_calling_convention():
+    sources = _sources()
+    for name, funcs in ENTRY_POINTS.items():
+        for func, params in funcs.items():
+            assert signature_of(sources[name], name, func) == (params, 0), func
+    assert calls_of(sources["checks.py"], "checks.py", "zero") == []
+
+
+def test_the_guards_find_a_default_and_a_zero_seed():
+    old = """
+def serre_delta(f, weight=None):
+    return _derive(f, weight)
+
+def run_check(id, order=64, *, workspace=None):
+    total = QSeries.zero(order)
+"""
+    assert signature_of(old, "graded.py", "serre_delta") == (["f", "weight"], 1)
+    assert signature_of(old, "checks.py", "run_check") == (["id", "order", "workspace"], 2)
+    assert calls_of(old, "checks.py", "zero") == [("checks.py", 6)]
