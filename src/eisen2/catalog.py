@@ -151,10 +151,10 @@ class SeriesCatalog:
         """The series ``by_name(name)`` to the power e >= 0, memoized.
 
         Each power is one product: the power e - 1 times the base when e is
-        odd or the power e - 1 is memoized, and otherwise the square of the
-        power e/2.  So ascending powers cost one product each, and a lone
-        power e at most 2 log2(e).  A power of E0 or E0star, in any
-        spelling, is the series 1, with no product and no key.
+        odd, and the square of the power e/2 when e is even.  So a power e
+        costs at most 2 log2(e) products, and none once memoized.  A power
+        of E0 or E0star, in any spelling, is the series 1, with no product
+        and no key.
         """
         if e < 0:
             raise ValueError("negative powers are not defined; invert first")
@@ -165,7 +165,7 @@ class SeriesCatalog:
             return base
 
         def build() -> QSeries:
-            if e % 2 or f"{name}^{e - 1}" in self._cache:
+            if e % 2:
                 return self.power(name, e - 1) * base
             half = self.power(name, e // 2)
             return half * half

@@ -6,11 +6,13 @@ explicit index range (the --nmax flag): each is a series equation between
 products of the divisor-sum series sum sigma_s(n) q^n and sum sigma*_s(n) q^n
 truncated at q^nmax, so the coefficient of q^n is the identity at index n.
 A failing check always reports the first offending exponent or index
-together with both exact values.  An equation check is a builder that returns
-its series equations, (lhs, rhs) or (lhs, rhs, note); ``_compare`` compares
-them with ``first_difference`` and reports the first that fails, or the
-lowest failing exponent where a check asks for it.  The scans test other
-predicates and return their discrepancy themselves.
+together with both exact values.  An equation check is a builder over one
+``SeriesCatalog``, the one at the order ``_range`` gives its scope, that
+returns its series equations, (lhs, rhs) or (lhs, rhs, note); ``_compare``
+compares them with ``first_difference`` and reports the first that fails,
+or the lowest failing exponent where a check asks for it.  The order the
+report prints is that same ``_range``.  The scans test other predicates on
+the workspace's catalogs and return their discrepancy themselves.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ class CheckReport:
 class Workspace:
     """Shared inputs for the runners: one lazily built catalog per order."""
 
-    def __init__(self, order: int = 64, nmax: int = 200, mmax: int = 20):
+    def __init__(self, order: int, nmax: int, mmax: int):
         self.order = order
         self.nmax = nmax
         self.mmax = mmax
@@ -126,25 +128,25 @@ class Workspace:
         return self.catalog_at(self.nmax)
 
     def sigma_range(self, s: int, upto: int) -> QSeries:
-        """sum sigma_s(n) q^n on 0..upto, the n = 0 convention included."""
+        """No caller in the package; kept only because perfbench's tracer pins it."""
         return self.catalog_at(upto).sigma(s)
 
     def sigma_star_range(self, s: int, upto: int) -> QSeries:
-        """sum sigma*_s(n) q^n on 0..upto, the n = 0 convention included."""
+        """No caller in the package; kept only because perfbench's tracer pins it."""
         return self.catalog_at(upto).sigma_star(s)
 
     def r_table(self, s: int) -> QSeries:
-        """sum r_s(n) q^n on 0..nmax: the s-th power of the theta series."""
+        """No caller in the package; kept only because perfbench's tracer pins it."""
         return self.rcat.power("theta3", s)
 
     def tau_range(self, upto: int) -> QSeries:
-        """sum tau(n) q^n on 0..upto, the discriminant's eta product."""
+        """No caller in the package; kept only because perfbench's tracer pins it."""
         return self.catalog_at(upto).delta()
 
 
 Runner = Callable[[Workspace, list[str]], Optional[Discrepancy]]
 Equation = tuple  # (lhs, rhs) or (lhs, rhs, note): two series, equal
-Builder = Callable[[Workspace], Iterable[Equation]]
+Builder = Callable[[SeriesCatalog], Iterable[Equation]]
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,8 @@ def _equation_check(id: str, description: str, scope: str = "order",
     # the stored runner compares, so whatever wraps a runner also wraps the compare
     def wrap(build: Builder) -> Builder:
         _register(id, description, scope, build)(
-            lambda ws, notes: _compare(build(ws), notes, earliest))
+            lambda ws, notes: _compare(build(ws.catalog_at(_range(scope, ws))), notes,
+                                       earliest))
         return build
 
     return wrap
@@ -220,8 +223,7 @@ def _first_non_multiple(series: QSeries, m: int) -> Optional[Discrepancy]:
     "classical system qP'=(P^2-Q)/12, qQ'=(PQ-R)/3, qR'=(PR-Q^2)/2 "
     "for P=E2, Q=E4, R=E6",
 )
-def _ram_de(ws: Workspace) -> list[Equation]:
-    cat = ws.catalog
+def _ram_de(cat: SeriesCatalog) -> list[Equation]:
     p, q, r = cat.level1(1), cat.level1(2), cat.level1(3)
     pq = cat.product
     return [
@@ -270,8 +272,7 @@ def _de_equations(m: int, level: int) -> Builder:
     def name(k: int) -> str:
         return _eisenstein_name(level, k)
 
-    def build(ws: Workspace) -> Iterable[Equation]:
-        cat = ws.catalog
+    def build(cat: SeriesCatalog) -> Iterable[Equation]:
         # the coefficient function and the forms are looked up when the check
         # runs, so a patched module attribute takes effect
         coefficient = rs_coefficient if level == 1 else ks_coefficient
@@ -307,8 +308,7 @@ for _m in range(2, 13):
 
 
 @_equation_check("E6STAR-ABC", "C E4* = E6*, and qE6*' = (3ABC - B^2 - 2BC^2)/2")
-def _e6star_abc(ws: Workspace) -> list[Equation]:
-    cat = ws.catalog
+def _e6star_abc(cat: SeriesCatalog) -> list[Equation]:
     pq = cat.product
     rhs = (pq("E2star", "E4star", "C").scale(3) - pq("E4star", "E4star")
            - pq("E4star", "C", "C").scale(2)).scale(Fraction(1, 2))
@@ -322,8 +322,7 @@ def _e6star_abc(ws: Workspace) -> list[Equation]:
     "HAHN-SYS",
     "closed system for (A, C, B): qA'=(A^2-B)/4, qC'=(AC-B)/2, qB'=AB-CB",
 )
-def _hahn_sys(ws: Workspace) -> list[Equation]:
-    cat = ws.catalog
+def _hahn_sys(cat: SeriesCatalog) -> list[Equation]:
     a, b, c = cat.level2(1), cat.level2(2), cat.C()
     pq = cat.product
     return [
@@ -342,9 +341,8 @@ def _hahn_sys(ws: Workspace) -> list[Equation]:
     "sigma_3(n) = (6/5)(n sigma(n) + 2 sum_j sigma(j) sigma(n-j)) on 0..nmax",
     scope="range",
 )
-def _sigma3_classical(ws: Workspace) -> list[Equation]:
-    s1 = ws.sigma_range(1, ws.nmax)
-    s3 = ws.sigma_range(3, ws.nmax)
+def _sigma3_classical(cat: SeriesCatalog) -> list[Equation]:
+    s1, s3 = cat.sigma(1), cat.sigma(3)
     rhs = (s1.theta() + (s1 * s1).scale(2)).scale(Fraction(6, 5))
     return [(s3, rhs)]
 
@@ -355,10 +353,8 @@ def _sigma3_classical(ws: Workspace) -> list[Equation]:
     "on 0..nmax",
     scope="range",
 )
-def _t7(ws: Workspace) -> list[Equation]:
-    s1 = ws.sigma_range(1, ws.nmax)
-    s11 = ws.sigma_range(11, ws.nmax)
-    s13 = ws.sigma_range(13, ws.nmax)
+def _t7(cat: SeriesCatalog) -> list[Equation]:
+    s1, s11, s13 = cat.sigma(1), cat.sigma(11), cat.sigma(13)
     rhs = ((s1 * s11).scale(24) + s11.theta()).scale(Fraction(2730, 691))
     return [(s13, rhs)]
 
@@ -368,9 +364,8 @@ def _t7(ws: Workspace) -> list[Equation]:
     "sigma*_3(n) = 2n sigma*(n) - 4 sum_j sigma*(j) sigma*(n-j) on 0..nmax",
     scope="range",
 )
-def _t5(ws: Workspace) -> list[Equation]:
-    s1 = ws.sigma_star_range(1, ws.nmax)
-    s3 = ws.sigma_star_range(3, ws.nmax)
+def _t5(cat: SeriesCatalog) -> list[Equation]:
+    s1, s3 = cat.sigma_star(1), cat.sigma_star(3)
     return [(s3, s1.theta().scale(2) - (s1 * s1).scale(4))]
 
 
@@ -379,8 +374,7 @@ def _t5(ws: Workspace) -> list[Equation]:
 
 
 @_equation_check("L4", "1728 Delta = 3 E6 qE4' - 2 E4 qE6' as series")
-def _l4(ws: Workspace) -> list[Equation]:
-    cat = ws.catalog
+def _l4(cat: SeriesCatalog) -> list[Equation]:
     e4, e6 = cat.level1(2), cat.level1(3)
     rhs = (e6 * e4.theta()).scale(3) - (e4 * e6.theta()).scale(2)
     return [(cat.delta().scale(1728), rhs)]
@@ -391,10 +385,8 @@ def _l4(ws: Workspace) -> list[Equation]:
     "tau(n) = 70 sum_{j+k=n} (2k-3j) sigma_3(j) sigma_5(k) on 0..nmax",
     scope="range",
 )
-def _t8(ws: Workspace) -> list[Equation]:
-    s3 = ws.sigma_range(3, ws.nmax)
-    s5 = ws.sigma_range(5, ws.nmax)
-    tau = ws.tau_range(ws.nmax)
+def _t8(cat: SeriesCatalog) -> list[Equation]:
+    s3, s5, tau = cat.sigma(3), cat.sigma(5), cat.delta()
     rhs = ((s3 * s5.theta()).scale(2) - (s3.theta() * s5).scale(3)).scale(70)
     return [(tau, rhs)]
 
@@ -406,8 +398,8 @@ def _t8(ws: Workspace) -> list[Equation]:
     scope="range",
 )
 def _c1(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
-    s3, s5 = ws.sigma_range(3, ws.nmax), ws.sigma_range(5, ws.nmax)
-    tau = ws.tau_range(ws.nmax)
+    cat = ws.rcat
+    s3, s5, tau = cat.sigma(3), cat.sigma(5), cat.delta()
     diff = tau - (s3.scale(5) + s5.scale(7)).theta().scale(Fraction(1, 12))
     return _first_non_multiple(diff, 70)
 
@@ -417,10 +409,8 @@ def _c1(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     "tau(n) = 2 sum_{j+k=n} (3j-2k) sigma*_3(j) sigma*_5(k) on 0..nmax",
     scope="range",
 )
-def _t314(ws: Workspace) -> list[Equation]:
-    s3 = ws.sigma_star_range(3, ws.nmax)
-    s5 = ws.sigma_star_range(5, ws.nmax)
-    tau = ws.tau_range(ws.nmax)
+def _t314(cat: SeriesCatalog) -> list[Equation]:
+    s3, s5, tau = cat.sigma_star(3), cat.sigma_star(5), cat.delta()
     rhs = ((s3.theta() * s5).scale(3) - (s3 * s5.theta()).scale(2)).scale(2)
     return [(tau, rhs)]
 
@@ -432,8 +422,8 @@ def _t314(ws: Workspace) -> list[Equation]:
     scope="range",
 )
 def _c2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
-    s3, s5 = ws.sigma_star_range(3, ws.nmax), ws.sigma_star_range(5, ws.nmax)
-    tau = ws.tau_range(ws.nmax)
+    cat = ws.rcat
+    s3, s5, tau = cat.sigma_star(3), cat.sigma_star(5), cat.delta()
     # the parity clause needs no scan of its own: with c = n(3 sigma*_3(n) +
     # sigma*_5(n)), once tau(n) - c/4 lies in 2Z the integer c/4 has the
     # parity of tau(n), so c = 4 mod 8 exactly when tau(n) is odd (both
@@ -475,8 +465,7 @@ def _minor(cat: SeriesCatalog, level: int, rows: Sequence[int],
     "|E0 E2; E2 E4| = -12 qE2', |E0 E2; E4 E6| = -3 qE4', "
     "|E2 E4; E4 E6| = 2 qE6', |E2 E6; E4 E8| = (3/2) qE8'",
 )
-def _minors_l1(ws: Workspace) -> list[Equation]:
-    cat = ws.catalog
+def _minors_l1(cat: SeriesCatalog) -> list[Equation]:
     e = cat.level1
     return [
         (_minor(cat, 1, (0, 1), (0, 1)), e(1).theta().scale(-12)),
@@ -490,8 +479,7 @@ def _minors_l1(ws: Workspace) -> list[Equation]:
     "GARVAN",
     "3x3 Hankel determinant of E4..E12 equals -(250/691)(1728 Delta)^2",
 )
-def _garvan(ws: Workspace) -> list[Equation]:
-    cat = ws.catalog
+def _garvan(cat: SeriesCatalog) -> list[Equation]:
     det = _minor(cat, 1, (2, 3, 4), (0, 1, 2))
     return [(det, cat.power("delta", 2).scale(1728**2 * Fraction(-250, 691)))]
 
@@ -501,8 +489,7 @@ def _garvan(ws: Workspace) -> list[Equation]:
     "discriminant route agreement: eta product = (E4^3-E6^2)/1728 "
     "= -(E4*^3-E6*^2)/64",
 )
-def _dis(ws: Workspace) -> list[Equation]:
-    cat = ws.catalog
+def _dis(cat: SeriesCatalog) -> list[Equation]:
     power, delta = cat.power, cat.delta()
     return [
         (delta, (power("E4", 3) - power("E6", 2)).scale(Fraction(1, 1728)),
@@ -513,8 +500,7 @@ def _dis(ws: Workspace) -> list[Equation]:
 
 
 @_equation_check("L5", "|E0* E4*; E4* E8*| = (512/17) B D as series")
-def _l5(ws: Workspace) -> list[Equation]:
-    cat = ws.catalog
+def _l5(cat: SeriesCatalog) -> list[Equation]:
     rhs = cat.product("E4star", "D").scale(Fraction(512, 17))
     return [(_minor(cat, 2, (0, 2), (0, 2)), rhs)]
 
@@ -529,8 +515,7 @@ _DET_L2_CONSTANT = Fraction(-(2**13) * 3**5 * 5**2, 17**3 * 31**2 * 691)
     "(576/8959)(279B - 92C^2) Delta, and the 3x3 Hankel determinant of "
     "E4*..E12* = -(2^13 3^5 5^2 / (17^3 31^2 691))(961B + 3136C^2) B D Delta",
 )
-def _det_l2(ws: Workspace) -> list[Equation]:
-    cat = ws.catalog
+def _det_l2(cat: SeriesCatalog) -> list[Equation]:
     e = cat.level2
     b, c2, bd_delta = e(2), cat.power("C", 2), cat.product("E4star", "D", "delta")
     delta = cat.delta()
@@ -607,9 +592,7 @@ def _t49(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     "the weight-4 Serre derivative sends E6*^2/E4*^2, E4*, E8*/E4*, E10*/E6* "
     "and E4 to one common series",
 )
-def _delta_family(ws: Workspace) -> list[Equation]:
-    cat = ws.catalog
-
+def _delta_family(cat: SeriesCatalog) -> list[Equation]:
     def delta4(*names: str) -> QSeries:
         # the weight-4 Serre derivative of the product of the named series
         return cat.product(*names).theta() - cat.product("E2star", *names)
@@ -640,8 +623,7 @@ def _delta_family(ws: Workspace) -> list[Equation]:
     "coefficients 0..nmax",
     scope="range",
 )
-def _theta_rel(ws: Workspace) -> list[Equation]:
-    cat = ws.rcat
+def _theta_rel(cat: SeriesCatalog) -> list[Equation]:
     return [(cat.power("theta3", 8).neg_q(), cat.level2(2))]
 
 
@@ -663,12 +645,12 @@ _SQUARE_COUNTS: dict[int, Callable[[int, list[int]], int]] = {
     "(two-square case uses divisor counts mod 4)",
     scope="range",
 )
-def _jacobi(ws: Workspace) -> Iterable[Equation]:
-    divisor_lists = [arith.divisors(n) for n in range(1, ws.nmax + 1)]
+def _jacobi(cat: SeriesCatalog) -> Iterable[Equation]:
+    divisor_lists = [arith.divisors(n) for n in range(1, cat.order + 1)]
     for s, formula in _SQUARE_COUNTS.items():
         expected = QSeries._make([1] + [formula(n, divs)
                                         for n, divs in enumerate(divisor_lists, 1)])
-        yield ws.r_table(s), expected, f"{s}-square formula"
+        yield cat.power("theta3", s), expected, f"{s}-square formula"
 
 
 @_equation_check(
@@ -677,13 +659,11 @@ def _jacobi(ws: Workspace) -> Iterable[Equation]:
     "delta_8(n-j-1) - sigma*_7(n)) on 0..nmax",
     scope="range",
 )
-def _t9(ws: Workspace) -> list[Equation]:
-    r16 = ws.r_table(16)
-    s3 = ws.sigma_star_range(3, ws.nmax)
-    s7 = ws.sigma_star_range(7, ws.nmax)
+def _t9(cat: SeriesCatalog) -> list[Equation]:
+    r16, s3, s7 = cat.power("theta3", 16), cat.sigma_star(3), cat.sigma_star(7)
     # D = sum delta_8(n-1) q^n: its q^(n+1) coefficient counts the
     # 8-triangular-number representations of n
-    d8 = ws.rcat.D()
+    d8 = cat.D()
     rhs = ((s3 * d8).scale(256) - s7).scale(Fraction(32, 17)).neg_q()
     return [(r16, rhs)]
 
@@ -697,9 +677,9 @@ _DELTA8_N = 51  # DELTA8 compares D on q^0..q^this
     f"the ordered sums of 8 triangular numbers equal to n, on q^0..q^{_DELTA8_N}",
     scope="delta8",
 )
-def _delta8(ws: Workspace) -> list[Equation]:
-    count = [arith.delta8_oracle(n) for n in range(_DELTA8_N)]
-    return [(ws.catalog_at(_DELTA8_N).D(), QSeries._make([0] + count))]
+def _delta8(cat: SeriesCatalog) -> list[Equation]:
+    count = [arith.delta8_oracle(n) for n in range(cat.order)]
+    return [(cat.D(), QSeries._make([0] + count))]
 
 
 @_equation_check(
@@ -708,20 +688,18 @@ def _delta8(ws: Workspace) -> list[Equation]:
     "1/691 normalization, on 0..nmax",
     scope="range",
 )
-def _r24_fact(ws: Workspace) -> list[Equation]:
-    s11 = ws.sigma_range(11, ws.nmax)
-    tau = ws.tau_range(ws.nmax)
+def _r24_fact(cat: SeriesCatalog) -> list[Equation]:
+    s11, tau = cat.sigma(11), cat.delta()
     rhs = (
         s11.scale(16) - s11.dilate(2).scale(32) + s11.dilate(4).scale(65536)
         - tau.dilate(2).scale(65536) - tau.neg_q().scale(33152)
     ).scale(Fraction(1, 691))
-    return [(ws.r_table(24), rhs)]
+    return [(cat.power("theta3", 24), rhs)]
 
 
-def _conv55_conv37(ws: Workspace, upto: int) -> tuple[QSeries, QSeries]:
-    """The convolution series sigma*_5 sigma*_5 and sigma*_3 sigma*_7 on 0..upto,
-    memoized in the catalog at that order, so T10, C10 and TABLE2 share them."""
-    cat = ws.catalog_at(upto)
+def _conv55_conv37(cat: SeriesCatalog) -> tuple[QSeries, QSeries]:
+    """The convolution series sigma*_5 sigma*_5 and sigma*_3 sigma*_7,
+    memoized in the catalog, so T10, C10 and TABLE2 share them."""
     return cat.product("sigma5star", "sigma5star"), cat.product("sigma3star", "sigma7star")
 
 
@@ -740,9 +718,9 @@ def _r24_forms(conv55: QSeries, conv37: QSeries,
     scope="range",
     earliest=True,  # the lower first index wins; on a tie, the sigma*_5^2 form
 )
-def _t10(ws: Workspace) -> list[Equation]:
-    r24 = ws.r_table(24)
-    via55, via37 = _r24_forms(*_conv55_conv37(ws, ws.nmax), ws.tau_range(ws.nmax))
+def _t10(cat: SeriesCatalog) -> list[Equation]:
+    r24 = cat.power("theta3", 24)
+    via55, via37 = _r24_forms(*_conv55_conv37(cat), cat.delta())
     return [(r24, via55), (r24, via37)]
 
 
@@ -754,14 +732,15 @@ def _t10(ws: Workspace) -> list[Equation]:
     scope="range",
 )
 def _c10(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
+    cat = ws.rcat
     # the theta powers and tau are integral: denominator 1
-    r24 = ws.r_table(24).numerators
-    r4 = ws.r_table(4).numerators
-    conv55, conv37 = _conv55_conv37(ws, ws.nmax)
+    r24 = cat.power("theta3", 24).numerators
+    r4 = cat.power("theta3", 4).numerators
+    conv55, conv37 = _conv55_conv37(cat)
     c55, d55 = conv55.numerators, conv55.denominator
     c37, d37 = conv37.numerators, conv37.denominator
-    tau = ws.tau_range(ws.nmax).numerators
-    for n in range(ws.nmax + 1):
+    tau = cat.delta().numerators
+    for n in range(cat.order + 1):
         if not (r24[n] >= r4[n] > 0):
             return (n, Fraction(r24[n]), Fraction(r4[n]))
         flags = (n % 2 == 1, tau[n] * d55 > c55[n], tau[n] * d37 > c37[n],
@@ -791,7 +770,8 @@ _TABLE2_N = 4  # TABLE2's rows run over n = 0..this
 )
 def _tau_props(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     limit = _TAU_PROPS_N
-    delta = ws.tau_range(limit)
+    cat = ws.catalog_at(limit)
+    delta = cat.delta()
     tau = delta.numerators  # integral: denominator 1
     # T_p Delta = tau(p) Delta at the primes p <= sqrt(limit) is both
     # multiplicativity and the prime-power recursion on n <= limit: every
@@ -803,7 +783,7 @@ def _tau_props(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
                   for p in arith.primes_up_to(isqrt(limit))), notes)
     if d:
         return d
-    s11 = ws.catalog_at(limit).sigma(11)
+    s11 = cat.sigma(11)
     # sigma_11(n) = s11[n]/den, and den divides 65520 (from sigma_11(0) =
     # 691/65520), which is prime to 691
     sigma11, den = s11.numerators, s11.denominator
@@ -844,21 +824,21 @@ _TABLE2_PRINTED: dict[str, QSeries] = {
     scope="table",
 )
 def _table2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
-    upto = _TABLE2_N
-    conv55, conv37 = _conv55_conv37(ws, upto)
-    tau = ws.tau_range(upto)
+    cat = ws.catalog_at(_TABLE2_N)
+    conv55, conv37 = _conv55_conv37(cat)
+    tau = cat.delta()
     # the two convolution rows are confirmed by the independent lattice
     # route: r_24 from theta powers determines both convolutions given tau,
     # through T10's two forms; r_24 is built at the table's own order, since
     # nmax may be below it.  The lower n wins, on a tie the sigma*_5^2 form.
-    r24 = ws.catalog_at(upto).power("theta3", 24)
+    r24 = cat.power("theta3", 24)
     d = _compare([(f, r24) for f in _r24_forms(conv55, conv37, tau)], notes, earliest=True)
     if d:
         return d
     # the rows in table order: a sigma* row fails the check, a convolution
     # cell that differs is flagged, and tau is compared last
     printed = _TABLE2_PRINTED
-    d = _compare(((ws.sigma_star_range(s, upto), printed[f"sigma{s}*"])
+    d = _compare(((cat.sigma_star(s), printed[f"sigma{s}*"])
                   for s in (3, 5, 7)), notes)
     if d:
         return d
@@ -903,27 +883,33 @@ def resolve_ids(target: str) -> list[str]:
     raise UnknownTheoremId(target)
 
 
+def _range(scope: str, ws: Workspace) -> int:
+    """The order a check of the scope prints, and the order of the catalog an
+    equation check's builder runs on."""
+    return {
+        "order": ws.order,
+        "range": ws.nmax,
+        "tau1000": _TAU_PROPS_N,
+        "mmax": ws.mmax,
+        "table": _TABLE2_N,
+        "delta8": _DELTA8_N,
+    }[scope]
+
+
 def run_check(id: str, workspace: Workspace) -> CheckReport:
-    """Execute one registry check on the workspace, whose order, nmax and
-    mmax set the ranges it compares, and report the outcome."""
-    check = REGISTRY.get(_ALIASES.get(id, id))
+    """Execute one registry check, by its canonical id, on the workspace,
+    whose order, nmax and mmax set the ranges it compares, and report the
+    outcome."""
+    check = REGISTRY.get(id)
     if check is None:
         raise UnknownTheoremId(id)
     notes: list[str] = []
     start = time.perf_counter()
     disc = check.runner(workspace, notes)
     elapsed = int((time.perf_counter() - start) * 1000)
-    reported_order = {
-        "order": workspace.order,
-        "range": workspace.nmax,
-        "tau1000": _TAU_PROPS_N,
-        "mmax": workspace.mmax,
-        "table": _TABLE2_N,
-        "delta8": _DELTA8_N,
-    }[check.scope]
     return CheckReport(
         id=check.id,
-        order=reported_order,
+        order=_range(check.scope, workspace),
         status="pass" if disc is None else "fail",
         first_discrepancy=disc,
         elapsed_ms=elapsed,
@@ -931,15 +917,9 @@ def run_check(id: str, workspace: Workspace) -> CheckReport:
     )
 
 
-def run_all(
-    order: int = 64,
-    nmax: int = 200,
-    mmax: int = 20,
-    ids: Optional[list[str]] = None,
-) -> list[CheckReport]:
-    """Run the wanted checks on one workspace; reports come back sorted by
-    id regardless of execution order."""
-    wanted = ids if ids is not None else registry_ids()
-    ws = Workspace(order=order, nmax=nmax, mmax=mmax)
-    reports = [run_check(i, ws) for i in wanted]
+def run_all(order: int, nmax: int, mmax: int, ids: list[str]) -> list[CheckReport]:
+    """Run the checks on one workspace; reports come back sorted by id
+    regardless of execution order."""
+    ws = Workspace(order, nmax, mmax)
+    reports = [run_check(i, ws) for i in ids]
     return sorted(reports, key=lambda r: _natural_key(r.id))

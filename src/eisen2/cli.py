@@ -102,12 +102,7 @@ def _cmd_verify(args) -> int:
     problem = args.json not in (None, "-") and _unwritable(args.json)
     if problem:
         return _bad_input(problem)
-    reports = checks.run_all(
-        order=args.order,
-        nmax=args.nmax,
-        mmax=args.mmax,
-        ids=ids,
-    )
+    reports = checks.run_all(order=args.order, nmax=args.nmax, mmax=args.mmax, ids=ids)
     if args.json == "-":
         json.dump([r.to_json_dict() for r in reports], sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -215,12 +210,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run one check, a family, or all")
     p_verify.add_argument("target", help='check id, family prefix, or "all"')
+    # the one place that states the default sizes: run_all and Workspace have none
     p_verify.add_argument("--order", type=int, default=64,
-                          help="series truncation order (default 64)")
+                          help="series truncation order (default %(default)s)")
     p_verify.add_argument("--nmax", type=int, default=200,
-                          help="index range for convolution identities (default 200)")
+                          help="index range for convolution identities (default %(default)s)")
     p_verify.add_argument("--mmax", type=int, default=20,
-                          help="largest half-weight for the positivity check (default 20)")
+                          help="largest half-weight for the positivity check "
+                          "(default %(default)s)")
     p_verify.add_argument("--timings", action="store_true",
                           help="append elapsed milliseconds to each line")
     p_verify.add_argument("--json", metavar="PATH",

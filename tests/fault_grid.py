@@ -5,8 +5,8 @@ Each case adds 1 to one value the catalog builds from:
   with s = 1, 3, ..., 13 and sigma_sharp with s = 1, at n in 0, 1, 2, 7, 13;
 - ``arith.delta8_oracle(n)`` at n in 0, 3, 20.
 
-That is 78 cases.  For each, ``run_all(order=32, nmax=40, mmax=8)`` is run
-on fresh state and every report that does not pass is written as one line,
+That is 78 cases.  For each, ``run_all(order=32, nmax=40, mmax=8)`` on every
+registry id is run on fresh state and every report that does not pass is written as one line,
 prefixed with the case label.  A change that must keep every fault report
 as it was compares against the golden file:
 
@@ -74,7 +74,7 @@ def cases(table_exponents=TABLE_EXPONENTS, delta8_exponents=DELTA8_EXPONENTS):
 def run_case(label: str, fault) -> list[str]:
     """One line per report that does not pass, under the fault."""
     with fault:
-        reports = checks.run_all(**SETTINGS)
+        reports = checks.run_all(**SETTINGS, ids=checks.registry_ids())
     return [
         f"{label}  " + r.line().replace("\n      note: ", "  note: ")
         for r in reports if r.status != "pass"

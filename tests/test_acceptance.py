@@ -25,6 +25,7 @@ from eisen2.graded import (
 )
 from eisen2.qseries import QSeries, qs_det
 from eisen2.scalars import check_scalar_recursion
+from verify_defaults import sizes, workspace
 
 
 def _report(num: int, description: str, ok: bool) -> None:
@@ -34,7 +35,7 @@ def _report(num: int, description: str, ok: bool) -> None:
 
 @pytest.fixture(scope="module")
 def ws():
-    return checks.Workspace(order=64, nmax=200, mmax=20)
+    return workspace()
 
 
 def _run(ws, ids):
@@ -43,7 +44,7 @@ def _run(ws, ids):
 
 def test_criterion_01_level2_differential_family():
     start = time.perf_counter()
-    reports = checks.run_all(order=64, ids=[f"KS-DE({m})" for m in range(2, 13)])
+    reports = checks.run_all(**sizes(order=64), ids=[f"KS-DE({m})" for m in range(2, 13)])
     elapsed = time.perf_counter() - start
     ok = all(r.status == "pass" for r in reports) and elapsed < 10.0
     _report(1, f"KS-DE(2..12) at order 64 in {elapsed:.2f}s (< 10s)", ok)
@@ -78,12 +79,12 @@ def test_criterion_04_tau_convolution_identities(ws):
 
 
 def test_criterion_05_hankel_determinant_level1():
-    report = checks.run_check("GARVAN", checks.Workspace(order=48))
+    report = checks.run_check("GARVAN", workspace(order=48))
     _report(5, "3x3 level-1 Hankel determinant at order 48", report.status == "pass")
 
 
 def test_criterion_06_level2_determinants():
-    reports = [checks.run_check(i, checks.Workspace(order=48)) for i in ("L5", "DET-L2")]
+    reports = [checks.run_check(i, workspace(order=48)) for i in ("L5", "DET-L2")]
     # the printed 3x3 identity, re-asserted directly
     cat = SeriesCatalog(48)
     e = {k: cat.level2(k) for k in range(2, 7)}
@@ -124,8 +125,8 @@ def test_criterion_07_polynomial_recursion_and_positivity():
 def test_criterion_08_representation_counts(ws):
     ids = ["JACOBI", "THETA-REL", "T9", "R24-FACT", "T10", "C10"]
     reports = _run(ws, ids)
-    r16 = ws.r_table(16)
-    r24 = ws.r_table(24)
+    r16 = ws.rcat.power("theta3", 16)
+    r24 = ws.rcat.power("theta3", 24)
     spots = (
         r16[1] == arith.r_oracle(16, 1) == 32
         and r24[1] == arith.r_oracle(24, 1) == 48
@@ -218,7 +219,7 @@ def test_criterion_10_property_suites_and_total_runtime():
     )
 
     start = time.perf_counter()
-    reports = checks.run_all()  # defaults: order 64, nmax 200, mmax 20
+    reports = checks.run_all(**sizes(), ids=checks.registry_ids())
     elapsed = time.perf_counter() - start
     ok = all(r.status == "pass" for r in reports) and elapsed < 60.0
     _report(10, f"property suites (>=100 inputs per law) and full verify-all "

@@ -6,6 +6,7 @@ import pytest
 from eisen2 import arith, checks
 from eisen2.catalog import SeriesCatalog
 from eisen2.qseries import QSeries
+from verify_defaults import workspace
 
 
 def test_divisors():
@@ -211,6 +212,6 @@ def test_cross_check_guards_divisor_sums(monkeypatch):
         return table
 
     monkeypatch.setattr(arith, "divisor_sum_table", corrupted)
-    report = checks.run_check("DIS", checks.Workspace(order=12))
+    report = checks.run_check("DIS", workspace(order=12))
     assert report.first_discrepancy == (5, 4830, Fraction(19323, 4))
     assert report.notes == ("eta product against the level-2 route -(E4*^3-E6*^2)/64",)

@@ -12,6 +12,7 @@ import fault_grid
 from eisen2 import arith, checks, cli, graded
 from eisen2.catalog import SeriesCatalog
 from eisen2.qseries import QSeries, qs_det
+from verify_defaults import sizes, workspace
 
 
 def test_registry_shape():
@@ -31,7 +32,10 @@ def test_registry_shape():
 
 def test_unknown_id():
     with pytest.raises(checks.UnknownTheoremId):
-        checks.run_check("NOPE", checks.Workspace())
+        checks.run_check("NOPE", workspace())
+    # aliases resolve once, in resolve_ids: run_check takes canonical ids
+    with pytest.raises(checks.UnknownTheoremId):
+        checks.run_check("DELTA-L2", workspace())
     with pytest.raises(checks.UnknownTheoremId):
         checks.resolve_ids("NOPE")
 
@@ -44,7 +48,7 @@ def test_resolve_families_and_aliases():
 
 
 def test_single_check_report():
-    report = checks.run_check("RAM-DE", checks.Workspace(order=16))
+    report = checks.run_check("RAM-DE", workspace(order=16))
     assert report.status == "pass"
     assert report.first_discrepancy is None
     assert report.order == 16
@@ -54,18 +58,18 @@ def test_single_check_report():
 
 def test_all_pass_at_reduced_order():
     # identities hold at every truncation, so a small order still passes
-    reports = checks.run_all(order=8, nmax=24, mmax=4)
+    reports = checks.run_all(order=8, nmax=24, mmax=4, ids=checks.registry_ids())
     assert all(r.status == "pass" for r in reports)
 
 
 def test_reports_deterministic():
-    a = checks.run_all(order=12, nmax=16, mmax=3)
-    b = checks.run_all(order=12, nmax=16, mmax=3)
+    a = checks.run_all(order=12, nmax=16, mmax=3, ids=checks.registry_ids())
+    b = checks.run_all(order=12, nmax=16, mmax=3, ids=checks.registry_ids())
     assert [r.line() for r in a] == [r.line() for r in b]
 
 
 def test_table2_flags_differing_printed_cells():
-    report = checks.run_check("TABLE2", checks.Workspace())
+    report = checks.run_check("TABLE2", workspace())
     assert report.status == "pass"
     joined = "\n".join(report.notes)
     assert "12/517" in joined and "17/512" in joined
@@ -120,7 +124,7 @@ def test_injected_corruption_localizes(monkeypatch, check_id, s, n, expected):
     # an off-by-one in sigma*_s(n) must fail exactly these checks, with the
     # first discrepancy at the earliest affected index
     _corrupt_sigma_star(monkeypatch, s=s, n=n)
-    report = checks.run_check(check_id, checks.Workspace(order=12, nmax=12))
+    report = checks.run_check(check_id, workspace(order=12, nmax=12))
     assert report.status == "fail"
     assert report.first_discrepancy[0] == n
     if expected is not None:
@@ -130,8 +134,8 @@ def test_injected_corruption_localizes(monkeypatch, check_id, s, n, expected):
 def test_injected_corruption_leaves_untouched_checks_green(monkeypatch):
     _corrupt_sigma_star(monkeypatch)
     # purely level-1 checks never consult the signed divisor sums
-    assert checks.run_check("RAM-DE", checks.Workspace(order=12)).status == "pass"
-    assert checks.run_check("SIGMA3-CLASSICAL", checks.Workspace(nmax=12)).status == "pass"
+    assert checks.run_check("RAM-DE", workspace(order=12)).status == "pass"
+    assert checks.run_check("SIGMA3-CLASSICAL", workspace(nmax=12)).status == "pass"
 
 
 @pytest.mark.parametrize(
@@ -141,12 +145,12 @@ def test_de_runners_read_the_coefficients_when_they_run(monkeypatch, name, check
     # the layer tracer rebinds these module attributes after import
     real = getattr(checks, name)
     monkeypatch.setattr(checks, name, lambda m, k: real(m, k) + 1)
-    assert checks.run_check(check_id, checks.Workspace(order=12)).status == "fail"
+    assert checks.run_check(check_id, workspace(order=12)).status == "fail"
 
 
 def test_t49_reports_a_bad_level2_series_at_its_exponent(monkeypatch):
     _corrupt_sigma_star(monkeypatch, s=7, n=9)
-    report = checks.run_check("T49", checks.Workspace(order=12, nmax=30, mmax=6))
+    report = checks.run_check("T49", workspace(order=12, nmax=30, mmax=6))
     assert report.status == "fail"
     n, lhs, rhs = report.first_discrepancy
     assert n == 9 and rhs - lhs == 1 / arith.sigma_star(7, 0)
@@ -157,7 +161,7 @@ def test_t49_compares_every_level_at_the_top_order(monkeypatch):
     # E8* is level 4; at mmax 6 the tower is compared to q^14 at every level,
     # not only to the q^12 that level 4 would need on its own
     _corrupt_sigma_star(monkeypatch, s=7, n=13)
-    report = checks.run_check("T49", checks.Workspace(order=12, nmax=30, mmax=6))
+    report = checks.run_check("T49", workspace(order=12, nmax=30, mmax=6))
     assert report.status == "fail"
     n, lhs, rhs = report.first_discrepancy
     assert n == 13 and rhs - lhs == 1 / arith.sigma_star(7, 0)
@@ -171,7 +175,7 @@ def test_t49_range_does_not_depend_on_earlier_calls(monkeypatch, warm):
     if warm:
         graded.e_star_poly(4, SeriesCatalog(0))
     _corrupt_sigma_star(monkeypatch, s=7, n=13)
-    report = checks.run_check("T49", checks.Workspace(order=12, nmax=30, mmax=6))
+    report = checks.run_check("T49", workspace(order=12, nmax=30, mmax=6))
     assert report.status == "fail"
     n, lhs, rhs = report.first_discrepancy
     assert n == 13 and rhs - lhs == 1 / arith.sigma_star(7, 0)
@@ -189,7 +193,7 @@ def test_t49_reports_the_unlifted_values_of_a_bad_level(monkeypatch, n, lhs, rhs
     # polynomial's value at q^n and the bumped E8* coefficient, as the
     # per-level comparison did
     _corrupt_sigma_star(monkeypatch, s=7, n=n)
-    report = checks.run_check("T49", checks.Workspace(mmax=40))
+    report = checks.run_check("T49", workspace(mmax=40))
     assert report.status == "fail"
     assert report.first_discrepancy == (n, lhs, rhs)
     assert report.notes == ("E8star polynomial: differential recursion against the q-expansion",)
@@ -212,7 +216,7 @@ def test_t49_at_mmax_40_makes_at_most_112_products(monkeypatch):
     # every level shares the top weight's monomials: 112 products, against
     # 437 when each level multiplied out its own monomials
     products = _count_series_products(monkeypatch)
-    assert checks.run_check("T49", checks.Workspace(mmax=40)).status == "pass"
+    assert checks.run_check("T49", workspace(mmax=40)).status == "pass"
     assert len(products) <= 112
 
 
@@ -224,7 +228,7 @@ def test_order_checks_at_order_96_make_at_most_103_products(monkeypatch):
     ids = [i for i in checks.registry_ids() if checks.REGISTRY[i].scope == "order"]
     assert len(ids) == 33
     products = _count_series_products(monkeypatch)
-    reports = checks.run_all(order=96, ids=ids)
+    reports = checks.run_all(**sizes(order=96), ids=ids)
     assert [r.id for r in reports if r.status != "pass"] == []
     assert len(products) <= 103
 
@@ -236,7 +240,7 @@ def test_range_checks_at_nmax_300_make_at_most_19_products(monkeypatch):
     ids = [i for i in checks.registry_ids() if checks.REGISTRY[i].scope == "range"]
     assert len(ids) == 13
     products = _count_series_products(monkeypatch)
-    reports = checks.run_all(nmax=300, ids=ids)
+    reports = checks.run_all(**sizes(nmax=300), ids=ids)
     assert [r.id for r in reports if r.status != "pass"] == []
     assert len(products) <= 19
 
@@ -248,16 +252,16 @@ def _de_id(level, m):
 @pytest.mark.parametrize("level, m", [(1, 5), (2, 2), (2, 3), (2, 4), (2, 5)])
 def test_displayed_forms_are_a_second_equation_equal_to_the_derivative(level, m):
     # each displayed form is a second right-hand side for q E'_{2m-2}
-    ws = checks.Workspace(order=24)
-    equations = list(checks.REGISTRY[_de_id(level, m)].equations(ws))
-    series = ws.catalog.level1 if level == 1 else ws.catalog.level2
+    cat = SeriesCatalog(24)
+    equations = list(checks.REGISTRY[_de_id(level, m)].equations(cat))
+    series = cat.level1 if level == 1 else cat.level2
     assert len(equations) == 2
     assert equations[1][0] == equations[1][1] == series(m - 1).theta()
 
 
 def test_only_the_displayed_forms_add_an_equation():
-    ws = checks.Workspace(order=12)
-    counts = {(level, m): len(list(checks.REGISTRY[_de_id(level, m)].equations(ws)))
+    cat = SeriesCatalog(12)
+    counts = {(level, m): len(list(checks.REGISTRY[_de_id(level, m)].equations(cat)))
               for level in (1, 2) for m in range(2, 13)}
     assert {key for key, n in counts.items() if n == 2} == set(checks._DISPLAYED_FORMS)
     assert set(counts.values()) == {1, 2}
@@ -269,7 +273,7 @@ def test_only_the_displayed_forms_add_an_equation():
 def test_de_checks_compare_the_displayed_form(monkeypatch, level, m):
     zeroed = {ks: Fraction(0) for ks in checks._DISPLAYED_FORMS[level, m]}
     monkeypatch.setitem(checks._DISPLAYED_FORMS, (level, m), zeroed)
-    report = checks.run_check(_de_id(level, m), checks.Workspace(order=12))
+    report = checks.run_check(_de_id(level, m), workspace(order=12))
     assert report.status == "fail"
     # the convolution equation still holds: the form's equation fails, at
     # the first nonzero coefficient of q E'_{2m-2}
@@ -281,7 +285,7 @@ def test_no_check_or_constructor_divides(monkeypatch, capsys):
         raise AssertionError("QSeries.invert called")
 
     monkeypatch.setattr(QSeries, "invert", refuse)
-    reports = checks.run_all(order=16, nmax=30, mmax=6)
+    reports = checks.run_all(order=16, nmax=30, mmax=6, ids=checks.registry_ids())
     assert [r.id for r in reports if r.status != "pass"] == []
     for name in ("C", "D", "delta8"):
         assert cli.main(["export", name]) == 0
@@ -292,7 +296,7 @@ def test_every_power_goes_through_the_catalog(monkeypatch, capsys):
         raise AssertionError("QSeries.__pow__ called")
 
     monkeypatch.setattr(QSeries, "__pow__", refuse)
-    reports = checks.run_all(order=16, nmax=30, mmax=6)
+    reports = checks.run_all(order=16, nmax=30, mmax=6, ids=checks.registry_ids())
     assert [r.id for r in reports if r.status != "pass"] == []
     for name in ("r4", "r24", "tau", "delta", "E12star"):
         assert cli.main(["export", name]) == 0
@@ -303,13 +307,13 @@ _TAU = {2: -24, 3: 252, 6: -6048, 7: -16744}
 
 
 def _bump_tau(monkeypatch, n, by):
-    real = checks.Workspace.tau_range
+    real = SeriesCatalog.delta
 
-    def bumped(self, upto):
-        tau = real(self, upto)
+    def bumped(self):
+        tau = real(self)
         return tau + QSeries.from_terms({n: by}, tau.order)
 
-    monkeypatch.setattr(checks.Workspace, "tau_range", bumped)
+    monkeypatch.setattr(SeriesCatalog, "delta", bumped)
 
 
 def _conv_star(a, b, n):
@@ -354,7 +358,7 @@ def test_integer_scans_report_the_fraction_triple(monkeypatch, check_id, n, by,
     # the scans run on integer numerators; a failure is still reported as
     # the exact values of the identity at its first bad index
     _bump_tau(monkeypatch, n, by)
-    report = checks.run_check(check_id, checks.Workspace(order=12, nmax=12))
+    report = checks.run_check(check_id, workspace(order=12, nmax=12))
     assert report.status == "fail"
     assert report.first_discrepancy == expected
     assert all(type(x) is Fraction for x in report.first_discrepancy[1:])
@@ -388,8 +392,9 @@ def _sigma11_from_1(upto):
     ],
 )
 def test_tau_props_later_clauses_fail_on_their_own(monkeypatch, table, expected, note):
-    monkeypatch.setattr(checks.Workspace, "tau_range", lambda self, upto: table(upto))
-    report = checks.run_check("TAU-PROPS", checks.Workspace())
+    faulty = table(checks._TAU_PROPS_N)
+    monkeypatch.setattr(SeriesCatalog, "delta", lambda self: faulty)
+    report = checks.run_check("TAU-PROPS", workspace())
     assert (report.first_discrepancy, report.notes) == (expected, (note,))
 
 
@@ -450,14 +455,15 @@ def _tau_faults(tau, rng):
 
 def test_hecke_relations_fail_exactly_when_the_loops_do(monkeypatch):
     # one workspace, so the order-1000 discriminant and sigma_11 are built once
-    ws = checks.Workspace()
+    ws = workspace()
     limit = checks._TAU_PROPS_N
-    tau = list(ws.tau_range(limit).numerators)
+    cat = ws.catalog_at(limit)
+    tau = list(cat.delta().numerators)
     runner = checks.REGISTRY["TAU-PROPS"].runner
     outcomes = []
     for faulty in _tau_faults(tau, random.Random(16)):
         table = QSeries(faulty)
-        monkeypatch.setattr(ws, "tau_range", lambda upto: table)
+        monkeypatch.setattr(cat, "delta", lambda: table)
         notes = []
         runner(ws, notes)
         hecke_fails = bool(notes) and notes[0].startswith("Hecke relation")
@@ -469,21 +475,23 @@ def test_hecke_relations_fail_exactly_when_the_loops_do(monkeypatch):
 
 
 def test_c10_fails_where_r4_vanishes(monkeypatch):
-    real = checks.Workspace.r_table
+    real = SeriesCatalog.power
 
-    def r4_zero_at_7(self, s):
-        table = real(self, s)
-        return table - QSeries.from_terms({7: table[7]}, table.order) if s == 4 else table
+    def r4_zero_at_7(self, name, e):
+        table = real(self, name, e)
+        if (name, e) != ("theta3", 4):
+            return table
+        return table - QSeries.from_terms({7: table[7]}, table.order)
 
-    monkeypatch.setattr(checks.Workspace, "r_table", r4_zero_at_7)
-    report = checks.run_check("C10", checks.Workspace(nmax=12))
+    monkeypatch.setattr(SeriesCatalog, "power", r4_zero_at_7)
+    report = checks.run_check("C10", workspace(nmax=12))
     assert report.first_discrepancy == (7, arith.r_oracle(24, 7), 0)
     assert report.notes == ()
 
 
 def test_tau_props_reads_sigma11_from_the_catalog(monkeypatch):
     _corrupt_divisor_sums(monkeypatch, "sigma", 11, 7)
-    report = checks.run_check("TAU-PROPS", checks.Workspace())
+    report = checks.run_check("TAU-PROPS", workspace())
     assert report.first_discrepancy == (7, _TAU[7], arith.sigma(11, 7) + 1)
     assert report.notes == ("691 congruence fails",)
 
@@ -492,13 +500,13 @@ def test_jacobi_lists_each_divisor_set_once(monkeypatch):
     calls = []
     real = arith.divisors
     monkeypatch.setattr(arith, "divisors", lambda n: calls.append(n) or real(n))
-    assert checks.run_check("JACOBI", checks.Workspace(nmax=30)).status == "pass"
+    assert checks.run_check("JACOBI", workspace(nmax=30)).status == "pass"
     assert sorted(calls) == list(range(1, 31))
 
 
 def test_failing_line_format(monkeypatch):
     _corrupt_sigma_star(monkeypatch)
-    report = checks.run_check("T5", checks.Workspace(nmax=12))
+    report = checks.run_check("T5", workspace(nmax=12))
     line = report.line()
     assert line.startswith("FAIL  T5")
     assert "n=5" in line
@@ -506,9 +514,9 @@ def test_failing_line_format(monkeypatch):
 
 @pytest.mark.parametrize("s", [1, 3, 5, 7, 11, 13])
 def test_sigma_series_keep_the_n0_conventions(s):
-    ws = checks.Workspace(nmax=40)
-    assert ws.sigma_range(s, 40).coeffs == tuple(arith.sigma(s, n) for n in range(41))
-    assert ws.sigma_star_range(s, 40).coeffs == tuple(
+    cat = SeriesCatalog(40)
+    assert cat.sigma(s).coeffs == tuple(arith.sigma(s, n) for n in range(41))
+    assert cat.sigma_star(s).coeffs == tuple(
         arith.sigma_star(s, n) for n in range(41)
     )
 
@@ -519,44 +527,48 @@ def test_sigma_series_keep_the_n0_conventions(s):
 
 
 class RandomInputs:
-    """A stand-in workspace whose divisor sums, tau, theta powers and D are
+    """A stand-in catalog whose divisor sums, tau, theta powers and D are
     arbitrary rationals, so that each series equation is compared with its
     loop as a function of its inputs, not only at the true values."""
 
-    def __init__(self, nmax: int = 40, seed: int = 0):
+    def __init__(self, order: int = 40, seed: int = 0):
         rng = random.Random(seed)
-        self.order, self.nmax, self.mmax = 0, nmax, 0
+        self.order = order
         self.values = defaultdict(lambda: [
-            Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(nmax + 1)
+            Fraction(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(order + 1)
         ])
         self.values["D"][0] = Fraction(0)  # D = sum delta_8(n-1) q^n
-        self.rcat = self
 
-    def _series(self, key, upto: int) -> QSeries:
-        return QSeries(self.values[key][: upto + 1])
+    def _series(self, key) -> QSeries:
+        return QSeries(self.values[key])
 
-    def sigma_range(self, s, upto):
-        return self._series(("sigma", s), upto)
+    def sigma(self, s):
+        return self._series(("sigma", s))
 
-    def sigma_star_range(self, s, upto):
-        return self._series(("sigma*", s), upto)
+    def sigma_star(self, s):
+        return self._series(("sigma*", s))
 
-    def tau_range(self, upto):
-        return self._series("tau", upto)
+    def delta(self):
+        return self._series("tau")
 
-    def r_table(self, s):
-        return self._series(("r", s), self.nmax)
+    def power(self, name, e):
+        assert name == "theta3"
+        return self._series(("r", e))
 
     def D(self):
-        return self._series("D", self.nmax)
+        return self._series("D")
 
-    def catalog_at(self, upto):
-        # product(*names) multiplies the named sigma* series on 0..upto
-        def product(*names):
-            indices = (int(name.removeprefix("sigma").removesuffix("star")) for name in names)
-            return reduce(operator.mul, (self.sigma_star_range(s, upto) for s in indices))
+    def product(self, *names):
+        # the named sigma* series multiplied
+        indices = (int(name.removeprefix("sigma").removesuffix("star")) for name in names)
+        return reduce(operator.mul, (self.sigma_star(s) for s in indices))
 
-        return SimpleNamespace(product=product)
+
+def _run_on(check_id: str, cat) -> checks.CheckReport:
+    """``run_check`` on a workspace whose catalog at the check's range is cat."""
+    ws = SimpleNamespace(order=cat.order, nmax=cat.order, mmax=0,
+                         catalog_at={cat.order: cat}.__getitem__)
+    return checks.run_check(check_id, ws)
 
 
 def _sigma3_classical_oracle(v, N):
@@ -658,33 +670,33 @@ ORACLES = {
 
 @pytest.mark.parametrize("check_id", sorted(ORACLES))
 def test_series_rhs_matches_double_sum_oracle(check_id):
-    ws = RandomInputs()
-    lhs_key, rhs = ORACLES[check_id](ws.values, ws.nmax)
-    ws.values[lhs_key] = list(rhs)
+    cat = RandomInputs()
+    lhs_key, rhs = ORACLES[check_id](cat.values, cat.order)
+    cat.values[lhs_key] = list(rhs)
     # the check passes only if its series side equals the loop on 0..nmax
-    assert checks.run_check(check_id, ws).status == "pass"
-    ws.values[lhs_key][17] += 1
-    report = checks.run_check(check_id, ws)
+    assert _run_on(check_id, cat).status == "pass"
+    cat.values[lhs_key][17] += 1
+    report = _run_on(check_id, cat)
     assert report.first_discrepancy == (17, rhs[17] + 1, rhs[17])
 
 
 @pytest.mark.parametrize("upto", [4, 40])
 def test_convolution_products_match_double_sum_oracle(upto):
     # the conv55/conv37 rows of C10 and TABLE2
-    ws = RandomInputs()
-    conv55, conv37 = checks._conv55_conv37(ws, upto)
-    assert (list(conv55.coeffs), list(conv37.coeffs)) == _conv_oracle(ws.values, upto)
+    cat = RandomInputs(order=upto)
+    conv55, conv37 = checks._conv55_conv37(cat)
+    assert (list(conv55.coeffs), list(conv37.coeffs)) == _conv_oracle(cat.values, upto)
 
 
 def test_t10_reports_the_lower_index_and_the_sigma5_form_on_a_tie():
-    ws = RandomInputs()
-    _, r24 = _t10_oracle(ws.values, ws.nmax)
-    ws.values["r", 24] = r24
-    ws.values["tau"][17] += 1  # both forms now fail at 17, by 64 and 512/17
-    report = checks.run_check("T10", ws)
+    cat = RandomInputs()
+    _, r24 = _t10_oracle(cat.values, cat.order)
+    cat.values["r", 24] = r24
+    cat.values["tau"][17] += 1  # both forms now fail at 17, by 64 and 512/17
+    report = _run_on("T10", cat)
     assert report.first_discrepancy == (17, r24[17], r24[17] + 64)
-    ws.values["sigma*", 3][10] += 1  # only the sigma*_3 sigma*_7 form, from 10
-    assert checks.run_check("T10", ws).first_discrepancy[0] == 10
+    cat.values["sigma*", 3][10] += 1  # only the sigma*_3 sigma*_7 form, from 10
+    assert _run_on("T10", cat).first_discrepancy[0] == 10
 
 
 # ---------------------------------------------------------------------------
@@ -739,30 +751,49 @@ def test_compare_reads_a_generator_only_to_the_first_failure(earliest, read):
 _SCANS = {"C1", "C2", "P4", "T49", "C10", "TAU-PROPS", "TABLE2"}
 
 
-@pytest.mark.parametrize(
-    "sizes",
-    [dict(order=64, nmax=200, mmax=20), dict(order=12, nmax=30, mmax=6),
-     dict(order=1, nmax=0, mmax=1), dict(order=0, nmax=0, mmax=0)],
+_EQUATION_IDS = [i for i in checks.registry_ids() if checks.REGISTRY[i].equations]
+
+_SETTINGS = pytest.mark.parametrize(
+    "settings",
+    [sizes(), sizes(order=12, nmax=30, mmax=6), sizes(order=1, nmax=0, mmax=1),
+     sizes(order=0, nmax=0, mmax=0)],
     ids=["defaults", "12-30-6", "1-0-1", "0-0-0"],
 )
-def test_equation_builders_return_their_equations_without_comparing(monkeypatch, sizes):
-    # each equation check is data: its builder compares nothing, and every
-    # equation it returns is compared on exactly the range its report prints
-    ids = [i for i in checks.registry_ids() if checks.REGISTRY[i].equations]
-    assert len(ids) == 43 and set(checks.registry_ids()) - set(ids) == _SCANS
-    printed = {r.id: r.order for r in checks.run_all(**sizes, ids=ids)}
+
+
+@_SETTINGS
+def test_equation_builders_return_their_equations_without_comparing(monkeypatch, settings):
+    # each equation check is data: its builder, on the catalog at its range,
+    # compares nothing and returns its equations
+    assert len(_EQUATION_IDS) == 43
+    assert set(checks.registry_ids()) - set(_EQUATION_IDS) == _SCANS
 
     def refuse(*args):
         raise AssertionError("first_difference called")
 
     monkeypatch.setattr(checks, "first_difference", refuse)
-    ws = checks.Workspace(**sizes)
-    for i in ids:
-        equations = list(checks.REGISTRY[i].equations(ws))
+    ws = checks.Workspace(**settings)
+    for i in _EQUATION_IDS:
+        check = checks.REGISTRY[i]
+        equations = list(check.equations(ws.catalog_at(checks._range(check.scope, ws))))
         assert equations, i
-        for lhs, rhs, *note in equations:
-            assert min(lhs.order, rhs.order) == printed[i], i
-            assert len(note) <= 1
+        assert all(len(note) <= 1 for _, _, *note in equations), i
+
+
+@_SETTINGS
+def test_an_equation_check_compares_exactly_its_printed_order(monkeypatch, settings):
+    # every equation the runner compares has the order run_check prints as
+    # its smallest common order
+    compared = []
+    real = checks.first_difference
+    monkeypatch.setattr(checks, "first_difference",
+                        lambda a, b: compared.append(min(a.order, b.order)) or real(a, b))
+    ws = checks.Workspace(**settings)
+    for i in _EQUATION_IDS:
+        compared.clear()
+        report = checks.run_check(i, ws)
+        assert report.status == "pass", i
+        assert compared and set(compared) == {report.order}, i
 
 
 def test_equation_checks_compare_inside_their_runner(monkeypatch):
@@ -773,7 +804,7 @@ def test_equation_checks_compare_inside_their_runner(monkeypatch):
     monkeypatch.setattr(checks, "first_difference",
                         lambda a, b: calls.append(1) or real(a, b))
     runner = checks.REGISTRY["HAHN-SYS"].runner
-    assert runner(checks.Workspace(order=8), []) is None
+    assert runner(workspace(order=8), []) is None
     assert len(calls) == 3
 
 
@@ -782,21 +813,19 @@ def test_p4_and_jacobi_build_no_equation_past_the_first_failure(monkeypatch):
     real = checks.gp_evaluate
     monkeypatch.setattr(checks, "gp_evaluate",
                         lambda f, cat: evaluated.append(1) or real(f, cat))
-    assert checks.run_check("P4", checks.Workspace(order=12)).status == "pass"
+    assert checks.run_check("P4", workspace(order=12)).status == "pass"
     assert len(evaluated) == 3
     evaluated.clear()
     _corrupt_sigma_star(monkeypatch, s=1, n=1)
-    report = checks.run_check("P4", checks.Workspace(order=12))
+    report = checks.run_check("P4", workspace(order=12))
     assert report.notes == ("series-level rule for A broken",)
     assert len(evaluated) == 1
     # JACOBI: a bad 4-square table stops it before the 6- and 8-square ones
     _bump_r_table(monkeypatch, 4, 3)
-    tables = []
-    real_table = checks.Workspace.r_table
-    monkeypatch.setattr(checks.Workspace, "r_table",
-                        lambda self, s: tables.append(s) or real_table(self, s))
-    assert checks.run_check("JACOBI", checks.Workspace(nmax=12)).notes == ("4-square formula",)
-    assert tables == [2, 4]
+    ws = workspace(nmax=12)
+    assert checks.run_check("JACOBI", ws).notes == ("4-square formula",)
+    assert sorted(key for key in ws.rcat._cache if key.startswith("theta3^")) == [
+        "theta3^2", "theta3^4"]
 
 
 def test_p4_names_the_differing_monomial(monkeypatch):
@@ -804,7 +833,7 @@ def test_p4_names_the_differing_monomial(monkeypatch):
     den, rules = graded._RULES[graded.LEVEL2]
     bad = ({**rules[0], (2, 0, 0): rules[0][2, 0, 0] + 1}, rules[1], rules[2])
     monkeypatch.setitem(graded._RULES, graded.LEVEL2, (den, bad))
-    report = checks.run_check("P4", checks.Workspace(order=12))
+    report = checks.run_check("P4", workspace(order=12))
     # n counts monomials in the sorted union, B before A^2, not powers of q
     assert report.first_discrepancy == (1, 0, Fraction(-1, 4))
     assert report.notes == ("polynomial rule for A broken at A^2: 0 != -1/4",)
@@ -822,7 +851,7 @@ def test_table2_fails_on_a_printed_row_after_the_rows_before_it(
     printed = checks._TABLE2_PRINTED[row]
     monkeypatch.setitem(checks._TABLE2_PRINTED, row,
                         printed + QSeries.from_terms({n: 1}, printed.order))
-    report = checks.run_check("TABLE2", checks.Workspace())
+    report = checks.run_check("TABLE2", workspace())
     assert report.first_discrepancy == expected
     assert len(report.notes) == flagged
     assert all(note.startswith("flagged cell (conv") for note in report.notes)
@@ -832,31 +861,33 @@ def test_table2_24_square_route_reports_the_lowest_n(monkeypatch):
     r24 = {n: arith.r_oracle(24, n) for n in range(5)}
     # tau(3) + 1 breaks both forms at n = 3: the sigma*_5^2 form is reported
     _bump_tau(monkeypatch, 3, 1)
-    report = checks.run_check("TABLE2", checks.Workspace())
+    report = checks.run_check("TABLE2", workspace())
     assert report.first_discrepancy == (3, r24[3] + 64, r24[3])
     assert report.notes == ()
     # sigma*_7(2) + 1 moves conv37 from n = 2 by sigma*_3(0) = -1/16, so
     # only the sigma*_3 sigma*_7 form fails there, below the tie at 3
     _corrupt_sigma_star(monkeypatch, s=7, n=2)
-    report = checks.run_check("TABLE2", checks.Workspace())
+    report = checks.run_check("TABLE2", workspace())
     assert report.first_discrepancy == (2, r24[2] - Fraction(32, 17), r24[2])
 
 
 def _bump_r_table(monkeypatch, s, n):
-    real = checks.Workspace.r_table
+    real = SeriesCatalog.power
 
-    def bumped(self, ss):
-        table = real(self, ss)
-        return table + QSeries.from_terms({n: 1}, table.order) if ss == s else table
+    def bumped(self, name, e):
+        table = real(self, name, e)
+        if (name, e) != ("theta3", s):
+            return table
+        return table + QSeries.from_terms({n: 1}, table.order)
 
-    monkeypatch.setattr(checks.Workspace, "r_table", bumped)
+    monkeypatch.setattr(SeriesCatalog, "power", bumped)
 
 
 @pytest.mark.parametrize("n", [0, 5])
 @pytest.mark.parametrize("s", [2, 4, 6, 8])
 def test_jacobi_names_the_failing_formula(monkeypatch, s, n):
     _bump_r_table(monkeypatch, s, n)
-    report = checks.run_check("JACOBI", checks.Workspace(nmax=12))
+    report = checks.run_check("JACOBI", workspace(nmax=12))
     assert report.status == "fail"
     r = arith.r_oracle(s, n)
     assert report.first_discrepancy == (n, r + 1, r)
@@ -868,12 +899,12 @@ def test_delta8_fails_at_the_first_oracle_mismatch(monkeypatch):
     monkeypatch.setattr(arith, "delta8_oracle", lambda n: real(n) + (n == 3))
     # D's q^(n+1) coefficient counts the representations of n, so the fault
     # shows at q^4, on DELTA8's own range whatever the order
-    report = checks.run_check("DELTA8", checks.Workspace(order=12, nmax=12))
+    report = checks.run_check("DELTA8", workspace(order=12, nmax=12))
     assert report.first_discrepancy == (4, 64, 65)
     assert report.order == 51
     # the enumeration is DELTA8's alone: the checks that read D pass
     for check_id in ("L5", "DET-L2", "T9"):
-        assert checks.run_check(check_id, checks.Workspace(order=12, nmax=12)).status == "pass"
+        assert checks.run_check(check_id, workspace(order=12, nmax=12)).status == "pass"
 
 
 def test_a_fault_in_sigma3_fails_only_the_checks_that_read_it():
@@ -881,7 +912,8 @@ def test_a_fault_in_sigma3_fails_only_the_checks_that_read_it():
     # through the sieved sigma_3 fail; the checks that read the discriminant
     # but not sigma_3 pass, since the discriminant is the eta product alone
     with dict(fault_grid.cases((7,), ()))["sigma(3)[7]+1"]:
-        reports = {r.id: r for r in checks.run_all(**fault_grid.SETTINGS)}
+        reports = {r.id: r for r in checks.run_all(**fault_grid.SETTINGS,
+                                                   ids=checks.registry_ids())}
     assert {"DIS", "L4", "C1", "T8"} <= {i for i, r in reports.items() if r.status == "fail"}
     for check_id in ("C2", "C10", "T10", "T314", "R24-FACT", "TAU-PROPS"):
         assert reports[check_id].status == "pass", check_id
@@ -897,7 +929,7 @@ def test_no_check_reads_the_fraction_view(monkeypatch):
         raise AssertionError("QSeries.coeffs read")
 
     monkeypatch.setattr(QSeries, "coeffs", property(refuse))
-    reports = checks.run_all()
+    reports = checks.run_all(**sizes(), ids=checks.registry_ids())
     assert len(reports) == 50
     assert [r.id for r in reports if r.status != "pass"] == []
     table2 = next(r for r in reports if r.id == "TABLE2")
@@ -914,7 +946,7 @@ def test_level2_code_reads_no_fraction_view(monkeypatch):
 
     monkeypatch.setattr(QSeries, "coeffs", refuse("QSeries.coeffs"))
     monkeypatch.setattr(graded.GradedPoly, "terms", refuse("GradedPoly.terms"))
-    reports = checks.run_all(order=16, nmax=30, mmax=6)
+    reports = checks.run_all(order=16, nmax=30, mmax=6, ids=checks.registry_ids())
     assert len(reports) == 50
     assert [r.id for r in reports if r.status != "pass"] == []
     assert graded.check_positivity(20, SeriesCatalog(graded.e_star_order(20)))
@@ -935,7 +967,7 @@ def test_t49_names_the_least_monomial_outside_the_cone(monkeypatch):
     monkeypatch.setattr(arith, "divisor_sum_table", lambda kind, s, N: (
         [-x for x in real_table(kind, s, N)] if (kind, s) == ("sigma_star", 7)
         else real_table(kind, s, N)))
-    report = checks.run_check("T49", checks.Workspace(mmax=4))
+    report = checks.run_check("T49", workspace(mmax=4))
     assert report.first_discrepancy == (4, Fraction(-8, 17), 0)
 
 
@@ -945,10 +977,10 @@ def test_t49_reports_a_monomial_outside_the_basis(monkeypatch):
     den, rules = graded._RULES[graded.LEVEL2]
     bad = (rules[0], {**rules[1], (1, 1, 1): 1}, rules[2])
     monkeypatch.setitem(graded._RULES, graded.LEVEL2, (den, bad))
-    report = checks.run_check("T49", checks.Workspace(mmax=6))
+    report = checks.run_check("T49", workspace(mmax=6))
     assert report.first_discrepancy == (0, Fraction(3, 4), 1)
     assert report.notes == ("E6star polynomial: differential recursion against the q-expansion",)
-    assert checks.run_check("P4", checks.Workspace()).notes == (
+    assert checks.run_check("P4", workspace()).notes == (
         "polynomial rule for B broken at A*B*C: 1/4 != 0",)
 
 
@@ -987,7 +1019,7 @@ def test_hankel_minors_equal_the_literal_matrices(check_id):
             assert checks._minor(cat, on, rows, cols) == _literal_det(series, matrix)
     # and the check's left sides are those matrices' determinants, in order
     series = cat.level1 if level == 1 else cat.level2
-    lhs = [eq[0] for eq in checks.REGISTRY[check_id].equations(checks.Workspace(order=16))]
+    lhs = [eq[0] for eq in checks.REGISTRY[check_id].equations(cat)]
     assert lhs == [_literal_det(series, matrix) for matrix, _, _ in matrices]
 
 
@@ -1014,7 +1046,7 @@ def test_a_3x3_minor_makes_three_products_once_its_pairs_exist(monkeypatch, leve
 
 
 def test_the_index_0_entry_never_enters_the_memo():
-    ws = checks.Workspace(order=16)
+    ws = workspace(order=16)
     for check_id in _HANKEL_MATRICES:
         assert checks.run_check(check_id, ws).status == "pass"
     cat = ws.catalog

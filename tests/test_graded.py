@@ -28,6 +28,7 @@ from eisen2.graded import (
 )
 from eisen2.qseries import QSeries
 from eisen2.scalars import ks_alpha, ks_coefficient, rs_coefficient
+from verify_defaults import workspace
 
 LAW_RUNS = 110
 
@@ -358,7 +359,7 @@ def test_graded_keeps_no_state_between_calls():
     cat = SeriesCatalog(0)
     e_star_poly(8, cat)
     check_positivity(5, cat)
-    assert checks.run_check("T49", checks.Workspace(mmax=6)).status == "pass"
+    assert checks.run_check("T49", workspace(mmax=6)).status == "pass"
     after = dict(vars(graded))
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)

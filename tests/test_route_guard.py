@@ -7,14 +7,24 @@ returns: no module defines or raises ``CrossCheckMismatch``, and
 ``run_check`` catches nothing.
 
 Each entry point has one calling convention: ``run_check`` takes its
-workspace, the tower and decomposition functions their catalog, and the
-Serre derivatives read the weight from the polynomial, so none of them has
-a parameter default or a ``weight`` parameter.  And no equation builder in
-``checks.py`` seeds a sum with ``QSeries.zero``: each sums from its first
-term."""
+workspace, ``run_all`` and ``Workspace`` their sizes (the ``verify`` parser
+is the one place that states the defaults), the tower and decomposition
+functions their catalog, and the Serre derivatives read the weight from the
+polynomial, so none of them has a parameter default or a ``weight``
+parameter.  And no equation builder in ``checks.py`` seeds a sum with
+``QSeries.zero``: each sums from its first term.
+
+Every equation builder takes one ``SeriesCatalog`` and nothing else, and no
+code in ``checks.py`` calls the ``Workspace`` forwards ``sigma_range``,
+``sigma_star_range``, ``tau_range`` or ``r_table``, which only perfbench's
+tracer pins."""
 
 import ast
 from pathlib import Path
+
+from eisen2 import checks
+from eisen2.catalog import SeriesCatalog
+from eisen2.qseries import first_difference
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "eisen2"
 
@@ -51,9 +61,14 @@ def tries_in(source: str, name: str, func: str) -> list[tuple[str, int]]:
 
 
 def signature_of(source: str, name: str, func: str) -> tuple[list[str], int]:
-    """The parameter names of the function ``func`` and how many of them
-    have a default."""
-    (node,) = [node for node in ast.walk(ast.parse(source, filename=name))
+    """The parameter names of the function ``func``, or of the method
+    ``Class.func``, and how many of them have a default."""
+    tree = ast.parse(source, filename=name)
+    *cls, func = func.split(".")
+    if cls:
+        (tree,) = [node for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) and node.name == cls[0]]
+    (node,) = [node for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef) and node.name == func]
     args = node.args
     params = args.posonlyargs + args.args + args.kwonlyargs
@@ -62,7 +77,11 @@ def signature_of(source: str, name: str, func: str) -> tuple[list[str], int]:
 
 
 ENTRY_POINTS = {
-    "checks.py": {"run_check": ["id", "workspace"]},
+    "checks.py": {
+        "run_check": ["id", "workspace"],
+        "run_all": ["order", "nmax", "mmax", "ids"],
+        "Workspace.__init__": ["self", "order", "nmax", "mmax"],
+    },
     "graded.py": {
         "e_star_poly": ["m", "catalog"],
         "check_positivity": ["m", "catalog"],
@@ -136,3 +155,43 @@ def run_check(id, order=64, *, workspace=None):
     assert signature_of(old, "graded.py", "serre_delta") == (["f", "weight"], 1)
     assert signature_of(old, "checks.py", "run_check") == (["id", "order", "workspace"], 2)
     assert calls_of(old, "checks.py", "zero") == [("checks.py", 6)]
+
+
+FORWARDS = ("sigma_range", "sigma_star_range", "tau_range", "r_table")
+
+
+def test_no_check_calls_a_workspace_forward():
+    source = _sources()["checks.py"]
+    for forward in FORWARDS:
+        assert calls_of(source, "checks.py", forward) == [], forward
+
+
+def test_the_guard_finds_a_workspace_forward():
+    # T8's and T9's builders as they once read their series
+    old = """
+def _t8(ws):
+    s3 = ws.sigma_range(3, ws.nmax)
+    tau = ws.tau_range(ws.nmax)
+
+def _t9(ws):
+    r16 = ws.r_table(16)
+    s3 = ws.sigma_star_range(3, ws.nmax)
+"""
+    assert [calls_of(old, "checks.py", forward) for forward in FORWARDS] == [
+        [("checks.py", 3)], [("checks.py", 8)], [("checks.py", 4)], [("checks.py", 7)]]
+    # and the default sizes as Workspace once had them
+    old = "class Workspace:\n    def __init__(self, order, nmax=200, mmax=20):\n        pass\n"
+    assert signature_of(old, "checks.py", "Workspace.__init__") == (
+        ["self", "order", "nmax", "mmax"], 2)
+
+
+def test_every_builder_runs_on_a_bare_catalog(monkeypatch):
+    # a builder's one argument is its catalog, and no Workspace is in reach
+    monkeypatch.delattr(checks, "Workspace")
+    cat = SeriesCatalog(12)
+    builders = [check.equations for check in checks.REGISTRY.values() if check.equations]
+    assert len(builders) == 43
+    for build in builders:
+        for lhs, rhs, *_ in build(cat):
+            assert min(lhs.order, rhs.order) == cat.order
+            assert first_difference(lhs, rhs) is None
