@@ -2,13 +2,14 @@
 
 The divisor sums carry the n = 0 boundary conventions that make the
 convolution identities hold at every index; ``divisor_sum_zero`` defines
-them.  ``divisor_sum_table`` sieves a whole range of divisor sums at once in
-integers, and the catalog builds every divisor-sum series from it: the
-series keep the conventions, and its Eisenstein series are those series
-scaled by the reciprocals of the conventions, so their constant terms come
-out as 1.  The per-n functions
+them.  ``divisor_sum_table`` computes a whole range of divisor sums at once
+in integers, by multiplicativity from the smallest prime factor of each n,
+about one integer product per n, and the catalog builds every divisor-sum
+series from it: the series keep the conventions, and its Eisenstein series
+are those series scaled by the reciprocals of the conventions, so their
+constant terms come out as 1.  The per-n functions
 ``divisors``, ``sigma``, ``sigma_star`` and ``sigma_sharp`` work by trial
-division; they are the independent oracles the sieve is tested against, and
+division; they are the independent oracles the table is tested against, and
 JACOBI reads divisor lists from ``divisors``.  A table of values is a
 series: ``tau_table`` and ``r_count`` return the catalog's ``QSeries`` of
 tau(n) and r_s(n), whose coefficient n is the value at n; no check uses
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from .qseries import QSeries
 from .scalars import bernoulli
@@ -92,8 +94,9 @@ def sigma_sharp(n: int) -> int:
     return sum(d for d in divisors(n) if d % 2)
 
 
-# the sign of an even divisor's term in each sieved divisor sum
-_EVEN_SIGN = {"sigma": 1, "sigma_star": -1, "sigma_sharp": 0}
+# c per kind: f(n) = sigma_s(n) - c 2^s sigma_s(n/2) for even n, and
+# f(0) = (1 - c 2^s) sigma_s(0)
+_EVEN_FACTOR = {"sigma": 0, "sigma_star": 2, "sigma_sharp": 1}
 
 
 def divisor_sum_zero(kind: str, s: int) -> Fraction:
@@ -103,31 +106,55 @@ def divisor_sum_zero(kind: str, s: int) -> Fraction:
     sigma*_s(n) = sigma_s(n) - 2^(s+1) sigma_s(n/2) and
     sigma#_s(n) = sigma_s(n) - 2^s sigma_s(n/2) hold at n = 0 too.  Its
     reciprocal normalizes the Eisenstein series to constant term 1."""
-    if kind not in _EVEN_SIGN:
+    if kind not in _EVEN_FACTOR:
         raise ValueError(f"unknown divisor-sum kind {kind!r}")
     if s < 1 or s % 2 == 0:
         raise ValueError("s must be an odd positive integer")
-    return (1 - (1 - _EVEN_SIGN[kind]) * 2**s) * -bernoulli(s + 1) / (2 * s + 2)
+    return (1 - _EVEN_FACTOR[kind] * 2**s) * -bernoulli(s + 1) / (2 * s + 2)
 
 
 def divisor_sum_table(kind: str, s: int, N: int) -> list:
-    """The divisor sums f(0), ..., f(N) of one kind, by a sieve over multiples.
+    """The divisor sums f(0), ..., f(N) of one kind, by multiplicativity.
 
     The kinds are "sigma" (sigma_s), "sigma_star" (sigma*_s, even divisors
     negative) and "sigma_sharp" (the odd divisors only, so s = 1 gives
-    ``sigma_sharp``), for odd s >= 1.  Each term +-d^s is computed once and
-    added to the slots of all multiples of d, about N ln N integer additions
-    in all.  Slots 1..N are ints.  Slot 0 holds ``divisor_sum_zero(kind, s)``.
+    ``sigma_sharp``), for odd s >= 1.  One pass finds the smallest prime
+    factor p of every n <= N, and p^s is computed once per prime.  With
+    n = p^e r and p prime to r, sigma_s(n) = sigma_s(r) sigma_s(p^e) and
+    sigma_s(p^e) = 1 + p^s sigma_s(p^(e-1)): one integer product per n.
+    Each kind is then f(n) = sigma_s(n) - c 2^s sigma_s(n/2) at even n, with
+    the constant c of ``divisor_sum_zero``.  Slots 1..N are ints.  Slot 0
+    holds ``divisor_sum_zero(kind, s)``.
     """
     zero = divisor_sum_zero(kind, s)
     if N < 0:
         raise ValueError("N must be nonnegative")
-    even_sign = _EVEN_SIGN[kind]
+    # smallest prime factors: the smaller primes, written last, win
+    spf = list(range(N + 1))
+    for p in reversed(primes_up_to(isqrt(N))):
+        spf[p * p :: p] = [p] * ((N - p * p) // p + 1)
     table = [0] * (N + 1)
-    for d in range(1, N + 1):
-        w = d**s if d % 2 else even_sign * d**s
-        if w:
-            table[d::d] = [x + w for x in table[d::d]]
+    part = [0] * (N + 1)  # part[n] = p^e, the power of spf(n) in n
+    power = {}  # p^s by prime p
+    if N:
+        table[1] = 1
+    for n in range(2, N + 1):
+        p = spf[n]
+        m = n // p
+        if m % p:
+            part[n] = q = p
+        else:
+            part[n] = q = part[m] * p
+        if q == n:
+            if m == 1:
+                power[p] = p**s
+            table[n] = 1 + power[p] * table[m]
+        else:
+            table[n] = table[q] * table[n // q]
+    c = _EVEN_FACTOR[kind]
+    if c:
+        w = c * 2**s
+        table[2::2] = [x - w * y for x, y in zip(table[2::2], table[1 : N // 2 + 1])]
     table[0] = zero
     return table
 

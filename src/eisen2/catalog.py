@@ -9,14 +9,15 @@ powers by one product more, and ``product`` each product of named series
 through ``monomial``, whatever the order of its factors.  So a product that
 several checks share is multiplied out once per catalog.  Each series is
 built once, by one route, from its defining expansion.  The divisor-sum
-series are sieved in integers by ``arith.divisor_sum_table`` and keep its
-n = 0 convention values as their constant terms, so the convolution
-identities hold from n = 0; the per-n ``arith`` functions are left as the
-oracles the tests hold them to.  Each Eisenstein series is one of the
+series are read from ``arith.divisor_sum_table``, which computes them in
+integers by multiplicativity, about one integer product per coefficient,
+and keep its n = 0 convention values as their constant terms, so the
+convolution identities hold from n = 0; the per-n ``arith`` functions are
+left as the oracles the tests hold them to.  Each Eisenstein series is one of the
 divisor-sum series over its n = 0 convention value
 ``arith.divisor_sum_zero``, E = S/S(0) and E* = S*/S*(0), so its constant
-term is 1.  The discriminant is the eta product, C is 24 times the sieved
-odd divisor sums and D is -(E*_4 - C^2)/64; their other routes are
+term is 1.  The discriminant is the eta product, C is 24 times the table
+of odd divisor sums and D is -(E*_4 - C^2)/64, one linear combination; their other routes are
 equations of the registry checks DIS, E6STAR-ABC and DELTA8.  No
 constructor divides.  The catalog also memoizes the levels of the E*_2m
 tower that ``graded.e_star_poly`` builds, whose series equations T49
@@ -31,7 +32,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import arith
-from .qseries import QSeries, int_mul
+from .qseries import QSeries, int_mul, linear_combination
 from .qseries import first_difference  # noqa: F401  (perfbench's tracer wraps it here)
 from .scalars import bernoulli  # noqa: F401  (perfbench's tracer wraps it here)
 
@@ -81,7 +82,7 @@ class SeriesCatalog:
             series = self._cache[key] = build()
         return series
 
-    def _sieved(self, kind: str, s: int) -> QSeries:
+    def _tabulated(self, kind: str, s: int) -> QSeries:
         """The series of ``arith.divisor_sum_table(kind, s, order)``, whose
         terms past the constant are integers over its denominator."""
         table = arith.divisor_sum_table(kind, s, self.order)
@@ -91,11 +92,11 @@ class SeriesCatalog:
 
     def sigma(self, s: int) -> QSeries:
         """sum sigma_s(n) q^n for n = 0..order, with the n = 0 convention."""
-        return self._memo(f"sigma{s}", lambda: self._sieved("sigma", s))
+        return self._memo(f"sigma{s}", lambda: self._tabulated("sigma", s))
 
     def sigma_star(self, s: int) -> QSeries:
         """sum sigma*_s(n) q^n for n = 0..order, with the n = 0 convention."""
-        return self._memo(f"sigma{s}star", lambda: self._sieved("sigma_star", s))
+        return self._memo(f"sigma{s}star", lambda: self._tabulated("sigma_star", s))
 
     def level1(self, k: int) -> QSeries:
         """E_{2k} = sum sigma_{2k-1}(n) q^n / sigma_{2k-1}(0); E_0 = 1."""
@@ -137,15 +138,15 @@ class SeriesCatalog:
 
     def C(self) -> QSeries:
         """The weight-2 form C = E*_6/E*_4 = 1 + 24 sum sigma#(n) q^n, built
-        as 24 times the sieved odd divisor sums, whose n = 0 convention is
+        as 24 times the table of odd divisor sums, whose n = 0 convention is
         1/24."""
-        return self._memo("C", lambda: self._sieved("sigma_sharp", 1).scale(24))
+        return self._memo("C", lambda: self._tabulated("sigma_sharp", 1).scale(24))
 
     def D(self) -> QSeries:
         """The weight-4 form -(E*_4 - C^2)/64, whose coefficient of q^(n+1)
         counts ordered sums of 8 triangular numbers equal to n."""
-        return self._memo("D", lambda: (self.level2(2) - self.power("C", 2)).scale(
-            Fraction(-1, 64)))
+        return self._memo("D", lambda: linear_combination(
+            (Fraction(-1, 64), self.level2(2)), (Fraction(1, 64), self.power("C", 2))))
 
     def power(self, name: str, e: int) -> QSeries:
         """The series ``by_name(name)`` to the power e >= 0, memoized.

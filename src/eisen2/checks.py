@@ -21,9 +21,7 @@ import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 from math import isqrt
-from operator import add
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import arith
@@ -40,6 +38,7 @@ from .graded import (
     serre_delta,
 )
 from .qseries import QSeries, first_difference, rational_str
+from .qseries import linear_combination as combine
 from .qseries import qs_det  # noqa: F401  (perfbench's tracer wraps it here)
 from .scalars import ks_coefficient, rs_coefficient
 
@@ -227,9 +226,10 @@ def _ram_de(cat: SeriesCatalog) -> list[Equation]:
     p, q, r = cat.level1(1), cat.level1(2), cat.level1(3)
     pq = cat.product
     return [
-        (p.theta(), (pq("E2", "E2") - q).scale(Fraction(1, 12))),
-        (q.theta(), (pq("E2", "E4") - r).scale(Fraction(1, 3))),
-        (r.theta(), (pq("E2", "E6") - pq("E4", "E4")).scale(Fraction(1, 2))),
+        (p.theta(), combine((Fraction(1, 12), pq("E2", "E2")), (Fraction(-1, 12), q))),
+        (q.theta(), combine((Fraction(1, 3), pq("E2", "E4")), (Fraction(-1, 3), r))),
+        (r.theta(), combine((Fraction(1, 2), pq("E2", "E6")),
+                            (Fraction(-1, 2), pq("E4", "E4")))),
     ]
 
 
@@ -266,8 +266,10 @@ def _de_equations(m: int, level: int) -> Builder:
     weighted convolution of lower series, then as the displayed form.
 
     Both coefficient functions are symmetric in k <-> m - k, so the k and
-    m - k terms are one product of weight 2 (weight 1 at k = m/2).  Every
-    product is the catalog's, so the families and the other checks share it."""
+    m - k terms are one product of weight 2 (weight 1 at k = m/2).  The sum
+    of w_k (E_{2k} E_{2m-2k} - E_{2m}) is one linear combination, in which
+    E_{2m} has the one weight -sum w_k.  Every product is the catalog's, so
+    the families and the other checks share it."""
 
     def name(k: int) -> str:
         return _eisenstein_name(level, k)
@@ -277,14 +279,13 @@ def _de_equations(m: int, level: int) -> Builder:
         # runs, so a patched module attribute takes effect
         coefficient = rs_coefficient if level == 1 else ks_coefficient
         lhs = cat.by_name(name(m - 1)).theta()
-        top = cat.by_name(name(m))
-        terms = ((cat.product(name(k), name(m - k)) - top).scale(
-            (1 if 2 * k == m else 2) * coefficient(m, k)) for k in range(1, m // 2 + 1))
-        yield lhs, reduce(add, terms)
+        terms = [((1 if 2 * k == m else 2) * coefficient(m, k),
+                  cat.product(name(k), name(m - k))) for k in range(1, m // 2 + 1)]
+        top = (-sum(w for w, _ in terms), cat.by_name(name(m)))
+        yield lhs, combine(*terms, top)
         form = _DISPLAYED_FORMS.get((level, m))
         if form is not None:
-            yield lhs, reduce(add, (cat.product(*map(name, ks)).scale(c)
-                                    for ks, c in form.items()))
+            yield lhs, combine(*((c, cat.product(*map(name, ks))) for ks, c in form.items()))
 
     return build
 
@@ -310,8 +311,8 @@ for _m in range(2, 13):
 @_equation_check("E6STAR-ABC", "C E4* = E6*, and qE6*' = (3ABC - B^2 - 2BC^2)/2")
 def _e6star_abc(cat: SeriesCatalog) -> list[Equation]:
     pq = cat.product
-    rhs = (pq("E2star", "E4star", "C").scale(3) - pq("E4star", "E4star")
-           - pq("E4star", "C", "C").scale(2)).scale(Fraction(1, 2))
+    rhs = combine((Fraction(3, 2), pq("E2star", "E4star", "C")),
+                  (Fraction(-1, 2), pq("E4star", "E4star")), (-1, pq("E4star", "C", "C")))
     return [
         (pq("C", "E4star"), cat.level2(3), "C E4* = E6* for C = 1 + 24 sum sigma#(n) q^n"),
         (cat.level2(3).theta(), rhs),
@@ -326,8 +327,8 @@ def _hahn_sys(cat: SeriesCatalog) -> list[Equation]:
     a, b, c = cat.level2(1), cat.level2(2), cat.C()
     pq = cat.product
     return [
-        (a.theta(), (pq("E2star", "E2star") - b).scale(Fraction(1, 4))),
-        (c.theta(), (pq("E2star", "C") - b).scale(Fraction(1, 2))),
+        (a.theta(), combine((Fraction(1, 4), pq("E2star", "E2star")), (Fraction(-1, 4), b))),
+        (c.theta(), combine((Fraction(1, 2), pq("E2star", "C")), (Fraction(-1, 2), b))),
         (b.theta(), pq("E2star", "E4star") - pq("C", "E4star")),
     ]
 
@@ -343,8 +344,7 @@ def _hahn_sys(cat: SeriesCatalog) -> list[Equation]:
 )
 def _sigma3_classical(cat: SeriesCatalog) -> list[Equation]:
     s1, s3 = cat.sigma(1), cat.sigma(3)
-    rhs = (s1.theta() + (s1 * s1).scale(2)).scale(Fraction(6, 5))
-    return [(s3, rhs)]
+    return [(s3, combine((Fraction(6, 5), s1.theta()), (Fraction(12, 5), s1 * s1)))]
 
 
 @_equation_check(
@@ -355,7 +355,7 @@ def _sigma3_classical(cat: SeriesCatalog) -> list[Equation]:
 )
 def _t7(cat: SeriesCatalog) -> list[Equation]:
     s1, s11, s13 = cat.sigma(1), cat.sigma(11), cat.sigma(13)
-    rhs = ((s1 * s11).scale(24) + s11.theta()).scale(Fraction(2730, 691))
+    rhs = combine((Fraction(24 * 2730, 691), s1 * s11), (Fraction(2730, 691), s11.theta()))
     return [(s13, rhs)]
 
 
@@ -366,7 +366,7 @@ def _t7(cat: SeriesCatalog) -> list[Equation]:
 )
 def _t5(cat: SeriesCatalog) -> list[Equation]:
     s1, s3 = cat.sigma_star(1), cat.sigma_star(3)
-    return [(s3, s1.theta().scale(2) - (s1 * s1).scale(4))]
+    return [(s3, combine((2, s1.theta()), (-4, s1 * s1)))]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +376,7 @@ def _t5(cat: SeriesCatalog) -> list[Equation]:
 @_equation_check("L4", "1728 Delta = 3 E6 qE4' - 2 E4 qE6' as series")
 def _l4(cat: SeriesCatalog) -> list[Equation]:
     e4, e6 = cat.level1(2), cat.level1(3)
-    rhs = (e6 * e4.theta()).scale(3) - (e4 * e6.theta()).scale(2)
+    rhs = combine((3, e6 * e4.theta()), (-2, e4 * e6.theta()))
     return [(cat.delta().scale(1728), rhs)]
 
 
@@ -387,8 +387,7 @@ def _l4(cat: SeriesCatalog) -> list[Equation]:
 )
 def _t8(cat: SeriesCatalog) -> list[Equation]:
     s3, s5, tau = cat.sigma(3), cat.sigma(5), cat.delta()
-    rhs = ((s3 * s5.theta()).scale(2) - (s3.theta() * s5).scale(3)).scale(70)
-    return [(tau, rhs)]
+    return [(tau, combine((140, s3 * s5.theta()), (-210, s3.theta() * s5)))]
 
 
 @_register(
@@ -400,7 +399,7 @@ def _t8(cat: SeriesCatalog) -> list[Equation]:
 def _c1(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     cat = ws.rcat
     s3, s5, tau = cat.sigma(3), cat.sigma(5), cat.delta()
-    diff = tau - (s3.scale(5) + s5.scale(7)).theta().scale(Fraction(1, 12))
+    diff = combine((1, tau), (Fraction(-5, 12), s3.theta()), (Fraction(-7, 12), s5.theta()))
     return _first_non_multiple(diff, 70)
 
 
@@ -411,8 +410,7 @@ def _c1(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 )
 def _t314(cat: SeriesCatalog) -> list[Equation]:
     s3, s5, tau = cat.sigma_star(3), cat.sigma_star(5), cat.delta()
-    rhs = ((s3.theta() * s5).scale(3) - (s3 * s5.theta()).scale(2)).scale(2)
-    return [(tau, rhs)]
+    return [(tau, combine((6, s3.theta() * s5), (-4, s3 * s5.theta())))]
 
 
 @_register(
@@ -428,7 +426,7 @@ def _c2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     # sigma*_5(n)), once tau(n) - c/4 lies in 2Z the integer c/4 has the
     # parity of tau(n), so c = 4 mod 8 exactly when tau(n) is odd (both
     # sides are 0 at n = 0)
-    diff = tau - (s3.scale(3) + s5).theta().scale(Fraction(1, 4))
+    diff = combine((1, tau), (Fraction(-3, 4), s3.theta()), (Fraction(-1, 4), s5.theta()))
     return _first_non_multiple(diff, 2)
 
 
@@ -453,10 +451,10 @@ def _minor(cat: SeriesCatalog, level: int, rows: Sequence[int],
             return cat.product(_eisenstein_name(level, i), _eisenstein_name(level, j))
 
         return pair(r0 + c0, r1 + c1) - pair(r0 + c1, r1 + c0)
-    terms = (cat.by_name(_eisenstein_name(level, rows[0] + col))
-             * _minor(cat, level, rows[1:], cols[:j] + cols[j + 1:])
-             for j, col in enumerate(cols))
-    return reduce(add, (-term if j % 2 else term for j, term in enumerate(terms)))
+    return combine(
+        *((-1 if j % 2 else 1, cat.by_name(_eisenstein_name(level, rows[0] + col))
+           * _minor(cat, level, rows[1:], cols[:j] + cols[j + 1:]))
+          for j, col in enumerate(cols)))
 
 
 @_equation_check(
@@ -492,9 +490,11 @@ def _garvan(cat: SeriesCatalog) -> list[Equation]:
 def _dis(cat: SeriesCatalog) -> list[Equation]:
     power, delta = cat.power, cat.delta()
     return [
-        (delta, (power("E4", 3) - power("E6", 2)).scale(Fraction(1, 1728)),
+        (delta, combine((Fraction(1, 1728), power("E4", 3)),
+                        (Fraction(-1, 1728), power("E6", 2))),
          "eta product against the level-1 route (E4^3-E6^2)/1728"),
-        (delta, (power("E4star", 3) - power("E6star", 2)).scale(Fraction(-1, 64)),
+        (delta, combine((Fraction(-1, 64), power("E4star", 3)),
+                        (Fraction(1, 64), power("E6star", 2))),
          "eta product against the level-2 route -(E4*^3-E6*^2)/64"),
     ]
 
@@ -524,9 +524,9 @@ def _det_l2(cat: SeriesCatalog) -> list[Equation]:
         (_minor(cat, 2, (2, 3), (0, 2)),
          cat.product("C", "delta").scale(Fraction(-(2**8) * 3**2 * 5, 17 * 31))),
         (_minor(cat, 2, (3, 4), (0, 1)),
-         ((b.scale(279) - c2.scale(92)) * delta).scale(Fraction(2**6 * 3**2, 17**2 * 31))),
+         (combine((279, b), (-92, c2)) * delta).scale(Fraction(2**6 * 3**2, 17**2 * 31))),
         (_minor(cat, 2, (2, 3, 4), (0, 1, 2)),
-         ((b.scale(961) + c2.scale(3136)) * bd_delta).scale(_DET_L2_CONSTANT)),
+         (combine((961, b), (3136, c2)) * bd_delta).scale(_DET_L2_CONSTANT)),
     ]
 
 
@@ -559,7 +559,8 @@ def _p4(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     # each generator's series name and weight
     gens = {"A": ("E2star", 2), "B": ("E4star", 4), "C": ("C", 2)}
     return _compare(
-        ((cat.by_name(key).theta() - cat.product("E2star", key).scale(Fraction(weight, 4)),
+        ((combine((1, cat.by_name(key).theta()),
+                  (Fraction(-weight, 4), cat.product("E2star", key))),
           gp_evaluate(serre_delta(GradedPoly.generator(LEVEL2, name)), cat),
           f"series-level rule for {name} broken")
          for name, (key, weight) in gens.items()),
@@ -603,7 +604,8 @@ def _delta_family(cat: SeriesCatalog) -> list[Equation]:
         # image = delta4(N/G) as image G^2 = theta N G - N theta G - A N G
         n, g = cat.by_name(num), cat.by_name(den)
         return (image * cat.power(den, 2),
-                n.theta() * g - n * g.theta() - cat.product("E2star", num, den))
+                combine((1, n.theta() * g), (-1, n * g.theta()),
+                        (-1, cat.product("E2star", num, den))))
 
     return [
         (image, delta4("E4star")),
@@ -664,7 +666,7 @@ def _t9(cat: SeriesCatalog) -> list[Equation]:
     # D = sum delta_8(n-1) q^n: its q^(n+1) coefficient counts the
     # 8-triangular-number representations of n
     d8 = cat.D()
-    rhs = ((s3 * d8).scale(256) - s7).scale(Fraction(32, 17)).neg_q()
+    rhs = combine((Fraction(256 * 32, 17), s3 * d8), (Fraction(-32, 17), s7)).neg_q()
     return [(r16, rhs)]
 
 
@@ -690,10 +692,10 @@ def _delta8(cat: SeriesCatalog) -> list[Equation]:
 )
 def _r24_fact(cat: SeriesCatalog) -> list[Equation]:
     s11, tau = cat.sigma(11), cat.delta()
-    rhs = (
-        s11.scale(16) - s11.dilate(2).scale(32) + s11.dilate(4).scale(65536)
-        - tau.dilate(2).scale(65536) - tau.neg_q().scale(33152)
-    ).scale(Fraction(1, 691))
+    rhs = combine((Fraction(16, 691), s11), (Fraction(-32, 691), s11.dilate(2)),
+                  (Fraction(65536, 691), s11.dilate(4)),
+                  (Fraction(-65536, 691), tau.dilate(2)),
+                  (Fraction(-33152, 691), tau.neg_q()))
     return [(cat.power("theta3", 24), rhs)]
 
 
@@ -707,8 +709,8 @@ def _r24_forms(conv55: QSeries, conv37: QSeries,
                tau: QSeries) -> tuple[QSeries, QSeries]:
     """T10's two 24-square forms: (-1)^n 64 (conv55 - tau) and
     (-1)^n (512/17)(conv37 - tau)."""
-    return ((conv55 - tau).scale(64).neg_q(),
-            (conv37 - tau).scale(Fraction(512, 17)).neg_q())
+    return (combine((64, conv55), (-64, tau)).neg_q(),
+            combine((Fraction(512, 17), conv37), (Fraction(-512, 17), tau)).neg_q())
 
 
 @_equation_check(

@@ -8,9 +8,9 @@ reduced, in the format and by the helpers of ``QSeries``; products, sums,
 scaling, both Serre derivatives and ``first_difference`` work on those
 integers, and ``terms`` gives the coefficients as ``Fraction`` values.
 A product is the one-term case of a weighted sum of products, whose
-integer numerators are taken over one common denominator and reduced
-once; the recursion sums each level's convolution terms that way.
-Evaluation is an integer linear combination of the catalog's memoized
+integer numerators are kept over one running denominator, reduced before
+it grows; the recursion sums each level's convolution terms that way.
+Evaluation is one ``linear_combination`` of the catalog's memoized
 monomial series, so it makes no product of its own once they exist.  The
 E*_2m tower is built by its differential recursion alone (``e_star_poly``)
 and judged by series equations (``e_star_equations``), one per level, each
@@ -31,7 +31,8 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Union
 
 from .catalog import SeriesCatalog
-from .qseries import QSeries, _over_lcm, _reduce, first_difference, rational_str
+from .qseries import (QSeries, _over_lcm, _reduce, first_difference, linear_combination,
+                      rational_str)
 from .scalars import exact, ks_alpha, ks_coefficient
 
 __all__ = [
@@ -255,16 +256,24 @@ class GradedPoly:
 
 def _sum_of_products(ring: str, terms) -> GradedPoly:
     """The polynomial sum of w f g over the (w, f, g) triples, w an int or a
-    ``Fraction`` and f, g in the ring, reduced once.
+    ``Fraction`` and f, g in the ring.
 
-    Each product's integer numerators are collected, then added with the
-    integer weight w.numerator (D // d), where d = w.denominator f._den g._den
-    and D, the result's denominator, is the lcm of the d.
+    The sum keeps integer numerators over one running denominator D.  Each
+    product's numerators are added with the integer weight
+    w.numerator (D // d), where d = w.denominator f._den g._den.  When d
+    does not divide D, the sum so far is reduced first and D is then raised
+    to its lcm with d, so D stays near the largest d rather than growing to
+    the lcm of them all.
     """
-    terms = [(w, f, g, w.denominator * f._den * g._den) for w, f, g in terms]
-    den = lcm(*(d for *_, d in terms))
     nums: dict[Exponents, int] = {}
-    for w, f, g, d in terms:
+    den = 1
+    for w, f, g in terms:
+        d = w.denominator * f._den * g._den
+        if den % d:
+            values, den = _reduce(tuple(nums.values()), den)
+            up = lcm(den, d) // den
+            nums = {key: x * up for key, x in zip(nums, values)}
+            den *= up
         prod: dict[Exponents, int] = {}
         for (a1, b1, c1), x in f._nums.items():
             for (a2, b2, c2), y in g._nums.items():
@@ -319,23 +328,26 @@ def serre_partial(f: GradedPoly) -> GradedPoly:
     return _derive(f)
 
 
+def _evaluation_terms(f: GradedPoly, catalog: SeriesCatalog) -> list:
+    """The (coefficient, monomial series) pairs whose linear combination is
+    f evaluated on the catalog."""
+    names, den = _SERIES_NAMES[f.ring], f._den
+    return [(Fraction(x, den), catalog.monomial(zip(names, exps)))
+            for exps, x in f._nums.items()]
+
+
 def gp_evaluate(f: GradedPoly, catalog: SeriesCatalog) -> QSeries:
     """Substitute the generator q-expansions and expand exactly.
 
     Each monomial's series is ``catalog.monomial``, memoized with the
     generator powers, so it is multiplied out once per catalog however many
-    polynomials use it.  The result is the integer linear combination of
-    those series' numerators, over the polynomial's denominator times their
-    common one; it makes no series product of its own.
+    polynomials use it.  The result is one ``linear_combination`` of those
+    series; it makes no series product of its own.  The zero polynomial is
+    the zero series on the catalog's range.
     """
-    names = _SERIES_NAMES[f.ring]
-    terms = [(x, catalog.monomial(zip(names, exps))) for exps, x in f._nums.items()]
-    den = lcm(*(s.denominator for _, s in terms))
-    total = [0] * (catalog.order + 1)
-    for x, s in terms:
-        x *= den // s.denominator
-        total = [t + x * y for t, y in zip(total, s.numerators)]
-    return QSeries._make(total, f._den * den)
+    if f.is_zero():
+        return QSeries.zero(catalog.order)
+    return linear_combination(*_evaluation_terms(f, catalog))
 
 
 def modular_dimension(weight: int) -> int:
@@ -484,7 +496,8 @@ def e_star_equations(m: int, catalog: SeriesCatalog) -> Iterator[tuple]:
             LEVEL2, {(a, b, c + shift): x for (a, b, c), x in poly._nums.items()}, poly._den
         )
         top = series * catalog.power("C", shift) if shift else series
-        return (series + (gp_evaluate(lifted, catalog) - top), series,
+        lhs = linear_combination((1, series), (-1, top), *_evaluation_terms(lifted, catalog))
+        return (lhs, series,
                 f"E{2 * mm}star polynomial: differential recursion against the q-expansion")
 
     return (level(mm) for mm in range(3, m + 1))

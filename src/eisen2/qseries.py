@@ -22,6 +22,12 @@ read back as one unsigned value minus that half.  ``int_mul`` is the only
 code that packs or unpacks integers.  Powers use it by repeated squaring and
 inversion by a Newton iteration that doubles the precision at each step.
 
+Linear algebra has one kernel too: ``linear_combination`` puts a weighted
+sum of series over one denominator, adds each term in one integer pass and
+reduces once.  Sums, differences, negation and ``scale`` are its one- and
+two-term cases, and a longer sum written as one combination makes no
+intermediate series.
+
 Every binary operation truncates to the smaller order of its operands, so a
 result never claims more precision than was computed.  Equality is the
 absence of a ``first_difference`` on the common range.  Inputs are ints and
@@ -40,6 +46,7 @@ __all__ = [
     "QSeries",
     "ZeroConstantTerm",
     "int_mul",
+    "linear_combination",
     "qs_det",
     "first_difference",
     "rational_str",
@@ -241,36 +248,21 @@ class QSeries:
 
     # -- ring operations ---------------------------------------------------
 
-    def _common(self, other: "QSeries"):
-        """Both numerator tuples on the common range over one denominator."""
-        n = min(self.order, other.order) + 1
-        a, b = self._nums[:n], other._nums[:n]
-        da, db = self._den, other._den
-        if da == db:
-            return a, b, da
-        den = lcm(da, db)
-        fa, fb = den // da, den // db
-        return [x * fa for x in a], [y * fb for y in b], den
-
     def __add__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        a, b, den = self._common(other)
-        return QSeries._make([x + y for x, y in zip(a, b)], den)
+        return linear_combination((1, self), (1, other))
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         if not isinstance(other, QSeries):
             return NotImplemented
-        a, b, den = self._common(other)
-        return QSeries._make([x - y for x, y in zip(a, b)], den)
+        return linear_combination((1, self), (-1, other))
 
     def __neg__(self) -> "QSeries":
-        return QSeries._make([-x for x in self._nums], self._den)
+        return linear_combination((-1, self))
 
     def scale(self, c: Scalar) -> "QSeries":
-        c = Fraction(exact(c))
-        p = c.numerator
-        return QSeries._make([p * x for x in self._nums], c.denominator * self._den)
+        return linear_combination((c, self))
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
@@ -351,6 +343,35 @@ class QSeries:
         nums, w = list(self._nums[::p]), p ** (k - 1)
         nums[::p] = [x + w * y for x, y in zip(nums[::p], self._nums)]
         return QSeries._make(nums, self._den)
+
+
+def linear_combination(*terms: tuple[Scalar, QSeries]) -> QSeries:
+    """The series sum w s over the (w, s) pairs, each weight w an int or a
+    ``Fraction``, on the common range of the series.
+
+    The terms are put over one denominator, the lcm of the products
+    w.denominator s.denominator, and each adds its numerators times one
+    integer factor in one pass; the sum is reduced once.  A term of weight
+    0 adds nothing but still bounds the range.  Sums, differences, negation
+    and ``scale`` are its one- and two-term cases.
+    """
+    n, den, parts = None, 1, []
+    for w, s in terms:
+        if not isinstance(w, (int, Fraction)):
+            exact(w)  # raises: a weight is an int or a Fraction
+        if n is None or len(s._nums) < n:
+            n = len(s._nums)
+        if w:
+            d = w.denominator * s._den
+            den = lcm(den, d)
+            parts.append((w.numerator, d, s._nums))
+    if n is None:
+        raise ValueError("a linear combination needs at least one term")
+    total = [0] * n
+    for p, d, nums in parts:
+        f = p * (den // d)
+        total = [t + f * x for t, x in zip(total, nums)]
+    return QSeries._make(total, den)
 
 
 def qs_det(matrix: Sequence[Sequence[QSeries]]) -> QSeries:

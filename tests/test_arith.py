@@ -64,12 +64,30 @@ _ORACLES = {"sigma": arith.sigma, "sigma_star": arith.sigma_star,
 
 @pytest.mark.parametrize("s", range(1, 80, 2))
 def test_divisor_sum_table_matches_the_oracles(s):
+    # 729 = 3^6 and 1024 = 2^10 end on a long prime-power chain
     for kind, oracle in _ORACLES.items():
-        expected = [oracle(s, n) for n in range(1001)]
-        for N in (0, 1, 2, 48, 300, 1000):
+        expected = [oracle(s, n) for n in range(1025)]
+        for N in (0, 1, 2, 48, 300, 729, 1000, 1024):
             table = arith.divisor_sum_table(kind, s, N)
             assert table == expected[: N + 1], (kind, N)
             assert all(type(x) is int for x in table[1:])
+
+
+def test_divisor_sum_table_calls_no_oracle(monkeypatch):
+    # the table is built without the per-n functions it is tested against
+    expected = {(kind, s): arith.divisor_sum_table(kind, s, 200)
+                for kind in _ORACLES for s in (1, 3, 11)}
+
+    def refuse(*args):
+        raise AssertionError("divisor_sum_table called a per-n oracle")
+
+    for name in ("divisors", "sigma", "sigma_star", "sigma_sharp"):
+        monkeypatch.setattr(arith, name, refuse)
+    for (kind, s), table in expected.items():
+        assert arith.divisor_sum_table(kind, s, 200) == table
+    # the refusal is in force: the oracle route raises
+    with pytest.raises(AssertionError):
+        _sharp_oracle(3, 12)
 
 
 def test_divisor_sum_table_rejects_bad_input():
@@ -215,3 +233,20 @@ def test_cross_check_guards_divisor_sums(monkeypatch):
     report = checks.run_check("DIS", workspace(order=12))
     assert report.first_discrepancy == (5, 4830, Fraction(19323, 4))
     assert report.notes == ("eta product against the level-2 route -(E4*^3-E6*^2)/64",)
+
+
+def test_tau_props_judges_the_691_congruence_from_n_1(monkeypatch):
+    # tau(1) = 1 is fixed by the eta product, so only sigma_11(1) can break
+    # the congruence at n = 1, and the scan must start there to see it
+    real = arith.divisor_sum_table
+
+    def corrupted(kind, s, N):
+        table = real(kind, s, N)
+        if (kind, s, N) == ("sigma", 11, 1000):
+            table[1] += 1
+        return table
+
+    monkeypatch.setattr(arith, "divisor_sum_table", corrupted)
+    report = checks.run_check("TAU-PROPS", workspace())
+    assert report.first_discrepancy == (1, 1, 2)
+    assert report.notes == ("691 congruence fails",)

@@ -183,7 +183,7 @@ def test_ascending_powers_cost_one_product_each(monkeypatch):
 
 
 def test_divisor_sum_series_never_call_the_oracles(monkeypatch):
-    # the catalog sieves; the per-n trial-division functions are oracles only
+    # the catalog reads the tables; the per-n trial-division functions are oracles only
     def refuse(*args):
         raise AssertionError("per-n divisor-sum oracle called")
 
@@ -208,7 +208,7 @@ def test_delta_keeps_no_intermediate_powers(monkeypatch):
 
 @pytest.mark.parametrize("name, products", [("C", 0), ("D", 1)])
 def test_C_and_D_are_built_by_one_route(monkeypatch, name, products):
-    # C is the sieved sigma# series; D squares C and takes nothing else
+    # C is the tabulated sigma# series; D squares C and takes nothing else
     cat = SeriesCatalog(60)
     calls = _count_products(monkeypatch)
     cat.by_name(name)

@@ -909,7 +909,7 @@ def test_delta8_fails_at_the_first_oracle_mismatch(monkeypatch):
 
 def test_a_fault_in_sigma3_fails_only_the_checks_that_read_it():
     # sigma_3(7) + 1: the level-1 route of DIS, L4 through E4, and C1 and T8
-    # through the sieved sigma_3 fail; the checks that read the discriminant
+    # through the tabulated sigma_3 fail; the checks that read the discriminant
     # but not sigma_3 pass, since the discriminant is the eta product alone
     with dict(fault_grid.cases((7,), ()))["sigma(3)[7]+1"]:
         reports = {r.id: r for r in checks.run_all(**fault_grid.SETTINGS,

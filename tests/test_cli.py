@@ -150,7 +150,7 @@ def test_verify_json_stdout(capsys):
     ids=["MINORS-L1", "GARVAN", "DIS"],
 )
 def test_verify_json_reports_a_failure_exactly(capsys, check_id, n, lhs, rhs, notes):
-    # a fault-grid case: sigma_3(7) + 1 in the divisor-sum sieve
+    # a fault-grid case: sigma_3(7) + 1 in the divisor-sum table
     with dict(fault_grid.cases((7,), ()))["sigma(3)[7]+1"]:
         code, out, _ = run_cli(capsys, "verify", check_id, "--order", "32", "--json", "-")
     assert code == 1

@@ -753,6 +753,22 @@ def test_sum_of_products_matches_fraction_dict_oracle():
     assert graded._sum_of_products(LEVEL2, []) == GradedPoly.zero(LEVEL2)
 
 
+def test_tower_sums_keep_their_integers_small(monkeypatch):
+    # the level-80 sum has 39 terms with 39 distinct denominators; over the
+    # lcm of them all its integers would reach 20,715 bits
+    widest = [0]
+    real = GradedPoly._make.__func__
+
+    def make(cls, ring, nums, den=1):
+        widest[0] = max(widest[0], den.bit_length(),
+                        *(abs(x).bit_length() for x in nums.values()))
+        return real(cls, ring, nums, den)
+
+    monkeypatch.setattr(GradedPoly, "_make", classmethod(make))
+    e_star_poly(80, SeriesCatalog(0))
+    assert 0 < widest[0] < 2000
+
+
 @pytest.mark.parametrize(
     "build",
     [lambda: GradedPoly(LEVEL2, {(0, 1, 0): 0.1}),

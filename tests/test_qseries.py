@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,6 +11,7 @@ from eisen2.qseries import (
     ZeroConstantTerm,
     first_difference,
     int_mul,
+    linear_combination,
     qs_det,
     rational_str,
 )
@@ -577,3 +579,42 @@ def test_int_mul_on_catalog_operands_at_order_300(names):
     if names[0] == names[1]:
         assert int_mul(a, a, 300) == schoolbook_int(a, a, 300)
     assert int_mul(a, b, 300) == schoolbook_int(a, b, 300)
+
+
+def test_linear_combination_matches_a_fraction_sum():
+    rng = random.Random(26)
+    weights = (0, 1, -1, 7, -12, Fraction(3, 4), Fraction(-5, 6), Fraction(691, 65520))
+    for _ in range(300):
+        terms = []
+        for _ in range(rng.randint(1, 5)):
+            series = QSeries([Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 8, 24)))
+                              for _ in range(rng.randint(1, 12))])
+            terms.append((rng.choice(weights), series))
+        got = linear_combination(*terms)
+        n = min(series.order for _, series in terms) + 1
+        want = [sum((w * series.coefficient(i) for w, series in terms), Fraction(0))
+                for i in range(n)]
+        assert got.coeffs == tuple(want)
+        # reduced, over a positive denominator
+        assert got.denominator > 0
+        assert gcd(got.denominator, *got.numerators) == 1
+        assert got == QSeries(want)
+
+
+def test_linear_combination_edge_cases():
+    a, b = QSeries([1, Fraction(1, 2), 3]), QSeries([Fraction(1, 3), 1])
+    # a zero weight adds nothing but bounds the range
+    assert linear_combination((1, a), (0, b)).coeffs == (1, Fraction(1, 2))
+    zero = linear_combination((0, a))
+    assert zero.numerators == (0, 0, 0) and zero.denominator == 1
+    # cancellation reduces to denominator 1
+    assert linear_combination((2, a), (-2, a)).denominator == 1
+    # the operators are its one- and two-term cases
+    assert a + b == linear_combination((1, a), (1, b))
+    assert a - b == linear_combination((1, a), (-1, b))
+    assert -a == linear_combination((-1, a))
+    assert a.scale(Fraction(-2, 3)) == linear_combination((Fraction(-2, 3), a))
+    with pytest.raises(ValueError):
+        linear_combination()
+    with pytest.raises(TypeError):
+        linear_combination((0.5, a))
