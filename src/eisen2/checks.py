@@ -629,6 +629,17 @@ def _theta_rel(cat: SeriesCatalog) -> list[Equation]:
     return [(cat.power("theta3", 8).neg_q(), cat.level2(2))]
 
 
+def _divisor_lists(nmax: int) -> list[list[int]]:
+    """The positive divisors of each n = 1..nmax at index n, ascending, by a
+    sieve over multiples: each d is appended to the list of every multiple
+    of d, about nmax ln nmax appends.  Index 0 holds an empty list."""
+    lists: list[list[int]] = [[] for _ in range(nmax + 1)]
+    for d in range(1, nmax + 1):
+        for n in range(d, nmax + 1, d):
+            lists[n].append(d)
+    return lists
+
+
 # r_s(n) for n >= 1 from the divisors of n, for s = 2, 4, 6, 8
 _SQUARE_COUNTS: dict[int, Callable[[int, list[int]], int]] = {
     2: lambda n, divs: 4 * (sum(1 for d in divs if d % 4 == 1)
@@ -648,10 +659,10 @@ _SQUARE_COUNTS: dict[int, Callable[[int, list[int]], int]] = {
     scope="range",
 )
 def _jacobi(cat: SeriesCatalog) -> Iterable[Equation]:
-    divisor_lists = [arith.divisors(n) for n in range(1, cat.order + 1)]
+    divisor_lists = _divisor_lists(cat.order)
     for s, formula in _SQUARE_COUNTS.items():
-        expected = QSeries._make([1] + [formula(n, divs)
-                                        for n, divs in enumerate(divisor_lists, 1)])
+        expected = QSeries._make([1] + [formula(n, divisor_lists[n])
+                                        for n in range(1, cat.order + 1)])
         yield cat.power("theta3", s), expected, f"{s}-square formula"
 
 

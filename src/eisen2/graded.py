@@ -8,32 +8,36 @@ reduced, in the format and by the helpers of ``QSeries``; products, sums,
 scaling, both Serre derivatives and ``first_difference`` work on those
 integers, and ``terms`` gives the coefficients as ``Fraction`` values.
 A product is the one-term case of a weighted sum of products, whose
-integer numerators are kept over one running denominator, reduced before
-it grows; the recursion sums each level's convolution terms that way.
+integer numerators are put over the lcm of the terms' denominators and
+reduced once; the recursion sums each level's convolution terms that way.
 Evaluation is one ``linear_combination`` of the catalog's memoized
 monomial series, so it makes no product of its own once they exist.  The
-E*_2m tower is built by its differential recursion alone (``e_star_poly``)
-and judged by series equations (``e_star_equations``), one per level, each
-lifted to the top weight, times a power of C, so that all levels share one
-monomial set.  Modular forms of even weight 2k on the level-2 group
-decompose over the monomial basis B^j C^(k-2j): ``decompose_modular``
-solves for the coordinates by exact fraction-free elimination and returns
-them as a ``GradedPoly``, the type ``e_star_poly`` returns.  The module
-keeps no state: each E*_2m level is memoized in the catalog it was built
-on.
+E*_2m tower is built by its differential recursion alone (``e_star_poly``),
+run in the divisor-sum normalization S*_{2m-1}(0) E*_2m, where the
+lambda-ratio weights become binomial coefficients and every denominator a
+power of two, and judged by series equations (``e_star_equations``), one
+per level, each lifted to the top weight, times a power of C, so that all
+levels share one monomial set.  Modular forms of even weight 2k on the
+level-2 group decompose over the monomial basis B^j C^(k-2j):
+``decompose_modular`` solves for the coordinates by exact fraction-free
+elimination and returns them as a ``GradedPoly``, the type ``e_star_poly``
+returns.  The module keeps no state: each E*_2m level and its divisor-sum
+form are memoized in the catalog they were built on.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Union
 
+from .arith import divisor_sum_zero
 from .catalog import SeriesCatalog
 from .qseries import (QSeries, _over_lcm, _reduce, first_difference, linear_combination,
                       rational_str)
-from .scalars import exact, ks_alpha, ks_coefficient
+from .scalars import exact
+from .scalars import ks_alpha, ks_coefficient  # noqa: F401  (perfbench's tracer wraps it here)
 
 __all__ = [
     "LEVEL1",
@@ -258,30 +262,22 @@ def _sum_of_products(ring: str, terms) -> GradedPoly:
     """The polynomial sum of w f g over the (w, f, g) triples, w an int or a
     ``Fraction`` and f, g in the ring.
 
-    The sum keeps integer numerators over one running denominator D.  Each
-    product's numerators are added with the integer weight
-    w.numerator (D // d), where d = w.denominator f._den g._den.  When d
-    does not divide D, the sum so far is reduced first and D is then raised
-    to its lcm with d, so D stays near the largest d rather than growing to
-    the lcm of them all.
+    The terms are put over one denominator D, the lcm of the products
+    d = w.denominator f._den g._den, and each product's integer numerators
+    are added with the integer weight w.numerator (D // d) in one pass; the
+    sum is reduced once, as ``linear_combination`` sums series.  The E*_2m
+    tower's terms have power-of-two denominators, so D stays small.
     """
+    terms = [(w, f, g, w.denominator * f._den * g._den) for w, f, g in terms if w]
+    den = lcm(*(d for *_, d in terms))
     nums: dict[Exponents, int] = {}
-    den = 1
-    for w, f, g in terms:
-        d = w.denominator * f._den * g._den
-        if den % d:
-            values, den = _reduce(tuple(nums.values()), den)
-            up = lcm(den, d) // den
-            nums = {key: x * up for key, x in zip(nums, values)}
-            den *= up
-        prod: dict[Exponents, int] = {}
+    for w, f, g, d in terms:
+        weight = w.numerator * (den // d)
         for (a1, b1, c1), x in f._nums.items():
+            wx = weight * x
             for (a2, b2, c2), y in g._nums.items():
                 key = (a1 + a2, b1 + b2, c1 + c2)
-                prod[key] = prod.get(key, 0) + x * y
-        weight = w.numerator * (den // d)
-        for key, x in prod.items():
-            nums[key] = nums.get(key, 0) + weight * x
+                nums[key] = nums.get(key, 0) + wx * y
     return GradedPoly._make(ring, nums, den)
 
 
@@ -422,49 +418,62 @@ def e_star_order(m: int) -> int:
 
 
 def _solve_level(mm: int, tower: list) -> GradedPoly:
-    """E*_{2mm} from the levels tower[2..mm-1] by the differential recursion.
+    """h_mm = S*_{2mm-1}(0) E*_{2mm} from the levels tower[2..mm-1] by the
+    differential recursion in the divisor-sum normalization:
+
+        h_2 = -B/16,
+        h_mm = 2 delta h_{mm-1}
+               - 2 sum_{k=2}^{mm-2} C(2mm-2, 2k-1) h_k h_{mm-k}.
 
     The convolution sum is one ``_sum_of_products`` over the symmetric k and
-    mm - k pairs, weighted by the rational c_{mm,k}: integer numerators over
-    one common denominator, reduced once per level.  The Serre term and the
-    1/alpha scale are one sum and one scale more.
+    mm - k pairs, with integer weights; every level's denominator is a power
+    of two.
     """
     if mm == 2:
-        return GradedPoly.generator(LEVEL2, "B")  # the weight-4 series is B itself
-    # c_{mm,k} = c_{mm,mm-k}, so the k and mm-k terms are one product
+        return GradedPoly.monomial(LEVEL2, (0, 1, 0), Fraction(-1, 16))  # S*_3(0) = -1/16
+    # C(2mm-2, 2k-1) = C(2mm-2, 2(mm-k)-1), so the k and mm-k terms are one product
     acc = _sum_of_products(LEVEL2, [
-        ((1 if 2 * k == mm else 2) * ks_coefficient(mm, k), tower[k], tower[mm - k])
+        (-2 * (1 if 2 * k == mm else 2) * comb(2 * mm - 2, 2 * k - 1), tower[k], tower[mm - k])
         for k in range(2, mm // 2 + 1)])
-    acc = acc - serre_delta(tower[mm - 1])
-    alpha = ks_alpha(mm)
-    if alpha <= 0:
-        raise ArithmeticError(f"normalizer alpha for weight {2 * mm} not positive")
-    return acc.scale(1 / alpha)
+    return acc + serre_delta(tower[mm - 1]).scale(2)
 
 
 def e_star_poly(m: int, catalog: SeriesCatalog) -> GradedPoly:
     """The weight-2m level-2 series as a polynomial in B and C.
 
-    Built by solving the level-2 differential recursion for the top term:
+    The level-2 differential recursion, solved for its top term, reads
 
-        E*_{2m} = (1/alpha_{2m}) [ sum_{k=2}^{m-2} c_{m,k} E*_{2k} E*_{2m-2k}
-                                   - delta E*_{2m-2} ]
+        alpha_{2m} E*_{2m} = sum_{k=2}^{m-2} c_{m,k} E*_{2k} E*_{2m-2k}
+                             - delta E*_{2m-2}
 
-    with c_{m,k} the rational convolution coefficients and alpha_{2m} the
-    positive rational normalizer.  Nothing is compared here: the levels are
-    judged by ``e_star_equations``.  Each level, from E*_4 = B upward, is
-    memoized as ``E{2m}star_poly`` in the catalog, whatever its order.  A
-    level the catalog holds is one lookup; a new one walks the levels below
-    it.  m must be an int, else ``ValueError``.
+    with c_{m,k} = (2m-2) lambda(2k) lambda(2m-2k) / (pi^2 lambda(2m-2)) and
+    alpha_{2m} = (2m-2)(2m-1)/2 lambda(2m) / (pi^2 lambda(2m-2)), whose
+    denominators are Bernoulli numerators.  It is run instead on the
+    polynomials h_m = S*_{2m-1}(0) E*_{2m} of the divisor-sum series
+    sum sigma*_{2m-1}(n) q^n, as Ramanujan wrote his equations for the
+    unnormalized sums.  With S*_{2k-1}(0) = ``divisor_sum_zero("sigma_star",
+    2k-1)``, the identity lambda(2k)/pi^(2k) = (-1)^(k+1) S*_{2k-1}(0)/(2k-1)!
+    turns c_{m,k} into C(2m-2, 2k-1) S*_{2m-3}(0) / (S*_{2k-1}(0)
+    S*_{2m-2k-1}(0)) and alpha_{2m} into -S*_{2m-1}(0) / (2 S*_{2m-3}(0)),
+    so the h_m obey the recursion of ``_solve_level``: integer binomial
+    weights, a normalizer -2 and power-of-two denominators.  E*_{2m} is h_m
+    over S*_{2m-1}(0).
+
+    Nothing is compared here: the levels are judged by ``e_star_equations``.
+    Each h_m is memoized as ``sigma{2m-1}star_poly`` and each E*_{2m} as
+    ``E{2m}star_poly`` in the catalog, whatever its order.  A level the
+    catalog holds is one lookup; a new one walks the h levels up to it.  m
+    must be an int, else ``ValueError``.
     """
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"the E*_2m tower is defined for integers m >= 2, got m = {m!r}")
 
     def build() -> GradedPoly:
         tower: list = [None, None]
-        for mm in range(2, m):
-            tower.append(catalog._memo(f"E{2 * mm}star_poly", lambda: _solve_level(mm, tower)))
-        return _solve_level(m, tower)
+        for mm in range(2, m + 1):
+            tower.append(catalog._memo(f"sigma{2 * mm - 1}star_poly",
+                                       lambda: _solve_level(mm, tower)))
+        return tower[m].scale(1 / divisor_sum_zero("sigma_star", 2 * m - 1))
 
     return catalog._memo(f"E{2 * m}star_poly", build)
 

@@ -496,12 +496,15 @@ def test_tau_props_reads_sigma11_from_the_catalog(monkeypatch):
     assert report.notes == ("691 congruence fails",)
 
 
-def test_jacobi_lists_each_divisor_set_once(monkeypatch):
-    calls = []
-    real = arith.divisors
-    monkeypatch.setattr(arith, "divisors", lambda n: calls.append(n) or real(n))
+def test_jacobi_sieves_the_divisor_lists_of_trial_division(monkeypatch):
+    # the sieve over multiples gives arith.divisors' ascending lists, and
+    # JACOBI makes no trial division of its own
+    lists = checks._divisor_lists(1000)
+    assert lists[0] == [] and len(lists) == 1001
+    assert all(lists[n] == arith.divisors(n) for n in range(1, 1001))
+    assert checks._divisor_lists(0) == [[]]
+    monkeypatch.setattr(arith, "divisors", None)
     assert checks.run_check("JACOBI", workspace(nmax=30)).status == "pass"
-    assert sorted(calls) == list(range(1, 31))
 
 
 def test_failing_line_format(monkeypatch):
@@ -969,6 +972,34 @@ def test_t49_names_the_least_monomial_outside_the_cone(monkeypatch):
         else real_table(kind, s, N)))
     report = checks.run_check("T49", workspace(mmax=4))
     assert report.first_discrepancy == (4, Fraction(-8, 17), 0)
+
+
+def test_t49_judges_positivity_from_m_2(monkeypatch):
+    # level 2 negated, and with it level 3, whose series is negated too so
+    # that its equation holds: only a positivity scan from m = 2 sees -B
+    real = graded._solve_level
+    monkeypatch.setattr(graded, "_solve_level", lambda mm, *rest: (
+        -real(mm, *rest) if mm == 2 else real(mm, *rest)))
+    real_table = arith.divisor_sum_table
+    monkeypatch.setattr(arith, "divisor_sum_table", lambda kind, s, N: (
+        [-x for x in real_table(kind, s, N)] if (kind, s) == ("sigma_star", 5)
+        else real_table(kind, s, N)))
+    report = checks.run_check("T49", workspace(mmax=3))
+    assert report.first_discrepancy == (2, -1, 0)
+    assert report.notes == ()
+
+
+def test_t49_fails_at_the_level_of_a_bad_binomial_weight(monkeypatch):
+    # C(10, 3) = 120 weighs h_2 h_4 in h_6 alone; raised by 1, the levels
+    # below pass and E*_12's equation fails at q^0
+    real = graded.comb
+    monkeypatch.setattr(graded, "comb", lambda n, k: real(n, k) + ((n, k) == (10, 3)))
+    assert checks.run_check("T49", workspace(mmax=5)).status == "pass"
+    for mmax in (6, 8):
+        report = checks.run_check("T49", workspace(mmax=mmax))
+        assert report.first_discrepancy == (0, Fraction(5545, 5528), 1)
+        assert report.notes == ("E12star polynomial: differential recursion against the "
+                                "q-expansion",)
 
 
 def test_t49_reports_a_monomial_outside_the_basis(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from eisen2 import arith, checks, graded
+from eisen2 import arith, checks, graded, scalars
 from eisen2.catalog import SeriesCatalog
 from eisen2.graded import (
     LEVEL1,
@@ -255,9 +255,12 @@ def _first_failure(equations):
 
 
 def test_e_star_poly_reports_a_bad_level_at_q0(monkeypatch):
-    # the recursion builds the bad level; its equation reports it
-    real = graded.ks_alpha
-    monkeypatch.setattr(graded, "ks_alpha", lambda m: 2 * real(m) if m == 5 else real(m))
+    # the recursion builds the bad level; its equation reports it.  The
+    # tower's normalizer S*_9(0) doubled halves E*_10 and leaves its series
+    # alone
+    real = graded.divisor_sum_zero
+    monkeypatch.setattr(graded, "divisor_sum_zero", lambda kind, s: (
+        2 * real(kind, s) if (kind, s) == ("sigma_star", 9) else real(kind, s)))
     assert e_star_poly(5, SeriesCatalog(0)).terms[(0, 2, 1)] == Fraction(27, 62)
     cat = SeriesCatalog(e_star_order(6))
     assert _first_failure(e_star_equations(6, cat)) == (
@@ -307,10 +310,11 @@ def test_a_warm_e_star_poly_is_one_lookup(monkeypatch):
     assert e_star_poly(40, cat) is poly
     assert check_positivity(40, cat)
     assert (built, keys) == ([], ["E80star_poly"] * 2)
-    # a new level above the memoized ones walks the levels below it once
+    # a new level above the memoized ones walks the divisor-sum levels
+    # h_2..h_41 once and solves only h_41
     e_star_poly(41, cat)
     assert built == [41]
-    assert keys[2:] == [f"E{2 * mm}star_poly" for mm in (41, *range(2, 41))]
+    assert keys[2:] == ["E82star_poly", *(f"sigma{2 * mm - 1}star_poly" for mm in range(2, 42))]
 
 
 @pytest.mark.parametrize(
@@ -754,8 +758,9 @@ def test_sum_of_products_matches_fraction_dict_oracle():
 
 
 def test_tower_sums_keep_their_integers_small(monkeypatch):
-    # the level-80 sum has 39 terms with 39 distinct denominators; over the
-    # lcm of them all its integers would reach 20,715 bits
+    # the divisor-sum levels have power-of-two denominators, so the level-80
+    # sum's lcm is at most 2^18; E*_2m with its lambda-ratio weights had 39
+    # distinct denominators there, and over their lcm 20,715 bits
     widest = [0]
     real = GradedPoly._make.__func__
 
@@ -766,7 +771,29 @@ def test_tower_sums_keep_their_integers_small(monkeypatch):
 
     monkeypatch.setattr(GradedPoly, "_make", classmethod(make))
     e_star_poly(80, SeriesCatalog(0))
-    assert 0 < widest[0] < 2000
+    assert 0 < widest[0] < 1000
+
+
+def test_the_divisor_sum_levels_have_power_of_two_denominators():
+    cat = SeriesCatalog(0)
+    e_star_poly(80, cat)
+    for m in range(2, 81):
+        h = cat._cache[f"sigma{2 * m - 1}star_poly"]
+        assert h._den & (h._den - 1) == 0, m
+        assert h == e_star_poly(m, cat).scale(arith.divisor_sum_zero("sigma_star", 2 * m - 1))
+
+
+def test_the_tower_reads_no_lambda_value(monkeypatch):
+    # the binomial recursion needs no c_{m,k}, no alpha and no lambda(2k)
+    def refuse(*args):
+        raise AssertionError("the tower read a lambda-ratio scalar")
+
+    want = e_star_poly(40, SeriesCatalog(0))
+    for module in (graded, scalars):
+        monkeypatch.setattr(module, "ks_coefficient", refuse)
+        monkeypatch.setattr(module, "ks_alpha", refuse)
+    monkeypatch.setattr(scalars, "lambda_even", refuse)
+    assert e_star_poly(40, SeriesCatalog(0)) == want
 
 
 @pytest.mark.parametrize(

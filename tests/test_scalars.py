@@ -1,8 +1,9 @@
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import pytest
 
+from eisen2.arith import divisor_sum_zero
 from eisen2.scalars import (
     bernoulli,
     check_scalar_recursion,
@@ -91,6 +92,14 @@ def test_zeta_lambda_positive_for_positive_index():
 def test_lambda_to_zeta_ratio():
     for k in range(1, 21):
         assert lambda_even(k) / zeta_even(k) == 1 - Fraction(1, 4**k)
+
+
+def test_lambda_is_the_divisor_sum_constant_over_a_factorial():
+    # lambda(2k)/pi^(2k) = (-1)^(k+1) S*_{2k-1}(0)/(2k-1)!: the identity that
+    # turns the E*_2m tower's weights into binomial coefficients
+    for k in range(1, 81):
+        assert lambda_even(k) / divisor_sum_zero("sigma_star", 2 * k - 1) == Fraction(
+            (-1) ** (k + 1), factorial(2 * k - 1)), k
 
 
 _ORACLE_TOP = 41  # T49 at mmax 40 reads lambda(2k) for k <= 40
