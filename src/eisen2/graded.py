@@ -1,12 +1,18 @@
-"""Graded polynomial rings in the Eisenstein generators and their Serre derivatives.
+"""The graded ring Q[A, B, C] of the level-2 Eisenstein generators and its
+Serre derivatives.
 
-Two rings: level 1 in E2, E4, E6 (weights 2, 4, 6) and level 2 in A, B, C
-(weights 2, 4, 2) where A, B are the weight-2 and weight-4 level-2 series
-and C is their weight-2 quotient partner E6*/E4*.  A ``GradedPoly`` keeps
-integer numerators per monomial over one positive common denominator,
-reduced, in the format and by the helpers of ``QSeries``; products, sums,
-scaling, both Serre derivatives and ``first_difference`` work on those
-integers, and ``terms`` gives the coefficients as ``Fraction`` values.
+A and B are the weight-2 and weight-4 level-2 series and C their weight-2
+quotient partner E6*/E4* (weights 2, 4, 2).  Level 1 lies inside the ring:
+E2 = 3A - 2C, E4 = 4C^2 - 3B and E6 = 9BC - 8C^3.  The derivation
+theta = q d/dq is fixed by its three generator images, the
+Ablowitz-Chakravarty-Hahn system HAHN-SYS, and each Serre derivative
+theta f - (w/k) G f is derived from them once, at import: ``serre_delta``
+with G = A and k = 4, ``serre_partial`` (level 1's) with G = E2 and k = 12.
+A ``GradedPoly`` keeps integer numerators per monomial over one positive
+common denominator, reduced, in the format and by the helpers of
+``QSeries``; products, sums, scaling, both Serre derivatives and
+``first_difference`` work on those integers, and ``terms`` gives the
+coefficients as ``Fraction`` values.
 A product is the one-term case of a weighted sum of products, whose
 integer numerators are put over the lcm of the terms' denominators and
 reduced once; the recursion sums each level's convolution terms that way.
@@ -40,10 +46,7 @@ from .scalars import exact
 from .scalars import ks_alpha, ks_coefficient  # noqa: F401  (perfbench's tracer wraps it here)
 
 __all__ = [
-    "LEVEL1",
-    "LEVEL2",
     "GradedPoly",
-    "RingMismatch",
     "NotHomogeneous",
     "SingularSystem",
     "ResidualMismatch",
@@ -58,20 +61,15 @@ __all__ = [
     "positivity_witness",
 ]
 
-LEVEL1 = "level1"
-LEVEL2 = "level2"
-
-_GENERATORS = {LEVEL1: ("E2", "E4", "E6"), LEVEL2: ("A", "B", "C")}
-_WEIGHTS = {LEVEL1: (2, 4, 6), LEVEL2: (2, 4, 2)}
+_GENERATORS = ("A", "B", "C")
+_WEIGHTS = (2, 4, 2)
 # the catalog names of the generator q-expansions
-_SERIES_NAMES = {LEVEL1: ("E2", "E4", "E6"), LEVEL2: ("E2star", "E4star", "C")}
+_SERIES_NAMES = ("E2star", "E4star", "C")
 
 Exponents = tuple[int, int, int]
 Scalar = Union[int, Fraction]
-
-
-class RingMismatch(ValueError):
-    """Operands live in different generator rings."""
+# generator images: one denominator and each generator's integer numerators
+Images = tuple[int, tuple[dict[Exponents, int], ...]]
 
 
 class NotHomogeneous(ValueError):
@@ -95,7 +93,7 @@ class ResidualMismatch(ArithmeticError):
 
 
 class GradedPoly:
-    """Exact polynomial in three weighted generators.
+    """Exact polynomial in A, B and C.
 
     Kept as integer numerators per exponent triple over one positive common
     denominator, reduced, with no zero entries, so equal polynomials have
@@ -103,11 +101,9 @@ class GradedPoly:
     values in a read-only mapping built on each call.
     """
 
-    __slots__ = ("ring", "_nums", "_den")
+    __slots__ = ("_nums", "_den")
 
-    def __init__(self, ring: str, terms: Optional[Mapping[Exponents, Scalar]] = None):
-        if ring not in _GENERATORS:
-            raise ValueError(f"unknown ring {ring!r}")
+    def __init__(self, terms: Optional[Mapping[Exponents, Scalar]] = None):
         terms = dict(terms or {})
         for exps in terms:
             if len(exps) != 3 or not all(isinstance(e, int) for e in exps):
@@ -115,15 +111,13 @@ class GradedPoly:
             if min(exps) < 0:
                 raise ValueError(f"exponents must be nonnegative, got {exps!r}")
         nums, self._den = _over_lcm(terms.values())
-        self.ring = ring
         self._nums = {tuple(e): x for e, x in zip(terms, nums) if x}
 
     @classmethod
-    def _make(cls, ring: str, nums: dict[Exponents, int], den: int = 1) -> "GradedPoly":
+    def _make(cls, nums: dict[Exponents, int], den: int = 1) -> "GradedPoly":
         """The polynomial sum nums[e] x^e / den, zero terms dropped, reduced;
         the exponents are not checked."""
         poly = object.__new__(cls)
-        poly.ring = ring
         nums = {e: x for e, x in nums.items() if x}
         values, poly._den = _reduce(tuple(nums.values()), den)
         # most results in the E*_2m tower have no common factor to divide out
@@ -131,18 +125,18 @@ class GradedPoly:
         return poly
 
     @classmethod
-    def zero(cls, ring: str) -> "GradedPoly":
-        return cls(ring)
+    def zero(cls) -> "GradedPoly":
+        return cls()
 
     @classmethod
-    def monomial(cls, ring: str, exps: Exponents, coeff=1) -> "GradedPoly":
-        return cls(ring, {tuple(exps): coeff})
+    def monomial(cls, exps: Exponents, coeff=1) -> "GradedPoly":
+        return cls({tuple(exps): coeff})
 
     @classmethod
-    def generator(cls, ring: str, name: str) -> "GradedPoly":
-        idx = _GENERATORS[ring].index(name)
+    def generator(cls, name: str) -> "GradedPoly":
+        idx = _GENERATORS.index(name)
         exps = tuple(1 if i == idx else 0 for i in range(3))
-        return cls(ring, {exps: Fraction(1)})
+        return cls({exps: Fraction(1)})
 
     # -- structure ----------------------------------------------------------
 
@@ -153,14 +147,13 @@ class GradedPoly:
         return MappingProxyType({e: Fraction(x, den) for e, x in self._nums.items()})
 
     def monomial_name(self, exps: Exponents) -> str:
-        """The monomial in the ring's generator names, e.g. "A^2*B"; "1" for
-        the constant."""
-        names = _GENERATORS[self.ring]
-        return "*".join(f"{names[i]}^{e}" if e > 1 else names[i]
+        """The monomial in the generator names, e.g. "A^2*B"; "1" for the
+        constant."""
+        return "*".join(f"{_GENERATORS[i]}^{e}" if e > 1 else _GENERATORS[i]
                         for i, e in enumerate(exps) if e) or "1"
 
     def monomial_weight(self, exps: Exponents) -> int:
-        w = _WEIGHTS[self.ring]
+        w = _WEIGHTS
         return exps[0] * w[0] + exps[1] * w[1] + exps[2] * w[2]
 
     def is_zero(self) -> bool:
@@ -188,7 +181,6 @@ class GradedPoly:
         """The first differing monomial in the sorted union of both
         polynomials' monomials: its position there, its exponents and both
         coefficients; None when they are equal."""
-        self._check_ring(other)
         # numerators cross-multiplied, as first_difference compares series
         da, db = self._den, other._den
         for i, exps in enumerate(sorted(self._nums.keys() | other._nums.keys())):
@@ -201,53 +193,45 @@ class GradedPoly:
         # the reduced form is unique, so equal values have equal fields
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        return (self.ring == other.ring and self._den == other._den
-                and self._nums == other._nums)
+        return self._den == other._den and self._nums == other._nums
 
     __hash__ = None  # type: ignore[assignment]
 
     def __repr__(self) -> str:
         if not self._nums:
-            return f"GradedPoly({self.ring}, 0)"
+            return "GradedPoly(0)"
         parts = []
         for exps, coeff in self.sorted_terms():
             mono = f"*{self.monomial_name(exps)}" if any(exps) else ""
             parts.append(f"({rational_str(coeff)}){mono}")
-        return f"GradedPoly({self.ring}, {' + '.join(parts)})"
+        return f"GradedPoly({' + '.join(parts)})"
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _check_ring(self, other: "GradedPoly") -> None:
-        if self.ring != other.ring:
-            raise RingMismatch(f"{self.ring} vs {other.ring}")
-
     def __add__(self, other: "GradedPoly") -> "GradedPoly":
-        self._check_ring(other)
         da, db = self._den, other._den
         den = lcm(da, db)
         fa, fb = den // da, den // db
         nums = {e: x * fa for e, x in self._nums.items()}
         for e, y in other._nums.items():
             nums[e] = nums.get(e, 0) + y * fb
-        return GradedPoly._make(self.ring, nums, den)
+        return GradedPoly._make(nums, den)
 
     def __sub__(self, other: "GradedPoly") -> "GradedPoly":
         return self + (-other)
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly._make(self.ring, {e: -x for e, x in self._nums.items()},
-                                self._den)
+        return GradedPoly._make({e: -x for e, x in self._nums.items()}, self._den)
 
     def scale(self, c: Scalar) -> "GradedPoly":
         c = Fraction(exact(c))
         p = c.numerator
-        return GradedPoly._make(self.ring, {e: p * x for e, x in self._nums.items()},
+        return GradedPoly._make({e: p * x for e, x in self._nums.items()},
                                 c.denominator * self._den)
 
     def __mul__(self, other):
         if isinstance(other, GradedPoly):
-            self._check_ring(other)
-            return _sum_of_products(self.ring, [(1, self, other)])
+            return _sum_of_products([(1, self, other)])
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -258,9 +242,9 @@ class GradedPoly:
         return NotImplemented
 
 
-def _sum_of_products(ring: str, terms) -> GradedPoly:
+def _sum_of_products(terms) -> GradedPoly:
     """The polynomial sum of w f g over the (w, f, g) triples, w an int or a
-    ``Fraction`` and f, g in the ring.
+    ``Fraction`` and f, g polynomials.
 
     The terms are put over one denominator D, the lcm of the products
     d = w.denominator f._den g._den, and each product's integer numerators
@@ -278,22 +262,38 @@ def _sum_of_products(ring: str, terms) -> GradedPoly:
             for (a2, b2, c2), y in g._nums.items():
                 key = (a1 + a2, b1 + b2, c1 + c2)
                 nums[key] = nums.get(key, 0) + wx * y
-    return GradedPoly._make(ring, nums, den)
+    return GradedPoly._make(nums, den)
 
 
-# generator images under the weight-raising derivative, as integer numerators
-# over one denominator per ring:
-#   level 2:  A -> -(A^2+B)/4,   B -> -BC,      C -> -B/2
-#   level 1:  E2 -> -(E2^2+E4)/12, E4 -> -E6/3, E6 -> -E4^2/2
-_RULES: dict[str, tuple[int, tuple[dict[Exponents, int], ...]]] = {
-    LEVEL2: (4, ({(2, 0, 0): -1, (0, 1, 0): -1}, {(0, 1, 1): -4}, {(0, 1, 0): -2})),
-    LEVEL1: (12, ({(2, 0, 0): -1, (0, 1, 0): -1}, {(0, 0, 1): -4}, {(0, 2, 0): -6})),
-}
+# theta = q d/dq on the generators, the system HAHN-SYS:
+#   theta A = (A^2 - B)/4,   theta B = AB - BC,   theta C = (AC - B)/2
+_THETA: Images = (4, ({(2, 0, 0): 1, (0, 1, 0): -1},
+              {(1, 1, 0): 4, (0, 1, 1): -4},
+              {(1, 0, 1): 2, (0, 1, 0): -2}))
 
 
-def _derive(f: GradedPoly) -> GradedPoly:
+def _serre_images(g: GradedPoly, k: int) -> Images:
+    """The generator images x -> theta x - (w_x/k) g x of the Serre
+    derivative theta - (w/k) g."""
+    den, theta = _THETA
+    images = [GradedPoly._make(dict(image), den)
+              - (g * GradedPoly.generator(name)).scale(Fraction(w, k))
+              for name, w, image in zip(_GENERATORS, _WEIGHTS, theta)]
+    lcd = lcm(*(p._den for p in images))
+    return lcd, tuple({e: x * (lcd // p._den) for e, x in p._nums.items()} for p in images)
+
+
+# built once: the tower derives at every level
+#   serre_delta, G = A:             A -> -(A^2+B)/4,  B -> -BC,  C -> -B/2
+#   serre_partial, G = E2 = 3A-2C:  A -> -A^2/4 - B/4 + AC/3,  B -> -BC/3,
+#                                   C -> C^2/3 - B/2
+_DELTA_IMAGES = _serre_images(GradedPoly.generator("A"), 4)
+_PARTIAL_IMAGES = _serre_images(GradedPoly({(1, 0, 0): 3, (0, 0, 1): -2}), 12)
+
+
+def _derive(f: GradedPoly, images: Images) -> GradedPoly:
     f.weight()  # raises NotHomogeneous on mixed weights
-    rule_den, rules = _RULES[f.ring]
+    image_den, rules = images
     # d(x^e) = sum_i e_i x^(e - unit_i) d(x_i), collected into one dict
     nums: dict[Exponents, int] = {}
     for exps, x in f._nums.items():
@@ -305,30 +305,27 @@ def _derive(f: GradedPoly) -> GradedPoly:
                 for (ra, rb, rc), y in rule.items():
                     key = (a + ra, b + rb, c + rc)
                     nums[key] = nums.get(key, 0) + e * x * y
-    return GradedPoly._make(f.ring, nums, f._den * rule_den)
+    return GradedPoly._make(nums, f._den * image_den)
 
 
 def serre_delta(f: GradedPoly) -> GradedPoly:
-    """Level-2 Serre derivative q f' - (w/4) A f, via the generator rules,
+    """Level-2 Serre derivative q f' - (w/4) A f, via the generator images,
     w the weight of f; a polynomial of mixed weight raises ``NotHomogeneous``."""
-    if f.ring != LEVEL2:
-        raise RingMismatch("serre_delta acts on the level-2 ring")
-    return _derive(f)
+    return _derive(f, _DELTA_IMAGES)
 
 
 def serre_partial(f: GradedPoly) -> GradedPoly:
-    """Level-1 Serre derivative q f' - (w/12) E2 f, via the generator rules,
-    w the weight of f; a polynomial of mixed weight raises ``NotHomogeneous``."""
-    if f.ring != LEVEL1:
-        raise RingMismatch("serre_partial acts on the level-1 ring")
-    return _derive(f)
+    """Level-1 Serre derivative q f' - (w/12) E2 f, E2 = 3A - 2C, via the
+    generator images, w the weight of f; a polynomial of mixed weight raises
+    ``NotHomogeneous``."""
+    return _derive(f, _PARTIAL_IMAGES)
 
 
 def _evaluation_terms(f: GradedPoly, catalog: SeriesCatalog) -> list:
     """The (coefficient, monomial series) pairs whose linear combination is
     f evaluated on the catalog."""
-    names, den = _SERIES_NAMES[f.ring], f._den
-    return [(Fraction(x, den), catalog.monomial(zip(names, exps)))
+    den = f._den
+    return [(Fraction(x, den), catalog.monomial(zip(_SERIES_NAMES, exps)))
             for exps, x in f._nums.items()]
 
 
@@ -399,10 +396,10 @@ def decompose_modular(s: QSeries, weight: int, catalog: SeriesCatalog) -> Graded
                          f">= {s.order}, got {catalog.order}")
     k = weight // 2
     exponents = [(0, j, k - 2 * j) for j in range(k // 2, -1, -1)]
-    basis = [gp_evaluate(GradedPoly.monomial(LEVEL2, e), catalog) for e in exponents]
+    basis = [gp_evaluate(GradedPoly.monomial(e), catalog) for e in exponents]
     matrix = [[b[n] for b in basis] for n in range(dim)]
     rhs = [s[n] for n in range(dim)]
-    poly = GradedPoly(LEVEL2, dict(zip(exponents, _solve_fraction_free(matrix, rhs))))
+    poly = GradedPoly(dict(zip(exponents, _solve_fraction_free(matrix, rhs))))
     diff = first_difference(gp_evaluate(poly, catalog), s)
     if diff is not None:
         raise ResidualMismatch(diff[0], diff[2], diff[1])
@@ -430,9 +427,9 @@ def _solve_level(mm: int, tower: list) -> GradedPoly:
     of two.
     """
     if mm == 2:
-        return GradedPoly.monomial(LEVEL2, (0, 1, 0), Fraction(-1, 16))  # S*_3(0) = -1/16
+        return GradedPoly.monomial((0, 1, 0), Fraction(-1, 16))  # S*_3(0) = -1/16
     # C(2mm-2, 2k-1) = C(2mm-2, 2(mm-k)-1), so the k and mm-k terms are one product
-    acc = _sum_of_products(LEVEL2, [
+    acc = _sum_of_products([
         (-2 * (1 if 2 * k == mm else 2) * comb(2 * mm - 2, 2 * k - 1), tower[k], tower[mm - k])
         for k in range(2, mm // 2 + 1)])
     return acc + serre_delta(tower[mm - 1]).scale(2)
@@ -502,8 +499,7 @@ def e_star_equations(m: int, catalog: SeriesCatalog) -> Iterator[tuple]:
     def level(mm: int) -> tuple:
         poly, series, shift = e_star_poly(mm, catalog), catalog.level2(mm), m - mm
         lifted = GradedPoly._make(
-            LEVEL2, {(a, b, c + shift): x for (a, b, c), x in poly._nums.items()}, poly._den
-        )
+            {(a, b, c + shift): x for (a, b, c), x in poly._nums.items()}, poly._den)
         top = series * catalog.power("C", shift) if shift else series
         lhs = linear_combination((1, series), (-1, top), *_evaluation_terms(lifted, catalog))
         return (lhs, series,

@@ -132,7 +132,10 @@ def ks_coefficient(m: int, k: int) -> Fraction:
 def ks_alpha(m: int) -> Fraction:
     """(2m-2)/(pi^2 lambda(2m-2)) * (2m-1)/2 * lambda(2m), a positive rational:
     the factor multiplying the weight-2m series when the level-2 differential
-    recursion is solved for it.  One ``Fraction``, as ``rs_coefficient``."""
+    recursion is solved for it.  One ``Fraction``, as ``rs_coefficient``.
+    Nothing in the package has called it since the tower moved to the
+    divisor-sum normalization; it is kept because perfbench's tracer wraps
+    it."""
     a, c = lambda_even(m), lambda_even(m - 1)
     return Fraction((2 * m - 2) * (2 * m - 1) * a.numerator * c.denominator,
                     2 * a.denominator * c.numerator)

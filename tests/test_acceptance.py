@@ -13,8 +13,6 @@ import pytest
 from eisen2 import arith, checks
 from eisen2.catalog import SeriesCatalog
 from eisen2.graded import (
-    LEVEL1,
-    LEVEL2,
     GradedPoly,
     check_positivity,
     e_star_order,
@@ -104,10 +102,9 @@ def test_criterion_06_level2_determinants():
 
 def test_criterion_07_polynomial_recursion_and_positivity():
     printed = {
-        4: GradedPoly(LEVEL2, {(0, 2, 0): Fraction(9, 17), (0, 1, 2): Fraction(8, 17)}),
-        5: GradedPoly(LEVEL2, {(0, 2, 1): Fraction(27, 31), (0, 1, 3): Fraction(4, 31)}),
+        4: GradedPoly({(0, 2, 0): Fraction(9, 17), (0, 1, 2): Fraction(8, 17)}),
+        5: GradedPoly({(0, 2, 1): Fraction(27, 31), (0, 1, 3): Fraction(4, 31)}),
         6: GradedPoly(
-            LEVEL2,
             {
                 (0, 3, 0): Fraction(189, 691),
                 (0, 2, 2): Fraction(486, 691),
@@ -149,17 +146,29 @@ def test_criterion_09_reference_table(ws):
                "with computed values", ok)
 
 
-def _random_homogeneous(rng, ring, weight):
-    weights = {"level1": (2, 4, 6), "level2": (2, 4, 2)}[ring]
-    terms = {}
+# the level-1 generators inside Q[A, B, C]
+_LEVEL1 = (GradedPoly({(1, 0, 0): 3, (0, 0, 1): -2}),
+           GradedPoly({(0, 0, 2): 4, (0, 1, 0): -3}),
+           GradedPoly({(0, 1, 1): 9, (0, 0, 3): -8}))
+
+
+def _random_homogeneous(rng, weight, level1=False):
+    """A random polynomial of the given weight in A, B, C, or in E2, E4, E6."""
+    weights = (2, 4, 6) if level1 else (2, 4, 2)
+    gens = _LEVEL1 if level1 else [GradedPoly.generator(name) for name in "ABC"]
+    poly = GradedPoly.zero()
     for a in range(weight // weights[0] + 1):
         for b in range((weight - a * weights[0]) // weights[1] + 1):
             rest = weight - a * weights[0] - b * weights[1]
             if rest % weights[2] == 0 and rng.random() < 0.5:
                 coeff = rng.randint(-9, 9)
                 if coeff:
-                    terms[(a, b, rest // weights[2])] = Fraction(coeff)
-    return GradedPoly(ring, terms)
+                    term = GradedPoly.monomial((0, 0, 0), coeff)
+                    for gen, e in zip(gens, (a, b, rest // weights[2])):
+                        for _ in range(e):
+                            term = term * gen
+                    poly = poly + term
+    return poly
 
 
 def test_criterion_10_property_suites_and_total_runtime():
@@ -183,20 +192,20 @@ def test_criterion_10_property_suites_and_total_runtime():
     a_series = cat.level2(1)
     for _ in range(runs):
         wf, wg = rng.choice(range(2, 13, 2)), rng.choice(range(2, 13, 2))
-        f, g = _random_homogeneous(rng, LEVEL2, wf), _random_homogeneous(rng, LEVEL2, wg)
+        f, g = _random_homogeneous(rng, wf), _random_homogeneous(rng, wg)
         assert serre_delta(f * g) == serre_delta(f) * g + f * serre_delta(g)
-        f1, g1 = _random_homogeneous(rng, LEVEL1, wf), _random_homogeneous(rng, LEVEL1, wg)
+        f1, g1 = _random_homogeneous(rng, wf, True), _random_homogeneous(rng, wg, True)
         assert serre_partial(f1 * g1) == serre_partial(f1) * g1 + f1 * serre_partial(g1)
         assert gp_evaluate(f * g, cat) == gp_evaluate(f, cat) * gp_evaluate(g, cat)
 
     for k in range(1, 11):
         for j in range(k // 2 + 1):
-            image = serre_delta(GradedPoly.monomial(LEVEL2, (0, j, k - 2 * j)))
+            image = serre_delta(GradedPoly.monomial((0, j, k - 2 * j)))
             assert all(
                 e[0] == 0 and e[1] >= 1 and v < 0 for e, v in image.terms.items()
             )
 
-    d_poly = GradedPoly(LEVEL2, {(0, 1, 0): Fraction(-1, 64), (0, 0, 2): Fraction(1, 64)})
+    d_poly = GradedPoly({(0, 1, 0): Fraction(-1, 64), (0, 0, 2): Fraction(1, 64)})
     assert serre_delta(d_poly).is_zero()
 
     def delta4(s):

@@ -832,10 +832,10 @@ def test_p4_and_jacobi_build_no_equation_past_the_first_failure(monkeypatch):
 
 
 def test_p4_names_the_differing_monomial(monkeypatch):
-    # the A^2 numerator of the level-2 rule for A raised by one: -1/4 -> 0
-    den, rules = graded._RULES[graded.LEVEL2]
+    # the A^2 numerator of serre_delta's image of A raised by one: -1/4 -> 0
+    den, rules = graded._DELTA_IMAGES
     bad = ({**rules[0], (2, 0, 0): rules[0][2, 0, 0] + 1}, rules[1], rules[2])
-    monkeypatch.setitem(graded._RULES, graded.LEVEL2, (den, bad))
+    monkeypatch.setattr(graded, "_DELTA_IMAGES", (den, bad))
     report = checks.run_check("P4", workspace(order=12))
     # n counts monomials in the sorted union, B before A^2, not powers of q
     assert report.first_discrepancy == (1, 0, Fraction(-1, 4))
@@ -1003,11 +1003,11 @@ def test_t49_fails_at_the_level_of_a_bad_binomial_weight(monkeypatch):
 
 
 def test_t49_reports_a_monomial_outside_the_basis(monkeypatch):
-    # an A-term in the rule for B puts -(1/4) A B C into E6*; A has constant
-    # term 1, so E6*'s equation fails at q^0, and P4 names the term
-    den, rules = graded._RULES[graded.LEVEL2]
+    # an A-term in serre_delta's image of B puts -(1/4) A B C into E6*; A has
+    # constant term 1, so E6*'s equation fails at q^0, and P4 names the term
+    den, rules = graded._DELTA_IMAGES
     bad = (rules[0], {**rules[1], (1, 1, 1): 1}, rules[2])
-    monkeypatch.setitem(graded._RULES, graded.LEVEL2, (den, bad))
+    monkeypatch.setattr(graded, "_DELTA_IMAGES", (den, bad))
     report = checks.run_check("T49", workspace(mmax=6))
     assert report.first_discrepancy == (0, Fraction(3, 4), 1)
     assert report.notes == ("E6star polynomial: differential recursion against the q-expansion",)

@@ -8,12 +8,9 @@ import pytest
 from eisen2 import arith, checks, graded, scalars
 from eisen2.catalog import SeriesCatalog
 from eisen2.graded import (
-    LEVEL1,
-    LEVEL2,
     GradedPoly,
     NotHomogeneous,
     ResidualMismatch,
-    RingMismatch,
     SingularSystem,
     _solve_fraction_free,
     check_positivity,
@@ -32,77 +29,92 @@ from verify_defaults import workspace
 
 LAW_RUNS = 110
 
+# level 1 inside Q[A, B, C]
+E2 = GradedPoly({(1, 0, 0): 3, (0, 0, 1): -2})
+E4 = GradedPoly({(0, 0, 2): 4, (0, 1, 0): -3})
+E6 = GradedPoly({(0, 1, 1): 9, (0, 0, 3): -8})
 
-def random_homogeneous(rng, ring, weight, allow_first=True):
-    """Random homogeneous polynomial of the given weight (may be zero)."""
-    from eisen2.graded import _WEIGHTS
 
-    w = _WEIGHTS[ring]
+def random_homogeneous_terms(rng, weight, weights=graded._WEIGHTS):
+    """Random coefficients of a homogeneous polynomial of the given weight in
+    three generators of the given weights (may be empty)."""
     terms = {}
-    for a in range(0, weight // w[0] + 1 if allow_first else 1):
-        for b in range(0, (weight - a * w[0]) // w[1] + 1):
-            rest = weight - a * w[0] - b * w[1]
-            if rest % w[2] == 0:
-                c = rest // w[2]
-                if rng.random() < 0.5:
-                    coeff = rng.randint(-9, 9)
-                    if coeff:
-                        terms[(a, b, c)] = Fraction(coeff)
-    return GradedPoly(ring, terms)
+    for a in range(0, weight // weights[0] + 1):
+        for b in range(0, (weight - a * weights[0]) // weights[1] + 1):
+            rest = weight - a * weights[0] - b * weights[1]
+            if rest % weights[2] == 0 and rng.random() < 0.5:
+                coeff = rng.randint(-9, 9)
+                if coeff:
+                    terms[(a, b, rest // weights[2])] = Fraction(coeff)
+    return terms
+
+
+def random_homogeneous(rng, weight):
+    """Random homogeneous polynomial in A, B, C of the given weight (may be zero)."""
+    return GradedPoly(random_homogeneous_terms(rng, weight))
+
+
+def level1(terms):
+    """The polynomial sum c E2^a E4^b E6^c over the terms, in A, B, C."""
+    total = GradedPoly.zero()
+    for (a, b, c), coeff in terms.items():
+        term = GradedPoly.monomial((0, 0, 0), coeff)
+        for gen, e in ((E2, a), (E4, b), (E6, c)):
+            for _ in range(e):
+                term = term * gen
+        total = total + term
+    return total
+
+
+def random_level1(rng, weight):
+    """Random homogeneous polynomial in E2, E4, E6 of the given weight (may be zero)."""
+    return level1(random_homogeneous_terms(rng, weight, (2, 4, 6)))
 
 
 def test_arithmetic_examples():
-    bc2 = GradedPoly.monomial(LEVEL2, (0, 1, 2))
-    assert bc2 + GradedPoly.zero(LEVEL2) == bc2
-    prod = GradedPoly.monomial(LEVEL2, (1, 0, 0), 3) * GradedPoly.monomial(
-        LEVEL2, (0, 0, 1), 2
-    )
-    assert prod == GradedPoly(LEVEL2, {(1, 0, 1): 6})
+    bc2 = GradedPoly.monomial((0, 1, 2))
+    assert bc2 + GradedPoly.zero() == bc2
+    prod = GradedPoly.monomial((1, 0, 0), 3) * GradedPoly.monomial((0, 0, 1), 2)
+    assert prod == GradedPoly({(1, 0, 1): 6})
     assert prod.weight() == 4
-    e8 = (
-        GradedPoly(LEVEL2, {(0, 2, 0): 9, (0, 1, 2): 8}).scale(Fraction(1, 17))
-    )
+    e8 = GradedPoly({(0, 2, 0): 9, (0, 1, 2): 8}).scale(Fraction(1, 17))
     assert e8 == e_star_poly(4, SeriesCatalog(0))
 
 
-def test_ring_mismatch():
-    with pytest.raises(RingMismatch):
-        GradedPoly.generator(LEVEL1, "E2") + GradedPoly.generator(LEVEL2, "A")
-    with pytest.raises(RingMismatch):
-        serre_delta(GradedPoly.generator(LEVEL1, "E4"))
-    with pytest.raises(RingMismatch):
-        serre_partial(GradedPoly.generator(LEVEL2, "B"))
+def test_level1_embeds_in_the_level2_ring():
+    # the only facts that link the two levels, held on the catalog's series
+    cat = SeriesCatalog(120)
+    for k, poly in ((1, E2), (2, E4), (3, E6)):
+        assert gp_evaluate(poly, cat) == cat.level1(k), 2 * k
 
 
 def test_serre_delta_examples():
-    c2 = GradedPoly.monomial(LEVEL2, (0, 0, 2))
-    assert serre_delta(c2) == GradedPoly(LEVEL2, {(0, 1, 1): -1})
-    c3 = GradedPoly.monomial(LEVEL2, (0, 0, 3))
-    assert serre_delta(c3) == GradedPoly(LEVEL2, {(0, 1, 2): Fraction(-3, 2)})
-    bc = GradedPoly.monomial(LEVEL2, (0, 1, 1))
-    assert serre_delta(bc) == GradedPoly(
-        LEVEL2, {(0, 2, 0): Fraction(-1, 2), (0, 1, 2): -1}
-    )
-    d_poly = GradedPoly(LEVEL2, {(0, 1, 0): Fraction(-1, 64), (0, 0, 2): Fraction(1, 64)})
+    c2 = GradedPoly.monomial((0, 0, 2))
+    assert serre_delta(c2) == GradedPoly({(0, 1, 1): -1})
+    c3 = GradedPoly.monomial((0, 0, 3))
+    assert serre_delta(c3) == GradedPoly({(0, 1, 2): Fraction(-3, 2)})
+    bc = GradedPoly.monomial((0, 1, 1))
+    assert serre_delta(bc) == GradedPoly({(0, 2, 0): Fraction(-1, 2), (0, 1, 2): -1})
+    d_poly = GradedPoly({(0, 1, 0): Fraction(-1, 64), (0, 0, 2): Fraction(1, 64)})
     assert serre_delta(d_poly).is_zero()
 
 
 def test_serre_partial_examples():
-    assert serre_partial(GradedPoly.generator(LEVEL1, "E4")) == GradedPoly(
-        LEVEL1, {(0, 0, 1): Fraction(-1, 3)}
-    )
-    assert serre_partial(GradedPoly.generator(LEVEL1, "E6")) == GradedPoly(
-        LEVEL1, {(0, 2, 0): Fraction(-1, 2)}
-    )
-    assert serre_partial(GradedPoly.generator(LEVEL1, "E2")) == GradedPoly(
-        LEVEL1, {(2, 0, 0): Fraction(-1, 12), (0, 1, 0): Fraction(-1, 12)}
-    )
-    disc = GradedPoly(LEVEL1, {(0, 3, 0): 1, (0, 0, 2): -1})
-    assert serre_partial(disc).is_zero()
+    # Ramanujan's system, through the embedding
+    assert serre_partial(E2) == (E2 * E2 + E4).scale(Fraction(-1, 12))
+    assert serre_partial(E4) == E6.scale(Fraction(-1, 3))
+    assert serre_partial(E6) == (E4 * E4).scale(Fraction(-1, 2))
+    assert serre_partial(E4 * E4 * E4 - E6 * E6).is_zero()
+    # and on the generators
+    a, b, c = (GradedPoly.generator(name) for name in "ABC")
+    assert serre_partial(a) == GradedPoly(
+        {(2, 0, 0): Fraction(-1, 4), (0, 1, 0): Fraction(-1, 4), (1, 0, 1): Fraction(1, 3)})
+    assert serre_partial(b) == (b * c).scale(Fraction(-1, 3))
+    assert serre_partial(c) == GradedPoly({(0, 0, 2): Fraction(1, 3), (0, 1, 0): Fraction(-1, 2)})
 
 
 def test_not_homogeneous():
-    mixed = GradedPoly(LEVEL2, {(1, 0, 0): 1, (0, 1, 0): 1})
+    mixed = GradedPoly({(1, 0, 0): 1, (0, 1, 0): 1})
     with pytest.raises(NotHomogeneous):
         serre_delta(mixed)
 
@@ -111,7 +123,7 @@ def test_weight_raising_randomized():
     rng = random.Random(31)
     for _ in range(LAW_RUNS):
         weight = rng.choice(range(2, 21, 2))
-        f = random_homogeneous(rng, LEVEL2, weight)
+        f = random_homogeneous(rng, weight)
         image = serre_delta(f)
         if not image.is_zero():
             assert image.weight() == weight + 2
@@ -122,11 +134,10 @@ def test_leibniz_randomized_both_derivatives():
     for _ in range(LAW_RUNS):
         wf = rng.choice(range(2, 13, 2))
         wg = rng.choice(range(2, 13, 2))
-        f = random_homogeneous(rng, LEVEL2, wf)
-        g = random_homogeneous(rng, LEVEL2, wg)
+        f = random_homogeneous(rng, wf)
+        g = random_homogeneous(rng, wg)
         assert serre_delta(f * g) == serre_delta(f) * g + f * serre_delta(g)
-        f1 = random_homogeneous(rng, LEVEL1, wf)
-        g1 = random_homogeneous(rng, LEVEL1, wg)
+        f1, g1 = random_level1(rng, wf), random_level1(rng, wg)
         assert serre_partial(f1 * g1) == serre_partial(f1) * g1 + f1 * serre_partial(g1)
 
 
@@ -134,9 +145,9 @@ def test_evaluation_is_ring_morphism():
     rng = random.Random(33)
     cat = SeriesCatalog(32)
     for _ in range(LAW_RUNS):
-        ring = rng.choice((LEVEL1, LEVEL2))
-        f = random_homogeneous(rng, ring, rng.choice(range(2, 11, 2)))
-        g = random_homogeneous(rng, ring, rng.choice(range(2, 11, 2)))
+        make = rng.choice((random_homogeneous, random_level1))
+        f = make(rng, rng.choice(range(2, 11, 2)))
+        g = make(rng, rng.choice(range(2, 11, 2)))
         assert gp_evaluate(f * g, cat) == gp_evaluate(f, cat) * gp_evaluate(g, cat)
         assert gp_evaluate(f + g, cat) == gp_evaluate(f, cat) + gp_evaluate(g, cat)
 
@@ -147,7 +158,7 @@ def test_serre_evaluation_consistency():
     a = cat.level2(1)
     for _ in range(LAW_RUNS):
         weight = rng.choice(range(2, 15, 2))
-        f = random_homogeneous(rng, LEVEL2, weight)
+        f = random_homogeneous(rng, weight)
         series = gp_evaluate(f, cat)
         expected = series.theta() - (a * series).scale(Fraction(weight, 4))
         assert gp_evaluate(serre_delta(f), cat) == expected
@@ -156,7 +167,7 @@ def test_serre_evaluation_consistency():
 def test_negativity_of_basis_derivatives():
     for k in range(1, 11):
         for j in range(0, k // 2 + 1):
-            image = serre_delta(GradedPoly.monomial(LEVEL2, (0, j, k - 2 * j)))
+            image = serre_delta(GradedPoly.monomial((0, j, k - 2 * j)))
             assert not image.is_zero()
             for (a, b, c), coeff in image.terms.items():
                 assert a == 0
@@ -175,18 +186,16 @@ def test_decompose_examples():
     # the decomposition is a polynomial in B and C; zero coordinates drop out
     cat = SeriesCatalog(24)
     assert decompose_modular(cat.level2(4), 8, cat) == GradedPoly(
-        LEVEL2, {(0, 2, 0): Fraction(9, 17), (0, 1, 2): Fraction(8, 17)})
+        {(0, 2, 0): Fraction(9, 17), (0, 1, 2): Fraction(8, 17)})
     assert decompose_modular(cat.level2(6), 12, cat) == GradedPoly(
-        LEVEL2,
         {(0, 3, 0): Fraction(189, 691), (0, 2, 2): Fraction(486, 691),
-         (0, 1, 4): Fraction(16, 691)},
-    )
-    assert decompose_modular(cat.level2(2), 4, cat) == GradedPoly.generator(LEVEL2, "B")
+         (0, 1, 4): Fraction(16, 691)})
+    assert decompose_modular(cat.level2(2), 4, cat) == GradedPoly.generator("B")
 
 
 def test_decompose_kernel_form():
     cat = SeriesCatalog(24)
-    d_poly = GradedPoly(LEVEL2, {(0, 1, 0): Fraction(-1, 64), (0, 0, 2): Fraction(1, 64)})
+    d_poly = GradedPoly({(0, 1, 0): Fraction(-1, 64), (0, 0, 2): Fraction(1, 64)})
     assert decompose_modular(gp_evaluate(d_poly, cat), 4, cat) == d_poly
     assert gp_evaluate(d_poly, cat) == cat.D()
 
@@ -229,16 +238,13 @@ def test_solver_first_nonzero_pivot():
 
 def test_e_star_poly_examples():
     cat = SeriesCatalog(0)
-    assert e_star_poly(2, cat) == GradedPoly.monomial(LEVEL2, (0, 1, 0))
-    assert e_star_poly(3, cat) == GradedPoly.monomial(LEVEL2, (0, 1, 1))
+    assert e_star_poly(2, cat) == GradedPoly.monomial((0, 1, 0))
+    assert e_star_poly(3, cat) == GradedPoly.monomial((0, 1, 1))
     assert e_star_poly(4, cat) == GradedPoly(
-        LEVEL2, {(0, 2, 0): Fraction(9, 17), (0, 1, 2): Fraction(8, 17)}
-    )
+        {(0, 2, 0): Fraction(9, 17), (0, 1, 2): Fraction(8, 17)})
     assert e_star_poly(5, cat) == GradedPoly(
-        LEVEL2, {(0, 2, 1): Fraction(27, 31), (0, 1, 3): Fraction(4, 31)}
-    )
+        {(0, 2, 1): Fraction(27, 31), (0, 1, 3): Fraction(4, 31)})
     assert e_star_poly(6, cat) == GradedPoly(
-        LEVEL2,
         {
             (0, 3, 0): Fraction(189, 691),
             (0, 2, 2): Fraction(486, 691),
@@ -410,9 +416,9 @@ def test_delta_equal_family():
 
 def test_cusp_form_bases():
     cat = SeriesCatalog(32)
-    d_poly = GradedPoly(LEVEL2, {(0, 1, 0): Fraction(-1, 64), (0, 0, 2): Fraction(1, 64)})
-    b = GradedPoly.generator(LEVEL2, "B")
-    c = GradedPoly.generator(LEVEL2, "C")
+    d_poly = GradedPoly({(0, 1, 0): Fraction(-1, 64), (0, 0, 2): Fraction(1, 64)})
+    b = GradedPoly.generator("B")
+    c = GradedPoly.generator("C")
     cusp_polys = {
         "BD": b * d_poly,
         "BCD": b * c * d_poly,
@@ -463,21 +469,15 @@ def _oracle_mul(p, q):
     return _clean(out)
 
 
-_ORACLE_RULES = {
-    LEVEL2: (
-        {(2, 0, 0): Fraction(-1, 4), (0, 1, 0): Fraction(-1, 4)},
-        {(0, 1, 1): Fraction(-1)},
-        {(0, 1, 0): Fraction(-1, 2)},
-    ),
-    LEVEL1: (
-        {(2, 0, 0): Fraction(-1, 12), (0, 1, 0): Fraction(-1, 12)},
-        {(0, 0, 1): Fraction(-1, 3)},
-        {(0, 2, 0): Fraction(-1, 2)},
-    ),
-}
+# the level-2 Serre images, written out
+_ORACLE_IMAGES = (
+    {(2, 0, 0): Fraction(-1, 4), (0, 1, 0): Fraction(-1, 4)},
+    {(0, 1, 1): Fraction(-1)},
+    {(0, 1, 0): Fraction(-1, 2)},
+)
 
 
-def _oracle_derive(ring, p):
+def _oracle_derive(p):
     out = {}
     for exps, coeff in p.items():
         for i in range(3):
@@ -486,15 +486,12 @@ def _oracle_derive(ring, p):
                 lowered = list(exps)
                 lowered[i] = e - 1
                 mono = {tuple(lowered): coeff * e}
-                out = _oracle_add(out, _oracle_mul(mono, _ORACLE_RULES[ring][i]))
+                out = _oracle_add(out, _oracle_mul(mono, _ORACLE_IMAGES[i]))
     return out
 
 
-def _oracle_evaluate(ring, p, cat):
-    if ring == LEVEL2:
-        gens = (cat.level2(1), cat.level2(2), cat.C())
-    else:
-        gens = (cat.level1(1), cat.level1(2), cat.level1(3))
+def _oracle_evaluate(p, cat):
+    gens = (cat.level2(1), cat.level2(2), cat.C())
     total = QSeries.zero(cat.order)
     for exps, coeff in sorted(p.items()):
         term = QSeries.one(cat.order)
@@ -507,7 +504,7 @@ def _oracle_evaluate(ring, p, cat):
 
 def _oracle_gp_evaluate(f, cat):
     # gp_evaluate's per-monomial loop before monomials were memoized
-    names = graded._SERIES_NAMES[f.ring]
+    names = graded._SERIES_NAMES
     total = QSeries.zero(cat.order)
     for exps, x in f._nums.items():
         factors = [cat.power(name, e) for name, e in zip(names, exps) if e]
@@ -527,7 +524,7 @@ def _oracle_e_star(mmax):
                 acc, _oracle_scale(_oracle_mul(polys[k], polys[mm - k]),
                                    ks_coefficient(mm, k))
             )
-        acc = _oracle_add(acc, _oracle_neg(_oracle_derive(LEVEL2, polys[mm - 1])))
+        acc = _oracle_add(acc, _oracle_neg(_oracle_derive(polys[mm - 1])))
         polys[mm] = _oracle_scale(acc, 1 / ks_alpha(mm))
     return polys
 
@@ -535,11 +532,9 @@ def _oracle_e_star(mmax):
 _DENOMINATORS = (1, 2, 12, 691, 3617, 691 * 3617)
 
 
-def random_terms(rng, weight=None, ring=LEVEL2, max_exp=4):
+def random_terms(rng, weight=None, max_exp=4):
     """Random exact coefficients, homogeneous when a weight is given."""
-    from eisen2.graded import _WEIGHTS
-
-    w = _WEIGHTS[ring]
+    w = graded._WEIGHTS
     terms = {}
     for _ in range(rng.randint(0, 6)):
         if weight is None:
@@ -560,11 +555,10 @@ def random_terms(rng, weight=None, ring=LEVEL2, max_exp=4):
 def test_poly_arithmetic_matches_fraction_dict_oracle():
     rng = random.Random(41)
     for _ in range(300):
-        ring = rng.choice((LEVEL1, LEVEL2))
-        p, q = random_terms(rng, ring=ring), random_terms(rng, ring=ring)
+        p, q = random_terms(rng), random_terms(rng)
         if rng.random() < 0.1:
             q = {}
-        fp, fq = GradedPoly(ring, p), GradedPoly(ring, q)
+        fp, fq = GradedPoly(p), GradedPoly(q)
         c = Fraction(rng.randint(-3617, 3617), rng.choice(_DENOMINATORS))
         cases = [
             (fp * fq, _oracle_mul(p, q)),
@@ -576,7 +570,7 @@ def test_poly_arithmetic_matches_fraction_dict_oracle():
         ]
         for got, want in cases:
             assert dict(got.terms) == want
-            assert got == GradedPoly(ring, want)
+            assert got == GradedPoly(want)
             assert got.is_zero() == (not want)
         assert (fp == fq) == (_clean(p) == _clean(q))
         assert fp + fq - fq == fp
@@ -584,27 +578,25 @@ def test_poly_arithmetic_matches_fraction_dict_oracle():
 
 
 def test_poly_first_difference_compares_values_over_both_denominators():
-    b = GradedPoly.generator(LEVEL2, "B")
+    b = GradedPoly.generator("B")
     half, third = b.scale(Fraction(1, 2)), b.scale(Fraction(1, 3))
     assert half.first_difference(b.scale(Fraction(2, 4))) is None
     # equal numerators over different denominators differ
     assert (half._nums, third._nums) == ({(0, 1, 0): 1}, {(0, 1, 0): 1})
     assert half.first_difference(third) == (0, (0, 1, 0), Fraction(1, 2), Fraction(1, 3))
     # the position counts the sorted union of both monomial sets
-    c2 = GradedPoly.monomial(LEVEL2, (0, 0, 2), 5)
+    c2 = GradedPoly.monomial((0, 0, 2), 5)
     assert (half + c2).first_difference(half) == (0, (0, 0, 2), 5, 0)
     assert (c2 + half).first_difference(c2 + third) == (1, (0, 1, 0), Fraction(1, 2),
                                                         Fraction(1, 3))
-    with pytest.raises(RingMismatch):
-        half.first_difference(GradedPoly.generator(LEVEL1, "E4"))
 
 
 def test_poly_is_kept_reduced():
-    p = GradedPoly(LEVEL2, {(0, 1, 0): Fraction(2, 691), (0, 0, 2): Fraction(-4, 691)})
+    p = GradedPoly({(0, 1, 0): Fraction(2, 691), (0, 0, 2): Fraction(-4, 691)})
     assert (p._den, p._nums) == (691, {(0, 1, 0): 2, (0, 0, 2): -4})
     assert p.scale(Fraction(691, 2))._den == 1
     assert (p - p)._den == 1 and (p - p).is_zero()
-    assert GradedPoly(LEVEL2, {(0, 1, 0): 0}) == GradedPoly.zero(LEVEL2)
+    assert GradedPoly({(0, 1, 0): 0}) == GradedPoly.zero()
     with pytest.raises(TypeError):
         p.terms[(0, 1, 0)] = Fraction(1)
 
@@ -612,31 +604,39 @@ def test_poly_is_kept_reduced():
 def test_serre_derivatives_match_fraction_dict_oracle():
     rng = random.Random(42)
     for _ in range(200):
-        ring = rng.choice((LEVEL1, LEVEL2))
         weight = rng.choice(range(2, 25, 2))
-        p = random_terms(rng, weight, ring)
-        derive = serre_delta if ring == LEVEL2 else serre_partial
-        got = derive(GradedPoly(ring, p))
-        assert dict(got.terms) == _oracle_derive(ring, p)
-    for ring, derive in ((LEVEL1, serre_partial), (LEVEL2, serre_delta)):
-        assert derive(GradedPoly.zero(ring)).is_zero()
-        one = GradedPoly.monomial(ring, (0, 0, 0))
-        assert derive(one).is_zero()
+        p = random_terms(rng, weight)
+        assert dict(serre_delta(GradedPoly(p)).terms) == _oracle_derive(p)
+    for derive in (serre_partial, serre_delta):
+        assert derive(GradedPoly.zero()).is_zero()
+        assert derive(GradedPoly.monomial((0, 0, 0))).is_zero()
+
+
+def test_serre_partial_matches_the_series_oracle():
+    # theta f - (w/12) E2 f on the q-expansions, with the catalog's own E2
+    rng = random.Random(45)
+    cat = SeriesCatalog(64)
+    e2 = cat.level1(1)
+    for _ in range(60):
+        weight = rng.choice(range(2, 17, 2))
+        f = GradedPoly(random_terms(rng, weight))
+        series = gp_evaluate(f, cat)
+        expected = series.theta() - (e2 * series).scale(Fraction(weight, 12))
+        assert gp_evaluate(serre_partial(f), cat) == expected
 
 
 def test_gp_evaluate_matches_per_monomial_powers():
     rng = random.Random(43)
-    for ring in (LEVEL1, LEVEL2):
-        cat = SeriesCatalog(20)
-        # the constant polynomial and the zero polynomial
-        seven = GradedPoly.monomial(ring, (0, 0, 0), Fraction(7, 691))
-        assert gp_evaluate(seven, cat) == QSeries.one(20).scale(Fraction(7, 691))
-        assert gp_evaluate(GradedPoly.zero(ring), cat) == QSeries.zero(20)
-        # low exponents first, then powers past the highest one cached
-        for max_exp in (2, 2, 5, 3, 9):
-            for _ in range(10):
-                p = random_terms(rng, ring=ring, max_exp=max_exp)
-                assert gp_evaluate(GradedPoly(ring, p), cat) == _oracle_evaluate(ring, p, cat)
+    cat = SeriesCatalog(20)
+    # the constant polynomial and the zero polynomial
+    seven = GradedPoly.monomial((0, 0, 0), Fraction(7, 691))
+    assert gp_evaluate(seven, cat) == QSeries.one(20).scale(Fraction(7, 691))
+    assert gp_evaluate(GradedPoly.zero(), cat) == QSeries.zero(20)
+    # low exponents first, then powers past the highest one cached
+    for max_exp in (2, 2, 5, 3, 9):
+        for _ in range(10):
+            p = random_terms(rng, max_exp=max_exp)
+            assert gp_evaluate(GradedPoly(p), cat) == _oracle_evaluate(p, cat)
 
 
 @pytest.mark.parametrize("m", range(2, 13))
@@ -646,7 +646,7 @@ def test_lifted_evaluation_is_the_evaluation_times_a_power_of_c(m):
     cat = SeriesCatalog(e_star_order(m + 6))
     poly = e_star_poly(m, cat)
     for s in range(7):
-        lifted = poly * GradedPoly.monomial(LEVEL2, (0, 0, s))
+        lifted = poly * GradedPoly.monomial((0, 0, s))
         assert set(lifted.terms) <= {(0, j, m + s - 2 * j) for j in range(m // 2 + 1)}
         got = gp_evaluate(lifted, cat)
         assert got.order == cat.order
@@ -661,13 +661,13 @@ def test_gp_evaluate_keeps_the_generators_denominators():
     cat._cache["C"] = cat.C().scale(Fraction(5, 3))
     cat._cache["E4star"] = cat.level2(2).scale(Fraction(1, 691))
     for _ in range(20):
-        p = GradedPoly(LEVEL2, random_terms(rng, ring=LEVEL2, max_exp=3))
+        p = GradedPoly(random_terms(rng, max_exp=3))
         assert gp_evaluate(p, cat) == _oracle_gp_evaluate(p, cat)
 
 
 def test_gp_evaluate_memoizes_each_monomial_in_the_catalog(monkeypatch):
     cat = SeriesCatalog(24)
-    poly = GradedPoly(LEVEL2, {(1, 2, 3): 5, (0, 1, 4): Fraction(1, 3), (2, 0, 0): -1})
+    poly = GradedPoly({(1, 2, 3): 5, (0, 1, 4): Fraction(1, 3), (2, 0, 0): -1})
     first = gp_evaluate(poly, cat)
     assert {"C^3*E2star^1*E4star^2", "C^4*E4star^1"} <= set(cat._cache)
 
@@ -738,11 +738,10 @@ def test_e_star_poly_matches_the_unpaired_fraction_recursion():
 def test_sum_of_products_matches_fraction_dict_oracle():
     rng = random.Random(23)
     for _ in range(200):
-        ring = rng.choice((LEVEL1, LEVEL2))
         triples = []
         for _ in range(rng.randint(0, 5)):
-            p = {} if rng.random() < 0.15 else random_terms(rng, ring=ring)
-            q = {} if rng.random() < 0.15 else random_terms(rng, ring=ring)
+            p = {} if rng.random() < 0.15 else random_terms(rng)
+            q = {} if rng.random() < 0.15 else random_terms(rng)
             w = rng.choice((rng.randint(-9, 9),
                             Fraction(rng.randint(-3617, 3617), rng.choice(_DENOMINATORS))))
             triples.append((w, p, q))
@@ -750,11 +749,11 @@ def test_sum_of_products_matches_fraction_dict_oracle():
         for w, p, q in triples:
             want = _oracle_add(want, _oracle_scale(_oracle_mul(p, q), w))
         got = graded._sum_of_products(
-            ring, [(w, GradedPoly(ring, p), GradedPoly(ring, q)) for w, p, q in triples])
+            [(w, GradedPoly(p), GradedPoly(q)) for w, p, q in triples])
         assert dict(got.terms) == want
         # the reduced form is unique, so the fields equal the oracle's
-        assert got == GradedPoly(ring, want)
-    assert graded._sum_of_products(LEVEL2, []) == GradedPoly.zero(LEVEL2)
+        assert got == GradedPoly(want)
+    assert graded._sum_of_products([]) == GradedPoly.zero()
 
 
 def test_tower_sums_keep_their_integers_small(monkeypatch):
@@ -764,10 +763,10 @@ def test_tower_sums_keep_their_integers_small(monkeypatch):
     widest = [0]
     real = GradedPoly._make.__func__
 
-    def make(cls, ring, nums, den=1):
+    def make(cls, nums, den=1):
         widest[0] = max(widest[0], den.bit_length(),
                         *(abs(x).bit_length() for x in nums.values()))
-        return real(cls, ring, nums, den)
+        return real(cls, nums, den)
 
     monkeypatch.setattr(GradedPoly, "_make", classmethod(make))
     e_star_poly(80, SeriesCatalog(0))
@@ -798,9 +797,9 @@ def test_the_tower_reads_no_lambda_value(monkeypatch):
 
 @pytest.mark.parametrize(
     "build",
-    [lambda: GradedPoly(LEVEL2, {(0, 1, 0): 0.1}),
-     lambda: GradedPoly.generator(LEVEL2, "B").scale(0.1),
-     lambda: GradedPoly.monomial(LEVEL2, (0, 1, 0), 0.1)],
+    [lambda: GradedPoly({(0, 1, 0): 0.1}),
+     lambda: GradedPoly.generator("B").scale(0.1),
+     lambda: GradedPoly.monomial((0, 1, 0), 0.1)],
     ids=["GradedPoly", "scale", "monomial"],
 )
 def test_polys_refuse_floats(build):
@@ -817,16 +816,16 @@ def test_polys_refuse_floats(build):
 def test_polys_refuse_bad_exponents(exps, error):
     # 1.5 once truncated to A, and A^-1 printed as A with weight -2
     with pytest.raises(error):
-        GradedPoly(LEVEL2, {exps: 1})
+        GradedPoly({exps: 1})
     with pytest.raises(error):
-        GradedPoly.monomial(LEVEL2, exps)
+        GradedPoly.monomial(exps)
 
 
 def test_monomials_are_named_in_the_ring_generators():
-    a = GradedPoly.generator(LEVEL2, "A")
+    a = GradedPoly.generator("A")
     assert a.monomial_name((2, 1, 0)) == "A^2*B"
     assert a.monomial_name((0, 0, 3)) == "C^3"
     assert a.monomial_name((0, 0, 0)) == "1"
-    assert GradedPoly.generator(LEVEL1, "E2").monomial_name((1, 0, 2)) == "E2*E6^2"
-    poly = GradedPoly(LEVEL2, {(2, 0, 0): Fraction(-1, 4), (0, 0, 0): 3})
-    assert repr(poly) == "GradedPoly(level2, (3) + (-1/4)*A^2)"
+    poly = GradedPoly({(2, 0, 0): Fraction(-1, 4), (0, 0, 0): 3})
+    assert repr(poly) == "GradedPoly((3) + (-1/4)*A^2)"
+    assert repr(GradedPoly.zero()) == "GradedPoly(0)"

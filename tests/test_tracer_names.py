@@ -11,6 +11,9 @@ sites are read out of that test with ``ast``, not copied."""
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -66,3 +69,42 @@ def test_pinned_import_sites_bind_the_traced_functions():
         original = getattr(defining[name], name)
         for module in modules:
             assert getattr(module, name, None) is original, (module.__name__, name)
+
+
+# runs every registry check at perfbench's tiny sizes, installs the tracer,
+# and runs them again; prints both [id, status, discrepancy] lists and the
+# check spans the tracer recorded
+_TRACED_RUN = """
+import importlib.util, sys
+import eisen2.cli
+from eisen2 import checks
+
+def run():
+    reports = checks.run_all(16, 30, 6, checks.registry_ids())
+    return [[r.id, r.status, r.first_discrepancy] for r in reports]
+
+before = run()
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+tracer = module.install()
+after = run()
+print(repr(before))
+print(repr(after))
+print(sorted(tracer.base.children))
+"""
+
+
+def test_the_installed_tracer_keeps_every_report():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _TRACED_RUN, str(TRACER)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    before, after, spans = run.stdout.splitlines()
+    assert before == after
+    ids = importlib.import_module("eisen2.checks").registry_ids()
+    assert before.count("'pass'") == len(ids)
+    # every check ran under its tracer span
+    assert ast.literal_eval(spans) == sorted(f"check {i}" for i in ids)
