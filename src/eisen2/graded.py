@@ -5,20 +5,20 @@ A and B are the weight-2 and weight-4 level-2 series and C their weight-2
 quotient partner E6*/E4* (weights 2, 4, 2).  Level 1 lies inside the ring:
 E2 = 3A - 2C, E4 = 4C^2 - 3B and E6 = 9BC - 8C^3.  The derivation
 theta = q d/dq is fixed by its three generator images, the
-Ablowitz-Chakravarty-Hahn system HAHN-SYS, and each Serre derivative
-theta f - (w/k) G f is derived from them once, at import: ``serre_delta``
-with G = A and k = 4, ``serre_partial`` (level 1's) with G = E2 and k = 12.
-A ``GradedPoly`` keeps integer numerators per monomial over one positive
-common denominator, reduced, in the format and by the helpers of
-``QSeries``; products, sums, scaling, both Serre derivatives and
-``first_difference`` work on those integers, and ``terms`` gives the
-coefficients as ``Fraction`` values.
-A product is the one-term case of a weighted sum of products, whose
-integer numerators are put over the lcm of the terms' denominators and
-reduced once; the recursion sums each level's convolution terms that way.
-Evaluation is one ``linear_combination`` of the catalog's memoized
-monomial series, so it makes no product of its own once they exist.  The
-E*_2m tower is built by its differential recursion alone (``e_star_poly``),
+Ablowitz-Chakravarty-Hahn system HAHN-SYS, the module's one derivation
+table.  A Serre derivative theta f - (w/k) G f is the sum of the chain-rule
+terms (df/dx_i) theta(x_i) and of -(w/k) G f, with no image tables:
+``serre_delta`` with G = A and k = 4, ``serre_partial`` (level 1's) with
+G = E2 and k = 12.  A ``GradedPoly`` keeps integer numerators per monomial
+over one positive common denominator, reduced, in the format and by the
+helpers of ``QSeries``, and ``terms`` gives the coefficients as ``Fraction``
+values.  One weighted sum of products, whose integer numerators are put
+over the lcm of the terms' denominators and reduced once, combines
+polynomials, as ``linear_combination`` combines series: a product is its
+one-term case, a sum or a multiple a product with the constant 1, and each
+Serre derivative and each tower level one call.  Evaluation is one
+``linear_combination`` of the catalog's memoized monomial series, so it
+makes no product of its own once they exist.  The E*_2m tower is built by its differential recursion alone (``e_star_poly``),
 run in the divisor-sum normalization S*_{2m-1}(0) E*_2m, where the
 lambda-ratio weights become binomial coefficients and every denominator a
 power of two, and judged by series equations (``e_star_equations``), one
@@ -68,8 +68,6 @@ _SERIES_NAMES = ("E2star", "E4star", "C")
 
 Exponents = tuple[int, int, int]
 Scalar = Union[int, Fraction]
-# generator images: one denominator and each generator's integer numerators
-Images = tuple[int, tuple[dict[Exponents, int], ...]]
 
 
 class NotHomogeneous(ValueError):
@@ -134,6 +132,8 @@ class GradedPoly:
 
     @classmethod
     def generator(cls, name: str) -> "GradedPoly":
+        if name not in _GENERATORS:
+            raise ValueError(f"unknown generator {name!r}; the generators are A, B and C")
         idx = _GENERATORS.index(name)
         exps = tuple(1 if i == idx else 0 for i in range(3))
         return cls({exps: Fraction(1)})
@@ -208,26 +208,23 @@ class GradedPoly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other: "GradedPoly") -> "GradedPoly":
-        da, db = self._den, other._den
-        den = lcm(da, db)
-        fa, fb = den // da, den // db
-        nums = {e: x * fa for e, x in self._nums.items()}
-        for e, y in other._nums.items():
-            nums[e] = nums.get(e, 0) + y * fb
-        return GradedPoly._make(nums, den)
+    # sums and multiples are products with the constant polynomial 1
 
-    def __sub__(self, other: "GradedPoly") -> "GradedPoly":
-        return self + (-other)
+    def __add__(self, other):
+        if not isinstance(other, GradedPoly):
+            return NotImplemented
+        return _sum_of_products([(1, self, _ONE), (1, other, _ONE)])
+
+    def __sub__(self, other):
+        if not isinstance(other, GradedPoly):
+            return NotImplemented
+        return _sum_of_products([(1, self, _ONE), (-1, other, _ONE)])
 
     def __neg__(self) -> "GradedPoly":
-        return GradedPoly._make({e: -x for e, x in self._nums.items()}, self._den)
+        return _sum_of_products([(-1, self, _ONE)])
 
     def scale(self, c: Scalar) -> "GradedPoly":
-        c = Fraction(exact(c))
-        p = c.numerator
-        return GradedPoly._make({e: p * x for e, x in self._nums.items()},
-                                c.denominator * self._den)
+        return _sum_of_products([(Fraction(exact(c)), self, _ONE)])
 
     def __mul__(self, other):
         if isinstance(other, GradedPoly):
@@ -265,60 +262,41 @@ def _sum_of_products(terms) -> GradedPoly:
     return GradedPoly._make(nums, den)
 
 
-# theta = q d/dq on the generators, the system HAHN-SYS:
-#   theta A = (A^2 - B)/4,   theta B = AB - BC,   theta C = (AC - B)/2
-_THETA: Images = (4, ({(2, 0, 0): 1, (0, 1, 0): -1},
-              {(1, 1, 0): 4, (0, 1, 1): -4},
-              {(1, 0, 1): 2, (0, 1, 0): -2}))
+_ONE = GradedPoly.monomial((0, 0, 0))
+
+# theta = q d/dq on the generators, the system HAHN-SYS
+_THETA = (GradedPoly({(2, 0, 0): Fraction(1, 4), (0, 1, 0): Fraction(-1, 4)}),  # (A^2 - B)/4
+          GradedPoly({(1, 1, 0): 1, (0, 1, 1): -1}),                            # AB - BC
+          GradedPoly({(1, 0, 1): Fraction(1, 2), (0, 1, 0): Fraction(-1, 2)}))  # (AC - B)/2
+_A = GradedPoly.generator("A")
+_E2 = GradedPoly({(1, 0, 0): 3, (0, 0, 1): -2})
 
 
-def _serre_images(g: GradedPoly, k: int) -> Images:
-    """The generator images x -> theta x - (w_x/k) g x of the Serre
-    derivative theta - (w/k) g."""
-    den, theta = _THETA
-    images = [GradedPoly._make(dict(image), den)
-              - (g * GradedPoly.generator(name)).scale(Fraction(w, k))
-              for name, w, image in zip(_GENERATORS, _WEIGHTS, theta)]
-    lcd = lcm(*(p._den for p in images))
-    return lcd, tuple({e: x * (lcd // p._den) for e, x in p._nums.items()} for p in images)
+def _partial(f: GradedPoly, i: int) -> GradedPoly:
+    """The partial derivative of f in generator i."""
+    return GradedPoly._make({e[:i] + (e[i] - 1,) + e[i + 1:]: e[i] * x
+                             for e, x in f._nums.items() if e[i]}, f._den)
 
 
-# built once: the tower derives at every level
-#   serre_delta, G = A:             A -> -(A^2+B)/4,  B -> -BC,  C -> -B/2
-#   serre_partial, G = E2 = 3A-2C:  A -> -A^2/4 - B/4 + AC/3,  B -> -BC/3,
-#                                   C -> C^2/3 - B/2
-_DELTA_IMAGES = _serre_images(GradedPoly.generator("A"), 4)
-_PARTIAL_IMAGES = _serre_images(GradedPoly({(1, 0, 0): 3, (0, 0, 1): -2}), 12)
-
-
-def _derive(f: GradedPoly, images: Images) -> GradedPoly:
-    f.weight()  # raises NotHomogeneous on mixed weights
-    image_den, rules = images
-    # d(x^e) = sum_i e_i x^(e - unit_i) d(x_i), collected into one dict
-    nums: dict[Exponents, int] = {}
-    for exps, x in f._nums.items():
-        for i, rule in enumerate(rules):
-            e = exps[i]
-            if e:
-                a, b, c = exps
-                a, b, c = a - (i == 0), b - (i == 1), c - (i == 2)
-                for (ra, rb, rc), y in rule.items():
-                    key = (a + ra, b + rb, c + rc)
-                    nums[key] = nums.get(key, 0) + e * x * y
-    return GradedPoly._make(nums, f._den * image_den)
+def _serre_terms(f: GradedPoly, g: GradedPoly, k: int) -> list:
+    """The ``_sum_of_products`` terms of theta f - (w/k) g f, w the weight of
+    f: theta f is sum_i (df/dx_i) theta(x_i) by the chain rule.  A
+    polynomial of mixed weight raises ``NotHomogeneous``."""
+    w = f.weight() or 0  # the zero polynomial has no weight, and g 0 = 0
+    return [(1, _partial(f, i), theta) for i, theta in enumerate(_THETA)] + [
+        (Fraction(-w, k), g, f)]
 
 
 def serre_delta(f: GradedPoly) -> GradedPoly:
-    """Level-2 Serre derivative q f' - (w/4) A f, via the generator images,
-    w the weight of f; a polynomial of mixed weight raises ``NotHomogeneous``."""
-    return _derive(f, _DELTA_IMAGES)
+    """Level-2 Serre derivative theta f - (w/4) A f, w the weight of f; a
+    polynomial of mixed weight raises ``NotHomogeneous``."""
+    return _sum_of_products(_serre_terms(f, _A, 4))
 
 
 def serre_partial(f: GradedPoly) -> GradedPoly:
-    """Level-1 Serre derivative q f' - (w/12) E2 f, E2 = 3A - 2C, via the
-    generator images, w the weight of f; a polynomial of mixed weight raises
-    ``NotHomogeneous``."""
-    return _derive(f, _PARTIAL_IMAGES)
+    """Level-1 Serre derivative theta f - (w/12) E2 f, E2 = 3A - 2C, w the
+    weight of f; a polynomial of mixed weight raises ``NotHomogeneous``."""
+    return _sum_of_products(_serre_terms(f, _E2, 12))
 
 
 def _evaluation_terms(f: GradedPoly, catalog: SeriesCatalog) -> list:
@@ -422,17 +400,17 @@ def _solve_level(mm: int, tower: list) -> GradedPoly:
         h_mm = 2 delta h_{mm-1}
                - 2 sum_{k=2}^{mm-2} C(2mm-2, 2k-1) h_k h_{mm-k}.
 
-    The convolution sum is one ``_sum_of_products`` over the symmetric k and
-    mm - k pairs, with integer weights; every level's denominator is a power
-    of two.
+    The convolution terms, over the symmetric k and mm - k pairs with
+    integer weights, and the terms of 2 delta h_{mm-1} are one
+    ``_sum_of_products``; every level's denominator is a power of two.
     """
     if mm == 2:
         return GradedPoly.monomial((0, 1, 0), Fraction(-1, 16))  # S*_3(0) = -1/16
     # C(2mm-2, 2k-1) = C(2mm-2, 2(mm-k)-1), so the k and mm-k terms are one product
-    acc = _sum_of_products([
+    return _sum_of_products([
         (-2 * (1 if 2 * k == mm else 2) * comb(2 * mm - 2, 2 * k - 1), tower[k], tower[mm - k])
-        for k in range(2, mm // 2 + 1)])
-    return acc + serre_delta(tower[mm - 1]).scale(2)
+        for k in range(2, mm // 2 + 1)] + [
+        (2 * w, f, g) for w, f, g in _serre_terms(tower[mm - 1], _A, 4)])
 
 
 def e_star_poly(m: int, catalog: SeriesCatalog) -> GradedPoly:
@@ -481,9 +459,9 @@ def e_star_equations(m: int, catalog: SeriesCatalog) -> Iterator[tuple]:
     equation is drawn.
 
     Level mm is compared on the catalog's whole range, lifted to weight 2m:
-    the polynomial's monomials B^j C^(mm-2j) become B^j C^(m-2j), so every
-    level evaluates the same memoized monomials, and the series is
-    multiplied by C^(m-mm), one product.  C has constant term 1, so it is a
+    the polynomial times the monomial C^(m-mm) has the monomials
+    B^j C^(m-2j), so every level evaluates the same memoized monomials, and
+    the series is multiplied by C^(m-mm), one product.  C has constant term 1, so it is a
     unit: the lifted difference is the unlifted one times C^(m-mm), with the
     same first exponent and the same coefficient there.  The equation is
     E*_{2mm} + (lifted polynomial - lifted series) = E*_{2mm}, so a failure
@@ -498,8 +476,7 @@ def e_star_equations(m: int, catalog: SeriesCatalog) -> Iterator[tuple]:
 
     def level(mm: int) -> tuple:
         poly, series, shift = e_star_poly(mm, catalog), catalog.level2(mm), m - mm
-        lifted = GradedPoly._make(
-            {(a, b, c + shift): x for (a, b, c), x in poly._nums.items()}, poly._den)
+        lifted = _sum_of_products([(1, poly, GradedPoly.monomial((0, 0, shift)))])
         top = series * catalog.power("C", shift) if shift else series
         lhs = linear_combination((1, series), (-1, top), *_evaluation_terms(lifted, catalog))
         return (lhs, series,

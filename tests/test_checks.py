@@ -831,11 +831,17 @@ def test_p4_and_jacobi_build_no_equation_past_the_first_failure(monkeypatch):
         "theta3^2", "theta3^4"]
 
 
+def _bump_theta(monkeypatch, i, exps):
+    """Raise the coefficient of the monomial exps in theta's image of
+    generator i by 1/4."""
+    theta = list(graded._THETA)
+    theta[i] = theta[i] + graded.GradedPoly.monomial(exps, Fraction(1, 4))
+    monkeypatch.setattr(graded, "_THETA", tuple(theta))
+
+
 def test_p4_names_the_differing_monomial(monkeypatch):
-    # the A^2 numerator of serre_delta's image of A raised by one: -1/4 -> 0
-    den, rules = graded._DELTA_IMAGES
-    bad = ({**rules[0], (2, 0, 0): rules[0][2, 0, 0] + 1}, rules[1], rules[2])
-    monkeypatch.setattr(graded, "_DELTA_IMAGES", (den, bad))
+    # theta A's A^2 coefficient raised by 1/4 takes serre_delta's from -1/4 to 0
+    _bump_theta(monkeypatch, 0, (2, 0, 0))
     report = checks.run_check("P4", workspace(order=12))
     # n counts monomials in the sorted union, B before A^2, not powers of q
     assert report.first_discrepancy == (1, 0, Fraction(-1, 4))
@@ -1003,16 +1009,36 @@ def test_t49_fails_at_the_level_of_a_bad_binomial_weight(monkeypatch):
 
 
 def test_t49_reports_a_monomial_outside_the_basis(monkeypatch):
-    # an A-term in serre_delta's image of B puts -(1/4) A B C into E6*; A has
+    # an A-term in theta's image of B puts -(1/4) A B C into E6*; A has
     # constant term 1, so E6*'s equation fails at q^0, and P4 names the term
-    den, rules = graded._DELTA_IMAGES
-    bad = (rules[0], {**rules[1], (1, 1, 1): 1}, rules[2])
-    monkeypatch.setattr(graded, "_DELTA_IMAGES", (den, bad))
+    _bump_theta(monkeypatch, 1, (1, 1, 1))
     report = checks.run_check("T49", workspace(mmax=6))
     assert report.first_discrepancy == (0, Fraction(3, 4), 1)
     assert report.notes == ("E6star polynomial: differential recursion against the q-expansion",)
     assert checks.run_check("P4", workspace()).notes == (
         "polynomial rule for B broken at A*B*C: 1/4 != 0",)
+
+
+# the six monomials of theta's generator images, HAHN-SYS
+_THETA_MONOMIALS = [(0, (2, 0, 0)), (0, (0, 1, 0)), (1, (1, 1, 0)), (1, (0, 1, 1)),
+                    (2, (1, 0, 1)), (2, (0, 1, 0))]
+
+
+@pytest.mark.parametrize("i, exps", _THETA_MONOMIALS,
+                         ids=[f"theta{'ABC'[i]}-{graded.GradedPoly().monomial_name(e)}"
+                              for i, e in _THETA_MONOMIALS])
+def test_every_theta_coefficient_is_load_bearing(monkeypatch, i, exps):
+    assert {(j, e) for j, p in enumerate(graded._THETA) for e in p.terms} == set(
+        _THETA_MONOMIALS)
+    _bump_theta(monkeypatch, i, exps)
+    name = "ABC"[i]
+    report = checks.run_check("P4", workspace())
+    assert report.status == "fail"
+    assert report.notes[0].startswith(f"polynomial rule for {name} broken at ")
+    # the tower lies in Q[B, C], so it never reads theta A: a fault in the
+    # two A monomials reaches P4 alone
+    if name != "A":
+        assert checks.run_check("T49", workspace(mmax=6)).status == "fail"
 
 
 # The determinant checks' matrices written out entry by entry, the oracle for

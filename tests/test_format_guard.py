@@ -5,7 +5,12 @@ the format can change in those two files alone.
 
 Likewise only ``qseries.py`` packs integers into bytes or reads them back,
 with ``int.to_bytes`` and ``int.from_bytes``: series multiplication has one
-kernel, ``qseries.int_mul``, and no module grows a second packing path."""
+kernel, ``qseries.int_mul``, and no module grows a second packing path.
+
+And polynomials have one kernel too: in ``graded.py`` only
+``_sum_of_products`` runs a loop over one polynomial's terms nested in a loop
+over another's, so sums, multiples, products and both Serre derivatives all
+combine terms there."""
 
 import ast
 from pathlib import Path
@@ -15,6 +20,7 @@ OWNERS = {"qseries.py", "graded.py"}
 FORMAT = {"_nums", "_den"}
 KERNEL = "qseries.py"
 PACKING = {"to_bytes", "from_bytes"}
+POLY_KERNEL = "_sum_of_products"
 
 
 def format_reads(source: str, name: str, attrs=FORMAT) -> list[tuple[str, int, str]]:
@@ -77,3 +83,69 @@ def _unpack(product, size, slots):
     uses = format_reads(old, "graded.py", PACKING)
     assert sorted((line, attr) for _, line, attr in uses) == [
         (3, "to_bytes"), (6, "from_bytes")]
+
+
+def _is_term_loop(iterable: ast.expr) -> bool:
+    """Whether a loop over this iterable runs over a polynomial's terms: it
+    reads ``_nums`` or calls ``items()``."""
+    return any(isinstance(node, ast.Attribute) and node.attr in ("_nums", "items")
+               for node in ast.walk(iterable))
+
+
+def nested_term_loops(source: str, name: str) -> list[tuple[str, int, str]]:
+    """Every loop over a polynomial's terms that runs inside another such
+    loop, a ``for`` statement or a comprehension, as (file name, line,
+    enclosing function)."""
+    found = []
+
+    def visit(node, func, depth):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func, depth = node.name, 0
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+            for gen in node.generators:
+                if _is_term_loop(gen.iter):
+                    if depth:
+                        found.append((name, gen.iter.lineno, func))
+                    depth += 1
+        elif isinstance(node, (ast.For, ast.AsyncFor)) and _is_term_loop(node.iter):
+            if depth:
+                found.append((name, node.lineno, func))
+            visit(node.iter, func, depth)
+            for child in node.body + node.orelse:
+                visit(child, func, depth + 1)
+            return
+        for child in ast.iter_child_nodes(node):
+            visit(child, func, depth)
+
+    visit(ast.parse(source, filename=name), "<module>", 0)
+    return found
+
+
+def test_only_sum_of_products_combines_polynomial_terms():
+    source = (SRC / "graded.py").read_text(encoding="utf-8")
+    # the kernel itself is found, so the guard is not vacuous
+    assert {func for _, _, func in nested_term_loops(source, "graded.py")} == {POLY_KERNEL}
+
+
+def test_the_guard_finds_a_second_term_loop():
+    # the derivation loop graded once had beside the kernel, over generator
+    # image tables built at import, and a product's value written as one
+    # comprehension
+    old = '''
+def _derive(f, images):
+    image_den, rules = images
+    nums = {}
+    for exps, x in f._nums.items():
+        for i, rule in enumerate(rules):
+            e = exps[i]
+            if e:
+                for (ra, rb, rc), y in rule.items():
+                    key = (exps[0] + ra, exps[1] + rb, exps[2] + rc)
+                    nums[key] = nums.get(key, 0) + e * x * y
+    return GradedPoly._make(nums, f._den * image_den)
+
+def _product_at_one(f, g):
+    return sum(u * v for _, u in f._nums.items() for _, v in g._nums.items())
+'''
+    assert nested_term_loops(old, "graded.py") == [
+        ("graded.py", 9, "_derive"), ("graded.py", 15, "_product_at_one")]

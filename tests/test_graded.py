@@ -821,6 +821,22 @@ def test_polys_refuse_bad_exponents(exps, error):
         GradedPoly.monomial(exps)
 
 
+@pytest.mark.parametrize(
+    "combine",
+    [lambda b: b + 1, lambda b: b - None, lambda b: b + QSeries.one(4)],
+    ids=["add-int", "sub-None", "add-series"],
+)
+def test_sums_refuse_an_operand_that_is_not_a_polynomial(combine):
+    # the operand once reached the kernel and raised AttributeError on _den
+    with pytest.raises(TypeError):
+        combine(GradedPoly.generator("B"))
+
+
+def test_an_unknown_generator_is_named():
+    with pytest.raises(ValueError, match=r"unknown generator 'D'; the generators are A, B and C"):
+        GradedPoly.generator("D")
+
+
 def test_monomials_are_named_in_the_ring_generators():
     a = GradedPoly.generator("A")
     assert a.monomial_name((2, 1, 0)) == "A^2*B"
