@@ -3,25 +3,24 @@ the divisor-sum series sum sigma_s(n) q^n and sum sigma*_s(n) q^n, and the
 powers of any of them and their products.
 
 A ``SeriesCatalog`` names, builds and memoizes every series at one order.
-``by_name`` resolves every export name, ``power`` builds each power by one
-product from the powers already memoized, ``monomial`` each product of
-powers by one product more, and ``product`` each product of named series
-through ``monomial``, whatever the order of its factors.  So a product that
-several checks share is multiplied out once per catalog.  Each series is
-built once, by one route, from its defining expansion.  The divisor-sum
-series are read from ``arith.divisor_sum_table``, which computes them in
-integers by multiplicativity, about one integer product per coefficient,
-and keep its n = 0 convention values as their constant terms, so the
-convolution identities hold from n = 0; the per-n ``arith`` functions are
-left as the oracles the tests hold them to.  Each Eisenstein series is one of the
-divisor-sum series over its n = 0 convention value
-``arith.divisor_sum_zero``, E = S/S(0) and E* = S*/S*(0), so its constant
-term is 1.  The discriminant is the eta product, C is 24 times the table
-of odd divisor sums and D is -(E*_4 - C^2)/64, one linear combination; their other routes are
-equations of the registry checks DIS, E6STAR-ABC and DELTA8.  No
-constructor divides.  The catalog also memoizes the levels of the E*_2m
-tower that ``graded.e_star_poly`` builds, whose series equations T49
-compares.  The catalog itself compares nothing.
+``by_name`` resolves every export name, and ``monomial`` builds every product
+of powers of named series, each key by one product from keys already memoized;
+``power`` is its one-factor case and ``product`` its names counted with
+multiplicity.  So a product that several checks share is multiplied out once
+per catalog.  Each series is built once, by one route, from its defining
+expansion.  The divisor-sum series are read from ``arith.divisor_sum_table``,
+which computes them in integers by multiplicativity, about one integer product
+per coefficient, and keep its n = 0 convention values as their constant terms,
+so the convolution identities hold from n = 0; the per-n ``arith`` functions
+are left as the oracles the tests hold them to.  Each Eisenstein series is one
+of the divisor-sum series over its n = 0 convention value
+``arith.divisor_sum_zero``, E = S/S(0) and E* = S*/S*(0), so its constant term
+is 1, and so is C, the table of odd divisor sums over its own.  The
+discriminant is the eta product and D is -(E*_4 - C^2)/64, one linear
+combination; their other routes are equations of the registry checks DIS,
+E6STAR-ABC and DELTA8.  No constructor divides.  The catalog also memoizes the
+levels of the E*_2m tower that ``graded.e_star_poly`` builds, whose series
+equations T49 compares.  The catalog itself compares nothing.
 """
 
 from __future__ import annotations
@@ -137,10 +136,11 @@ class SeriesCatalog:
         return self._memo("theta3", build)
 
     def C(self) -> QSeries:
-        """The weight-2 form C = E*_6/E*_4 = 1 + 24 sum sigma#(n) q^n, built
-        as 24 times the table of odd divisor sums, whose n = 0 convention is
-        1/24."""
-        return self._memo("C", lambda: self._tabulated("sigma_sharp", 1).scale(24))
+        """The weight-2 form C = E*_6/E*_4 = 1 + 24 sum sigma#(n) q^n: the
+        table of odd divisor sums over its n = 0 convention value, as the
+        Eisenstein series are built."""
+        return self._memo("C", lambda: self._tabulated("sigma_sharp", 1).scale(
+            1 / arith.divisor_sum_zero("sigma_sharp", 1)))
 
     def D(self) -> QSeries:
         """The weight-4 form -(E*_4 - C^2)/64, whose coefficient of q^(n+1)
@@ -149,45 +149,41 @@ class SeriesCatalog:
             (Fraction(-1, 64), self.level2(2)), (Fraction(1, 64), self.power("C", 2))))
 
     def power(self, name: str, e: int) -> QSeries:
-        """The series ``by_name(name)`` to the power e >= 0, memoized.
-
-        Each power is one product: the power e - 1 times the base when e is
-        odd, and the square of the power e/2 when e is even.  So a power e
-        costs at most 2 log2(e) products, and none once memoized.  A power
-        of E0 or E0star, in any spelling, is the series 1, with no product
-        and no key.
-        """
+        """The series ``by_name(name)`` to the power e >= 0: the ``monomial``
+        of the one factor (name, e).  An unknown name raises even for e = 0."""
         if e < 0:
             raise ValueError("negative powers are not defined; invert first")
-        base = self.by_name(name)  # an unknown name raises even for e = 0
-        if e == 0 or _is_one(name):
-            return QSeries.one(self.order)
-        if e == 1:
-            return base
-
-        def build() -> QSeries:
-            if e % 2:
-                return self.power(name, e - 1) * base
-            half = self.power(name, e // 2)
-            return half * half
-
-        return self._memo(f"{name}^{e}", build)
+        self.by_name(name)
+        return self.monomial([(name, e)])
 
     def monomial(self, powers) -> QSeries:
-        """The product of the powers ``power(name, e)`` over the (name, e)
-        pairs, memoized.  Zero exponents and the factors E0 and E0star (the
-        series 1) are dropped and the rest sorted, so the key does not
-        depend on the order of the pairs or on a factor 1; a product of
-        several powers is one product past the memoized product of all but
-        its last factor, so each monomial costs one product once its powers
-        exist."""
+        """The product of the powers of the named series over the (name, e)
+        pairs, memoized: the only catalog code that multiplies two series.
+        Zero exponents and the factors E0 and E0star (the series 1) are
+        dropped and the rest sorted, so the key ignores their order and a
+        factor 1; a negative exponent raises.  Each key is one product: a
+        power e >= 2 is the square of the power e/2, or the power e - 1 times
+        the base when e is odd, so at most 2 log2(e) products; several
+        factors are the key of all but the last times the key of the last."""
         factors = tuple(sorted((name, e) for name, e in powers
                                if e and not _is_one(name)))
-        if len(factors) < 2:
-            return self.power(*factors[0]) if factors else QSeries.one(self.order)
-        return self._memo(
-            "*".join(f"{name}^{e}" for name, e in factors),
-            lambda: self.monomial(factors[:-1]) * self.power(*factors[-1]))
+        if any(e < 0 for _, e in factors):
+            raise ValueError("negative powers are not defined; invert first")
+        if not factors:
+            return QSeries.one(self.order)
+        (name, e), *rest = factors
+        if not rest and e == 1:
+            return self.by_name(name)
+
+        def build() -> QSeries:
+            if rest:
+                return self.monomial(factors[:-1]) * self.monomial(factors[-1:])
+            if e % 2:
+                return self.monomial([(name, e - 1)]) * self.by_name(name)
+            half = self.monomial([(name, e // 2)])
+            return half * half
+
+        return self._memo("*".join(f"{name}^{e}" for name, e in factors), build)
 
     def product(self, *names: str) -> QSeries:
         """The product of the named series, memoized: the ``monomial`` of the

@@ -374,7 +374,7 @@ def decompose_modular(s: QSeries, weight: int, catalog: SeriesCatalog) -> Graded
                          f">= {s.order}, got {catalog.order}")
     k = weight // 2
     exponents = [(0, j, k - 2 * j) for j in range(k // 2, -1, -1)]
-    basis = [gp_evaluate(GradedPoly.monomial(e), catalog) for e in exponents]
+    basis = [catalog.monomial(zip(_SERIES_NAMES, e)) for e in exponents]
     matrix = [[b[n] for b in basis] for n in range(dim)]
     rhs = [s[n] for n in range(dim)]
     poly = GradedPoly(dict(zip(exponents, _solve_fraction_free(matrix, rhs))))
@@ -396,7 +396,7 @@ def _solve_level(mm: int, tower: list) -> GradedPoly:
     """h_mm = S*_{2mm-1}(0) E*_{2mm} from the levels tower[2..mm-1] by the
     differential recursion in the divisor-sum normalization:
 
-        h_2 = -B/16,
+        h_2 = S*_3(0) B,
         h_mm = 2 delta h_{mm-1}
                - 2 sum_{k=2}^{mm-2} C(2mm-2, 2k-1) h_k h_{mm-k}.
 
@@ -405,7 +405,7 @@ def _solve_level(mm: int, tower: list) -> GradedPoly:
     ``_sum_of_products``; every level's denominator is a power of two.
     """
     if mm == 2:
-        return GradedPoly.monomial((0, 1, 0), Fraction(-1, 16))  # S*_3(0) = -1/16
+        return GradedPoly.monomial((0, 1, 0), divisor_sum_zero("sigma_star", 3))
     # C(2mm-2, 2k-1) = C(2mm-2, 2(mm-k)-1), so the k and mm-k terms are one product
     return _sum_of_products([
         (-2 * (1 if 2 * k == mm else 2) * comb(2 * mm - 2, 2 * k - 1), tower[k], tower[mm - k])
@@ -461,14 +461,14 @@ def e_star_equations(m: int, catalog: SeriesCatalog) -> Iterator[tuple]:
     Level mm is compared on the catalog's whole range, lifted to weight 2m:
     the polynomial times the monomial C^(m-mm) has the monomials
     B^j C^(m-2j), so every level evaluates the same memoized monomials, and
-    the series is multiplied by C^(m-mm), one product.  C has constant term 1, so it is a
-    unit: the lifted difference is the unlifted one times C^(m-mm), with the
-    same first exponent and the same coefficient there.  The equation is
-    E*_{2mm} + (lifted polynomial - lifted series) = E*_{2mm}, so a failure
-    names the unlifted values.  The basis is independent, so agreement fixes
-    every coordinate; ``positivity_witness`` also refuses a monomial outside
-    it.  E*_4 = B needs no equation.  A catalog below ``e_star_order(m)`` is
-    refused on the call, before any level is built.
+    the series is multiplied by C^(m-mm), one product.  C has constant term
+    1, so it is a unit: the lifted difference is the unlifted one times
+    C^(m-mm), with the same first exponent and coefficient there.  The
+    equation is E*_{2mm} + (lifted polynomial - lifted series) = E*_{2mm},
+    so a failure names the unlifted values.  The basis is independent, so
+    agreement fixes every coordinate; ``positivity_witness`` also refuses a
+    monomial outside it.  E*_4 = h_2/S*_3(0) = B holds by construction, with
+    no equation.  A catalog below ``e_star_order(m)`` is refused up front.
     """
     need = e_star_order(m)
     if catalog.order < need:

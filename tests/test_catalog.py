@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from functools import reduce
 from operator import mul
@@ -274,6 +275,45 @@ def test_product_and_monomial_share_one_key(monkeypatch):
     assert cat.monomial([("C", 1), ("E4star", 1)]) is made
     assert len(calls) == 1
     assert "C^1*E4star^1" in cat._cache and "E4star^1*C^1" not in cat._cache
+
+
+def test_only_monomial_multiplies_series(monkeypatch):
+    # powers, theta powers, products and D all reach the one memoized build
+    cat = SeriesCatalog(30)
+    callers = []
+    real = QSeries.__mul__
+
+    def recording(self, other):
+        callers.append(sys._getframe(1).f_code.co_qualname)
+        return real(self, other)
+
+    monkeypatch.setattr(QSeries, "__mul__", recording)
+    cat.power("theta3", 24)
+    cat.by_name("r8")
+    cat.product("E2star", "E4star", "C")
+    cat.monomial([("C", 3), ("E4star", 2)])
+    cat.D()
+    assert callers and set(callers) == {"SeriesCatalog.monomial.<locals>.build"}
+
+
+def test_power_is_the_monomial_of_one_factor():
+    cat = SeriesCatalog(20)
+    for e in range(1, 7):
+        assert cat.power("theta3", e) is cat.monomial([("theta3", e)])
+    one = QSeries.one(20)
+    assert cat.power("theta3", 0) == one == cat.monomial([("theta3", 0)])
+
+
+@pytest.mark.parametrize("powers", [
+    [("C", -1), ("E4star", 2)],
+    [("C", 1), ("D", -2), ("E4star", 1)],
+    [("C", 2), ("E4star", -1)],
+])
+def test_a_negative_exponent_in_any_factor_raises(powers):
+    cat = SeriesCatalog(20)
+    with pytest.raises(ValueError, match="negative powers"):
+        cat.monomial(powers)
+    assert not [key for key in cat._cache if "^-" in key]
 
 
 def test_catalog_rejects_negative():

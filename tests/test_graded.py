@@ -276,6 +276,14 @@ def test_e_star_poly_reports_a_bad_level_at_q0(monkeypatch):
     assert "E12star_poly" not in cat._cache
 
 
+def test_e4_star_is_b_by_construction(monkeypatch):
+    # h_2 is S*_3(0) B, so E*_4 = h_2 / S*_3(0) is B whatever that value is
+    real = graded.divisor_sum_zero
+    monkeypatch.setattr(graded, "divisor_sum_zero", lambda kind, s: (
+        3 * real(kind, s) if (kind, s) == ("sigma_star", 3) else real(kind, s)))
+    assert e_star_poly(2, SeriesCatalog(0)) == GradedPoly.generator("B")
+
+
 @pytest.mark.parametrize("m", [2, 4, 7])
 def test_e_star_equations_refuse_a_catalog_below_their_order(m):
     # refused on the call, before any equation is drawn; the recursion
