@@ -18,17 +18,19 @@ polynomials, as ``linear_combination`` combines series: a product is its
 one-term case, a sum or a multiple a product with the constant 1, and each
 Serre derivative and each tower level one call.  Evaluation is one
 ``linear_combination`` of the catalog's memoized monomial series, so it
-makes no product of its own once they exist.  The E*_2m tower is built by its differential recursion alone (``e_star_poly``),
-run in the divisor-sum normalization S*_{2m-1}(0) E*_2m, where the
-lambda-ratio weights become binomial coefficients and every denominator a
-power of two, and judged by series equations (``e_star_equations``), one
-per level, each lifted to the top weight, times a power of C, so that all
-levels share one monomial set.  Modular forms of even weight 2k on the
-level-2 group decompose over the monomial basis B^j C^(k-2j):
-``decompose_modular`` solves for the coordinates by exact fraction-free
-elimination and returns them as a ``GradedPoly``, the type ``e_star_poly``
-returns.  The module keeps no state: each E*_2m level and its divisor-sum
-form are memoized in the catalog they were built on.
+makes no product of its own once they exist.  The E*_2m tower
+(``e_star_poly``) is built in the divisor-sum normalization
+S*_{2m-1}(0) E*_2m by the recursion of Weierstrass' p at the half period,
+with integer binomial weights and no derivative, so it reads neither theta
+nor A, and every denominator is a power of two.  It is judged by series
+equations (``e_star_equations``), one per level, each lifted to the top
+weight, times a power of C, so that all levels share one monomial set.
+Modular forms of even weight 2k on the level-2 group decompose over the
+monomial basis B^j C^(k-2j): ``decompose_modular`` solves for the
+coordinates by exact fraction-free elimination and returns them as a
+``GradedPoly``, the type ``e_star_poly`` returns.  The module keeps no
+state: each E*_2m level and its divisor-sum form are memoized in the
+catalog they were built on.
 """
 
 from __future__ import annotations
@@ -269,34 +271,33 @@ _THETA = (GradedPoly({(2, 0, 0): Fraction(1, 4), (0, 1, 0): Fraction(-1, 4)}),  
           GradedPoly({(1, 1, 0): 1, (0, 1, 1): -1}),                            # AB - BC
           GradedPoly({(1, 0, 1): Fraction(1, 2), (0, 1, 0): Fraction(-1, 2)}))  # (AC - B)/2
 _A = GradedPoly.generator("A")
+_C = GradedPoly.generator("C")
 _E2 = GradedPoly({(1, 0, 0): 3, (0, 0, 1): -2})
 
 
-def _partial(f: GradedPoly, i: int) -> GradedPoly:
-    """The partial derivative of f in generator i."""
-    return GradedPoly._make({e[:i] + (e[i] - 1,) + e[i + 1:]: e[i] * x
-                             for e, x in f._nums.items() if e[i]}, f._den)
-
-
-def _serre_terms(f: GradedPoly, g: GradedPoly, k: int) -> list:
-    """The ``_sum_of_products`` terms of theta f - (w/k) g f, w the weight of
-    f: theta f is sum_i (df/dx_i) theta(x_i) by the chain rule.  A
-    polynomial of mixed weight raises ``NotHomogeneous``."""
+def _serre(f: GradedPoly, g: GradedPoly, k: int) -> GradedPoly:
+    """theta f - (w/k) g f, w the weight of f, with theta f the chain-rule sum
+    of (df/dx_i) theta(x_i); a polynomial of mixed weight raises
+    ``NotHomogeneous``."""
     w = f.weight() or 0  # the zero polynomial has no weight, and g 0 = 0
-    return [(1, _partial(f, i), theta) for i, theta in enumerate(_THETA)] + [
-        (Fraction(-w, k), g, f)]
+    # the partial derivative of f in generator i
+    partials = (GradedPoly._make({e[:i] + (e[i] - 1,) + e[i + 1:]: e[i] * x
+                                  for e, x in f._nums.items() if e[i]}, f._den)
+                for i in range(3))
+    return _sum_of_products([(1, df, theta) for df, theta in zip(partials, _THETA)] + [
+        (Fraction(-w, k), g, f)])
 
 
 def serre_delta(f: GradedPoly) -> GradedPoly:
     """Level-2 Serre derivative theta f - (w/4) A f, w the weight of f; a
     polynomial of mixed weight raises ``NotHomogeneous``."""
-    return _sum_of_products(_serre_terms(f, _A, 4))
+    return _serre(f, _A, 4)
 
 
 def serre_partial(f: GradedPoly) -> GradedPoly:
     """Level-1 Serre derivative theta f - (w/12) E2 f, E2 = 3A - 2C, w the
     weight of f; a polynomial of mixed weight raises ``NotHomogeneous``."""
-    return _sum_of_products(_serre_terms(f, _E2, 12))
+    return _serre(f, _E2, 12)
 
 
 def _evaluation_terms(f: GradedPoly, catalog: SeriesCatalog) -> list:
@@ -394,51 +395,48 @@ def e_star_order(m: int) -> int:
 
 def _solve_level(mm: int, tower: list) -> GradedPoly:
     """h_mm = S*_{2mm-1}(0) E*_{2mm} from the levels tower[2..mm-1] by the
-    differential recursion in the divisor-sum normalization:
+    recursion of Weierstrass' p at the half period:
 
         h_2 = S*_3(0) B,
-        h_mm = 2 delta h_{mm-1}
-               - 2 sum_{k=2}^{mm-2} C(2mm-2, 2k-1) h_k h_{mm-k}.
+        h_mm = -2 C h_{mm-1} - 12 sum_{k=2}^{mm-2} C(2mm-4, 2k-2) h_k h_{mm-k}.
 
-    The convolution terms, over the symmetric k and mm - k pairs with
-    integer weights, and the terms of 2 delta h_{mm-1} are one
-    ``_sum_of_products``; every level's denominator is a power of two.
+    The C h_{mm-1} term and the convolution, over the symmetric k and mm - k
+    pairs with integer weights, are one ``_sum_of_products``; it takes no
+    derivative and no A, and every level's denominator is a power of two.
     """
     if mm == 2:
         return GradedPoly.monomial((0, 1, 0), divisor_sum_zero("sigma_star", 3))
-    # C(2mm-2, 2k-1) = C(2mm-2, 2(mm-k)-1), so the k and mm-k terms are one product
-    return _sum_of_products([
-        (-2 * (1 if 2 * k == mm else 2) * comb(2 * mm - 2, 2 * k - 1), tower[k], tower[mm - k])
-        for k in range(2, mm // 2 + 1)] + [
-        (2 * w, f, g) for w, f, g in _serre_terms(tower[mm - 1], _A, 4)])
+    # C(2mm-4, 2k-2) = C(2mm-4, 2(mm-k)-2), so the k and mm-k terms are one product
+    return _sum_of_products([(-2, _C, tower[mm - 1])] + [
+        (-12 * (1 if 2 * k == mm else 2) * comb(2 * mm - 4, 2 * k - 2), tower[k], tower[mm - k])
+        for k in range(2, mm // 2 + 1)])
 
 
 def e_star_poly(m: int, catalog: SeriesCatalog) -> GradedPoly:
     """The weight-2m level-2 series as a polynomial in B and C.
 
-    The level-2 differential recursion, solved for its top term, reads
+    Weierstrass' p for the lattice Z + tau Z, expanded at the half period
+    1/2, has Taylor coefficients that Lipschitz's formula turns into the
+    level-2 series E*_{2k}.  Its equation p'' = 6 p^2 - g2/2 then holds for
+    the generating function Q(x) = sum_{m>=2} h_m x^(2m-2)/(2m-2)! of the
+    polynomials h_m = S*_{2m-1}(0) E*_{2m}, with S*_{2k-1}(0) =
+    ``divisor_sum_zero("sigma_star", 2k-1)``, in the form
 
-        alpha_{2m} E*_{2m} = sum_{k=2}^{m-2} c_{m,k} E*_{2k} E*_{2m-2k}
-                             - delta E*_{2m-2}
+        Q'' = h_2 - 2 C Q - 12 Q^2,
 
-    with c_{m,k} = (2m-2) lambda(2k) lambda(2m-2k) / (pi^2 lambda(2m-2)) and
-    alpha_{2m} = (2m-2)(2m-1)/2 lambda(2m) / (pi^2 lambda(2m-2)), whose
-    denominators are Bernoulli numerators.  It is run instead on the
-    polynomials h_m = S*_{2m-1}(0) E*_{2m} of the divisor-sum series
-    sum sigma*_{2m-1}(n) q^n, as Ramanujan wrote his equations for the
-    unnormalized sums.  With S*_{2k-1}(0) = ``divisor_sum_zero("sigma_star",
-    2k-1)``, the identity lambda(2k)/pi^(2k) = (-1)^(k+1) S*_{2k-1}(0)/(2k-1)!
-    turns c_{m,k} into C(2m-2, 2k-1) S*_{2m-3}(0) / (S*_{2k-1}(0)
-    S*_{2m-2k-1}(0)) and alpha_{2m} into -S*_{2m-1}(0) / (2 S*_{2m-3}(0)),
-    so the h_m obey the recursion of ``_solve_level``: integer binomial
-    weights, a normalizer -2 and power-of-two denominators.  E*_{2m} is h_m
-    over S*_{2m-1}(0).
+    and its coefficients are the recursion of ``_solve_level``: integer
+    binomial weights, no derivative, no A and power-of-two denominators (see
+    Apostol, Modular Functions and Dirichlet Series in Number Theory, ch. 1).
+    E*_{2m} is h_m over S*_{2m-1}(0).  The premise, Weierstrass' equation
+    and Lipschitz's formula, is stated and not computed; no report rests on
+    it, since ``e_star_equations`` compares every level with its
+    q-expansion.
 
-    Nothing is compared here: the levels are judged by ``e_star_equations``.
-    Each h_m is memoized as ``sigma{2m-1}star_poly`` and each E*_{2m} as
-    ``E{2m}star_poly`` in the catalog, whatever its order.  A level the
-    catalog holds is one lookup; a new one walks the h levels up to it.  m
-    must be an int, else ``ValueError``.
+    Nothing is compared here.  Each h_m is memoized as
+    ``sigma{2m-1}star_poly`` and each E*_{2m} as ``E{2m}star_poly`` in the
+    catalog, whatever its order.  A level the catalog holds is one lookup; a
+    new one walks the h levels up to it.  m must be an int, else
+    ``ValueError``.
     """
     if not isinstance(m, int) or m < 2:
         raise ValueError(f"the E*_2m tower is defined for integers m >= 2, got m = {m!r}")

@@ -1,5 +1,7 @@
+import inspect
 import operator
 import random
+import textwrap
 from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
@@ -996,25 +998,62 @@ def test_t49_judges_positivity_from_m_2(monkeypatch):
 
 
 def test_t49_fails_at_the_level_of_a_bad_binomial_weight(monkeypatch):
-    # C(10, 3) = 120 weighs h_2 h_4 in h_6 alone; raised by 1, the levels
+    # C(8, 2) = 28 weighs h_2 h_4 in h_6 alone; raised by 1, the levels
     # below pass and E*_12's equation fails at q^0
     real = graded.comb
-    monkeypatch.setattr(graded, "comb", lambda n, k: real(n, k) + ((n, k) == (10, 3)))
+    monkeypatch.setattr(graded, "comb", lambda n, k: real(n, k) + ((n, k) == (8, 2)))
     assert checks.run_check("T49", workspace(mmax=5)).status == "pass"
     for mmax in (6, 8):
         report = checks.run_check("T49", workspace(mmax=mmax))
-        assert report.first_discrepancy == (0, Fraction(5545, 5528), 1)
+        assert report.first_discrepancy == (0, Fraction(2815, 2764), 1)
         assert report.notes == ("E12star polynomial: differential recursion against the "
                                 "q-expansion",)
 
 
+def _mutate_solve_level(monkeypatch, old, new):
+    """Replace ``graded._solve_level`` by its own source with the one
+    occurrence of old written as new."""
+    source = textwrap.dedent(inspect.getsource(graded._solve_level))
+    assert source.count(old) == 1
+    namespace = {}
+    exec(compile(source.replace(old, new), graded.__file__, "exec"), vars(graded), namespace)
+    monkeypatch.setattr(graded, "_solve_level", namespace["_solve_level"])
+
+
+@pytest.mark.parametrize(
+    "old, new, first, expected",
+    [("(-2, _C,", "(-1, _C,", 3, (0, Fraction(1, 2), 1)),
+     ("-12 *", "-11 *", 4, (0, Fraction(65, 68), 1))],
+    ids=["C-weight", "pair-weight"],
+)
+def test_t49_fails_at_the_first_level_a_recursion_constant_reaches(
+        monkeypatch, old, new, first, expected):
+    # the -2 on C h_{m-1} is first read by h_3, E*_6; the -12 on the pairs
+    # by h_4 = -2 C h_3 - 12 h_2^2, E*_8
+    _mutate_solve_level(monkeypatch, old, new)
+    for mmax in range(3, first):
+        assert checks.run_check("T49", workspace(mmax=mmax)).status == "pass"
+    for mmax in (first, first + 2):
+        report = checks.run_check("T49", workspace(mmax=mmax))
+        assert report.first_discrepancy == expected
+        assert report.notes == (f"E{2 * first}star polynomial: differential recursion "
+                                "against the q-expansion",)
+
+
 def test_t49_reports_a_monomial_outside_the_basis(monkeypatch):
-    # an A-term in theta's image of B puts -(1/4) A B C into E6*; A has
-    # constant term 1, so E6*'s equation fails at q^0, and P4 names the term
-    _bump_theta(monkeypatch, 1, (1, 1, 1))
+    # -(1/4) A B C put into E6* through its level h_3 = S*_5(0) E6*; A has
+    # constant term 1, so E6*'s equation fails at q^0
+    real = graded._solve_level
+    bump = graded.GradedPoly.monomial(
+        (1, 1, 1), Fraction(-1, 4) * arith.divisor_sum_zero("sigma_star", 5))
+    monkeypatch.setattr(graded, "_solve_level", lambda mm, *rest: (
+        real(mm, *rest) + bump if mm == 3 else real(mm, *rest)))
     report = checks.run_check("T49", workspace(mmax=6))
     assert report.first_discrepancy == (0, Fraction(3, 4), 1)
     assert report.notes == ("E6star polynomial: differential recursion against the q-expansion",)
+    # an A-term in theta's image of B, and P4 names it
+    monkeypatch.undo()
+    _bump_theta(monkeypatch, 1, (1, 1, 1))
     assert checks.run_check("P4", workspace()).notes == (
         "polynomial rule for B broken at A*B*C: 1/4 != 0",)
 
@@ -1035,10 +1074,6 @@ def test_every_theta_coefficient_is_load_bearing(monkeypatch, i, exps):
     report = checks.run_check("P4", workspace())
     assert report.status == "fail"
     assert report.notes[0].startswith(f"polynomial rule for {name} broken at ")
-    # the tower lies in Q[B, C], so it never reads theta A: a fault in the
-    # two A monomials reaches P4 alone
-    if name != "A":
-        assert checks.run_check("T49", workspace(mmax=6)).status == "fail"
 
 
 # The determinant checks' matrices written out entry by entry, the oracle for

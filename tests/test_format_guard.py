@@ -10,7 +10,11 @@ kernel, ``qseries.int_mul``, and no module grows a second packing path.
 And polynomials have one kernel too: in ``graded.py`` only
 ``_sum_of_products`` runs a loop over one polynomial's terms nested in a loop
 over another's, so sums, multiples, products and both Serre derivatives all
-combine terms there."""
+combine terms there.
+
+The E*_2m tower is built by the recursion of Weierstrass' p, which has no
+derivative: ``_solve_level`` and ``e_star_poly`` name neither theta's table
+nor a Serre derivative, its helper or A."""
 
 import ast
 from pathlib import Path
@@ -21,6 +25,8 @@ FORMAT = {"_nums", "_den"}
 KERNEL = "qseries.py"
 PACKING = {"to_bytes", "from_bytes"}
 POLY_KERNEL = "_sum_of_products"
+TOWER = {"_solve_level", "e_star_poly"}
+DERIVATIVE = {"_THETA", "_partial", "_serre_terms", "_serre", "serre_delta", "_A"}
 
 
 def format_reads(source: str, name: str, attrs=FORMAT) -> list[tuple[str, int, str]]:
@@ -149,3 +155,39 @@ def _product_at_one(f, g):
 '''
     assert nested_term_loops(old, "graded.py") == [
         ("graded.py", 9, "_derive"), ("graded.py", 15, "_product_at_one")]
+
+
+def derivative_names(source: str, name: str) -> list[tuple[str, int, str]]:
+    """Every name in ``DERIVATIVE`` read inside a ``TOWER`` function, as a
+    variable or an attribute, as (function, line, name)."""
+    found = []
+    for func in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(func, ast.FunctionDef) and func.name in TOWER:
+            for node in ast.walk(func):
+                read = getattr(node, "id", None) or getattr(node, "attr", None)
+                if read in DERIVATIVE:
+                    found.append((func.name, node.lineno, read))
+    return found
+
+
+def test_the_tower_build_takes_no_derivative():
+    source = (SRC / "graded.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    # both functions are there, so the guard is not vacuous
+    assert TOWER <= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert derivative_names(source, "graded.py") == []
+
+
+def test_the_guard_finds_a_serre_derivative_in_the_tower():
+    # the level step as it stood when the tower ran the paper's recursion
+    old = '''
+def _solve_level(mm, tower):
+    if mm == 2:
+        return GradedPoly.monomial((0, 1, 0), divisor_sum_zero("sigma_star", 3))
+    return _sum_of_products([
+        (-2 * (1 if 2 * k == mm else 2) * comb(2 * mm - 2, 2 * k - 1), tower[k], tower[mm - k])
+        for k in range(2, mm // 2 + 1)] + [
+        (2 * w, f, g) for w, f, g in _serre_terms(tower[mm - 1], _A, 4)])
+'''
+    assert derivative_names(old, "graded.py") == [
+        ("_solve_level", 8, "_serre_terms"), ("_solve_level", 8, "_A")]

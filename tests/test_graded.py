@@ -2,6 +2,7 @@ import copy
 import random
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -736,11 +737,28 @@ def test_rs_coefficient_is_symmetric():
 
 
 def test_e_star_poly_matches_the_unpaired_fraction_recursion():
-    # up to the graded-tower benchmark's mmax
+    # the paper's recursion with its lambda-ratio weights, unpaired and in
+    # Fraction dicts, against the tower built by the recursion of p, up to
+    # the graded-tower benchmark's mmax
     oracle = _oracle_e_star(40)
     cat = SeriesCatalog(0)
     for m in range(2, 41):
         assert dict(e_star_poly(m, cat).terms) == oracle[m]
+
+
+def test_e_star_poly_matches_the_delta_recursion():
+    # the paper's recursion in the divisor-sum normalization, through
+    # serre_delta and unpaired, as the tower was once built:
+    #     h_m = 2 delta h_{m-1} - 2 sum_{k=2}^{m-2} C(2m-2, 2k-1) h_k h_{m-k},
+    # at every level up to m = 80, the deepest ``export E160star_poly`` reaches
+    cat = SeriesCatalog(0)
+    e_star_poly(80, cat)
+    h = {2: GradedPoly.monomial((0, 1, 0), arith.divisor_sum_zero("sigma_star", 3))}
+    for m in range(3, 81):
+        h[m] = serre_delta(h[m - 1]).scale(2) + graded._sum_of_products(
+            [(-2 * comb(2 * m - 2, 2 * k - 1), h[k], h[m - k]) for k in range(2, m - 1)])
+    for m in range(2, 81):
+        assert cat._cache[f"sigma{2 * m - 1}star_poly"] == h[m], m
 
 
 def test_sum_of_products_matches_fraction_dict_oracle():
