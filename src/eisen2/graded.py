@@ -24,7 +24,10 @@ S*_{2m-1}(0) E*_2m by the recursion of Weierstrass' p at the half period,
 with integer binomial weights and no derivative, so it reads neither theta
 nor A, and every denominator is a power of two.  It is judged by series
 equations (``e_star_equations``), one per level, each lifted to the top
-weight, times a power of C, so that all levels share one monomial set.
+weight from the level's own terms: their E* coefficients weigh the
+top-weight monomials B^j C^(m-2j) that all levels share, so judging builds
+no polynomial.  ``check_positivity`` reads a level and the sign of its
+normalizer the same way.
 Modular forms of even weight 2k on the level-2 group decompose over the
 monomial basis B^j C^(k-2j): ``decompose_modular`` solves for the
 coordinates by exact fraction-free elimination and returns them as a
@@ -36,6 +39,7 @@ catalog they were built on.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import comb, lcm
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Union
@@ -385,11 +389,17 @@ def decompose_modular(s: QSeries, weight: int, catalog: SeriesCatalog) -> Graded
     return poly
 
 
+def _require_level(m) -> None:
+    """Refuse an m that names no level of the E*_2m tower: a non-int or
+    m < 2."""
+    if not isinstance(m, int) or m < 2:
+        raise ValueError(f"the E*_2m tower is defined for integers m >= 2, got m = {m!r}")
+
+
 def e_star_order(m: int) -> int:
     """The least catalog order, 2 dim + 6, on which ``e_star_equations``
-    compares the tower up to weight 2m."""
-    if not isinstance(m, int):
-        raise ValueError(f"the E*_2m tower needs an integer m, got m = {m!r}")
+    compares the tower up to weight 2m; m must be an int >= 2."""
+    _require_level(m)
     return 2 * modular_dimension(2 * m) + 6
 
 
@@ -410,6 +420,29 @@ def _solve_level(mm: int, tower: list) -> GradedPoly:
     return _sum_of_products([(-2, _C, tower[mm - 1])] + [
         (-12 * (1 if 2 * k == mm else 2) * comb(2 * mm - 4, 2 * k - 2), tower[k], tower[mm - k])
         for k in range(2, mm // 2 + 1)])
+
+
+def _tower(m: int, catalog: SeriesCatalog) -> Iterator[GradedPoly]:
+    """The levels h_2, ..., h_m, each memoized in the catalog as
+    ``sigma{2mm-1}star_poly`` and built from the levels below only when it
+    is drawn."""
+    tower: list = [None, None]
+    for mm in range(2, m + 1):
+        tower.append(catalog._memo(f"sigma{2 * mm - 1}star_poly",
+                                   lambda: _solve_level(mm, tower)))
+        yield tower[mm]
+
+
+def _level(m: int, catalog: SeriesCatalog) -> GradedPoly:
+    """h_m: one lookup when the catalog holds it, else the walk of
+    ``_tower`` up to it.  m must be an int >= 2, else ``ValueError``."""
+    _require_level(m)
+
+    def build() -> GradedPoly:
+        *_, h = _tower(m, catalog)
+        return h
+
+    return catalog._memo(f"sigma{2 * m - 1}star_poly", build)
 
 
 def e_star_poly(m: int, catalog: SeriesCatalog) -> GradedPoly:
@@ -435,52 +468,67 @@ def e_star_poly(m: int, catalog: SeriesCatalog) -> GradedPoly:
     Nothing is compared here.  Each h_m is memoized as
     ``sigma{2m-1}star_poly`` and each E*_{2m} as ``E{2m}star_poly`` in the
     catalog, whatever its order.  A level the catalog holds is one lookup; a
-    new one walks the h levels up to it.  m must be an int, else
-    ``ValueError``.
+    new one walks the h levels up to it.  T49 reads the h levels alone and
+    builds an E*_{2m} only to name a positivity witness.  m must be an int
+    >= 2, else ``ValueError``.
     """
-    if not isinstance(m, int) or m < 2:
-        raise ValueError(f"the E*_2m tower is defined for integers m >= 2, got m = {m!r}")
-
-    def build() -> GradedPoly:
-        tower: list = [None, None]
-        for mm in range(2, m + 1):
-            tower.append(catalog._memo(f"sigma{2 * mm - 1}star_poly",
-                                       lambda: _solve_level(mm, tower)))
-        return tower[m].scale(1 / divisor_sum_zero("sigma_star", 2 * m - 1))
-
-    return catalog._memo(f"E{2 * m}star_poly", build)
+    _require_level(m)
+    return catalog._memo(f"E{2 * m}star_poly", lambda: _level(m, catalog).scale(
+        1 / divisor_sum_zero("sigma_star", 2 * m - 1)))
 
 
 def e_star_equations(m: int, catalog: SeriesCatalog) -> Iterator[tuple]:
     """One series equation (lhs, rhs, note) per level 3..m of the tower,
-    each level built by ``e_star_poly`` on the catalog only when its
-    equation is drawn.
+    each level h_mm built (``_tower``) only when its equation is drawn.
 
-    Level mm is compared on the catalog's whole range, lifted to weight 2m:
-    the polynomial times the monomial C^(m-mm) has the monomials
-    B^j C^(m-2j), so every level evaluates the same memoized monomials, and
-    the series is multiplied by C^(m-mm), one product.  C has constant term
-    1, so it is a unit: the lifted difference is the unlifted one times
-    C^(m-mm), with the same first exponent and coefficient there.  The
-    equation is E*_{2mm} + (lifted polynomial - lifted series) = E*_{2mm},
-    so a failure names the unlifted values.  The basis is independent, so
-    agreement fixes every coordinate; ``positivity_witness`` also refuses a
-    monomial outside it.  E*_4 = h_2/S*_3(0) = B holds by construction, with
-    no equation.  A catalog below ``e_star_order(m)`` is refused up front.
+    Level mm is compared on the catalog's whole range, lifted to weight 2m
+    from h_mm's own terms: x B^j C^(mm-2j) weighs the top-weight monomial
+    B^j C^(m-2j) by x / S*_{2mm-1}(0), its E*_{2mm} coefficient, so no
+    polynomial is built and every level evaluates the same monomials.  They
+    sit in a list indexed by j, each filled from ``catalog.monomial`` on
+    first use; a term of any other shape (an A, or the wrong weight) is
+    times C^(m-mm) through ``catalog.monomial``.  The series is multiplied
+    by C^(m-mm), one product.  C has constant term 1, so it is a unit: the
+    lifted difference is the unlifted one times C^(m-mm), with the same
+    first exponent and coefficient there.  The equation is
+    E*_{2mm} + (lifted polynomial - lifted series) = E*_{2mm}, so a failure
+    names the unlifted values.  The basis is independent, so agreement fixes
+    every coordinate; ``positivity_witness`` also refuses a monomial outside
+    it.  E*_4 = h_2/S*_3(0) = B holds by construction, with no equation.  m
+    must be an int >= 2 and the catalog must reach ``e_star_order(m)``, else
+    ``ValueError`` on the call.
     """
     need = e_star_order(m)
     if catalog.order < need:
         raise ValueError(f"E{2 * m}star_poly needs order >= {need}, got {catalog.order}")
+    top: list = [None] * (m // 2 + 1)  # B^j C^(m-2j), filled on first use
 
-    def level(mm: int) -> tuple:
-        poly, series, shift = e_star_poly(mm, catalog), catalog.level2(mm), m - mm
-        lifted = _sum_of_products([(1, poly, GradedPoly.monomial((0, 0, shift)))])
-        top = series * catalog.power("C", shift) if shift else series
-        lhs = linear_combination((1, series), (-1, top), *_evaluation_terms(lifted, catalog))
+    def level(mm: int, h: GradedPoly) -> tuple:
+        series, shift = catalog.level2(mm), m - mm
+        lifted = series * catalog.power("C", shift) if shift else series
+        s = divisor_sum_zero("sigma_star", 2 * mm - 1)
+        p, q = h._den * s.numerator, s.denominator
+        terms = []
+        for (a, b, c), x in h._nums.items():
+            if a or 2 * b + c != mm:
+                mono = catalog.monomial(zip(_SERIES_NAMES, (a, b, c + shift)))
+            else:
+                mono = top[b]
+                if mono is None:
+                    mono = top[b] = catalog.monomial(zip(_SERIES_NAMES, (0, b, m - 2 * b)))
+            terms.append((Fraction(x * q, p), mono))
+        lhs = linear_combination((1, series), (-1, lifted), *terms)
         return (lhs, series,
                 f"E{2 * mm}star polynomial: differential recursion against the q-expansion")
 
-    return (level(mm) for mm in range(3, m + 1))
+    return (level(mm, h) for mm, h in enumerate(islice(_tower(m, catalog), 1, None), 3))
+
+
+def _in_cone(exps: Exponents, x: int, m: int) -> bool:
+    """Whether the term x A^a B^b C^c, exps = (a, b, c), lies in
+    B * Q_+[B, C] at weight 2m: x > 0, a = 0, b >= 1 and 4b + 2c = 2m."""
+    a, b, c = exps
+    return x > 0 and not a and b >= 1 and 2 * b + c == m
 
 
 def positivity_witness(
@@ -492,18 +540,21 @@ def positivity_witness(
     exactly 2m."""
     for exps in sorted(poly._nums):
         x = poly._nums[exps]
-        if exps[0] or exps[1] < 1 or x <= 0 or poly.monomial_weight(exps) != 2 * m:
+        if not _in_cone(exps, x, m):
             return exps, Fraction(x, poly._den)
     return None
 
 
 def check_positivity(m: int, catalog: SeriesCatalog) -> bool:
-    """True when the weight-2m polynomial is nonzero and lies in B * Q_+[B, C]
+    """True when E*_{2m} is nonzero and lies in B * Q_+[B, C]
     (``positivity_witness`` finds no monomial outside it).
 
-    The polynomial is ``e_star_poly(m, catalog)``, a memo hit once the
-    catalog holds the level; it judges no series, which is the job of
-    ``e_star_equations``.
+    It reads h_m = S*_{2m-1}(0) E*_{2m} (``_level``, a memo hit once the
+    catalog holds the level) and the exact sign of S*_{2m-1}(0): E*_{2m}'s
+    coefficients are h_m's over that constant, so each is positive when h_m's
+    has its sign, and no E*_{2m} is built.  It judges no series, which is
+    the job of ``e_star_equations``.
     """
-    poly = e_star_poly(m, catalog)
-    return not poly.is_zero() and positivity_witness(poly, m) is None
+    h = _level(m, catalog)
+    sign = 1 if divisor_sum_zero("sigma_star", 2 * m - 1) > 0 else -1
+    return not h.is_zero() and all(_in_cone(e, sign * x, m) for e, x in h._nums.items())

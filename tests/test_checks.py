@@ -222,6 +222,22 @@ def test_t49_at_mmax_40_makes_at_most_112_products(monkeypatch):
     assert len(products) <= 112
 
 
+def test_t49_at_mmax_40_makes_one_polynomial_sum_per_level(monkeypatch):
+    # one _sum_of_products per tower level 3..40; every level is judged from
+    # its own terms, so no lifted polynomial and no E* copy is built: 38
+    # calls, against 115 when each level was lifted and scaled
+    real = graded._sum_of_products
+    calls = []
+    monkeypatch.setattr(graded, "_sum_of_products",
+                        lambda terms: calls.append(1) or real(terms))
+    ws = workspace(mmax=40)
+    assert checks.run_check("T49", ws).status == "pass"
+    assert len(calls) == 38
+    keys = [key for cat in ws._catalogs.values() for key in cat._cache]
+    assert "sigma79star_poly" in keys
+    assert [key for key in keys if key.startswith("E") and key.endswith("star_poly")] == []
+
+
 def test_order_checks_at_order_96_make_at_most_103_products(monkeypatch):
     # the order-scoped checks share each product of named series through the
     # catalog, the Hankel minors' pairs included, and the discriminant's

@@ -14,7 +14,12 @@ combine terms there.
 
 The E*_2m tower is built by the recursion of Weierstrass' p, which has no
 derivative: ``_solve_level`` and ``e_star_poly`` name neither theta's table
-nor a Serre derivative, its helper or A."""
+nor a Serre derivative, its helper or A.
+
+And T49 judges the tower from its h levels' own terms:
+``e_star_equations`` and ``check_positivity`` name neither the polynomial
+kernel nor ``e_star_poly``, so they build no lifted polynomial and no E*
+copy."""
 
 import ast
 from pathlib import Path
@@ -27,6 +32,8 @@ PACKING = {"to_bytes", "from_bytes"}
 POLY_KERNEL = "_sum_of_products"
 TOWER = {"_solve_level", "e_star_poly"}
 DERIVATIVE = {"_THETA", "_partial", "_serre_terms", "_serre", "serre_delta", "_A"}
+JUDGES = {"e_star_equations", "check_positivity"}
+COPIES = {POLY_KERNEL, "e_star_poly"}
 
 
 def format_reads(source: str, name: str, attrs=FORMAT) -> list[tuple[str, int, str]]:
@@ -157,15 +164,17 @@ def _product_at_one(f, g):
         ("graded.py", 9, "_derive"), ("graded.py", 15, "_product_at_one")]
 
 
-def derivative_names(source: str, name: str) -> list[tuple[str, int, str]]:
-    """Every name in ``DERIVATIVE`` read inside a ``TOWER`` function, as a
-    variable or an attribute, as (function, line, name)."""
+def names_read(source: str, name: str, functions=TOWER,
+               names=DERIVATIVE) -> list[tuple[str, int, str]]:
+    """Every name in ``names`` (by default ``DERIVATIVE``) read inside one of
+    ``functions`` (by default ``TOWER``), as a variable or an attribute, as
+    (function, line, name)."""
     found = []
     for func in ast.walk(ast.parse(source, filename=name)):
-        if isinstance(func, ast.FunctionDef) and func.name in TOWER:
+        if isinstance(func, ast.FunctionDef) and func.name in functions:
             for node in ast.walk(func):
                 read = getattr(node, "id", None) or getattr(node, "attr", None)
-                if read in DERIVATIVE:
+                if read in names:
                     found.append((func.name, node.lineno, read))
     return found
 
@@ -175,7 +184,7 @@ def test_the_tower_build_takes_no_derivative():
     tree = ast.parse(source)
     # both functions are there, so the guard is not vacuous
     assert TOWER <= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    assert derivative_names(source, "graded.py") == []
+    assert names_read(source, "graded.py") == []
 
 
 def test_the_guard_finds_a_serre_derivative_in_the_tower():
@@ -189,5 +198,33 @@ def _solve_level(mm, tower):
         for k in range(2, mm // 2 + 1)] + [
         (2 * w, f, g) for w, f, g in _serre_terms(tower[mm - 1], _A, 4)])
 '''
-    assert derivative_names(old, "graded.py") == [
+    assert names_read(old, "graded.py") == [
         ("_solve_level", 8, "_serre_terms"), ("_solve_level", 8, "_A")]
+
+
+def test_t49_builds_no_polynomial_copy():
+    source = (SRC / "graded.py").read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    # both functions are there, so the guard is not vacuous
+    assert JUDGES <= {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert names_read(source, "graded.py", JUDGES, COPIES) == []
+
+
+def test_the_guard_finds_a_lifted_polynomial_and_an_e_star_copy():
+    # the level equation and the positivity judge as they stood when each
+    # level's E* polynomial was lifted by a product with C^(m-mm)
+    old = '''
+def e_star_equations(m, catalog):
+    def level(mm):
+        poly, series, shift = e_star_poly(mm, catalog), catalog.level2(mm), m - mm
+        lifted = _sum_of_products([(1, poly, GradedPoly.monomial((0, 0, shift)))])
+        return lifted, series
+    return (level(mm) for mm in range(3, m + 1))
+
+def check_positivity(m, catalog):
+    poly = e_star_poly(m, catalog)
+    return not poly.is_zero() and positivity_witness(poly, m) is None
+'''
+    assert sorted(names_read(old, "graded.py", JUDGES, COPIES)) == [
+        ("check_positivity", 10, "e_star_poly"),
+        ("e_star_equations", 4, "e_star_poly"), ("e_star_equations", 5, "_sum_of_products")]

@@ -21,10 +21,11 @@ from eisen2.graded import (
     e_star_poly,
     gp_evaluate,
     modular_dimension,
+    positivity_witness,
     serre_delta,
     serre_partial,
 )
-from eisen2.qseries import QSeries
+from eisen2.qseries import QSeries, linear_combination
 from eisen2.scalars import ks_alpha, ks_coefficient, rs_coefficient
 from verify_defaults import workspace
 
@@ -323,13 +324,15 @@ def test_a_warm_e_star_poly_is_one_lookup(monkeypatch):
                         lambda mm, tower: built.append(mm) or real_level(mm, tower))
     monkeypatch.setattr(cat, "_memo", lambda key, build: keys.append(key) or real_memo(key, build))
     assert e_star_poly(40, cat) is poly
+    # positivity reads h_40, one lookup, and builds no E* of its own
     assert check_positivity(40, cat)
-    assert (built, keys) == ([], ["E80star_poly"] * 2)
-    # a new level above the memoized ones walks the divisor-sum levels
-    # h_2..h_41 once and solves only h_41
+    assert (built, keys) == ([], ["E80star_poly", "sigma79star_poly"])
+    # a new level above the memoized ones looks up h_41, then walks the
+    # divisor-sum levels h_2..h_41 once and solves only h_41
     e_star_poly(41, cat)
     assert built == [41]
-    assert keys[2:] == ["E82star_poly", *(f"sigma{2 * mm - 1}star_poly" for mm in range(2, 42))]
+    assert keys[2:] == ["E82star_poly", "sigma81star_poly",
+                        *(f"sigma{2 * mm - 1}star_poly" for mm in range(2, 42))]
 
 
 @pytest.mark.parametrize(
@@ -347,6 +350,108 @@ def test_the_tower_refuses_a_non_int(call, value):
     # bare TypeError on e_star_poly(3.0)
     with pytest.raises(ValueError, match=re.escape(repr(value))):
         call(value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [e_star_order, lambda m: e_star_poly(m, SeriesCatalog(0)),
+     lambda m: check_positivity(m, SeriesCatalog(0)),
+     lambda m: e_star_equations(m, SeriesCatalog(40))],
+    ids=["e_star_order", "e_star_poly", "check_positivity", "e_star_equations"],
+)
+@pytest.mark.parametrize("m", [1, 0, -3])
+def test_the_tower_refuses_a_level_below_2(call, m):
+    # e_star_order(1) was 8 and e_star_equations(1, cat) yielded nothing;
+    # e_star_order(0) named a weight 0 the caller never passed
+    with pytest.raises(ValueError, match=re.escape(
+            f"the E*_2m tower is defined for integers m >= 2, got m = {m}")):
+        call(m)
+
+
+def _lifted_equations_oracle(m, cat):
+    """T49's equations as they were built before each level was lifted from
+    its own terms: the E* polynomial from ``e_star_poly``, lifted to weight 2m
+    by a product with C^(m-mm) through ``_sum_of_products`` and evaluated by
+    ``_evaluation_terms``."""
+    for mm in range(3, m + 1):
+        poly, series, shift = e_star_poly(mm, cat), cat.level2(mm), m - mm
+        lifted = graded._sum_of_products([(1, poly, GradedPoly.monomial((0, 0, shift)))])
+        top = series * cat.power("C", shift) if shift else series
+        lhs = linear_combination((1, series), (-1, top), *graded._evaluation_terms(lifted, cat))
+        yield (lhs, series,
+               f"E{2 * mm}star polynomial: differential recursion against the q-expansion")
+
+
+def _exact(equation):
+    """An equation's series as (order, numerators, denominator), so equal
+    means equal on the whole range; the note as it is."""
+    lhs, rhs, note = equation
+    return [(s.order, s.numerators, s.denominator) for s in (lhs, rhs)], note
+
+
+@pytest.mark.parametrize("m", range(3, 41))
+def test_e_star_equations_match_the_lifted_polynomial_oracle(m):
+    got = e_star_equations(m, SeriesCatalog(e_star_order(m)))
+    want = _lifted_equations_oracle(m, SeriesCatalog(e_star_order(m)))
+    assert [_exact(eq) for eq in got] == [_exact(eq) for eq in want]
+
+
+@pytest.mark.parametrize("mm, exps", [(3, (0, 1, 1)), (8, (0, 2, 4)), (21, (0, 10, 1)),
+                                      (40, (0, 1, 38))])
+def test_a_sign_flipped_level_fails_t49_with_the_oracle_report(monkeypatch, mm, exps):
+    # one coefficient of h_mm negated: T49 fails at that level, with the
+    # report the lifted-polynomial construction gives
+    real = graded._solve_level
+
+    def flipped(level, tower):
+        h = real(level, tower)
+        if level != mm:
+            return h
+        assert exps in h._nums
+        return GradedPoly._make({**h._nums, exps: -h._nums[exps]}, h._den)
+
+    monkeypatch.setattr(graded, "_solve_level", flipped)
+    report = checks.run_check("T49", workspace(mmax=40))
+    notes: list = []
+    want = checks._compare(_lifted_equations_oracle(40, SeriesCatalog(e_star_order(40))), notes)
+    assert report.status == "fail"
+    assert notes == [f"E{2 * mm}star polynomial: differential recursion against the q-expansion"]
+    assert (report.first_discrepancy, report.notes) == (want, tuple(notes))
+
+
+def _oracle_positivity(m, cat):
+    poly = e_star_poly(m, cat)
+    return not poly.is_zero() and positivity_witness(poly, m) is None
+
+
+def test_check_positivity_matches_the_e_star_witness():
+    cat = SeriesCatalog(0)
+    assert [check_positivity(m, cat) for m in range(2, 61)] == [True] * 59
+    assert all(_oracle_positivity(m, cat) for m in range(2, 61))
+
+
+@pytest.mark.parametrize("m", [4, 5, 12, 13])
+def test_check_positivity_matches_the_e_star_witness_on_bad_levels(m):
+    # h_m put in the catalog with one fault each, E*_2m built from it: every
+    # clause of the cone decides on its own, for both signs of S*_{2m-1}(0)
+    h = graded._level(m, SeriesCatalog(0))
+    nums, sign = dict(h._nums), 1 if min(h._nums.values()) > 0 else -1
+    least = min(nums)
+    variants = {
+        "healthy": nums,
+        "negated": {**nums, least: -nums[least]},
+        "A": {**nums, (1, 1, m - 3): sign},
+        "no B": {**nums, (0, 0, m): sign},
+        "weight": {**nums, (0, 1, m): sign},
+        "zero": {},
+    }
+    got = {}
+    for name, variant in variants.items():
+        cat = SeriesCatalog(0)
+        cat._cache[f"sigma{2 * m - 1}star_poly"] = GradedPoly._make(variant, h._den)
+        got[name] = check_positivity(m, cat)
+        assert got[name] == _oracle_positivity(m, cat), name
+    assert got == {name: name == "healthy" for name in variants}
 
 
 def test_e_star_equations_compare_on_the_whole_catalog_range(monkeypatch):
