@@ -105,12 +105,15 @@ def divisor_sum_zero(kind: str, s: int) -> Fraction:
     sigma_star and sigma_sharp, so the dilation identities
     sigma*_s(n) = sigma_s(n) - 2^(s+1) sigma_s(n/2) and
     sigma#_s(n) = sigma_s(n) - 2^s sigma_s(n/2) hold at n = 0 too.  Its
-    reciprocal normalizes the Eisenstein series to constant term 1."""
+    reciprocal normalizes the Eisenstein series to constant term 1.  It is
+    one ``Fraction``, (c 2^s - 1) B_{s+1} / (2s+2), built from B_{s+1}'s
+    numerator and denominator."""
     if kind not in _EVEN_FACTOR:
         raise ValueError(f"unknown divisor-sum kind {kind!r}")
     if s < 1 or s % 2 == 0:
         raise ValueError("s must be an odd positive integer")
-    return (1 - _EVEN_FACTOR[kind] * 2**s) * -bernoulli(s + 1) / (2 * s + 2)
+    b = bernoulli(s + 1)
+    return Fraction((_EVEN_FACTOR[kind] * 2**s - 1) * b.numerator, (2 * s + 2) * b.denominator)
 
 
 def divisor_sum_table(kind: str, s: int, N: int) -> list:

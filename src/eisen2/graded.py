@@ -10,13 +10,20 @@ table.  A Serre derivative theta f - (w/k) G f is the sum of the chain-rule
 terms (df/dx_i) theta(x_i) and of -(w/k) G f, with no image tables:
 ``serre_delta`` with G = A and k = 4, ``serre_partial`` (level 1's) with
 G = E2 and k = 12.  A ``GradedPoly`` keeps integer numerators per monomial
-over one positive common denominator, reduced, in the format and by the
-helpers of ``QSeries``, and ``terms`` gives the coefficients as ``Fraction``
-values.  One weighted sum of products, whose integer numerators are put
-over the lcm of the terms' denominators and reduced once, combines
-polynomials, as ``linear_combination`` combines series: a product is its
-one-term case, a sum or a multiple a product with the constant 1, and each
-Serre derivative and each tower level one call.  Evaluation is one
+over one positive common denominator, reduced, by the helpers of
+``QSeries``, and ``terms`` gives the coefficients as ``Fraction`` values.
+Each monomial A^a B^b C^c is keyed by one int, (a << 2W) | (b << W) | c,
+with the fixed field width W = ``_WIDTH``; every exponent stays below its
+field's top bit, 2^(W-1).  So a product's key is the sum of its factors'
+keys, with no tuple built and no carry from one field into the next, and a
+sum that reaches a top bit raises ``ValueError`` instead of wrapping.  The
+fields are unsigned with A's the highest, so sorted keys come in the order
+of sorted exponent tuples; the public face takes and gives tuples.  One
+weighted sum of products, whose integer numerators are put over the lcm of
+the terms' denominators and reduced once, combines polynomials, as
+``linear_combination`` combines series: a product is its one-term case, a
+sum or a multiple a product with the constant 1, and each Serre derivative
+and each tower level one call.  Evaluation is one
 ``linear_combination`` of the catalog's memoized monomial series, so it
 makes no product of its own once they exist.  The E*_2m tower
 (``e_star_poly``) is built in the divisor-sum normalization
@@ -75,6 +82,25 @@ _SERIES_NAMES = ("E2star", "E4star", "C")
 Exponents = tuple[int, int, int]
 Scalar = Union[int, Fraction]
 
+# a monomial's key: its exponents in fields of _WIDTH bits, A's highest, each
+# below _LIMIT, so only a sum that overflows a field sets its top bit
+_WIDTH = 21
+_LIMIT = 1 << (_WIDTH - 1)
+_FIELD = (1 << _WIDTH) - 1
+_SHIFTS = (2 * _WIDTH, _WIDTH, 0)
+
+
+def _pack(exps: Exponents) -> int:
+    a, b, c = exps
+    return (a << 2 * _WIDTH) | (b << _WIDTH) | c
+
+
+def _unpack(key: int) -> Exponents:
+    return key >> 2 * _WIDTH, (key >> _WIDTH) & _FIELD, key & _FIELD
+
+
+_TOP = _pack((_LIMIT, _LIMIT, _LIMIT))  # the fields' top bits
+
 
 class NotHomogeneous(ValueError):
     """A graded operation was applied to a non-homogeneous polynomial."""
@@ -99,10 +125,14 @@ class ResidualMismatch(ArithmeticError):
 class GradedPoly:
     """Exact polynomial in A, B and C.
 
-    Kept as integer numerators per exponent triple over one positive common
+    Kept as integer numerators per monomial over one positive common
     denominator, reduced, with no zero entries, so equal polynomials have
-    equal representations.  ``terms`` gives the coefficients as ``Fraction``
-    values in a read-only mapping built on each call.
+    equal representations.  Each monomial is keyed by its exponents packed
+    into one int (``_pack``), so the product kernel adds keys; an exponent
+    of 2^(W-1) = ``_LIMIT`` or more is refused here and by the kernel, so no
+    sum carries into the next field.  The exponents come and go as (a, b, c)
+    tuples: ``terms`` gives the coefficients as ``Fraction`` values in a
+    read-only mapping built on each call.
     """
 
     __slots__ = ("_nums", "_den")
@@ -114,13 +144,15 @@ class GradedPoly:
                 raise TypeError(f"exponents must be three ints, got {exps!r}")
             if min(exps) < 0:
                 raise ValueError(f"exponents must be nonnegative, got {exps!r}")
+            if max(exps) >= _LIMIT:
+                raise ValueError(f"exponents must be below 2^{_WIDTH - 1}, got {exps!r}")
         nums, self._den = _over_lcm(terms.values())
-        self._nums = {tuple(e): x for e, x in zip(terms, nums) if x}
+        self._nums = {_pack(e): x for e, x in zip(terms, nums) if x}
 
     @classmethod
-    def _make(cls, nums: dict[Exponents, int], den: int = 1) -> "GradedPoly":
-        """The polynomial sum nums[e] x^e / den, zero terms dropped, reduced;
-        the exponents are not checked."""
+    def _make(cls, nums: dict[int, int], den: int = 1) -> "GradedPoly":
+        """The polynomial sum nums[k] x^k / den over packed keys k, zero
+        terms dropped, reduced; the keys are not checked."""
         poly = object.__new__(cls)
         nums = {e: x for e, x in nums.items() if x}
         values, poly._den = _reduce(tuple(nums.values()), den)
@@ -150,7 +182,7 @@ class GradedPoly:
     def terms(self) -> Mapping[Exponents, Fraction]:
         """The nonzero coefficients as reduced ``Fraction`` values, read-only."""
         den = self._den
-        return MappingProxyType({e: Fraction(x, den) for e, x in self._nums.items()})
+        return MappingProxyType({_unpack(k): Fraction(x, den) for k, x in self._nums.items()})
 
     def monomial_name(self, exps: Exponents) -> str:
         """The monomial in the generator names, e.g. "A^2*B"; "1" for the
@@ -167,7 +199,7 @@ class GradedPoly:
 
     def weight(self) -> Optional[int]:
         """Common weight of all monomials; None for the zero polynomial."""
-        weights = {self.monomial_weight(e) for e in self._nums}
+        weights = {self.monomial_weight(_unpack(k)) for k in self._nums}
         if not weights:
             return None
         if len(weights) > 1:
@@ -175,7 +207,9 @@ class GradedPoly:
         return weights.pop()
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        return sorted(self.terms.items())
+        # the keys sort as the exponent tuples do
+        den = self._den
+        return [(_unpack(k), Fraction(x, den)) for k, x in sorted(self._nums.items())]
 
     def to_records(self) -> list[tuple[int, int, int, str]]:
         """Serialization as sorted (a, b, c, "p/q") records."""
@@ -189,10 +223,10 @@ class GradedPoly:
         coefficients; None when they are equal."""
         # numerators cross-multiplied, as first_difference compares series
         da, db = self._den, other._den
-        for i, exps in enumerate(sorted(self._nums.keys() | other._nums.keys())):
-            x, y = self._nums.get(exps, 0), other._nums.get(exps, 0)
+        for i, key in enumerate(sorted(self._nums.keys() | other._nums.keys())):
+            x, y = self._nums.get(key, 0), other._nums.get(key, 0)
             if x * db != y * da:
-                return i, exps, Fraction(x, da), Fraction(y, db)
+                return i, _unpack(key), Fraction(x, da), Fraction(y, db)
         return None
 
     def __eq__(self, other: object) -> bool:
@@ -253,18 +287,24 @@ def _sum_of_products(terms) -> GradedPoly:
     d = w.denominator f._den g._den, and each product's integer numerators
     are added with the integer weight w.numerator (D // d) in one pass; the
     sum is reduced once, as ``linear_combination`` sums series.  The E*_2m
-    tower's terms have power-of-two denominators, so D stays small.
+    tower's terms have power-of-two denominators, so D stays small.  A
+    product's key is the sum of its factors' packed keys; a sum with an
+    exponent of ``_LIMIT`` or more raises ``ValueError``.
     """
     terms = [(w, f, g, w.denominator * f._den * g._den) for w, f, g in terms if w]
     den = lcm(*(d for *_, d in terms))
-    nums: dict[Exponents, int] = {}
+    nums: dict[int, int] = {}
     for w, f, g, d in terms:
         weight = w.numerator * (den // d)
-        for (a1, b1, c1), x in f._nums.items():
+        for k1, x in f._nums.items():
             wx = weight * x
-            for (a2, b2, c2), y in g._nums.items():
-                key = (a1 + a2, b1 + b2, c1 + c2)
+            for k2, y in g._nums.items():
+                key = k1 + k2
                 nums[key] = nums.get(key, 0) + wx * y
+    for key in nums:
+        if key & _TOP:
+            raise ValueError(f"a product has the exponents {_unpack(key)!r}; "
+                             f"each must be below 2^{_WIDTH - 1}")
     return GradedPoly._make(nums, den)
 
 
@@ -284,10 +324,10 @@ def _serre(f: GradedPoly, g: GradedPoly, k: int) -> GradedPoly:
     of (df/dx_i) theta(x_i); a polynomial of mixed weight raises
     ``NotHomogeneous``."""
     w = f.weight() or 0  # the zero polynomial has no weight, and g 0 = 0
-    # the partial derivative of f in generator i
-    partials = (GradedPoly._make({e[:i] + (e[i] - 1,) + e[i + 1:]: e[i] * x
-                                  for e, x in f._nums.items() if e[i]}, f._den)
-                for i in range(3))
+    # the partial derivative of f in the generator whose field is at shift s
+    partials = (GradedPoly._make({k - (1 << s): e * x for k, x in f._nums.items()
+                                  if (e := (k >> s) & _FIELD)}, f._den)
+                for s in _SHIFTS)
     return _sum_of_products([(1, df, theta) for df, theta in zip(partials, _THETA)] + [
         (Fraction(-w, k), g, f)])
 
@@ -308,8 +348,8 @@ def _evaluation_terms(f: GradedPoly, catalog: SeriesCatalog) -> list:
     """The (coefficient, monomial series) pairs whose linear combination is
     f evaluated on the catalog."""
     den = f._den
-    return [(Fraction(x, den), catalog.monomial(zip(_SERIES_NAMES, exps)))
-            for exps, x in f._nums.items()]
+    return [(Fraction(x, den), catalog.monomial(zip(_SERIES_NAMES, _unpack(k))))
+            for k, x in f._nums.items()]
 
 
 def gp_evaluate(f: GradedPoly, catalog: SeriesCatalog) -> QSeries:
@@ -502,6 +542,9 @@ def e_star_equations(m: int, catalog: SeriesCatalog) -> Iterator[tuple]:
     if catalog.order < need:
         raise ValueError(f"E{2 * m}star_poly needs order >= {need}, got {catalog.order}")
     top: list = [None] * (m // 2 + 1)  # B^j C^(m-2j), filled on first use
+    # B_2m now, one Bernoulli memo extension for every level's S*(0); after
+    # ``top``, whose size refuses an m past the index range first
+    divisor_sum_zero("sigma_star", 2 * m - 1)
 
     def level(mm: int, h: GradedPoly) -> tuple:
         series, shift = catalog.level2(mm), m - mm
@@ -509,7 +552,8 @@ def e_star_equations(m: int, catalog: SeriesCatalog) -> Iterator[tuple]:
         s = divisor_sum_zero("sigma_star", 2 * mm - 1)
         p, q = h._den * s.numerator, s.denominator
         terms = []
-        for (a, b, c), x in h._nums.items():
+        for key, x in h._nums.items():
+            a, b, c = _unpack(key)
             if a or 2 * b + c != mm:
                 mono = catalog.monomial(zip(_SERIES_NAMES, (a, b, c + shift)))
             else:
@@ -524,10 +568,10 @@ def e_star_equations(m: int, catalog: SeriesCatalog) -> Iterator[tuple]:
     return (level(mm, h) for mm, h in enumerate(islice(_tower(m, catalog), 1, None), 3))
 
 
-def _in_cone(exps: Exponents, x: int, m: int) -> bool:
-    """Whether the term x A^a B^b C^c, exps = (a, b, c), lies in
-    B * Q_+[B, C] at weight 2m: x > 0, a = 0, b >= 1 and 4b + 2c = 2m."""
-    a, b, c = exps
+def _in_cone(key: int, x: int, m: int) -> bool:
+    """Whether the term x A^a B^b C^c, packed key, lies in B * Q_+[B, C] at
+    weight 2m: x > 0, a = 0, b >= 1 and 4b + 2c = 2m."""
+    a, b, c = _unpack(key)
     return x > 0 and not a and b >= 1 and 2 * b + c == m
 
 
@@ -538,10 +582,10 @@ def positivity_witness(
     weight 2m, with its coefficient; None when every monomial has a strictly
     positive coefficient, B-exponent at least 1, no A-exponent and weight
     exactly 2m."""
-    for exps in sorted(poly._nums):
-        x = poly._nums[exps]
-        if not _in_cone(exps, x, m):
-            return exps, Fraction(x, poly._den)
+    for key in sorted(poly._nums):
+        x = poly._nums[key]
+        if not _in_cone(key, x, m):
+            return _unpack(key), Fraction(x, poly._den)
     return None
 
 
@@ -557,4 +601,4 @@ def check_positivity(m: int, catalog: SeriesCatalog) -> bool:
     """
     h = _level(m, catalog)
     sign = 1 if divisor_sum_zero("sigma_star", 2 * m - 1) > 0 else -1
-    return not h.is_zero() and all(_in_cone(e, sign * x, m) for e, x in h._nums.items())
+    return not h.is_zero() and all(_in_cone(k, sign * x, m) for k, x in h._nums.items())

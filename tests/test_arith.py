@@ -6,6 +6,7 @@ import pytest
 from eisen2 import arith, checks
 from eisen2.catalog import SeriesCatalog
 from eisen2.qseries import QSeries
+from eisen2.scalars import bernoulli
 from verify_defaults import workspace
 
 
@@ -130,6 +131,16 @@ def test_divisor_sum_zero_is_slot_0_and_rejects_bad_input():
     for args in (("sigma", 2), ("sigma_star", 0), ("sigma_odd", 3)):
         with pytest.raises(ValueError):
             arith.divisor_sum_zero(*args)
+
+
+def test_divisor_sum_zero_matches_the_three_step_formula():
+    # the formula as it stood before it became one Fraction: (1 - c 2^s),
+    # then times -B_{s+1}, then over 2s + 2
+    for kind, c in (("sigma", 0), ("sigma_star", 2), ("sigma_sharp", 1)):
+        for s in range(1, 100, 2):
+            got = arith.divisor_sum_zero(kind, s)
+            assert got == (1 - c * 2**s) * -bernoulli(s + 1) / (2 * s + 2), (kind, s)
+            assert type(got) is Fraction
 
 
 def test_r_count_matches_oracle():

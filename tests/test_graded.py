@@ -2,7 +2,7 @@ import copy
 import random
 import re
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -25,7 +25,7 @@ from eisen2.graded import (
     serre_delta,
     serre_partial,
 )
-from eisen2.qseries import QSeries, linear_combination
+from eisen2.qseries import QSeries, _reduce, linear_combination
 from eisen2.scalars import ks_alpha, ks_coefficient, rs_coefficient
 from verify_defaults import workspace
 
@@ -35,6 +35,13 @@ LAW_RUNS = 110
 E2 = GradedPoly({(1, 0, 0): 3, (0, 0, 1): -2})
 E4 = GradedPoly({(0, 0, 2): 4, (0, 1, 0): -3})
 E6 = GradedPoly({(0, 1, 1): 9, (0, 0, 3): -8})
+
+
+def numerators(poly):
+    """The polynomial's integer numerators by exponent tuple, read through
+    ``terms``, and its common denominator."""
+    den = poly._den
+    return {e: x.numerator * (den // x.denominator) for e, x in poly.terms.items()}, den
 
 
 def random_homogeneous_terms(rng, weight, weights=graded._WEIGHTS):
@@ -396,6 +403,31 @@ def test_e_star_equations_match_the_lifted_polynomial_oracle(m):
     assert [_exact(eq) for eq in got] == [_exact(eq) for eq in want]
 
 
+def test_a_cold_e_star_equations_extends_the_bernoulli_memo_once(monkeypatch):
+    # each level's S*_{2mm-1}(0) once extended the memo by two indices, 39
+    # extensions at m = 40; the top normalizer, asked first, makes them one
+    real = scalars._BERNOULLI_LOCK
+    extensions = []
+
+    class CountingLock:
+        def __enter__(self):
+            extensions.append(len(scalars._BERNOULLI))
+            return real.__enter__()
+
+        def __exit__(self, *exc):
+            return real.__exit__(*exc)
+
+    saved = list(scalars._BERNOULLI)
+    monkeypatch.setattr(scalars, "_BERNOULLI_LOCK", CountingLock())
+    try:
+        del scalars._BERNOULLI[1:]
+        equations = list(e_star_equations(40, SeriesCatalog(e_star_order(40))))
+        assert len(equations) == 38
+        assert extensions == [1] and len(scalars._BERNOULLI) == 81
+    finally:
+        scalars._BERNOULLI[:] = saved
+
+
 @pytest.mark.parametrize("mm, exps", [(3, (0, 1, 1)), (8, (0, 2, 4)), (21, (0, 10, 1)),
                                       (40, (0, 1, 38))])
 def test_a_sign_flipped_level_fails_t49_with_the_oracle_report(monkeypatch, mm, exps):
@@ -407,8 +439,9 @@ def test_a_sign_flipped_level_fails_t49_with_the_oracle_report(monkeypatch, mm, 
         h = real(level, tower)
         if level != mm:
             return h
-        assert exps in h._nums
-        return GradedPoly._make({**h._nums, exps: -h._nums[exps]}, h._den)
+        terms = dict(h.terms)
+        assert exps in terms
+        return GradedPoly({**terms, exps: -terms[exps]})
 
     monkeypatch.setattr(graded, "_solve_level", flipped)
     report = checks.run_check("T49", workspace(mmax=40))
@@ -435,7 +468,8 @@ def test_check_positivity_matches_the_e_star_witness_on_bad_levels(m):
     # h_m put in the catalog with one fault each, E*_2m built from it: every
     # clause of the cone decides on its own, for both signs of S*_{2m-1}(0)
     h = graded._level(m, SeriesCatalog(0))
-    nums, sign = dict(h._nums), 1 if min(h._nums.values()) > 0 else -1
+    nums, den = numerators(h)
+    sign = 1 if min(nums.values()) > 0 else -1
     least = min(nums)
     variants = {
         "healthy": nums,
@@ -448,7 +482,8 @@ def test_check_positivity_matches_the_e_star_witness_on_bad_levels(m):
     got = {}
     for name, variant in variants.items():
         cat = SeriesCatalog(0)
-        cat._cache[f"sigma{2 * m - 1}star_poly"] = GradedPoly._make(variant, h._den)
+        cat._cache[f"sigma{2 * m - 1}star_poly"] = GradedPoly(
+            {e: Fraction(x, den) for e, x in variant.items()})
         got[name] = check_positivity(m, cat)
         assert got[name] == _oracle_positivity(m, cat), name
     assert got == {name: name == "healthy" for name in variants}
@@ -619,14 +654,15 @@ def _oracle_evaluate(p, cat):
 def _oracle_gp_evaluate(f, cat):
     # gp_evaluate's per-monomial loop before monomials were memoized
     names = graded._SERIES_NAMES
+    nums, den = numerators(f)
     total = QSeries.zero(cat.order)
-    for exps, x in f._nums.items():
+    for exps, x in nums.items():
         factors = [cat.power(name, e) for name, e in zip(names, exps) if e]
         term = factors[0] if factors else QSeries.one(cat.order)
         for factor in factors[1:]:
             term = term * factor
         total = total + term.scale(x)
-    return total.scale(Fraction(1, f._den))
+    return total.scale(Fraction(1, den))
 
 
 def _oracle_e_star(mmax):
@@ -696,7 +732,7 @@ def test_poly_first_difference_compares_values_over_both_denominators():
     half, third = b.scale(Fraction(1, 2)), b.scale(Fraction(1, 3))
     assert half.first_difference(b.scale(Fraction(2, 4))) is None
     # equal numerators over different denominators differ
-    assert (half._nums, third._nums) == ({(0, 1, 0): 1}, {(0, 1, 0): 1})
+    assert (numerators(half)[0], numerators(third)[0]) == ({(0, 1, 0): 1}, {(0, 1, 0): 1})
     assert half.first_difference(third) == (0, (0, 1, 0), Fraction(1, 2), Fraction(1, 3))
     # the position counts the sorted union of both monomial sets
     c2 = GradedPoly.monomial((0, 0, 2), 5)
@@ -707,7 +743,7 @@ def test_poly_first_difference_compares_values_over_both_denominators():
 
 def test_poly_is_kept_reduced():
     p = GradedPoly({(0, 1, 0): Fraction(2, 691), (0, 0, 2): Fraction(-4, 691)})
-    assert (p._den, p._nums) == (691, {(0, 1, 0): 2, (0, 0, 2): -4})
+    assert numerators(p)[::-1] == (691, {(0, 1, 0): 2, (0, 0, 2): -4})
     assert p.scale(Fraction(691, 2))._den == 1
     assert (p - p)._den == 1 and (p - p).is_zero()
     assert GradedPoly({(0, 1, 0): 0}) == GradedPoly.zero()
@@ -885,6 +921,114 @@ def test_sum_of_products_matches_fraction_dict_oracle():
         # the reduced form is unique, so the fields equal the oracle's
         assert got == GradedPoly(want)
     assert graded._sum_of_products([]) == GradedPoly.zero()
+
+
+def _tuple_sum_of_products(terms):
+    """``_sum_of_products`` as it stood with exponent-tuple keys, on
+    (numerators, denominator) pairs: the oracle of the packed keys."""
+    terms = [(w, f, g, w.denominator * f[1] * g[1]) for w, f, g in terms if w]
+    den = lcm(*(d for *_, d in terms))
+    nums = {}
+    for w, (f, _), (g, _), d in terms:
+        weight = w.numerator * (den // d)
+        for (a1, b1, c1), x in f.items():
+            wx = weight * x
+            for (a2, b2, c2), y in g.items():
+                key = (a1 + a2, b1 + b2, c1 + c2)
+                nums[key] = nums.get(key, 0) + wx * y
+    nums = {e: x for e, x in nums.items() if x}
+    values, den = _reduce(tuple(nums.values()), den)
+    return dict(zip(nums, values)), den
+
+
+def test_the_tower_matches_the_tuple_keyed_kernel():
+    # every level of the recursion of _solve_level, summed by the old kernel
+    h2 = numerators(GradedPoly.monomial((0, 1, 0), arith.divisor_sum_zero("sigma_star", 3)))
+    tower, c = [None, None, h2], ({(0, 0, 1): 1}, 1)
+    for mm in range(3, 121):
+        tower.append(_tuple_sum_of_products([(-2, c, tower[mm - 1])] + [
+            (-12 * (1 if 2 * k == mm else 2) * comb(2 * mm - 4, 2 * k - 2),
+             tower[k], tower[mm - k]) for k in range(2, mm // 2 + 1)]))
+    got = [numerators(h) for h in graded._tower(120, SeriesCatalog(0))]
+    assert got == tower[2:]
+
+
+def _oracle_first_difference(p, q):
+    p, q = _clean(p), _clean(q)
+    for i, exps in enumerate(sorted(p.keys() | q.keys())):
+        x, y = p.get(exps, 0), q.get(exps, 0)
+        if x != y:
+            return i, exps, x, y
+    return None
+
+
+def _oracle_witness(p, m):
+    for (a, b, c), x in sorted(_clean(p).items()):
+        if not (x > 0 and a == 0 and b >= 1 and 2 * b + c == m):
+            return (a, b, c), x
+    return None
+
+
+def test_packed_keys_report_in_the_order_of_the_exponent_tuples():
+    # exponents up to the field limit, so every field's high bits take part
+    rng = random.Random(47)
+    top = graded._LIMIT - 1
+
+    def exponent():
+        return rng.choice((0, 1, 2, rng.randint(0, top), top))
+
+    for _ in range(300):
+        m = rng.choice((rng.randint(2, 40), rng.randint(2, top)))
+        p = {}
+        for _ in range(rng.randint(0, 8)):
+            b = rng.randint(1, m // 2)
+            p[(0, b, m - 2 * b)] = Fraction(rng.randint(1, 9), rng.choice((1, 2, 691)))
+        for _ in range(rng.randint(0, 2)):
+            p[(exponent(), exponent(), exponent())] = Fraction(rng.randint(-9, 9), 16)
+        q = dict(p)
+        for exps in rng.sample(sorted(q), min(2, len(q))):
+            q[exps] = rng.choice((0, q[exps] / 2, q[exps]))
+        q[(exponent(), exponent(), exponent())] = rng.choice((0, 1, Fraction(-1, 3)))
+        fp, fq = GradedPoly(p), GradedPoly(q)
+        assert fp.sorted_terms() == sorted(_clean(p).items())
+        assert list(fp.terms) == list(_clean(p))
+        assert fp.first_difference(fq) == _oracle_first_difference(p, q)
+        assert fq.first_difference(fp) == _oracle_first_difference(q, p)
+        assert positivity_witness(fp, m) == _oracle_witness(p, m)
+        assert positivity_witness(fq, m) == _oracle_witness(q, m)
+
+
+def test_an_exponent_at_the_field_limit_is_refused():
+    limit = graded._LIMIT
+    assert limit == 2 ** (graded._WIDTH - 1)
+    for i in range(3):
+        at, below = (tuple(e if j == i else 0 for j in range(3)) for e in (limit, limit - 1))
+        with pytest.raises(ValueError, match=re.escape(f"below 2^{graded._WIDTH - 1}")):
+            GradedPoly({at: 1})
+        with pytest.raises(ValueError):
+            GradedPoly.monomial(at, 3)
+        assert dict(GradedPoly.monomial(below).terms) == {below: 1}
+
+
+@pytest.mark.parametrize("field", range(3), ids=["A", "B", "C"])
+def test_a_product_at_the_field_limit_raises_and_does_not_carry(field):
+    limit = graded._LIMIT
+
+    def mono(e):
+        return GradedPoly.monomial(tuple(e if j == field else 1 for j in range(3)))
+
+    # the largest sum fits, and the other fields are 1 + 1
+    fits = mono(limit // 2) * mono(limit // 2 - 1)
+    assert dict(fits.terms) == {tuple(limit - 1 if j == field else 2 for j in range(3)): 1}
+    for e1, e2 in ((limit // 2, limit // 2), (limit - 1, 1), (limit - 1, limit - 1)):
+        with pytest.raises(ValueError, match=re.escape(f"below 2^{graded._WIDTH - 1}")):
+            mono(e1) * mono(e2)
+        with pytest.raises(ValueError):
+            mono(e1) * mono(e2) + mono(0)
+    # a Serre derivative raises a degree through the same kernel
+    if field != 1:
+        with pytest.raises(ValueError):
+            serre_delta(mono(limit - 1))
 
 
 def test_tower_sums_keep_their_integers_small(monkeypatch):
