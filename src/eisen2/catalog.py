@@ -8,7 +8,14 @@ of powers of named series, each key by one product from keys already memoized;
 ``power`` is its one-factor case and ``product`` its names counted with
 multiplicity.  So a product that several checks share is multiplied out once
 per catalog.  Each series is built once, by one route, from its defining
-expansion.  The divisor-sum series are read from ``arith.divisor_sum_table``,
+expansion.  Catalogs of several orders may share one memo, keyed by the
+series' key and then the order, as the catalogs of one ``checks.Workspace``
+do: a series missing at order N that the memo holds at a higher order is
+that series truncated to N.  The truncation is exact, since every
+construction and every product is exact to its order and the reduced form,
+numerators over one denominator, is unique; so it is what a build at N would
+give.  A catalog made on its own has a memo of its own.  The divisor-sum
+series are read from ``arith.divisor_sum_table``,
 which computes them in integers by multiplicativity, about one integer product
 per coefficient, and keep its n = 0 convention values as their constant terms,
 so the convolution identities hold from n = 0; the per-n ``arith`` functions
@@ -26,7 +33,6 @@ equations T49 compares.  The catalog itself compares nothing.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from fractions import Fraction
 from math import isqrt
 
@@ -61,25 +67,44 @@ _NAME = re.compile(r"(E|sigma|r)(\d+)(star)?")
 
 def _is_one(name: str) -> bool:
     """Whether the name is E0 or E0star in any spelling, the series 1."""
+    # every such spelling starts with E0, so no other name meets the regex
+    if not name.startswith("E0"):
+        return False
     m = _NAME.fullmatch(name)
-    return m is not None and m[1] == "E" and int(m[2]) == 0
+    return m is not None and int(m[2]) == 0
 
 
 class SeriesCatalog:
     """Memoized named series, their powers and monomials, and E*_2m
     polynomials at one order."""
 
-    def __init__(self, order: int):
+    def __init__(self, order: int, memo: dict | None = None):
         if order < 0:
             raise ValueError("order must be nonnegative")
         self.order = order
-        self._cache: dict = {}
+        # key -> {order: value}, shared by every catalog handed the same memo
+        self._cache: dict = {} if memo is None else memo
 
-    def _memo(self, key: str, build):
-        series = self._cache.get(key)
-        if series is None:
-            series = self._cache[key] = build()
-        return series
+    def _memo(self, key, build):
+        """The value under the key at this order.  On a miss, a series the
+        memo holds under the key at a higher order is truncated to this one,
+        which is exact: every construction is exact to its order and the
+        reduced form is unique.  Else ``build()`` makes it.  A ``GradedPoly``
+        is never truncated."""
+        held = self._cache.get(key)
+        if held is None:
+            value = build()
+            self._cache[key] = {self.order: value}
+            return value
+        value = held.get(self.order)
+        if value is None:
+            source = held[max(held)]
+            if isinstance(source, QSeries) and source.order > self.order:
+                value = source.truncate(self.order)
+            else:
+                value = build()
+            held[self.order] = value
+        return value
 
     def _tabulated(self, kind: str, s: int) -> QSeries:
         """The series of ``arith.divisor_sum_table(kind, s, order)``, whose
@@ -160,13 +185,20 @@ class SeriesCatalog:
         """The product of the powers of the named series over the (name, e)
         pairs, memoized: the only catalog code that multiplies two series.
         Zero exponents and the factors E0 and E0star (the series 1) are
-        dropped and the rest sorted, so the key ignores their order and a
-        factor 1; a negative exponent raises.  Each key is one product: a
-        power e >= 2 is the square of the power e/2, or the power e - 1 times
-        the base when e is odd, so at most 2 log2(e) products; several
-        factors are the key of all but the last times the key of the last."""
-        factors = tuple(sorted((name, e) for name, e in powers
-                               if e and not _is_one(name)))
+        dropped and the rest sorted, so the key, the tuple of the remaining
+        pairs, ignores their order and a factor 1; a negative exponent
+        raises.  Each key is one product: a power e >= 2 is the square of
+        the power e/2, or the power e - 1 times the base when e is odd, so at
+        most 2 log2(e) products; several factors are the key of all but the
+        last times the key of the last."""
+        factors = tuple(sorted([(name, e) for name, e in powers
+                                if e and not _is_one(name)]))
+        # a hit needs no checks: only a key that was built is held
+        held = self._cache.get(factors)
+        if held is not None:
+            series = held.get(self.order)
+            if series is not None:
+                return series
         if any(e < 0 for _, e in factors):
             raise ValueError("negative powers are not defined; invert first")
         if not factors:
@@ -183,14 +215,14 @@ class SeriesCatalog:
             half = self.monomial([(name, e // 2)])
             return half * half
 
-        return self._memo("*".join(f"{name}^{e}" for name, e in factors), build)
+        return self._memo(factors, build)
 
     def product(self, *names: str) -> QSeries:
         """The product of the named series, memoized: the ``monomial`` of the
         names counted with multiplicity, so its key does not depend on the
         order of the names or on how a repeat is written, and
         ``product("E4", "E4")`` is ``power("E4", 2)``."""
-        return self.monomial(Counter(names).items())
+        return self.monomial([(name, names.count(name)) for name in set(names)])
 
     def by_name(self, name: str) -> QSeries:
         """Resolve a series by its export name.
@@ -201,6 +233,13 @@ class SeriesCatalog:
         coefficients count representations as sums of s squares).  Numbers
         may carry leading zeros.
         """
+        # a canonical name already built is one lookup; a polynomial's key
+        # holds no series
+        held = self._cache.get(name)
+        if held is not None:
+            series = held.get(self.order)
+            if isinstance(series, QSeries):
+                return series
         if name in ("delta", "theta3", "C", "D"):
             return getattr(self, name)()
         m = _NAME.fullmatch(name)

@@ -7,12 +7,14 @@ products of the divisor-sum series sum sigma_s(n) q^n and sum sigma*_s(n) q^n
 truncated at q^nmax, so the coefficient of q^n is the identity at index n.
 A failing check always reports the first offending exponent or index
 together with both exact values.  An equation check is a builder over one
-``SeriesCatalog``, the one at the order ``_range`` gives its scope, that
+``SeriesCatalog``, the one at the order ``_ranges`` gives its scope, that
 returns its series equations, (lhs, rhs) or (lhs, rhs, note); ``_compare``
 compares them with ``first_difference`` and reports the first that fails,
 or the lowest failing exponent where a check asks for it.  The order the
-report prints is that same ``_range``.  The scans test other predicates on
-the workspace's catalogs and return their discrepancy themselves.
+report prints is that same range.  The scans test other predicates on the
+workspace's catalogs and return their discrepancy themselves.  ``run_all``
+runs the checks that read the highest catalog order first, so that a lower
+order truncates the series a higher one built.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import arith
 from .catalog import SeriesCatalog
@@ -60,9 +62,10 @@ class UnknownTheoremId(KeyError):
 Discrepancy = tuple[int, Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one registry check."""
+class CheckReport(NamedTuple):
+    """Outcome of one registry check.  A named tuple, since ``run_check``
+    makes one per check: it is built in less than half the time of a frozen
+    dataclass, which sets each field through ``object.__setattr__``."""
 
     id: str
     order: int
@@ -103,18 +106,21 @@ class CheckReport:
 
 
 class Workspace:
-    """Shared inputs for the runners: one lazily built catalog per order."""
+    """Shared inputs for the runners: one lazily built catalog per order,
+    all sharing one memo, so a lower order truncates what a higher one
+    built."""
 
     def __init__(self, order: int, nmax: int, mmax: int):
         self.order = order
         self.nmax = nmax
         self.mmax = mmax
+        self._memo: dict = {}
         self._catalogs: dict[int, SeriesCatalog] = {}
 
     def catalog_at(self, order: int) -> SeriesCatalog:
         cat = self._catalogs.get(order)
         if cat is None:
-            cat = self._catalogs[order] = SeriesCatalog(order)
+            cat = self._catalogs[order] = SeriesCatalog(order, self._memo)
         return cat
 
     @property
@@ -155,6 +161,16 @@ class TheoremCheck:
     runner: Runner
     scope: str  # "order" | "range" | "tau1000" | "mmax" | "table" | "delta8"
     equations: Optional[Builder] = None  # None for a scan
+    # the id's natural order, parsed once here so that sorting by id parses
+    # nothing at run time
+    sort_key: tuple = ()
+
+
+_DIGITS = re.compile(r"(\d+)")
+
+
+def _natural_key(s: str) -> tuple:
+    return tuple([int(t) if t.isdigit() else t for t in _DIGITS.split(s)])
 
 
 REGISTRY: dict[str, TheoremCheck] = {}
@@ -166,7 +182,7 @@ def _register(id: str, description: str, scope: str = "order", equations=None):
     def wrap(fn: Runner) -> Runner:
         if id in REGISTRY:
             raise ValueError(f"duplicate registry id {id!r}")
-        REGISTRY[id] = TheoremCheck(id, description, fn, scope, equations)
+        REGISTRY[id] = TheoremCheck(id, description, fn, scope, equations, _natural_key(id))
         return fn
 
     return wrap
@@ -177,7 +193,7 @@ def _equation_check(id: str, description: str, scope: str = "order",
     # the stored runner compares, so whatever wraps a runner also wraps the compare
     def wrap(build: Builder) -> Builder:
         _register(id, description, scope, build)(
-            lambda ws, notes: _compare(build(ws.catalog_at(_range(scope, ws))), notes,
+            lambda ws, notes: _compare(build(ws.catalog_at(_ranges(ws)[scope])), notes,
                                        earliest))
         return build
 
@@ -870,14 +886,7 @@ def _table2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 
 
 def registry_ids() -> list[str]:
-    return sorted(REGISTRY, key=_natural_key)
-
-
-_DIGITS = re.compile(r"(\d+)")
-
-
-def _natural_key(s: str):
-    return [int(t) if t.isdigit() else t for t in _DIGITS.split(s)]
+    return sorted(REGISTRY, key=lambda i: REGISTRY[i].sort_key)
 
 
 def resolve_ids(target: str) -> list[str]:
@@ -894,9 +903,9 @@ def resolve_ids(target: str) -> list[str]:
     raise UnknownTheoremId(target)
 
 
-def _range(scope: str, ws: Workspace) -> int:
-    """The order a check of the scope prints, and the order of the catalog an
-    equation check's builder runs on."""
+def _ranges(ws: Workspace) -> dict[str, int]:
+    """The order a check of each scope prints, and the order of the catalog
+    an equation check's builder runs on."""
     return {
         "order": ws.order,
         "range": ws.nmax,
@@ -904,7 +913,7 @@ def _range(scope: str, ws: Workspace) -> int:
         "mmax": ws.mmax,
         "table": _TABLE2_N,
         "delta8": _DELTA8_N,
-    }[scope]
+    }
 
 
 def run_check(id: str, workspace: Workspace) -> CheckReport:
@@ -920,7 +929,7 @@ def run_check(id: str, workspace: Workspace) -> CheckReport:
     elapsed = int((time.perf_counter() - start) * 1000)
     return CheckReport(
         id=check.id,
-        order=_range(check.scope, workspace),
+        order=_ranges(workspace)[check.scope],
         status="pass" if disc is None else "fail",
         first_discrepancy=disc,
         elapsed_ms=elapsed,
@@ -929,8 +938,18 @@ def run_check(id: str, workspace: Workspace) -> CheckReport:
 
 
 def run_all(order: int, nmax: int, mmax: int, ids: list[str]) -> list[CheckReport]:
-    """Run the checks on one workspace; reports come back sorted by id
-    regardless of execution order."""
+    """Run the checks on one workspace, those reading the highest catalog
+    order first, so each lower order truncates the series a higher one has
+    built and the work does not depend on the order of the ids; reports
+    come back sorted by id."""
     ws = Workspace(order, nmax, mmax)
-    reports = [run_check(i, ws) for i in ids]
-    return sorted(reports, key=lambda r: _natural_key(r.id))
+    # the order of the catalog each scope reads, once per run: T49 reads its
+    # tower's, and none below mmax 2
+    top = _ranges(ws)
+    top["mmax"] = e_star_order(mmax) if mmax >= 2 else 0
+    try:
+        scheduled = sorted(ids, key=lambda i: -top[REGISTRY[i].scope])
+    except KeyError as exc:
+        raise UnknownTheoremId(*exc.args) from None
+    reports = [run_check(i, ws) for i in scheduled]
+    return sorted(reports, key=lambda r: REGISTRY[r.id].sort_key)

@@ -225,6 +225,10 @@ class QSeries:
         return self.coefficient(n)
 
     def truncate(self, order: int) -> "QSeries":
+        """The series to q^order, reduced; the series itself at an order it
+        does not exceed.  A negative order is refused."""
+        if order < 0:
+            raise ValueError(f"truncation order must be nonnegative, got {order}")
         if order >= self.order:
             return self
         return QSeries._make(self._nums[: order + 1], self._den)

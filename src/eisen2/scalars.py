@@ -12,6 +12,7 @@ the coefficient functions built from them are not, and each builds one
 
 from __future__ import annotations
 
+import sys
 import threading
 from fractions import Fraction
 from math import comb, factorial, lcm
@@ -54,6 +55,9 @@ def bernoulli(n: int) -> Fraction:
     """
     if n < 0:
         raise ValueError("Bernoulli index must be nonnegative")
+    if n > sys.maxsize:
+        # the memo would grow one entry at a time until memory runs out
+        raise OverflowError(f"Bernoulli index {n} is past the platform's index range")
     if n >= len(_BERNOULLI):
         with _BERNOULLI_LOCK:
             den = lcm(*(b.denominator for b in _BERNOULLI))

@@ -14,6 +14,7 @@ import fault_grid
 from eisen2 import arith, checks, cli, graded
 from eisen2.catalog import SeriesCatalog
 from eisen2.qseries import QSeries, qs_det
+from memo_keys import memo_keys
 from verify_defaults import sizes, workspace
 
 
@@ -233,7 +234,7 @@ def test_t49_at_mmax_40_makes_one_polynomial_sum_per_level(monkeypatch):
     ws = workspace(mmax=40)
     assert checks.run_check("T49", ws).status == "pass"
     assert len(calls) == 38
-    keys = [key for cat in ws._catalogs.values() for key in cat._cache]
+    keys = [key for cat in ws._catalogs.values() for key in memo_keys(cat)]
     assert "sigma79star_poly" in keys
     assert [key for key in keys if key.startswith("E") and key.endswith("star_poly")] == []
 
@@ -796,7 +797,7 @@ def test_equation_builders_return_their_equations_without_comparing(monkeypatch,
     ws = checks.Workspace(**settings)
     for i in _EQUATION_IDS:
         check = checks.REGISTRY[i]
-        equations = list(check.equations(ws.catalog_at(checks._range(check.scope, ws))))
+        equations = list(check.equations(ws.catalog_at(checks._ranges(ws)[check.scope])))
         assert equations, i
         assert all(len(note) <= 1 for _, _, *note in equations), i
 
@@ -845,7 +846,7 @@ def test_p4_and_jacobi_build_no_equation_past_the_first_failure(monkeypatch):
     _bump_r_table(monkeypatch, 4, 3)
     ws = workspace(nmax=12)
     assert checks.run_check("JACOBI", ws).notes == ("4-square formula",)
-    assert sorted(key for key in ws.rcat._cache if key.startswith("theta3^")) == [
+    assert sorted(key for key in memo_keys(ws.rcat) if key.startswith("theta3^")) == [
         "theta3^2", "theta3^4"]
 
 
@@ -1161,6 +1162,6 @@ def test_the_index_0_entry_never_enters_the_memo():
     for level in (1, 2):
         checks._minor(cat, level, (0, 1), (0, 1))
         checks._minor(cat, level, (0, 2), (0, 2))
-    names = {factor.split("^")[0] for key in cat._cache for factor in key.split("*")}
+    names = {factor.split("^")[0] for key in memo_keys(cat) for factor in key.split("*")}
     assert {"E2", "E4", "E2star", "E4star"} <= names
     assert not names & {"E0", "E0star"}

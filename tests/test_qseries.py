@@ -180,6 +180,25 @@ def test_truncation_contract():
     assert a.truncate(9) is a
 
 
+def test_truncation_is_a_fresh_series():
+    # the dropped terms may carry the only factor of the denominator, and the
+    # reduced form is unique, so a truncation equals the shorter series itself
+    a = QSeries([Fraction(1, 2), 1, Fraction(1, 6)])
+    for order, fresh in ((1, [Fraction(1, 2), 1]), (0, [Fraction(1, 2)])):
+        assert (a.truncate(order).numerators, a.truncate(order).denominator) == (
+            QSeries(fresh).numerators, QSeries(fresh).denominator)
+    assert QSeries([1, 2, Fraction(1, 3)]).truncate(1).denominator == 1
+
+
+def test_truncation_refuses_a_negative_order():
+    # a negative slice bound would keep all but the last terms
+    a = QSeries(range(11))
+    assert a.truncate(0) == QSeries([0])
+    for order in (-1, -5):
+        with pytest.raises(ValueError, match=f"got {order}"):
+            a.truncate(order)
+
+
 def test_first_difference():
     a = QSeries([1, 2, 3])
     b = QSeries([1, 2, 4, 9])

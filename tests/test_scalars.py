@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
@@ -60,6 +61,33 @@ def test_bernoulli_matches_the_fraction_recursion():
 def test_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
         bernoulli(-1)
+
+
+def test_bernoulli_refuses_an_index_past_the_index_range_at_once(monkeypatch):
+    # the memo is extended under its lock, so a lock that refuses to be taken
+    # makes a call that would extend it fail at once instead of running
+    # until memory runs out
+    from eisen2 import scalars
+
+    class Untouchable:
+        def __enter__(self):
+            raise AssertionError("the Bernoulli memo was extended")
+
+        def __exit__(self, *exc):
+            return False
+
+    saved = list(scalars._BERNOULLI)
+    monkeypatch.setattr(scalars, "_BERNOULLI_LOCK", Untouchable())
+    try:
+        for n in (2 * 10**20, sys.maxsize + 1):
+            with pytest.raises(OverflowError, match=f"index {n} "):
+                bernoulli(n)
+            assert len(scalars._BERNOULLI) == len(saved)
+        # the largest index is not refused by the guard but extends the memo
+        with pytest.raises(AssertionError, match="extended"):
+            bernoulli(sys.maxsize)
+    finally:
+        scalars._BERNOULLI[:] = saved
 
 
 def test_zeta_even_values():

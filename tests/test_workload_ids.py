@@ -5,26 +5,12 @@ shows up in the benchmark instead of silently changing the work measured.
 This test makes a rename or deletion fail in the default test run as well,
 not first in the benchmark's correctness gate."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 from eisen2 import checks
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-
-
-def _load_workloads(monkeypatch):
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclass looks its module up by name while the file runs
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
+from load_workloads import load_workloads
 
 
 def test_frozen_ids_resolve_with_their_scopes(monkeypatch):
-    workloads = _load_workloads(monkeypatch)
+    workloads = load_workloads(monkeypatch)
     frozen = set(workloads.ALL_IDS)
     for workload in workloads.WORKLOADS.values():
         frozen |= set(workload.ids)
