@@ -25,9 +25,9 @@ of the divisor-sum series over its n = 0 convention value
 is 1, and so is C, the table of odd divisor sums over its own.  The
 discriminant is the eta product and D is -(E*_4 - C^2)/64, one linear
 combination; their other routes are equations of the registry checks DIS,
-E6STAR-ABC and DELTA8.  No constructor divides.  The catalog also memoizes the
-levels of the E*_2m tower that ``graded.e_star_poly`` builds, whose series
-equations T49 compares.  The catalog itself compares nothing.
+E6STAR-ABC and DELTA8.  No constructor divides.  The catalog also memoizes
+each E*_2m tower level h_m that ``graded`` builds, whose series equations
+T49 compares.  The catalog itself compares nothing.
 """
 
 from __future__ import annotations
@@ -75,8 +75,9 @@ def _is_one(name: str) -> bool:
 
 
 class SeriesCatalog:
-    """Memoized named series, their powers and monomials, and E*_2m
-    polynomials at one order."""
+    """Memoized named series, their powers and monomials, and the E*_2m
+    tower's levels at one order.  It holds no state but its order and the
+    memo, so a catalog handed a shared memo is a view of it."""
 
     def __init__(self, order: int, memo: dict | None = None):
         if order < 0:

@@ -106,22 +106,18 @@ class CheckReport(NamedTuple):
 
 
 class Workspace:
-    """Shared inputs for the runners: one lazily built catalog per order,
-    all sharing one memo, so a lower order truncates what a higher one
-    built."""
+    """Shared inputs for the runners: the sizes and one series memo.  A
+    catalog at any order is a view of that memo, made on each call, so a
+    lower order truncates what a higher one built."""
 
     def __init__(self, order: int, nmax: int, mmax: int):
         self.order = order
         self.nmax = nmax
         self.mmax = mmax
         self._memo: dict = {}
-        self._catalogs: dict[int, SeriesCatalog] = {}
 
     def catalog_at(self, order: int) -> SeriesCatalog:
-        cat = self._catalogs.get(order)
-        if cat is None:
-            cat = self._catalogs[order] = SeriesCatalog(order, self._memo)
-        return cat
+        return SeriesCatalog(order, self._memo)
 
     @property
     def catalog(self) -> SeriesCatalog:

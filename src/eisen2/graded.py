@@ -39,8 +39,8 @@ Modular forms of even weight 2k on the level-2 group decompose over the
 monomial basis B^j C^(k-2j): ``decompose_modular`` solves for the
 coordinates by exact fraction-free elimination and returns them as a
 ``GradedPoly``, the type ``e_star_poly`` returns.  The module keeps no
-state: each E*_2m level and its divisor-sum form are memoized in the
-catalog they were built on.
+state: each level is memoized once, as its divisor-sum form h_m, in the
+catalog it was built on, and E*_2m is h_m scaled on each call.
 """
 
 from __future__ import annotations
@@ -506,15 +506,13 @@ def e_star_poly(m: int, catalog: SeriesCatalog) -> GradedPoly:
     q-expansion.
 
     Nothing is compared here.  Each h_m is memoized as
-    ``sigma{2m-1}star_poly`` and each E*_{2m} as ``E{2m}star_poly`` in the
-    catalog, whatever its order.  A level the catalog holds is one lookup; a
-    new one walks the h levels up to it.  T49 reads the h levels alone and
-    builds an E*_{2m} only to name a positivity witness.  m must be an int
-    >= 2, else ``ValueError``.
+    ``sigma{2m-1}star_poly`` in the catalog, whatever its order, and E*_{2m}
+    is not: each call scales h_m anew.  A level the catalog holds is one
+    lookup; a new one walks the h levels up to it.  T49 reads the h levels
+    alone and builds an E*_{2m} only to name a positivity witness.  m must
+    be an int >= 2, else ``ValueError``.
     """
-    _require_level(m)
-    return catalog._memo(f"E{2 * m}star_poly", lambda: _level(m, catalog).scale(
-        1 / divisor_sum_zero("sigma_star", 2 * m - 1)))
+    return _level(m, catalog).scale(1 / divisor_sum_zero("sigma_star", 2 * m - 1))
 
 
 def e_star_equations(m: int, catalog: SeriesCatalog) -> Iterator[tuple]:

@@ -2,12 +2,11 @@
 
 Everything is a ``fractions.Fraction``, so all downstream series arithmetic
 stays exact.  zeta(2k) and lambda(2k) are rational multiples of pi^(2k), and
-every coefficient built from them is a ratio in which the pi powers cancel,
-so only the rational parts zeta(2k)/pi^(2k) and lambda(2k)/pi^(2k) are kept.
-The Bernoulli numbers and those parts are pure values, memoized per index;
-the coefficient functions built from them are not, and each builds one
-``Fraction`` from the memoized values' numerators and denominators.
-``exact`` is the gate every layer's inputs pass: ints and Fractions only.
+``zeta_even`` and ``lambda_even`` give the rational parts.  The
+differential-equation weights are ratios in which the pi powers cancel, each
+one ``Fraction`` of Bernoulli numbers and factorials; the Bernoulli numbers
+are the one memo.  ``exact`` is the gate every layer's inputs pass: ints and
+Fractions only.
 """
 
 from __future__ import annotations
@@ -32,9 +31,6 @@ _BERNOULLI: list[Fraction] = [Fraction(1)]
 # each B_m is computed from all before it, so the list is extended under one
 # lock; an entry below the length is final and read without it
 _BERNOULLI_LOCK = threading.Lock()
-# zeta(2k)/pi^(2k) and lambda(2k)/pi^(2k) by k: pure values, each computed once
-_ZETA: dict[int, Fraction] = {}
-_LAMBDA: dict[int, Fraction] = {}
 
 
 def exact(value):
@@ -80,21 +76,13 @@ def zeta_even(k: int) -> Fraction:
     zeta(2k) = -(1/2) (2 pi i)^(2k) B_{2k} / (2k)!.  So zeta_even(1) = 1/6."""
     if k < 0:
         raise ValueError("k must be nonnegative")
-    value = _ZETA.get(k)
-    if value is None:
-        value = _ZETA[k] = Fraction(-(-4) ** k, 2) * bernoulli(2 * k) / factorial(2 * k)
-    return value
+    return Fraction(-(-4) ** k, 2) * bernoulli(2 * k) / factorial(2 * k)
 
 
 def lambda_even(k: int) -> Fraction:
     """lambda(2k)/pi^(2k) for the odd-index analog lambda(2k) =
     (1 - 2^(-2k)) zeta(2k).  So lambda_even(1) = 1/8."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    value = _LAMBDA.get(k)
-    if value is None:
-        value = _LAMBDA[k] = zeta_even(k) * (1 - Fraction(1, 4**k))
-    return value
+    return zeta_even(k) * (1 - Fraction(1, 4**k))
 
 
 def check_scalar_recursion(kind: str, m: int) -> bool:
@@ -116,30 +104,36 @@ def check_scalar_recursion(kind: str, m: int) -> bool:
     return f(m) == Fraction(2, denom) * sum(f(k) * f(m - k) for k in range(1, m))
 
 
+def _rs_terms(m: int, k: int) -> tuple[int, int]:
+    """``rs_coefficient``'s numerator and denominator, unreduced; a negative
+    Bernoulli index raises ``ValueError`` before either is formed."""
+    a, b, c = bernoulli(2 * k), bernoulli(2 * m - 2 * k), bernoulli(2 * m - 2)
+    return ((m - 1) * factorial(2 * m - 2) * a.numerator * b.numerator * c.denominator,
+            factorial(2 * k) * factorial(2 * m - 2 * k) * a.denominator * b.denominator
+            * c.numerator)
+
+
 def rs_coefficient(m: int, k: int) -> Fraction:
-    """(m-1) * zeta(2k) * zeta(2m-2k) / (2 * pi^2 * zeta(2m-2)) as a Fraction;
-    the pi powers above and below both equal 2m.  One ``Fraction`` from the
-    three memoized values' numerators and denominators, normalized once."""
-    a, b, c = zeta_even(k), zeta_even(m - k), zeta_even(m - 1)
-    return Fraction((m - 1) * a.numerator * b.numerator * c.denominator,
-                    2 * a.denominator * b.denominator * c.numerator)
+    """(m-1) * zeta(2k) * zeta(2m-2k) / (2 * pi^2 * zeta(2m-2)), the pi
+    powers cancelling, as (m-1) (2m-2)! B_{2k} B_{2m-2k} / ((2k)! (2m-2k)!
+    B_{2m-2}): one ``Fraction`` normalized once."""
+    return Fraction(*_rs_terms(m, k))
 
 
 def ks_coefficient(m: int, k: int) -> Fraction:
-    """(2m-2) * lambda(2k) * lambda(2m-2k) / (pi^2 * lambda(2m-2)), one
-    ``Fraction`` normalized once, as ``rs_coefficient``."""
-    a, b, c = lambda_even(k), lambda_even(m - k), lambda_even(m - 1)
-    return Fraction((2 * m - 2) * a.numerator * b.numerator * c.denominator,
-                    a.denominator * b.denominator * c.numerator)
+    """(2m-2) * lambda(2k) * lambda(2m-2k) / (pi^2 * lambda(2m-2)), by
+    lambda(2j) = (1 - 4^(-j)) zeta(2j) the ``rs_coefficient`` times
+    (4^k - 1) (4^(m-k) - 1) / (4^(m-1) - 1): one ``Fraction``."""
+    num, den = _rs_terms(m, k)
+    return Fraction(num * (4**k - 1) * (4 ** (m - k) - 1), den * (4 ** (m - 1) - 1))
 
 
 def ks_alpha(m: int) -> Fraction:
     """(2m-2)/(pi^2 lambda(2m-2)) * (2m-1)/2 * lambda(2m), a positive rational:
     the factor multiplying the weight-2m series when the level-2 differential
-    recursion is solved for it.  One ``Fraction``, as ``rs_coefficient``.
-    Nothing in the package has called it since the tower moved to the
-    divisor-sum normalization; it is kept because perfbench's tracer wraps
-    it."""
-    a, c = lambda_even(m), lambda_even(m - 1)
-    return Fraction((2 * m - 2) * (2 * m - 1) * a.numerator * c.denominator,
-                    2 * a.denominator * c.numerator)
+    recursion is solved for it, as one ``Fraction``
+    -(m-1) (4^m - 1) B_{2m} / (2m (4^(m-1) - 1) B_{2m-2}).  Nothing in the
+    package calls it; it is kept because perfbench's tracer wraps it."""
+    a, c = bernoulli(2 * m), bernoulli(2 * m - 2)
+    return Fraction(-(m - 1) * (4**m - 1) * a.numerator * c.denominator,
+                    2 * m * (4 ** (m - 1) - 1) * a.denominator * c.numerator)

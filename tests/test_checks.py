@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import fault_grid
-from eisen2 import arith, checks, cli, graded
+from eisen2 import arith, checks, cli, graded, scalars
 from eisen2.catalog import SeriesCatalog
 from eisen2.qseries import QSeries, qs_det
 from memo_keys import memo_keys
@@ -234,7 +234,7 @@ def test_t49_at_mmax_40_makes_one_polynomial_sum_per_level(monkeypatch):
     ws = workspace(mmax=40)
     assert checks.run_check("T49", ws).status == "pass"
     assert len(calls) == 38
-    keys = [key for cat in ws._catalogs.values() for key in memo_keys(cat)]
+    keys = [key for key in ws._memo if isinstance(key, str)]
     assert "sigma79star_poly" in keys
     assert [key for key in keys if key.startswith("E") and key.endswith("star_poly")] == []
 
@@ -308,6 +308,18 @@ def test_no_check_or_constructor_divides(monkeypatch, capsys):
     assert [r.id for r in reports if r.status != "pass"] == []
     for name in ("C", "D", "delta8"):
         assert cli.main(["export", name]) == 0
+
+
+def test_a_registry_run_reads_no_zeta_or_lambda(monkeypatch):
+    # the differential-equation weights are Bernoulli ratios, so no check
+    # reads zeta(2k)/pi^(2k) or lambda(2k)/pi^(2k)
+    def refuse(k):
+        raise AssertionError("a zeta or lambda value was read")
+
+    monkeypatch.setattr(scalars, "zeta_even", refuse)
+    monkeypatch.setattr(scalars, "lambda_even", refuse)
+    reports = checks.run_all(order=16, nmax=30, mmax=6, ids=checks.registry_ids())
+    assert [r.id for r in reports if r.status != "pass"] == []
 
 
 def test_every_power_goes_through_the_catalog(monkeypatch, capsys):
@@ -476,13 +488,13 @@ def test_hecke_relations_fail_exactly_when_the_loops_do(monkeypatch):
     # one workspace, so the order-1000 discriminant and sigma_11 are built once
     ws = workspace()
     limit = checks._TAU_PROPS_N
-    cat = ws.catalog_at(limit)
-    tau = list(cat.delta().numerators)
+    tau = list(ws.catalog_at(limit).delta().numerators)
     runner = checks.REGISTRY["TAU-PROPS"].runner
     outcomes = []
     for faulty in _tau_faults(tau, random.Random(16)):
         table = QSeries(faulty)
-        monkeypatch.setattr(cat, "delta", lambda: table)
+        # catalogs are views made per call, so the class's delta is replaced
+        monkeypatch.setattr(SeriesCatalog, "delta", lambda self: table)
         notes = []
         runner(ws, notes)
         hecke_fails = bool(notes) and notes[0].startswith("Hecke relation")

@@ -19,10 +19,18 @@ nor a Serre derivative, its helper or A.
 And T49 judges the tower from its h levels' own terms:
 ``e_star_equations`` and ``check_positivity`` name neither the polynomial
 kernel nor ``e_star_poly``, so they build no lifted polynomial and no E*
-copy."""
+copy.
+
+And a run keeps its state in objects its callers make and pass: no function
+under ``src/eisen2`` stores into, deletes from or calls a mutating method on
+a module-level container, declares a name ``global``, or carries an
+``lru_cache`` or ``cache`` decorator, except the few that ``MODULE_STATE``
+names with their reasons."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "eisen2"
 OWNERS = {"qseries.py", "graded.py"}
@@ -34,6 +42,23 @@ TOWER = {"_solve_level", "e_star_poly"}
 DERIVATIVE = {"_THETA", "_partial", "_serre_terms", "_serre", "serre_delta", "_A"}
 JUDGES = {"e_star_equations", "check_positivity"}
 COPIES = {POLY_KERNEL, "e_star_poly"}
+MUTATORS = {"append", "extend", "insert", "setdefault", "update", "pop", "popitem",
+            "clear", "add", "remove", "discard", "sort", "reverse"}
+CACHES = {"lru_cache", "cache"}
+# (file, function, state) -> why the module-level state is sound
+MODULE_STATE = {
+    ("scalars.py", "bernoulli", "_BERNOULLI"):
+        "each B_n is built from all before it; the list is extended under "
+        "_BERNOULLI_LOCK and an entry below its length is final",
+    ("checks.py", "_register.wrap", "REGISTRY"):
+        "filled once per check as checks.py is imported, and only read after",
+    ("arith.py", "r_oracle", "lru_cache"):
+        "a pure oracle whose recursion is exponential without the cache; "
+        "perfbench's tracer pins it in src",
+    ("arith.py", "_triangular_tuples", "lru_cache"):
+        "DELTA8's oracle, pure and run by every verify all: about ten times "
+        "slower without the cache; perfbench's tracer pins its caller in src",
+}
 
 
 def format_reads(source: str, name: str, attrs=FORMAT) -> list[tuple[str, int, str]]:
@@ -228,3 +253,137 @@ def check_positivity(m, catalog):
     assert sorted(names_read(old, "graded.py", JUDGES, COPIES)) == [
         ("check_positivity", 10, "e_star_poly"),
         ("e_star_equations", 4, "e_star_poly"), ("e_star_equations", 5, "_sum_of_products")]
+
+
+def _own_nodes(node):
+    """The nodes of one scope: nested functions and classes are left out, and
+    a lambda is yielded but not entered, as it binds its own arguments."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Lambda):
+            yield child
+        elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield child
+            yield from _own_nodes(child)
+
+
+def _written_state(scope, bound, state):
+    """(line, name) for each write in ``scope``'s own nodes, and in the
+    lambdas among them, to a name of ``state`` that ``bound`` or the scope
+    does not bind; also the scope's bound names."""
+    own = list(_own_nodes(scope))
+    local = bound | {a.arg for a in ast.walk(scope.args) if isinstance(a, ast.arg)} | {
+        node.id for node in own if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    local -= {n for node in own if isinstance(node, ast.Global) for n in node.names}
+    writes = []
+    for node in own:
+        if isinstance(node, ast.Lambda):
+            writes.extend(_written_state(node, local, state)[0])
+            continue
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            owner = node.value
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in MUTATORS):
+            owner = node.func.value
+        else:
+            continue
+        if isinstance(owner, ast.Name) and owner.id in state and owner.id not in local:
+            writes.append((node.lineno, owner.id))
+    return writes, local
+
+
+def module_state_writes(source: str, name: str) -> list[tuple[str, str, int, str]]:
+    """Every write to module-level state in a function body, lambdas within it
+    included, as (file name, function, line, state): a subscript store or
+    delete on a module-level name, a call of one of ``MUTATORS`` on it, a
+    ``global`` declaration, or an ``lru_cache`` or ``cache`` decorator (state
+    is then the decorator's name).  A name the function, a lambda in it or an
+    enclosing function binds is a local, not module state.  The function is
+    its dotted path of enclosing functions."""
+    tree = ast.parse(source, filename=name)
+    state = {target.id for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+             if isinstance(target, ast.Name)}
+    found = []
+
+    def visit(node, path, bound):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = f"{path}.{child.name}" if path else child.name
+                for dec in child.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    called = getattr(target, "id", None) or getattr(target, "attr", None)
+                    if called in CACHES:
+                        found.append((name, func, dec.lineno, called))
+                found.extend((name, func, node.lineno, n) for node in _own_nodes(child)
+                             if isinstance(node, ast.Global) for n in node.names)
+                writes, local = _written_state(child, bound, state)
+                found.extend((name, func, line, n) for line, n in writes)
+                visit(child, func, local)
+            else:
+                visit(child, path, bound)
+
+    visit(tree, "", frozenset())
+    return found
+
+
+def test_module_state_is_only_what_the_allow_list_names():
+    writes = [write for p in sorted(SRC.glob("*.py"))
+              for write in module_state_writes(p.read_text(encoding="utf-8"), p.name)]
+    # every allowed entry is found, so the guard is not vacuous
+    assert {(file, func, state) for file, func, _, state in writes} == set(MODULE_STATE)
+
+
+def test_the_guard_finds_a_scalar_memo_and_an_lru_cache():
+    # zeta_even as it stood with its own memo, and an oracle cached in a new
+    # function; a local list of the same name is no module state
+    old = '''
+_ZETA: dict[int, Fraction] = {}
+
+
+def zeta_even(k: int) -> Fraction:
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    value = _ZETA.get(k)
+    if value is None:
+        value = _ZETA[k] = Fraction(-(-4) ** k, 2) * bernoulli(2 * k) / factorial(2 * k)
+    return value
+
+
+@functools.lru_cache(maxsize=None)
+def lambda_even(k: int) -> Fraction:
+    _ZETA = []
+    _ZETA.append(zeta_even(k))
+    return _ZETA[0] * (1 - Fraction(1, 4**k))
+'''
+    assert module_state_writes(old, "scalars.py") == [
+        ("scalars.py", "zeta_even", 10, "_ZETA"), ("scalars.py", "lambda_even", 14, "lru_cache")]
+
+
+@pytest.mark.parametrize("mutator", sorted(MUTATORS))
+def test_the_guard_finds_each_mutating_method(mutator):
+    # a module-level container changed in place by one method call
+    old = f'''
+_SEEN = set()
+
+
+def note(k):
+    return _SEEN.{mutator}(k)
+'''
+    assert module_state_writes(old, "arith.py") == [("arith.py", "note", 6, "_SEEN")]
+
+
+def test_the_guard_looks_inside_a_lambda():
+    # a memo filled through the catalog's lambda-build idiom, and a lambda
+    # whose own argument shadows the module-level name
+    old = '''
+_LEVELS = {}
+
+
+def level(m, catalog):
+    return catalog._memo(m, lambda: _LEVELS.setdefault(m, m + 1))
+
+
+def shadowed(catalog):
+    return catalog._memo(0, lambda _LEVELS={}: _LEVELS.setdefault(0, 1))
+'''
+    assert module_state_writes(old, "graded.py") == [("graded.py", "level", 6, "_LEVELS")]

@@ -283,7 +283,7 @@ def test_e_star_poly_reports_a_bad_level_at_q0(monkeypatch):
         (0, Fraction(1, 2), Fraction(1)),
         ["E10star polynomial: differential recursion against the q-expansion"])
     # the level past the failing one is never built
-    assert "E12star_poly" not in cat._cache
+    assert "sigma11star_poly" not in cat._cache
 
 
 def test_e4_star_is_b_by_construction(monkeypatch):
@@ -313,7 +313,7 @@ def test_e_star_poly_memoizes_each_level_in_its_catalog(monkeypatch):
                         lambda mm, tower: built.append(mm) or real_level(mm, tower))
     monkeypatch.setattr(checks, "first_difference",
                         lambda a, b: compared.append(1) or real_compare(a, b))
-    assert e_star_poly(8, cat) is poly
+    assert e_star_poly(8, cat) == poly
     assert check_positivity(5, cat)
     # the equations compare levels 3..8, each drawn from the memo
     assert _first_failure(e_star_equations(8, cat)) == (None, [])
@@ -331,15 +331,15 @@ def test_a_warm_e_star_poly_is_one_lookup(monkeypatch):
     monkeypatch.setattr(graded, "_solve_level",
                         lambda mm, tower: built.append(mm) or real_level(mm, tower))
     monkeypatch.setattr(cat, "_memo", lambda key, build: keys.append(key) or real_memo(key, build))
-    assert e_star_poly(40, cat) is poly
+    assert e_star_poly(40, cat) == poly
     # positivity reads h_40, one lookup, and builds no E* of its own
     assert check_positivity(40, cat)
-    assert (built, keys) == ([], ["E80star_poly", "sigma79star_poly"])
+    assert (built, keys) == ([], ["sigma79star_poly", "sigma79star_poly"])
     # a new level above the memoized ones looks up h_41, then walks the
     # divisor-sum levels h_2..h_41 once and solves only h_41
     e_star_poly(41, cat)
     assert built == [41]
-    assert keys[2:] == ["E82star_poly", "sigma81star_poly",
+    assert keys[2:] == ["sigma81star_poly",
                         *(f"sigma{2 * mm - 1}star_poly" for mm in range(2, 42))]
 
 
