@@ -253,13 +253,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except OverflowError:
+    except (OverflowError, MemoryError) as exc:
         # a size past the platform's index range, so no list that long can
-        # exist: name the largest size flag given, or else the export name
+        # exist, or within it but past what memory holds: name the largest
+        # size flag given, or else the export name
         flags = [(v, f"--{flag} {v}") for flag in ("order", "nmax", "mmax", "weight")
                  if (v := getattr(args, flag, None)) is not None]
         size = max(flags)[1] if flags else args.name
-        return _bad_input(f"{size} is too large for this platform")
+        limit = "this platform" if isinstance(exc, OverflowError) else "this machine's memory"
+        return _bad_input(f"{size} is too large for {limit}")
 
 
 if __name__ == "__main__":

@@ -23,8 +23,8 @@ code that packs or unpacks integers.  Powers use it by repeated squaring and
 inversion by a Newton iteration that doubles the precision at each step.
 
 Linear algebra has one kernel too: ``linear_combination`` puts a weighted
-sum of series over one denominator, adds each term in one integer pass and
-reduces once.  Sums, differences, negation and ``scale`` are its one- and
+sum of series over one denominator, starts the total from the first term of
+nonzero weight, adds each later term in one integer pass and reduces once.  Sums, differences, negation and ``scale`` are its one- and
 two-term cases, and a longer sum written as one combination makes no
 intermediate series.
 
@@ -354,10 +354,12 @@ def linear_combination(*terms: tuple[Scalar, QSeries]) -> QSeries:
     ``Fraction``, on the common range of the series.
 
     The terms are put over one denominator, the lcm of the products
-    w.denominator s.denominator, and each adds its numerators times one
-    integer factor in one pass; the sum is reduced once.  A term of weight
-    0 adds nothing but still bounds the range.  Sums, differences, negation
-    and ``scale`` are its one- and two-term cases.
+    w.denominator s.denominator.  The first term of nonzero weight starts
+    the total as its numerators times one integer factor, and each later one
+    adds its numerators times its factor in one pass; the sum is reduced
+    once.  A term of weight 0 adds nothing but still bounds the range, and
+    with every weight 0 the sum is the series 0 on that range.  Sums,
+    differences, negation and ``scale`` are its one- and two-term cases.
     """
     n, den, parts = None, 1, []
     for w, s in terms:
@@ -371,8 +373,12 @@ def linear_combination(*terms: tuple[Scalar, QSeries]) -> QSeries:
             parts.append((w.numerator, d, s._nums))
     if n is None:
         raise ValueError("a linear combination needs at least one term")
-    total = [0] * n
-    for p, d, nums in parts:
+    if not parts:
+        return QSeries._make([0] * n)
+    (p, d, nums), *rest = parts
+    f = p * (den // d)
+    total = [f * x for x in nums[:n]]
+    for p, d, nums in rest:
         f = p * (den // d)
         total = [t + f * x for t, x in zip(total, nums)]
     return QSeries._make(total, den)

@@ -527,13 +527,29 @@ def test_tau_props_reads_sigma11_from_the_catalog(monkeypatch):
     assert report.notes == ("691 congruence fails",)
 
 
-def test_jacobi_sieves_the_divisor_lists_of_trial_division(monkeypatch):
-    # the sieve over multiples gives arith.divisors' ascending lists, and
-    # JACOBI makes no trial division of its own
-    lists = checks._divisor_lists(1000)
-    assert lists[0] == [] and len(lists) == 1001
-    assert all(lists[n] == arith.divisors(n) for n in range(1, 1001))
-    assert checks._divisor_lists(0) == [[]]
+# r_s(n) for n >= 1 from the divisors of n, for s = 2, 4, 6, 8: the classical
+# per-n formulas, the oracle for JACOBI's sieve
+_SQUARE_COUNTS = {
+    2: lambda n, divs: 4 * (sum(1 for d in divs if d % 4 == 1)
+                            - sum(1 for d in divs if d % 4 == 3)),
+    4: lambda n, divs: 8 * sum(d for d in divs if d % 4 != 0),
+    6: lambda n, divs: 4 * sum((-1) ** ((d - 1) // 2) * ((2 * n // d) ** 2 - d * d)
+                               for d in divs if d % 2),
+    8: lambda n, divs: 16 * (-1) ** n * sum(d**3 if d % 2 == 0 else -(d**3)
+                                            for d in divs),
+}
+
+
+def test_jacobi_sieve_matches_the_divisor_formulas(monkeypatch):
+    # the sieve over multiples gives each per-n formula on arith.divisors,
+    # and JACOBI makes no trial division of its own
+    counts = checks._square_counts(1000)
+    assert sorted(counts) == [2, 4, 6, 8]
+    divs = {n: arith.divisors(n) for n in range(1, 1001)}
+    for s, formula in _SQUARE_COUNTS.items():
+        assert counts[s] == [1] + [formula(n, divs[n]) for n in range(1, 1001)]
+    assert checks._square_counts(0) == {2: [1], 4: [1], 6: [1], 8: [1]}
+    assert checks._square_counts(1) == {2: [1, 4], 4: [1, 8], 6: [1, 12], 8: [1, 16]}
     monkeypatch.setattr(arith, "divisors", None)
     assert checks.run_check("JACOBI", workspace(nmax=30)).status == "pass"
 

@@ -272,6 +272,27 @@ def test_a_size_past_the_index_range_is_named(capsys, argv, named):
     assert run_cli(capsys, *argv) == (2, "", f"{named} is too large for this platform\n")
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("verify", "T49", "--mmax", "100000000000000"), "--mmax 100000000000000"),
+        (("verify", "all", "--order", "100", "--nmax", "100000000000"),
+         "--nmax 100000000000"),
+        (("export", "delta", "--order", "100000000000"), "--order 100000000000"),
+    ],
+)
+def test_a_size_past_memory_is_named(capsys, monkeypatch, argv, named):
+    # within the index range but past memory: one line naming the size, not
+    # a traceback; the work raises MemoryError at once, with no allocation
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.checks, "run_all", out_of_memory)
+    monkeypatch.setattr(cli, "SeriesCatalog", out_of_memory)
+    assert run_cli(capsys, *argv) == (
+        2, "", f"{named} is too large for this machine's memory\n")
+
+
 @pytest.mark.parametrize("flag", ["--json", "--output"])
 def test_unwritable_output_fails_before_any_work(capsys, monkeypatch, tmp_path, flag):
     def refuse(*args, **kwargs):

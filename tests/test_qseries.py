@@ -600,7 +600,7 @@ def test_int_mul_on_catalog_operands_at_order_300(names):
     assert int_mul(a, b, 300) == schoolbook_int(a, b, 300)
 
 
-def test_linear_combination_matches_a_fraction_sum():
+def _random_combinations():
     rng = random.Random(26)
     weights = (0, 1, -1, 7, -12, Fraction(3, 4), Fraction(-5, 6), Fraction(691, 65520))
     for _ in range(300):
@@ -609,10 +609,34 @@ def test_linear_combination_matches_a_fraction_sum():
             series = QSeries([Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 8, 24)))
                               for _ in range(rng.randint(1, 12))])
             terms.append((rng.choice(weights), series))
+        yield terms
+
+
+# the first term of nonzero weight starts the total: these bound its range
+_LONG = QSeries([Fraction(k - 3, 1 + k % 4) for k in range(9)])
+_MID = QSeries([3, Fraction(-1, 6), 0, 5, Fraction(7, 2)])
+_SHORT = QSeries([Fraction(2, 3), -4, Fraction(1, 8)])
+
+
+@pytest.mark.parametrize("combinations", [
+    pytest.param(list(_random_combinations()), id="random"),
+    pytest.param([[(Fraction(3, 4), _LONG), (-2, _MID)],
+                  [(1, _LONG), (7, _MID), (Fraction(-5, 6), _SHORT)]], id="first-longer"),
+    pytest.param([[(0, _SHORT), (1, _LONG)], [(0, _SHORT), (Fraction(1, 3), _MID), (-1, _LONG)]],
+                 id="zero-weight-first"),
+    pytest.param([[(1, _LONG), (0, _SHORT)], [(Fraction(-5, 6), _LONG), (2, _MID), (0, _SHORT)]],
+                 id="zero-weight-later"),
+    pytest.param([[(0, _LONG), (0, _SHORT)], [(0, _MID)]], id="all-zero"),
+    pytest.param([[(Fraction(691, 65520), _LONG)], [(-12, _SHORT)], [(1, _MID)]], id="one-term"),
+])
+def test_linear_combination_matches_a_fraction_sum(combinations):
+    for terms in combinations:
         got = linear_combination(*terms)
-        n = min(series.order for _, series in terms) + 1
+        # the range is that of the shortest term, zero weights included
+        order = min(series.order for _, series in terms)
+        assert got.order == order
         want = [sum((w * series.coefficient(i) for w, series in terms), Fraction(0))
-                for i in range(n)]
+                for i in range(order + 1)]
         assert got.coeffs == tuple(want)
         # reduced, over a positive denominator
         assert got.denominator > 0
