@@ -10,7 +10,7 @@ are those series scaled by the reciprocals of the conventions, so their
 constant terms come out as 1.  The per-n functions
 ``divisors``, ``sigma``, ``sigma_star`` and ``sigma_sharp`` work by trial
 division; they are the independent oracles the table and JACOBI's
-divisor-list sieve are tested against.  A table of values is a
+square-count sieve are tested against.  A table of values is a
 series: ``tau_table`` and ``r_count`` return the catalog's ``QSeries`` of
 tau(n) and r_s(n), whose coefficient n is the value at n; no check uses
 them.  The enumeration oracles are deliberately independent of all series

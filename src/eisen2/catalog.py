@@ -77,7 +77,15 @@ def _is_one(name: str) -> bool:
 class SeriesCatalog:
     """Memoized named series, their powers and monomials, and the E*_2m
     tower's levels at one order.  It holds no state but its order and the
-    memo, so a catalog handed a shared memo is a view of it."""
+    memo, so a catalog handed a shared memo is a view of it.
+
+    It is the one protocol the equation builders read and sum series
+    through, so another interpreter or a test's stand-in implements a
+    closed list: ``level1``, ``level2``, ``sigma``, ``sigma_star``, ``C``,
+    ``D``, ``delta``, ``theta3``, ``power``, ``product``, ``monomial``,
+    ``by_name``, ``combine``, ``enumerated`` and ``order`` here, and ``*``,
+    ``+``, ``-``, ``theta``, ``scale``, ``neg_q``, ``dilate``, ``hecke`` and
+    ``truncate`` on the values they return."""
 
     def __init__(self, order: int, memo: dict | None = None):
         if order < 0:
@@ -171,8 +179,21 @@ class SeriesCatalog:
     def D(self) -> QSeries:
         """The weight-4 form -(E*_4 - C^2)/64, whose coefficient of q^(n+1)
         counts ordered sums of 8 triangular numbers equal to n."""
-        return self._memo("D", lambda: linear_combination(
+        return self._memo("D", lambda: self.combine(
             (Fraction(-1, 64), self.level2(2)), (Fraction(1, 64), self.power("C", 2))))
+
+    def combine(self, *terms) -> QSeries:
+        """The sum of the (weight, series) terms, ``linear_combination``'s."""
+        return linear_combination(*terms)
+
+    def enumerated(self, values) -> QSeries:
+        """The series whose q^n coefficient is the integer values[n].  Any
+        length but order + 1 raises ``ValueError``, so an enumerated side
+        never shortens the compared range.  Not memoized: JACOBI and DELTA8
+        draw theirs once per run."""
+        if len(values) != self.order + 1:
+            raise ValueError(f"{len(values)} values for a series of order {self.order}")
+        return QSeries._make(values)
 
     def power(self, name: str, e: int) -> QSeries:
         """The series ``by_name(name)`` to the power e >= 0: the ``monomial``

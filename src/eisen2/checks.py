@@ -8,6 +8,7 @@ truncated at q^nmax, so the coefficient of q^n is the identity at index n.
 A failing check always reports the first offending exponent or index
 together with both exact values.  An equation check is a builder over one
 ``SeriesCatalog``, the one at the order ``_ranges`` gives its scope, that
+builds every side through the catalog's protocol (its class docstring) and
 returns its series equations, (lhs, rhs) or (lhs, rhs, note); ``_compare``
 compares them with ``first_difference`` and reports the first that fails,
 or the lowest failing exponent where a check asks for it.  The order the
@@ -39,7 +40,6 @@ from .graded import (
     serre_delta,
 )
 from .qseries import QSeries, first_difference, rational_str
-from .qseries import linear_combination as combine
 from .qseries import qs_det  # noqa: F401  (perfbench's tracer wraps it here)
 from .scalars import ks_coefficient, rs_coefficient
 
@@ -238,10 +238,10 @@ def _ram_de(cat: SeriesCatalog) -> list[Equation]:
     p, q, r = cat.level1(1), cat.level1(2), cat.level1(3)
     pq = cat.product
     return [
-        (p.theta(), combine((Fraction(1, 12), pq("E2", "E2")), (Fraction(-1, 12), q))),
-        (q.theta(), combine((Fraction(1, 3), pq("E2", "E4")), (Fraction(-1, 3), r))),
-        (r.theta(), combine((Fraction(1, 2), pq("E2", "E6")),
-                            (Fraction(-1, 2), pq("E4", "E4")))),
+        (p.theta(), cat.combine((Fraction(1, 12), pq("E2", "E2")), (Fraction(-1, 12), q))),
+        (q.theta(), cat.combine((Fraction(1, 3), pq("E2", "E4")), (Fraction(-1, 3), r))),
+        (r.theta(), cat.combine((Fraction(1, 2), pq("E2", "E6")),
+                                (Fraction(-1, 2), pq("E4", "E4")))),
     ]
 
 
@@ -294,10 +294,10 @@ def _de_equations(m: int, level: int) -> Builder:
         terms = [((1 if 2 * k == m else 2) * coefficient(m, k),
                   cat.product(name(k), name(m - k))) for k in range(1, m // 2 + 1)]
         top = (-sum(w for w, _ in terms), cat.by_name(name(m)))
-        yield lhs, combine(*terms, top)
+        yield lhs, cat.combine(*terms, top)
         form = _DISPLAYED_FORMS.get((level, m))
         if form is not None:
-            yield lhs, combine(*((c, cat.product(*map(name, ks))) for ks, c in form.items()))
+            yield lhs, cat.combine(*((c, cat.product(*map(name, ks))) for ks, c in form.items()))
 
     return build
 
@@ -323,8 +323,8 @@ for _m in range(2, 13):
 @_equation_check("E6STAR-ABC", "C E4* = E6*, and qE6*' = (3ABC - B^2 - 2BC^2)/2")
 def _e6star_abc(cat: SeriesCatalog) -> list[Equation]:
     pq = cat.product
-    rhs = combine((Fraction(3, 2), pq("E2star", "E4star", "C")),
-                  (Fraction(-1, 2), pq("E4star", "E4star")), (-1, pq("E4star", "C", "C")))
+    rhs = cat.combine((Fraction(3, 2), pq("E2star", "E4star", "C")),
+                      (Fraction(-1, 2), pq("E4star", "E4star")), (-1, pq("E4star", "C", "C")))
     return [
         (pq("C", "E4star"), cat.level2(3), "C E4* = E6* for C = 1 + 24 sum sigma#(n) q^n"),
         (cat.level2(3).theta(), rhs),
@@ -339,8 +339,8 @@ def _hahn_sys(cat: SeriesCatalog) -> list[Equation]:
     a, b, c = cat.level2(1), cat.level2(2), cat.C()
     pq = cat.product
     return [
-        (a.theta(), combine((Fraction(1, 4), pq("E2star", "E2star")), (Fraction(-1, 4), b))),
-        (c.theta(), combine((Fraction(1, 2), pq("E2star", "C")), (Fraction(-1, 2), b))),
+        (a.theta(), cat.combine((Fraction(1, 4), pq("E2star", "E2star")), (Fraction(-1, 4), b))),
+        (c.theta(), cat.combine((Fraction(1, 2), pq("E2star", "C")), (Fraction(-1, 2), b))),
         (b.theta(), pq("E2star", "E4star") - pq("C", "E4star")),
     ]
 
@@ -356,7 +356,7 @@ def _hahn_sys(cat: SeriesCatalog) -> list[Equation]:
 )
 def _sigma3_classical(cat: SeriesCatalog) -> list[Equation]:
     s1, s3 = cat.sigma(1), cat.sigma(3)
-    return [(s3, combine((Fraction(6, 5), s1.theta()), (Fraction(12, 5), s1 * s1)))]
+    return [(s3, cat.combine((Fraction(6, 5), s1.theta()), (Fraction(12, 5), s1 * s1)))]
 
 
 @_equation_check(
@@ -367,7 +367,7 @@ def _sigma3_classical(cat: SeriesCatalog) -> list[Equation]:
 )
 def _t7(cat: SeriesCatalog) -> list[Equation]:
     s1, s11, s13 = cat.sigma(1), cat.sigma(11), cat.sigma(13)
-    rhs = combine((Fraction(24 * 2730, 691), s1 * s11), (Fraction(2730, 691), s11.theta()))
+    rhs = cat.combine((Fraction(24 * 2730, 691), s1 * s11), (Fraction(2730, 691), s11.theta()))
     return [(s13, rhs)]
 
 
@@ -378,7 +378,7 @@ def _t7(cat: SeriesCatalog) -> list[Equation]:
 )
 def _t5(cat: SeriesCatalog) -> list[Equation]:
     s1, s3 = cat.sigma_star(1), cat.sigma_star(3)
-    return [(s3, combine((2, s1.theta()), (-4, s1 * s1)))]
+    return [(s3, cat.combine((2, s1.theta()), (-4, s1 * s1)))]
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +388,7 @@ def _t5(cat: SeriesCatalog) -> list[Equation]:
 @_equation_check("L4", "1728 Delta = 3 E6 qE4' - 2 E4 qE6' as series")
 def _l4(cat: SeriesCatalog) -> list[Equation]:
     e4, e6 = cat.level1(2), cat.level1(3)
-    rhs = combine((3, e6 * e4.theta()), (-2, e4 * e6.theta()))
+    rhs = cat.combine((3, e6 * e4.theta()), (-2, e4 * e6.theta()))
     return [(cat.delta().scale(1728), rhs)]
 
 
@@ -399,7 +399,7 @@ def _l4(cat: SeriesCatalog) -> list[Equation]:
 )
 def _t8(cat: SeriesCatalog) -> list[Equation]:
     s3, s5, tau = cat.sigma(3), cat.sigma(5), cat.delta()
-    return [(tau, combine((140, s3 * s5.theta()), (-210, s3.theta() * s5)))]
+    return [(tau, cat.combine((140, s3 * s5.theta()), (-210, s3.theta() * s5)))]
 
 
 @_register(
@@ -411,7 +411,7 @@ def _t8(cat: SeriesCatalog) -> list[Equation]:
 def _c1(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     cat = ws.rcat
     s3, s5, tau = cat.sigma(3), cat.sigma(5), cat.delta()
-    diff = combine((1, tau), (Fraction(-5, 12), s3.theta()), (Fraction(-7, 12), s5.theta()))
+    diff = cat.combine((1, tau), (Fraction(-5, 12), s3.theta()), (Fraction(-7, 12), s5.theta()))
     return _first_non_multiple(diff, 70)
 
 
@@ -422,7 +422,7 @@ def _c1(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
 )
 def _t314(cat: SeriesCatalog) -> list[Equation]:
     s3, s5, tau = cat.sigma_star(3), cat.sigma_star(5), cat.delta()
-    return [(tau, combine((6, s3.theta() * s5), (-4, s3 * s5.theta())))]
+    return [(tau, cat.combine((6, s3.theta() * s5), (-4, s3 * s5.theta())))]
 
 
 @_register(
@@ -438,7 +438,7 @@ def _c2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     # sigma*_5(n)), once tau(n) - c/4 lies in 2Z the integer c/4 has the
     # parity of tau(n), so c = 4 mod 8 exactly when tau(n) is odd (both
     # sides are 0 at n = 0)
-    diff = combine((1, tau), (Fraction(-3, 4), s3.theta()), (Fraction(-1, 4), s5.theta()))
+    diff = cat.combine((1, tau), (Fraction(-3, 4), s3.theta()), (Fraction(-1, 4), s5.theta()))
     return _first_non_multiple(diff, 2)
 
 
@@ -463,7 +463,7 @@ def _minor(cat: SeriesCatalog, level: int, rows: Sequence[int],
             return cat.product(_eisenstein_name(level, i), _eisenstein_name(level, j))
 
         return pair(r0 + c0, r1 + c1) - pair(r0 + c1, r1 + c0)
-    return combine(
+    return cat.combine(
         *((-1 if j % 2 else 1, cat.by_name(_eisenstein_name(level, rows[0] + col))
            * _minor(cat, level, rows[1:], cols[:j] + cols[j + 1:]))
           for j, col in enumerate(cols)))
@@ -502,11 +502,11 @@ def _garvan(cat: SeriesCatalog) -> list[Equation]:
 def _dis(cat: SeriesCatalog) -> list[Equation]:
     power, delta = cat.power, cat.delta()
     return [
-        (delta, combine((Fraction(1, 1728), power("E4", 3)),
-                        (Fraction(-1, 1728), power("E6", 2))),
+        (delta, cat.combine((Fraction(1, 1728), power("E4", 3)),
+                            (Fraction(-1, 1728), power("E6", 2))),
          "eta product against the level-1 route (E4^3-E6^2)/1728"),
-        (delta, combine((Fraction(-1, 64), power("E4star", 3)),
-                        (Fraction(1, 64), power("E6star", 2))),
+        (delta, cat.combine((Fraction(-1, 64), power("E4star", 3)),
+                            (Fraction(1, 64), power("E6star", 2))),
          "eta product against the level-2 route -(E4*^3-E6*^2)/64"),
     ]
 
@@ -536,9 +536,9 @@ def _det_l2(cat: SeriesCatalog) -> list[Equation]:
         (_minor(cat, 2, (2, 3), (0, 2)),
          cat.product("C", "delta").scale(Fraction(-(2**8) * 3**2 * 5, 17 * 31))),
         (_minor(cat, 2, (3, 4), (0, 1)),
-         (combine((279, b), (-92, c2)) * delta).scale(Fraction(2**6 * 3**2, 17**2 * 31))),
+         (cat.combine((279, b), (-92, c2)) * delta).scale(Fraction(2**6 * 3**2, 17**2 * 31))),
         (_minor(cat, 2, (2, 3, 4), (0, 1, 2)),
-         (combine((961, b), (3136, c2)) * bd_delta).scale(_DET_L2_CONSTANT)),
+         (cat.combine((961, b), (3136, c2)) * bd_delta).scale(_DET_L2_CONSTANT)),
     ]
 
 
@@ -569,8 +569,8 @@ def _p4(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     # each generator's series name and weight
     gens = {"A": ("E2star", 2), "B": ("E4star", 4), "C": ("C", 2)}
     return _compare(
-        ((combine((1, cat.by_name(key).theta()),
-                  (Fraction(-weight, 4), cat.product("E2star", key))),
+        ((cat.combine((1, cat.by_name(key).theta()),
+                      (Fraction(-weight, 4), cat.product("E2star", key))),
           gp_evaluate(serre_delta(GradedPoly.generator(name)), cat),
           f"series-level rule for {name} broken")
          for name, (key, weight) in gens.items()),
@@ -614,8 +614,8 @@ def _delta_family(cat: SeriesCatalog) -> list[Equation]:
         # image = delta4(N/G) as image G^2 = theta N G - N theta G - A N G
         n, g = cat.by_name(num), cat.by_name(den)
         return (image * cat.power(den, 2),
-                combine((1, n.theta() * g), (-1, n * g.theta()),
-                        (-1, cat.product("E2star", num, den))))
+                cat.combine((1, n.theta() * g), (-1, n * g.theta()),
+                            (-1, cat.product("E2star", num, den))))
 
     return [
         (image, delta4("E4star")),
@@ -686,7 +686,7 @@ def _square_counts(nmax: int) -> dict[int, list[int]]:
 )
 def _jacobi(cat: SeriesCatalog) -> Iterable[Equation]:
     for s, counts in _square_counts(cat.order).items():
-        yield cat.power("theta3", s), QSeries._make(counts), f"{s}-square formula"
+        yield cat.power("theta3", s), cat.enumerated(counts), f"{s}-square formula"
 
 
 @_equation_check(
@@ -700,11 +700,18 @@ def _t9(cat: SeriesCatalog) -> list[Equation]:
     # D = sum delta_8(n-1) q^n: its q^(n+1) coefficient counts the
     # 8-triangular-number representations of n
     d8 = cat.D()
-    rhs = combine((Fraction(256 * 32, 17), s3 * d8), (Fraction(-32, 17), s7)).neg_q()
+    rhs = cat.combine((Fraction(256 * 32, 17), s3 * d8), (Fraction(-32, 17), s7)).neg_q()
     return [(r16, rhs)]
 
 
 _DELTA8_N = 51  # DELTA8 compares D on q^0..q^this
+
+
+def _triangular_counts(order: int) -> list[int]:
+    """D's coefficients on q^0..q^order by enumeration: 0, then at q^(n+1)
+    the ordered sums of 8 triangular numbers equal to n.  It reads
+    ``arith.delta8_oracle`` when called, so a patch of it takes effect."""
+    return [0] + [arith.delta8_oracle(n) for n in range(order)]
 
 
 @_equation_check(
@@ -714,8 +721,7 @@ _DELTA8_N = 51  # DELTA8 compares D on q^0..q^this
     scope="delta8",
 )
 def _delta8(cat: SeriesCatalog) -> list[Equation]:
-    count = [arith.delta8_oracle(n) for n in range(cat.order)]
-    return [(cat.D(), QSeries._make([0] + count))]
+    return [(cat.D(), cat.enumerated(_triangular_counts(cat.order)))]
 
 
 @_equation_check(
@@ -726,10 +732,10 @@ def _delta8(cat: SeriesCatalog) -> list[Equation]:
 )
 def _r24_fact(cat: SeriesCatalog) -> list[Equation]:
     s11, tau = cat.sigma(11), cat.delta()
-    rhs = combine((Fraction(16, 691), s11), (Fraction(-32, 691), s11.dilate(2)),
-                  (Fraction(65536, 691), s11.dilate(4)),
-                  (Fraction(-65536, 691), tau.dilate(2)),
-                  (Fraction(-33152, 691), tau.neg_q()))
+    rhs = cat.combine((Fraction(16, 691), s11), (Fraction(-32, 691), s11.dilate(2)),
+                      (Fraction(65536, 691), s11.dilate(4)),
+                      (Fraction(-65536, 691), tau.dilate(2)),
+                      (Fraction(-33152, 691), tau.neg_q()))
     return [(cat.power("theta3", 24), rhs)]
 
 
@@ -739,12 +745,12 @@ def _conv55_conv37(cat: SeriesCatalog) -> tuple[QSeries, QSeries]:
     return cat.product("sigma5star", "sigma5star"), cat.product("sigma3star", "sigma7star")
 
 
-def _r24_forms(conv55: QSeries, conv37: QSeries,
+def _r24_forms(cat: SeriesCatalog, conv55: QSeries, conv37: QSeries,
                tau: QSeries) -> tuple[QSeries, QSeries]:
     """T10's two 24-square forms: (-1)^n 64 (conv55 - tau) and
     (-1)^n (512/17)(conv37 - tau)."""
-    return (combine((64, conv55), (-64, tau)).neg_q(),
-            combine((Fraction(512, 17), conv37), (Fraction(-512, 17), tau)).neg_q())
+    return (cat.combine((64, conv55), (-64, tau)).neg_q(),
+            cat.combine((Fraction(512, 17), conv37), (Fraction(-512, 17), tau)).neg_q())
 
 
 @_equation_check(
@@ -756,7 +762,7 @@ def _r24_forms(conv55: QSeries, conv37: QSeries,
 )
 def _t10(cat: SeriesCatalog) -> list[Equation]:
     r24 = cat.power("theta3", 24)
-    via55, via37 = _r24_forms(*_conv55_conv37(cat), cat.delta())
+    via55, via37 = _r24_forms(cat, *_conv55_conv37(cat), cat.delta())
     return [(r24, via55), (r24, via37)]
 
 
@@ -868,7 +874,7 @@ def _table2(ws: Workspace, notes: list[str]) -> Optional[Discrepancy]:
     # through T10's two forms; r_24 is built at the table's own order, since
     # nmax may be below it.  The lower n wins, on a tie the sigma*_5^2 form.
     r24 = cat.power("theta3", 24)
-    d = _compare([(f, r24) for f in _r24_forms(conv55, conv37, tau)], notes, earliest=True)
+    d = _compare([(f, r24) for f in _r24_forms(cat, conv55, conv37, tau)], notes, earliest=True)
     if d:
         return d
     # the rows in table order: a sigma* row fails the check, a convolution

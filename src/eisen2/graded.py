@@ -23,13 +23,13 @@ weighted sum of products, whose integer numerators are put over the lcm of
 the terms' denominators and reduced once, combines polynomials, as
 ``linear_combination`` combines series: a product is its one-term case, a
 sum or a multiple a product with the constant 1, and each Serre derivative
-and each tower level one call.  Evaluation is one
-``linear_combination`` of the catalog's memoized monomial series, so it
-makes no product of its own once they exist.  The E*_2m tower
-(``e_star_poly``) is built in the divisor-sum normalization
-S*_{2m-1}(0) E*_2m by the recursion of Weierstrass' p at the half period,
-with integer binomial weights and no derivative, so it reads neither theta
-nor A, and every denominator is a power of two.  It is judged by series
+and each tower level one call.  Evaluation is one ``catalog.combine`` of
+the catalog's memoized monomial series, so it makes no product of its own
+once they exist.  The E*_2m tower (``e_star_poly``) is built in the
+divisor-sum normalization S*_{2m-1}(0) E*_2m by the recursion of
+Weierstrass' p at the half period, with integer binomial weights and no
+derivative, so it reads neither theta nor A, and every denominator is a
+power of two.  It is judged by series
 equations (``e_star_equations``), one per level, each lifted to the top
 weight from the level's own terms: their E* coefficients weigh the
 top-weight monomials B^j C^(m-2j) that all levels share, so judging builds
@@ -53,8 +53,7 @@ from typing import Iterator, Mapping, Optional, Union
 
 from .arith import divisor_sum_zero
 from .catalog import SeriesCatalog
-from .qseries import (QSeries, _over_lcm, _reduce, first_difference, linear_combination,
-                      rational_str)
+from .qseries import QSeries, _over_lcm, _reduce, first_difference, rational_str
 from .scalars import exact
 from .scalars import ks_alpha, ks_coefficient  # noqa: F401  (perfbench's tracer wraps it here)
 
@@ -357,13 +356,13 @@ def gp_evaluate(f: GradedPoly, catalog: SeriesCatalog) -> QSeries:
 
     Each monomial's series is ``catalog.monomial``, memoized with the
     generator powers, so it is multiplied out once per catalog however many
-    polynomials use it.  The result is one ``linear_combination`` of those
+    polynomials use it.  The result is one ``catalog.combine`` of those
     series; it makes no series product of its own.  The zero polynomial is
     the zero series on the catalog's range.
     """
     if f.is_zero():
         return QSeries.zero(catalog.order)
-    return linear_combination(*_evaluation_terms(f, catalog))
+    return catalog.combine(*_evaluation_terms(f, catalog))
 
 
 def modular_dimension(weight: int) -> int:
@@ -541,7 +540,8 @@ def e_star_equations(m: int, catalog: SeriesCatalog) -> Iterator[tuple]:
         raise ValueError(f"E{2 * m}star_poly needs order >= {need}, got {catalog.order}")
     top: list = [None] * (m // 2 + 1)  # B^j C^(m-2j), filled on first use
     # B_2m now, one Bernoulli memo extension for every level's S*(0); after
-    # ``top``, whose size refuses an m past the index range first
+    # ``top``, whose size refuses an m past the index range or past memory at
+    # once, where this Bernoulli loop would run on for a long time first
     divisor_sum_zero("sigma_star", 2 * m - 1)
 
     def level(mm: int, h: GradedPoly) -> tuple:
@@ -559,7 +559,7 @@ def e_star_equations(m: int, catalog: SeriesCatalog) -> Iterator[tuple]:
                 if mono is None:
                     mono = top[b] = catalog.monomial(zip(_SERIES_NAMES, (0, b, m - 2 * b)))
             terms.append((Fraction(x * q, p), mono))
-        lhs = linear_combination((1, series), (-1, lifted), *terms)
+        lhs = catalog.combine((1, series), (-1, lifted), *terms)
         return (lhs, series,
                 f"E{2 * mm}star polynomial: differential recursion against the q-expansion")
 

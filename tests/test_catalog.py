@@ -389,3 +389,29 @@ def test_factors_of_one_make_no_product_and_no_key(monkeypatch):
     assert not [name for name in names if name.startswith("E0")]
     # a factor of 1 does not change the key of the rest
     assert cat.product("E0", "C", "E4") is cat.product("C", "E4")
+
+
+def test_combine_is_the_linear_combination_of_its_terms():
+    cat = SeriesCatalog(12)
+    a, b = cat.level2(1), cat.C()
+    terms = ((Fraction(1, 2), a), (-3, b), (0, cat.delta()))
+    assert cat.combine(*terms) == qseries.linear_combination(*terms)
+    assert cat.combine(*terms).order == 12
+    with pytest.raises(ValueError):
+        cat.combine()
+
+
+def test_enumerated_takes_exactly_order_plus_one_values():
+    cat = SeriesCatalog(6)
+    values = [1, -2, 0, 4, 0, 0, 12]
+    series = cat.enumerated(values)
+    assert series.coeffs == tuple(values)
+    assert series.order == cat.order
+    values[1] = 5  # the series keeps its own copy
+    assert series.coeffs[1] == -2
+    # one value short would shorten the compared range; one long would
+    # claim a range the catalog does not have
+    for wrong in (values[:-1], values + [0]):
+        with pytest.raises(ValueError, match=f"{len(wrong)} values for a series of order 6"):
+            cat.enumerated(wrong)
+    assert SeriesCatalog(0).enumerated([3]) == QSeries([3])

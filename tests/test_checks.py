@@ -5,7 +5,7 @@ import textwrap
 from collections import defaultdict
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, lcm
 from types import SimpleNamespace
 
 import pytest
@@ -13,7 +13,7 @@ import pytest
 import fault_grid
 from eisen2 import arith, checks, cli, graded, scalars
 from eisen2.catalog import SeriesCatalog
-from eisen2.qseries import QSeries, qs_det
+from eisen2.qseries import QSeries, linear_combination, qs_det
 from memo_keys import memo_keys
 from verify_defaults import sizes, workspace
 
@@ -286,6 +286,35 @@ def test_only_the_displayed_forms_add_an_equation():
     assert set(counts.values()) == {1, 2}
     # the KS-DE descriptions name exactly the level-2 displayed forms
     assert {m for level, m in checks._DISPLAYED_FORMS if level == 2} == set(checks._KS_SPECIALS)
+
+
+def _ks_form_text(m: int, form: dict) -> str:
+    """A level-2 displayed form as the KS-DE descriptions write it: A, B,
+    E6*, E8*, E10*, the terms over one common denominator, and a coefficient
+    1 left out."""
+    def name(k):
+        return {1: "A", 2: "B"}.get(k, f"E{2 * k}*")
+
+    den = lcm(*(c.denominator for c in form.values()))
+    text = ""
+    for ks, c in form.items():
+        num = int(c * den)
+        factors = " ".join(name(k) + (f"^{ks.count(k)}" if ks.count(k) > 1 else "")
+                           for k in sorted(set(ks)))
+        sign = ("- " if num < 0 else "+ ") if text else ("-" if num < 0 else "")
+        text += (" " if text else "") + sign + ("" if abs(num) == 1 else f"{abs(num)} ") + factors
+    return f"q{name(m - 1)}' = " + (text if den == 1 else f"({text})/{den}")
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_ks_descriptions_state_the_forms_they_compare(m):
+    form = checks._DISPLAYED_FORMS[2, m]
+    assert _ks_form_text(m, form) == checks._KS_SPECIALS[m]
+    assert checks.REGISTRY[_de_id(2, m)].description.endswith(
+        f"; includes displayed form {checks._KS_SPECIALS[m]}")
+    # one coefficient moved by 1/8 no longer renders as the description
+    ks, c = next(iter(form.items()))
+    assert _ks_form_text(m, {**form, ks: c + Fraction(1, 8)}) != checks._KS_SPECIALS[m]
 
 
 @pytest.mark.parametrize("level, m", [(1, 5), (2, 2), (2, 3), (2, 4), (2, 5)])
@@ -612,6 +641,9 @@ class RandomInputs:
         # the named sigma* series multiplied
         indices = (int(name.removeprefix("sigma").removesuffix("star")) for name in names)
         return reduce(operator.mul, (self.sigma_star(s) for s in indices))
+
+    def combine(self, *terms):
+        return linear_combination(*terms)
 
 
 def _run_on(check_id: str, cat) -> checks.CheckReport:

@@ -25,12 +25,27 @@ And a run keeps its state in objects its callers make and pass: no function
 under ``src/eisen2`` stores into, deletes from or calls a mutating method on
 a module-level container, declares a name ``global``, or carries an
 ``lru_cache`` or ``cache`` decorator, except the few that ``MODULE_STATE``
-names with their reasons."""
+names with their reasons.
+
+And series are summed in one place: only ``qseries.py``, which defines
+``linear_combination``, and ``catalog.py``, whose ``combine`` delegates to
+it, name it.  The equation builders and their value helpers read no
+``QSeries``, ``combine``, ``linear_combination`` or ``arith``: every series
+and every sum comes through the catalog protocol.
+
+And every module parses as the oldest Python that ``pyproject.toml``
+allows, so no newer syntax slips in.  Only syntax is covered: this is the
+running interpreter's parser told to refuse what that version lacks."""
 
 import ast
+import inspect
+import re
+import textwrap
 from pathlib import Path
 
 import pytest
+
+from eisen2 import checks
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "eisen2"
 OWNERS = {"qseries.py", "graded.py"}
@@ -387,3 +402,119 @@ def shadowed(catalog):
     return catalog._memo(0, lambda _LEVELS={}: _LEVELS.setdefault(0, 1))
 '''
     assert module_state_writes(old, "graded.py") == [("graded.py", "level", 6, "_LEVELS")]
+
+
+SUM = "linear_combination"
+SUM_OWNERS = {"qseries.py", "catalog.py"}
+
+
+def names_used(source: str, name: str, target: str) -> list[tuple[str, int]]:
+    """Every use of the name ``target``: a variable, an attribute or an
+    imported name, as (file name, line)."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        used = (node.name, node.asname) if isinstance(node, ast.alias) else (
+            getattr(node, "id", None), getattr(node, "attr", None))
+        if target in used:
+            found.append((name, node.lineno))
+    return found
+
+
+def test_only_qseries_and_catalog_name_the_series_sum():
+    uses = {p.name: names_used(p.read_text(encoding="utf-8"), p.name, SUM)
+            for p in sorted(SRC.glob("*.py"))}
+    # both owners name it, so the guard is not vacuous
+    assert {name for name, found in uses.items() if found} == SUM_OWNERS
+
+
+def test_the_guard_finds_the_sum_under_another_name():
+    # checks.py's import when its builders called a module alias, and a
+    # call through the module
+    old = """
+from .qseries import QSeries, first_difference, rational_str
+from .qseries import linear_combination as combine
+total = qseries.linear_combination((1, a), (-1, b))
+"""
+    assert names_used(old, "checks.py", SUM) == [("checks.py", 3), ("checks.py", 4)]
+
+
+# what a builder reaches the series through when it leaves the catalog
+SIDE_DOORS = {"QSeries", "combine", SUM, "arith"}
+# the value helpers the builders call; the integer helpers _square_counts
+# and _triangular_counts make plain lists for cat.enumerated and are exempt
+VALUE_HELPERS = ("_minor", "_conv55_conv37", "_r24_forms")
+
+
+def _evaluated(node):
+    """The nodes below node but those of annotations, which the modules
+    never evaluate (``from __future__ import annotations``)."""
+    for field, value in ast.iter_fields(node):
+        if field not in ("annotation", "returns"):
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    yield child
+                    yield from _evaluated(child)
+
+
+def side_doors_read(source: str) -> list[tuple[int, str]]:
+    """Every variable of ``SIDE_DOORS`` the source reads, as (line, name);
+    a catalog method of the same name, such as ``cat.combine``, is not a
+    variable."""
+    return [(node.lineno, node.id) for node in _evaluated(ast.parse(source))
+            if isinstance(node, ast.Name) and node.id in SIDE_DOORS]
+
+
+def test_the_builders_reach_series_through_the_catalog_alone():
+    builders = [check.equations for check in checks.REGISTRY.values() if check.equations]
+    assert len(builders) == 43
+    functions = builders + [getattr(checks, helper) for helper in VALUE_HELPERS]
+    for func in functions:
+        assert side_doors_read(textwrap.dedent(inspect.getsource(func))) == [], func
+    # the exempt helper reads its oracle, so the guard is not vacuous
+    assert [name for _, name in side_doors_read(
+        inspect.getsource(checks._triangular_counts))] == ["arith"]
+
+
+def test_the_guard_finds_a_builder_leaving_the_catalog():
+    # T5, JACOBI and DELTA8 as they stood before the protocol held
+    old = """
+def _t5(cat: SeriesCatalog) -> list[Equation]:
+    s1, s3 = cat.sigma_star(1), cat.sigma_star(3)
+    return [(s3, combine((2, s1.theta()), (-4, s1 * s1)))]
+
+def _jacobi(cat: SeriesCatalog) -> Iterable[Equation]:
+    for s, counts in _square_counts(cat.order).items():
+        yield cat.power("theta3", s), QSeries._make(counts), f"{s}-square formula"
+
+def _delta8(cat: SeriesCatalog) -> list[Equation]:
+    count = [arith.delta8_oracle(n) for n in range(cat.order)]
+    return [(cat.D(), QSeries._make([0] + count))]
+"""
+    assert side_doors_read(old) == [(4, "combine"), (8, "QSeries"), (11, "arith"),
+                                    (12, "QSeries")]
+    # through the catalog, and with QSeries in annotations only, nothing
+    new = "def _t5(cat) -> QSeries:\n    x: QSeries = cat.combine((2, cat.D()))\n"
+    assert side_doors_read(new) == []
+
+
+def oldest_python() -> tuple[int, int]:
+    """The (major, minor) of ``requires-python`` in ``pyproject.toml``."""
+    text = (SRC.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    major, minor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', text).groups()
+    return int(major), int(minor)
+
+
+def test_every_module_parses_as_the_oldest_python_allowed():
+    assert oldest_python() == (3, 10)
+    modules = sorted(SRC.glob("*.py"))
+    assert {"__init__.py", "checks.py", "qseries.py"} <= {p.name for p in modules}
+    for p in modules:
+        ast.parse(p.read_text(encoding="utf-8"), filename=p.name,
+                  feature_version=oldest_python())
+
+
+def test_the_syntax_guard_refuses_an_exception_group():
+    # except* came in Python 3.11
+    newer = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    with pytest.raises(SyntaxError):
+        ast.parse(newer, feature_version=oldest_python())

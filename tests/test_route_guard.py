@@ -17,10 +17,14 @@ parameter.  And no equation builder in ``checks.py`` seeds a sum with
 Every equation builder takes one ``SeriesCatalog`` and nothing else, and no
 code in ``checks.py`` calls the ``Workspace`` forwards ``sigma_range``,
 ``sigma_star_range``, ``tau_range`` or ``r_table``, which only perfbench's
-tracer pins."""
+tracer pins.  And the builders keep to the catalog protocol that
+``SeriesCatalog``'s docstring lists: they run on a stand-in catalog that
+offers those methods alone."""
 
 import ast
 from pathlib import Path
+
+import pytest
 
 from eisen2 import checks
 from eisen2.catalog import SeriesCatalog
@@ -195,3 +199,101 @@ def test_every_builder_runs_on_a_bare_catalog(monkeypatch):
         for lhs, rhs, *_ in build(cat):
             assert min(lhs.order, rhs.order) == cat.order
             assert first_difference(lhs, rhs) is None
+
+
+# the protocol SeriesCatalog's docstring lists
+CATALOG_PROTOCOL = {"level1", "level2", "sigma", "sigma_star", "C", "D", "delta", "theta3",
+                    "power", "product", "monomial", "by_name", "combine", "enumerated",
+                    "order"}
+VALUE_PROTOCOL = {"theta", "scale", "neg_q", "dilate", "hecke", "truncate"}  # and * + -
+
+
+class OutsideProtocol(AttributeError):
+    """A builder reached for a method the catalog protocol does not list."""
+
+
+def _plain(x):
+    """x with every recorded value replaced by its series, in tuples too."""
+    if isinstance(x, Recorded):
+        return x.series
+    return tuple(map(_plain, x)) if isinstance(x, tuple) else x
+
+
+class Recorded:
+    """A stand-in catalog's value: a series reached only through the
+    protocol's value methods, each call written to the shared log."""
+
+    def __init__(self, series, log: list):
+        self.series, self.log = series, log
+
+    def _apply(self, method: str, *args):
+        self.log.append(method)
+        return Recorded(getattr(self.series, method)(*map(_plain, args)), self.log)
+
+    def __mul__(self, other):
+        return self._apply("__mul__", other)
+
+    def __add__(self, other):
+        return self._apply("__add__", other)
+
+    def __sub__(self, other):
+        return self._apply("__sub__", other)
+
+    def __getattr__(self, name: str):
+        if name not in VALUE_PROTOCOL:
+            raise OutsideProtocol(f"value.{name}")
+        return lambda *args: self._apply(name, *args)
+
+
+def _refused(name: str):
+    def method(self, *args):
+        raise OutsideProtocol(f"value.{name}")
+    return method
+
+
+# the other operators a series has, which the protocol leaves out
+for _name in ("__neg__", "__pow__", "__rmul__", "__getitem__", "__iter__", "__len__"):
+    setattr(Recorded, _name, _refused(_name))
+
+
+class RecordingCatalog:
+    """A catalog that offers the protocol alone, over a real one, and logs
+    each method a builder calls on it or on its values."""
+
+    def __init__(self, order: int):
+        self.real, self.log = SeriesCatalog(order), []
+
+    def __getattr__(self, name: str):
+        if name not in CATALOG_PROTOCOL:
+            raise OutsideProtocol(f"catalog.{name}")
+        self.log.append(name)
+        if name == "order":
+            return self.real.order
+        method = getattr(self.real, name)
+        return lambda *args: Recorded(method(*map(_plain, args)), self.log)
+
+
+def test_every_builder_keeps_to_the_catalog_protocol():
+    cat = RecordingCatalog(12)
+    builders = [check.equations for check in checks.REGISTRY.values() if check.equations]
+    assert len(builders) == 43
+    for build in builders:
+        for lhs, rhs, *_ in build(cat):
+            assert first_difference(lhs.series, rhs.series) is None
+    # the part of the protocol the builders use today
+    assert set(cat.log) == CATALOG_PROTOCOL - {"theta3", "monomial"} | {
+        "__mul__", "__sub__", "theta", "scale", "neg_q", "dilate"}
+
+
+def test_the_stand_in_refuses_a_method_outside_the_protocol():
+    cat = RecordingCatalog(4)
+    for reach in (lambda: cat._memo, lambda: cat.delta().numerators,
+                  lambda: cat.delta().coeffs, lambda: -cat.delta(),
+                  lambda: cat.delta()[1], lambda: 2 * cat.delta(),
+                  lambda: cat.delta() ** 2):
+        with pytest.raises(OutsideProtocol):
+            reach()
+    # C10's scan reads the integers of a series: no builder may
+    with pytest.raises(OutsideProtocol, match="value.numerators"):
+        cat.power("theta3", 24).numerators
+    assert cat.log == ["delta"] * 6 + ["power"]
